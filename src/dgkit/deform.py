@@ -78,9 +78,6 @@ class Series:
         out.coeffs[0] = v
         return out
 
-    def order_count(self) -> int:
-        return len(self.coeffs)
-
     def is_zero(self) -> bool:
         return all(vec_is_zero(c) for c in self.coeffs)
 

@@ -74,15 +74,6 @@ class GradedSpace:
     def vector_items(self, k: int, v: Vector) -> list[tuple[str, Scalar]]:
         return [(lab, c) for lab, c in zip(self.labels(k), v) if not c.is_zero()]
 
-    def sparse_to_vector(self, k: int, sparse: dict[str, Scalar]) -> Vector:
-        out = [ZERO] * self.dim(k)
-        for lab, c in sparse.items():
-            kk, i = self.label_loc[lab]
-            if kk != k:
-                raise ModelError(f"label {lab!r} has degree {kk}, expected {k}")
-            out[i] = out[i] + c
-        return tuple(out)
-
     def __eq__(self, other):
         if not isinstance(other, GradedSpace):
             return NotImplemented
@@ -336,25 +327,6 @@ class StructuredAlgebra:
 
     def mul_labels(self, l1: str, l2: str) -> dict[str, Scalar]:
         return self.structure.get((l1, l2), {})
-
-    def smul(self, s1: dict[str, Scalar], s2: dict[str, Scalar]) -> dict[str, Scalar]:
-        """Product of sparse label vectors."""
-        out: dict[str, Scalar] = {}
-        for l1, c1 in s1.items():
-            if c1.is_zero():
-                continue
-            for l2, c2 in s2.items():
-                targets = self.structure.get((l1, l2))
-                if not targets:
-                    continue
-                c = c1 * c2
-                for lt, ct in targets.items():
-                    acc = out.get(lt, ZERO) + c * ct
-                    if acc.is_zero():
-                        out.pop(lt, None)
-                    else:
-                        out[lt] = acc
-        return out
 
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """Bilinear extension of the structure constants; result in degree k1+k2."""
@@ -640,9 +612,6 @@ class CohomologyPresentation:
             raise PreconditionError(f"vector at degree {k} is not closed")
         n_im = len(basis) - h_dim
         return [tuple(c[n_im:]) for c in coords]
-
-    def class_of(self, k: int, v: Vector) -> Vector:
-        return self.project(k, v)
 
     def induced_structure(self) -> dict:
         """Structure constants inherited on cohomology classes."""

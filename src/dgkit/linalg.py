@@ -35,16 +35,8 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Scalar, u: Vector) -> Vector:
     return tuple(c * a for a in u)
-
-
-def vec_neg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
 
 
 def vec_is_zero(u: Vector) -> bool:
@@ -219,9 +211,6 @@ class Matrix:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def to_lists(self) -> list:
-        return [[str(e) for e in row] for row in self.data]
-
 
 # ---------------------------------------------------------------------------
 
@@ -338,8 +327,8 @@ def subspace_calculus(u: Subspace, w: Subspace, op: str):
 # kernels, images, solving
 
 
-def nullspace_and_image(m: Matrix) -> tuple[Subspace, Subspace]:
-    """Kernel (subspace of F^cols) and column span (subspace of F^rows)."""
+def kernel_of(m: Matrix) -> Subspace:
+    """Kernel of m, a subspace of F^cols."""
     red, pivots = m.rref()
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
@@ -350,17 +339,17 @@ def nullspace_and_image(m: Matrix) -> tuple[Subspace, Subspace]:
         for r, p in enumerate(pivots):
             v[p] = -red.data[r][f]
         kernel_vectors.append(tuple(v))
-    kernel = Subspace.from_vectors(m.cols, kernel_vectors)
-    image = Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
-    return kernel, image
-
-
-def kernel_of(m: Matrix) -> Subspace:
-    return nullspace_and_image(m)[0]
+    return Subspace.from_vectors(m.cols, kernel_vectors)
 
 
 def image_of(m: Matrix) -> Subspace:
-    return nullspace_and_image(m)[1]
+    """Column span of m, a subspace of F^rows."""
+    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def nullspace_and_image(m: Matrix) -> tuple[Subspace, Subspace]:
+    """Kernel (subspace of F^cols) and column span (subspace of F^rows)."""
+    return kernel_of(m), image_of(m)
 
 
 def linear_solve(m: Matrix, target: Vector) -> Optional[tuple[Vector, Subspace]]:

@@ -46,9 +46,12 @@ RESERVED_SHIFT0 = ("e", "f", "h", "J")
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: Optional[int] = None):
-        loc = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{loc}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None,
+                 column: Optional[int] = None):
+        if line is not None:
+            loc = f"line {line}" + (f", column {column}" if column is not None else "")
+            message = f"{loc}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column
 
@@ -206,8 +209,12 @@ def parse_model(text: str) -> ParsedModel:
 
 
 def parse_model_file(path: str) -> ParsedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read model file {path!r}: {exc}") from exc
+    return parse_model(text)
 
 
 def serialize_model(algebra: StructuredAlgebra,

@@ -18,6 +18,7 @@ certified exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -350,11 +351,6 @@ class QuaternionicComplex:
         xpart, ypart = head[1:].split("y")
         return int(xpart), int(ypart), dlabel
 
-    def component_indices(self, p: int, q: int) -> list[int]:
-        k = p + q
-        return [i for i, lab in enumerate(self.space.labels(k))
-                if lab.startswith(f"x{p}y{q}:")]
-
     def total_squares_to_zero(self) -> bool:
         return self.total.compose(self.total).is_zero()
 
@@ -626,7 +622,7 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
             cell = (p, qq)
             rows = block_labels.get(cell, [])
             coeff = Scalar((-1) ** p).scale(
-                Fraction(_factorial(qq), _factorial(k)))
+                Fraction(math.factorial(qq), math.factorial(k)))
             cols = []
             for lab in d_space.labels(k):
                 _, fv = full.space.basis_vector(lab)
@@ -643,7 +639,7 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
                         identities = False
             phi_blocks[cell] = mat
 
-            inv_coeff = Scalar((-1) ** p).scale(Fraction(1, _factorial(p)))
+            inv_coeff = Scalar((-1) ** p).scale(Fraction(1, math.factorial(p)))
             inv = Matrix(nk, len(rows))
             for j, lab in enumerate(rows):
                 k_idx = q_space.label_loc[lab][1]
@@ -728,13 +724,6 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
 
     return PhiCertificate(phi_blocks, phi_inv_blocks, identities,
                           inverse_ok, inter_h, inter_v, spot)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

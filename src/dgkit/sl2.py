@@ -30,7 +30,7 @@ from dgkit.linalg import (
     kernel_of,
     vec_is_zero,
 )
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.scalars import Scalar
 
 
 class Sl2Module:
@@ -67,67 +67,28 @@ class Sl2Module:
         return report
 
 
-def _charpoly(m: Matrix) -> list[Scalar]:
-    """Monic characteristic polynomial by Faddeev-LeVerrier, highest first."""
-    n = m.rows
-    coeffs = [ONE]
-    mk = Matrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        trace = ZERO
-        for i in range(n):
-            trace = trace + mk.data[i][i]
-        ck = trace.scale(-1) / Scalar(k)
-        coeffs.append(ck)
-        if k < n:
-            mk = mk + Matrix.identity(n).scale(ck)
-    return coeffs
+def integer_spectrum(m: Matrix) -> dict[int, Subspace]:
+    """Eigenspaces ker(m - lam) of the integer eigenvalues lam of m.
 
-
-def _poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs: list[Scalar], root: Scalar) -> list[Scalar]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(out[-1] * root + c)
-    return out
-
-
-def integer_spectrum(m: Matrix, bound: Optional[int] = None) -> dict[int, int]:
-    """Integer eigenvalues with algebraic multiplicity.
-
-    Tries every integer in [-bound, bound] (default: matrix size) against
-    the exact characteristic polynomial.  Raises ModelError naming the
-    residual factor when the spectrum is not fully integer within bounds.
+    Scans lam = 0, 1, -1, 2, -2, ... up to the matrix size n and stops once
+    the eigenspaces span F^n.  Raises ModelError when they never do, i.e.
+    when m has a non-integral eigenvalue or is not diagonalizable.
     """
     n = m.rows
-    if n == 0:
-        return {}
-    if bound is None:
-        bound = n
-    poly = _charpoly(m)
-    roots: dict[int, int] = {}
-    candidates = [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]
-    progress = True
-    while len(poly) > 1 and progress:
-        progress = False
-        for lam in candidates:
-            if _poly_eval(poly, Scalar(lam)).is_zero():
-                roots[lam] = roots.get(lam, 0) + 1
-                poly = _poly_deflate(poly, Scalar(lam))
-                progress = True
-                break
-    if len(poly) > 1:
-        residual = " ".join(str(c) for c in poly)
+    eigenspaces: dict[int, Subspace] = {}
+    covered = 0
+    for lam in [0] + [s * v for v in range(1, n + 1) for s in (1, -1)]:
+        if covered == n:
+            break
+        eig = kernel_of(m - Matrix.identity(n).scale(Scalar(lam)))
+        if eig.dim:
+            eigenspaces[lam] = eig
+            covered += eig.dim
+    if covered != n:
         raise ModelError(
-            f"non-integral h-spectrum; residual characteristic factor "
-            f"[{residual}] (eigenvalue not an integer in [-{bound}, {bound}])")
-    return roots
+            f"not diagonalizable with an integer spectrum: integer eigenspaces "
+            f"span {covered} of {n} dimensions")
+    return eigenspaces
 
 
 @dataclass
@@ -188,23 +149,14 @@ def weight_decomposition(module: Sl2Module) -> IsotypicDecomposition:
         n = space.dim(k)
         if n == 0:
             continue
-        h_block = module.h.block(k)
-        spectrum = integer_spectrum(h_block)
-        geo_total = 0
-        for lam in spectrum:
-            eig = kernel_of(h_block - Matrix.identity(n).scale(Scalar(lam)))
-            decomp.eigenspaces[(k, lam)] = eig
-            geo_total += eig.dim
-        if geo_total != n:
-            raise ModelError(
-                f"h is not diagonalizable at degree {k}: eigenspaces span "
-                f"{geo_total} of {n} dimensions")
+        eigenspaces = integer_spectrum(module.h.block(k))
+        e_ker = kernel_of(module.e.block(k))
         dim_count = 0
-        for lam, _mult in spectrum.items():
+        for lam, eig in eigenspaces.items():
+            decomp.eigenspaces[(k, lam)] = eig
             if lam < 0:
                 continue
-            e_ker = kernel_of(module.e.block(k))
-            hw = decomp.eigenspaces[(k, lam)].intersect(e_ker)
+            hw = eig.intersect(e_ker)
             decomp.highest_weight[(k, lam)] = hw
             dim_count += hw.dim * (lam + 1)
         if dim_count != n:
@@ -359,11 +311,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         chosen: list[Vector] = []
         weights: list[Optional[int]] = []
         if h is not None:
-            h_block = h.block(k)
-            spectrum = integer_spectrum(h_block)
             covered = 0
-            for lam in sorted(spectrum):
-                eig = kernel_of(h_block - Matrix.identity(n).scale(Scalar(lam)))
+            for lam, eig in sorted(integer_spectrum(h.block(k)).items()):
                 i_lam = ik.intersect(eig)
                 covered += i_lam.dim
                 for v in extend_basis(i_lam, eig):

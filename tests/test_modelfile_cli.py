@@ -182,6 +182,19 @@ def test_cli_parse_error_reported(tmp_path, capsys):
     assert "error" in out
 
 
+def test_cli_unreadable_model_file_reported(tmp_path, capsys):
+    missing = tmp_path / "no_such.model"
+    assert run_cli(["--format", "json", "validate", str(missing)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert "cannot read model file" in report["report"]["error"]
+    assert "No such file" in report["report"]["error"]
+    binary = tmp_path / "binary.model"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert run_cli(["sl2", str(binary)]) == 1
+    assert "cannot read model file" in capsys.readouterr().out
+
+
 def test_cli_formality_and_sl2(tmp_path, capsys):
     ds = tmp_path / "ds.model"
     ds.write_text(serialize_model(dots_squares_model({0: 1, 1: 1}, [0], seed=9).algebra))

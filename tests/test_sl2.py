@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from dgkit.errors import ModelError
@@ -65,10 +68,60 @@ def test_sl2_relations_enforced():
         weight_decomposition(bad)
 
 
+def _int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _conjugated(d, seed):
+    """(P d P^-1, P) for a random unimodular integer P.
+
+    P is a product of elementary integer row operations; its inverse is the
+    product of the inverse operations in reverse order, so neither the
+    conjugate nor the oracle eigenvectors go through dgkit's elimination.
+    """
+    rnd = random.Random(seed)
+    n = len(d)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(3 * n):
+        i, j = rnd.sample(range(n), 2)
+        c = rnd.choice([-2, -1, 1, 2])
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]  # P <- (I + c E_ij) P
+        for row in p_inv:  # P^-1 <- P^-1 (I - c E_ij)
+            row[j] -= c * row[i]
+    assert _int_matmul(p, p_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    m = _int_matmul(_int_matmul(p, d), p_inv)
+    return Matrix.from_rows([[Scalar(x) for x in row] for row in m]), p
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_integer_spectrum_matches_conjugated_diagonal(seed):
+    rnd = random.Random(100 + seed)
+    diag = [rnd.randint(-3, 3) for _ in range(6)]
+    d = [[diag[i] if i == j else 0 for j in range(6)] for i in range(6)]
+    m, p = _conjugated(d, seed)
+    spectrum = integer_spectrum(m)
+    assert {lam: eig.dim for lam, eig in spectrum.items()} == Counter(diag)
+    for lam, eig in spectrum.items():
+        columns = [tuple(Scalar(p[i][j]) for i in range(6))
+                   for j in range(6) if diag[j] == lam]
+        assert eig == Subspace.from_vectors(6, columns)
+
+
 def test_non_integral_spectrum_rejected():
     m = Matrix.from_rows([[Scalar(1) / Scalar(2)]])
     with pytest.raises(ModelError):
         integer_spectrum(m)
+    # eigenvalues +-i lie in Q(i) but are not integers
+    rotation = Matrix.from_rows([[Scalar(0), Scalar(-1)], [Scalar(1), Scalar(0)]])
+    with pytest.raises(ModelError, match="span 0 of 2"):
+        integer_spectrum(rotation)
+    # a conjugated Jordan block has an integer eigenvalue but one eigenvector
+    for lam in (0, 2, -1):
+        jordan = [[lam, 1, 0], [0, lam, 0], [0, 0, 3]]
+        m, _ = _conjugated(jordan, seed=lam)
+        with pytest.raises(ModelError, match="span 2 of 3"):
+            integer_spectrum(m)
 
 
 def test_torus_weights_match_form_types():
