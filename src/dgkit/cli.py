@@ -293,11 +293,7 @@ def cmd_generate(args, report: Report):
             model = torus_model(args.rank)
         text = serialize_connection_model(model)
     elif args.recipe == "dots-squares":
-        dots = {}
-        if args.dots:
-            for part in args.dots.split(","):
-                deg, count = part.split(":")
-                dots[int(deg)] = int(count)
+        dots = _dot_counts(args.dots)
         squares = [int(x) for x in args.squares.split(",")] if args.squares else []
         zigzags = [int(x) for x in args.zigzags.split(",")] if args.zigzags else []
         b = dots_squares_model(dots, squares, zigzags, seed=args.seed,
@@ -318,6 +314,39 @@ def cmd_generate(args, report: Report):
 
 
 # -- dispatcher ---------------------------------------------------------------
+
+
+def _window(text: str) -> int:
+    """--window: the half-width of the extended window, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"window must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"window must be at least 1, got {value}")
+    return value
+
+
+def _dot_counts(text: str) -> dict[int, int]:
+    """--dots DEGREE:COUNT,...: the number of dots per degree."""
+    dots = {}
+    for part in text.split(",") if text else []:
+        try:
+            deg, count = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"dots entry must be DEGREE:COUNT, got {part!r}")
+        if count < 0:
+            raise argparse.ArgumentTypeError(
+                f"dot count must not be negative, got {part!r}")
+        dots[deg] = count
+    return dots
+
+
+def _dots_spec(text: str) -> str:
+    """Validate --dots at parse time; the report echoes the text as given."""
+    _dot_counts(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_model(sub.add_parser("qdolbeault", help="build and check the total complex"))
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_window, default=3)
     p.add_argument("--phi", action="store_true")
 
     with_model(sub.add_parser("spectral", help="E1/E2 pages and degeneration"))
@@ -364,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("recipe", choices=("torus", "dots-squares", "zigzag"))
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--nilpotent-twist", action="store_true")
-    p.add_argument("--dots", default="")
+    p.add_argument("--dots", type=_dots_spec, default="")
     p.add_argument("--squares", default="")
     p.add_argument("--zigzags", default="")
     p.add_argument("--degree", type=int, default=0)

@@ -43,6 +43,11 @@ def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
 
+def _nonzeros(u: Sequence[Scalar]) -> list:
+    """The (index, entry) pairs of u whose entry is non-zero."""
+    return [(j, a) for j, a in enumerate(u) if not a.is_zero()]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -126,30 +131,26 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
         out = Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            out_row = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
+        other_nonzeros = [_nonzeros(row) for row in other.data]
+        for row, out_row in zip(self.data, out.data):
+            for a, b_nonzeros in zip(row, other_nonzeros):
                 if a.is_zero():
                     continue
-                other_row = other.data[k]
-                for j in range(other.cols):
-                    b = other_row[j]
-                    if not b.is_zero():
-                        out_row[j] = out_row[j] + a * b
+                for j, b in b_nonzeros:
+                    out_row[j] = out_row[j] + a * b
         return out
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match matrix columns")
+        v_nonzeros = _nonzeros(v)
         out = []
-        for i in range(self.rows):
+        for row in self.data:
             acc = ZERO
-            row = self.data[i]
-            for j, x in enumerate(v):
-                if not x.is_zero() and not row[j].is_zero():
-                    acc = acc + row[j] * x
+            for j, x in v_nonzeros:
+                a = row[j]
+                if not a.is_zero():
+                    acc = acc + a * x
             out.append(acc)
         return tuple(out)
 
@@ -192,12 +193,19 @@ class Matrix:
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            # Rows at or below r are zero left of c, so only the pivot row's
+            # non-zero entries from c on take part; the rows are private copies.
+            prow = m[r]
+            inv = prow[c].inverse()
+            support = [j for j in range(c, self.cols) if not prow[j].is_zero()]
+            for j in support:
+                prow[j] = inv * prow[j]
+            for i, row in enumerate(m):
+                f = row[c]
+                if i == r or f.is_zero():
+                    continue
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -267,12 +275,15 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         residual = list(v)
-        for i in range(self.basis.rows):
-            row = self.basis.data[i]
+        for row in self.basis.data:
             lead = next(j for j, x in enumerate(row) if not x.is_zero())
             c = residual[lead]
-            if not c.is_zero():
-                residual = [a - c * b for a, b in zip(residual, row)]
+            if c.is_zero():
+                continue
+            for j in range(lead, self.ambient_dim):
+                b = row[j]
+                if not b.is_zero():
+                    residual[j] = residual[j] - c * b
         return all(x.is_zero() for x in residual)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -327,19 +338,24 @@ def subspace_calculus(u: Subspace, w: Subspace, op: str):
 # kernels, images, solving
 
 
-def kernel_of(m: Matrix) -> Subspace:
-    """Kernel of m, a subspace of F^cols."""
-    red, pivots = m.rref()
+def _kernel_from_rref(red: Matrix, pivots: list, cols: int) -> Subspace:
+    """Kernel of the matrix whose first `cols` columns reduce to `red`."""
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
+    free = [j for j in range(cols) if j not in pivot_set]
     kernel_vectors = []
     for f in free:
-        v = [ZERO] * m.cols
+        v = [ZERO] * cols
         v[f] = ONE
         for r, p in enumerate(pivots):
             v[p] = -red.data[r][f]
         kernel_vectors.append(tuple(v))
-    return Subspace.from_vectors(m.cols, kernel_vectors)
+    return Subspace.from_vectors(cols, kernel_vectors)
+
+
+def kernel_of(m: Matrix) -> Subspace:
+    """Kernel of m, a subspace of F^cols."""
+    red, pivots = m.rref()
+    return _kernel_from_rref(red, pivots, m.cols)
 
 
 def image_of(m: Matrix) -> Subspace:
@@ -366,7 +382,8 @@ def linear_solve(m: Matrix, target: Vector) -> Optional[tuple[Vector, Subspace]]
     x = [ZERO] * m.cols
     for r, p in enumerate(pivots):
         x[p] = red.data[r][m.cols]
-    return tuple(x), kernel_of(m)
+    # The left m.cols columns of red are rref(m), with the same pivots.
+    return tuple(x), _kernel_from_rref(red, pivots, m.cols)
 
 
 def solve_batch(m: Matrix, targets: Matrix) -> Optional[Matrix]:

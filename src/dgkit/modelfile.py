@@ -182,6 +182,9 @@ def parse_model(text: str) -> ParsedModel:
             raise ParseError(f"unexpected line outside any section: {line!r}",
                              line_no)
 
+    if not any(degrees.values()):
+        raise ParseError("model declares no basis labels: a 'degrees' section "
+                         "with at least one label is required")
     space = GradedSpace(degrees)
     differentials = {}
     maps = {}

@@ -302,6 +302,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                              f"degree {witness['degree']}")
 
     h = algebra.maps.get("h")
+    # a decomposition of this very h already holds its eigenspaces
+    stored = decomp.eigenspaces if decomp is not None and decomp.module.h is h else None
     reps: dict[int, list[Vector]] = {}
     bidegrees: dict[str, tuple[int, int]] = {}
     rep_weights: dict[int, list[Optional[int]]] = {}
@@ -312,7 +314,11 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         weights: list[Optional[int]] = []
         if h is not None:
             covered = 0
-            for lam, eig in sorted(integer_spectrum(h.block(k)).items()):
+            if stored is None:
+                spectrum = integer_spectrum(h.block(k))
+            else:
+                spectrum = {lam: eig for (kk, lam), eig in stored.items() if kk == k}
+            for lam, eig in sorted(spectrum.items()):
                 i_lam = ik.intersect(eig)
                 covered += i_lam.dim
                 for v in extend_basis(i_lam, eig):

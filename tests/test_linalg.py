@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,14 @@ from dgkit.linalg import (
     Subspace,
     coordinates_in_basis,
     extend_basis,
+    image_of,
+    kernel_of,
     linear_solve,
     nullspace_and_image,
     solve_batch,
     subspace_calculus,
     unit_vector,
+    zero_vector,
 )
 from dgkit.scalars import ONE, ZERO, Scalar
 
@@ -166,3 +170,264 @@ def test_rref_idempotent_and_rank_nullity(rows, cols, data):
     assert red == again and pivots == pivots2
     k, im = nullspace_and_image(m)
     assert k.dim + im.dim == cols
+
+
+# -- differential oracle for the zero-skipping kernel ---------------------------
+#
+# The reference functions below are the dense loops the kernel used before it
+# learned to skip zero entries: every entry of every row takes part.  They
+# live only here, as the reference the sparse-aware kernel must reproduce
+# entry for entry.  sympy's exact RREF over QQ<I> is a second, independent
+# reference for rank, pivots and the echelon form.
+
+
+def ref_rref(m):
+    rows = [row[:] for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = None
+        for i in range(r, m.rows):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots
+
+
+def ref_apply(m, v):
+    out = []
+    for i in range(m.rows):
+        acc = ZERO
+        row = m.data[i]
+        for j, x in enumerate(v):
+            if not x.is_zero() and not row[j].is_zero():
+                acc = acc + row[j] * x
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_mul(a, b):
+    out = [[ZERO] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.data[i][k]
+            if x.is_zero():
+                continue
+            for j in range(b.cols):
+                y = b.data[k][j]
+                if not y.is_zero():
+                    out[i][j] = out[i][j] + x * y
+    return out
+
+
+def ref_span(n, vectors):
+    """Canonical basis rows of the span: the non-zero rows of the RREF."""
+    if not vectors:
+        return []
+    rows, pivots = ref_rref(Matrix.from_rows(vectors, n))
+    return rows[:len(pivots)]
+
+
+def ref_contains(basis_rows, v):
+    residual = list(v)
+    for row in basis_rows:
+        lead = next(j for j, x in enumerate(row) if not x.is_zero())
+        c = residual[lead]
+        if not c.is_zero():
+            residual = [a - c * b for a, b in zip(residual, row)]
+    return all(x.is_zero() for x in residual)
+
+
+def ref_kernel(m):
+    rows, pivots = ref_rref(m)
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        vectors.append(v)
+    return ref_span(m.cols, vectors)
+
+
+def ref_image(m):
+    return ref_span(m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def ref_linear_solve(m, target):
+    aug = m.hstack(Matrix(m.rows, 1, [[t] for t in target]))
+    rows, pivots = ref_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][m.cols]
+    return tuple(x), ref_kernel(m)
+
+
+UNITS = (ONE, -ONE, Scalar(0, 1), Scalar(0, -1))
+fractions_ = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4)))
+nonzero_entries = st.one_of(
+    st.sampled_from(UNITS),
+    st.builds(Scalar, fractions_, fractions_).filter(lambda x: not x.is_zero()),
+)
+dims = st.integers(min_value=0, max_value=6)
+
+
+def sparse_entry(draw, density):
+    return draw(nonzero_entries) if draw(st.integers(0, 99)) < density else ZERO
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """Sparse Q(i) matrices: signed permutation-like blocks or random sparse
+    fill, with some rows and columns forced to zero; 0 x n and n x 0 allowed."""
+    rows = draw(dims) if rows is None else rows
+    cols = draw(dims) if cols is None else cols
+    data = [[ZERO] * cols for _ in range(rows)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(max(rows, cols))))
+        for i in range(rows):
+            if perm[i] < cols:
+                data[i][perm[i]] = draw(st.sampled_from(UNITS))
+        for _ in range(draw(st.integers(0, 3)) if rows and cols else 0):
+            data[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = \
+                draw(nonzero_entries)
+    else:
+        density = draw(st.sampled_from((10, 30, 60, 100)))
+        data = [[sparse_entry(draw, density) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1))) if rows else ():
+        data[i] = [ZERO] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1))) if cols else ():
+        for row in data:
+            row[j] = ZERO
+    return Matrix(rows, cols, data)
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    density = draw(st.sampled_from((0, 20, 50, 100)))
+    return tuple(sparse_entry(draw, density) for _ in range(n))
+
+
+oracle = settings(max_examples=150, deadline=None)
+
+
+@oracle
+@given(sparse_matrices())
+def test_rref_kernel_image_match_dense_reference(m):
+    before = [row[:] for row in m.data]
+    red, pivots = m.rref()
+    assert m.data == before  # rref works on private copies of the rows
+    ref_rows, ref_pivots = ref_rref(m)
+    assert (red.data, pivots) == (ref_rows, ref_pivots)
+    assert kernel_of(m).basis.data == ref_kernel(m)
+    assert image_of(m).basis.data == ref_image(m)
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_apply_and_product_match_dense_reference(m, data):
+    v = data.draw(sparse_vectors(m.cols))
+    assert m.apply(v) == ref_apply(m, v)
+    other = data.draw(sparse_matrices(rows=m.cols))
+    assert (m * other).data == ref_mul(m, other)
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_linear_solve_matches_dense_reference(m, data):
+    if data.draw(st.booleans()):
+        target = data.draw(sparse_vectors(m.rows))
+    else:
+        target = m.apply(data.draw(sparse_vectors(m.cols)))
+    got = linear_solve(m, target)
+    want = ref_linear_solve(m, target)
+    if want is None:
+        assert got is None
+        return
+    x, kernel = got
+    assert (x, kernel.basis.data) == (want[0], want[1])
+    assert m.apply(x) == tuple(target)
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_contains_matches_dense_reference(m, data):
+    sub = Subspace.from_vectors(m.cols, m.data)
+    assert sub.basis.data == ref_span(m.cols, m.data)
+    if data.draw(st.booleans()) or not sub.dim:
+        v = data.draw(sparse_vectors(m.cols))
+    else:
+        coeffs = data.draw(sparse_vectors(sub.dim))
+        v = tuple(sum((c * row[j] for c, row in zip(coeffs, sub.basis.data)), ZERO)
+                  for j in range(m.cols))
+        assert sub.contains(v)
+    assert sub.contains(v) == ref_contains(sub.basis.data, v)
+
+
+@pytest.fixture(scope="module")
+def qq_i():
+    """Scalar -> element of sympy's Gaussian rational field QQ<I>."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+
+    def convert(x):
+        return QQ_I(QQ(x.re.numerator, x.re.denominator),
+                    QQ(x.im.numerator, x.im.denominator))
+    return convert
+
+
+def sympy_rref(m, qq_i):
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix([[qq_i(x) for x in row] for row in m.data], (m.rows, m.cols), QQ_I)
+    red, pivots = dm.rref()
+    return red.to_list(), list(pivots)
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_rref_rank_and_solvability_match_sympy(qq_i, m, data):
+    red, pivots = m.rref()
+    sym_rows, sym_pivots = sympy_rref(m, qq_i)
+    assert pivots == sym_pivots
+    assert [[qq_i(x) for x in row] for row in red.data] == sym_rows
+    assert m.rank() == len(sym_pivots)
+    assert kernel_of(m).dim == m.cols - len(sym_pivots)
+    target = data.draw(sparse_vectors(m.rows))
+    aug = m.hstack(Matrix(m.rows, 1, [[t] for t in target]))
+    solvable = len(sympy_rref(aug, qq_i)[1]) == len(sym_pivots)
+    assert (linear_solve(m, target) is not None) == solvable
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
+def test_kernel_operations_on_empty_shapes(rows, cols):
+    m = Matrix(rows, cols, [[] for _ in range(rows)] if cols == 0 else None)
+    red, pivots = m.rref()
+    assert (red, pivots) == (m, [])
+    assert kernel_of(m) == Subspace.full(cols)
+    assert image_of(m) == Subspace.zero(rows)
+    x, kernel = linear_solve(m, zero_vector(rows))
+    assert x == zero_vector(cols) and kernel == Subspace.full(cols)
+    assert m.apply(zero_vector(cols)) == zero_vector(rows)
+    assert (m * Matrix(cols, 2)) == Matrix(rows, 2)
+    assert Subspace.zero(cols).contains(zero_vector(cols))
+    if rows:
+        assert linear_solve(m, unit_vector(rows, 0)) is None

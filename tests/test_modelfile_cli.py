@@ -237,3 +237,44 @@ def test_text_and_json_reports_carry_the_same_verdicts(tmp_path):
     for leaf in leaves(payload["report"]):
         assert str(leaf) in text
     assert ("PASS" in text) == payload["passed"]
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "kind lie\n\nstructure\n",
+                                  "kind associative\n\ndegrees\n0 :\n"],
+                         ids=["empty", "comment", "no-degrees", "no-labels"])
+def test_cli_model_without_degrees_rejected(tmp_path, capsys, text):
+    with pytest.raises(ParseError, match="no basis labels"):
+        parse_model(text)
+    path = tmp_path / "bare.model"
+    path.write_text(text)
+    assert run_cli(["--format", "json", "validate", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert "no basis labels" in report["report"]["error"]
+
+
+@pytest.mark.parametrize("window", ["0", "-2", "x"])
+def test_cli_window_below_one_usage_error(tmp_path, capsys, window):
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["qdolbeault", "--extended", "--window", window, str(torus)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--window" in err and "window must" in err
+
+
+@pytest.mark.parametrize("dots", ["0:-1", "1:2,0:-3", "0", "a:1"])
+def test_cli_bad_dot_count_usage_error(capsys, dots):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "dots-squares", "--dots", dots])
+    assert exc.value.code == 2
+    assert "--dots" in capsys.readouterr().err
+
+
+def test_cli_dots_echoed_as_given(capsys):
+    assert run_cli(["--format", "json", "generate", "dots-squares",
+                    "--dots", "0:0,1:2", "--squares", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"]["dots"] == "0:0,1:2"
+    assert "w1_1" in "\n".join(report["report"]["model"])

@@ -153,6 +153,31 @@ def test_torus_ideal_and_quotient_dims():
     assert quotient.embedding_injective
 
 
+def test_plus_quotient_reuses_the_decomposition_eigenspaces(monkeypatch):
+    import dgkit.sl2 as sl2
+
+    full = torus_model(1).full_model
+    decomp = weight_decomposition(Sl2Module.from_algebra(full))
+    ideal = low_weight_ideal(full, decomp)
+    fresh = plus_quotient(full, ideal)
+    other = weight_decomposition(Sl2Module.from_algebra(torus_model(1).full_model))
+    calls = Counter()
+
+    def counted(m):
+        calls["integer_spectrum"] += 1
+        return integer_spectrum(m)
+
+    monkeypatch.setattr(sl2, "integer_spectrum", counted)
+    reused = plus_quotient(full, ideal, decomp)
+    assert calls["integer_spectrum"] == 0
+    assert reused.reps == fresh.reps
+    assert reused.bidegrees == fresh.bidegrees
+    # a decomposition of another h is not trusted for its eigenspaces
+    plus_quotient(full, ideal, other)
+    assert calls["integer_spectrum"] == len([k for k in full.space.degrees()
+                                             if full.space.dim(k)])
+
+
 def test_zero_ideal_quotient_is_the_algebra():
     full = torus_model(1).full_model
     decomp = weight_decomposition(Sl2Module.from_algebra(full))
