@@ -129,6 +129,13 @@ def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
                      f"(del_bar_J, del_bar)")
 
 
+def _first_differential(alg) -> str:
+    """The differential a command uses when the model file does not say."""
+    if not alg.differentials:
+        raise ModelError("model has no differential (no map with shift 1)")
+    return sorted(alg.differentials)[0]
+
+
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -164,7 +171,7 @@ def cmd_dgms(args, report: Report):
 def cmd_cohomology(args, report: Report):
     parsed = parse_model_file(args.model)
     alg = parsed.algebra
-    name = args.differential or sorted(alg.differentials)[0]
+    name = args.differential or _first_differential(alg)
     h = cohomology(alg, name)
     wd = h.check_well_defined()
     report.put("differential", name)
@@ -279,7 +286,7 @@ def cmd_deform(args, report: Report):
         alg = parsed.algebra
         if alg.kind != "lie":
             alg = alg.commutator_dgla(validate=False)
-        name = sorted(alg.differentials)[0]
+        name = _first_differential(alg)
         tan = tangent_and_obstruction(alg, name)
         report.put("tangent_obstruction", tan.to_json(),
                    asserted=tan.cross_check.passed)
@@ -294,8 +301,8 @@ def cmd_generate(args, report: Report):
         text = serialize_connection_model(model)
     elif args.recipe == "dots-squares":
         dots = _dot_counts(args.dots)
-        squares = [int(x) for x in args.squares.split(",")] if args.squares else []
-        zigzags = [int(x) for x in args.zigzags.split(",")] if args.zigzags else []
+        squares = _degree_list(args.squares)
+        zigzags = _degree_list(args.zigzags)
         b = dots_squares_model(dots, squares, zigzags, seed=args.seed,
                                unit=not args.no_unit)
         if args.end_rank > 1:
@@ -349,6 +356,20 @@ def _dots_spec(text: str) -> str:
     return text
 
 
+def _degree_list(text: str) -> list[int]:
+    """--squares / --zigzags DEGREE,...: the degree of each square or zigzag."""
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"entries must be integer degrees, got {text!r}")
+
+
+def _degrees_spec(text: str) -> str:
+    """Validate --squares / --zigzags at parse time; the report echoes the text as given."""
+    _degree_list(text)
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgkit",
@@ -394,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--nilpotent-twist", action="store_true")
     p.add_argument("--dots", type=_dots_spec, default="")
-    p.add_argument("--squares", default="")
-    p.add_argument("--zigzags", default="")
+    p.add_argument("--squares", type=_degrees_spec, default="")
+    p.add_argument("--zigzags", type=_degrees_spec, default="")
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--end-rank", type=int, default=1)

@@ -1,15 +1,20 @@
 """Gaussian rational scalars: the ground field for every computation.
 
-A scalar is re + im*i with re, im exact rationals (stdlib Fraction keeps
-numerator/denominator coprime with positive denominator).  The text grammar
-is ``a/b``, ``a/b+c/d*i`` or ``a/b-c/d*i`` with denominators omitted when 1,
-e.g. ``2``, ``-1/3+1*i``.
+A scalar is (a + b*i)/d, held as three ints a, b, d with d > 0 and
+gcd(a, b, d) = 1.  That form is unique (zero is (0, 0, 1)), so equality,
+hashing and the zero test compare ints, and every operation is integer
+arithmetic followed by one gcd, skipped when the denominator is 1.  The
+real and imaginary parts are available as Fractions through ``re`` and
+``im``.  Only exact rationals enter: the constructor refuses floats.  The
+text grammar is ``a/b``, ``a/b+c/d*i`` or ``a/b-c/d*i`` with denominators
+omitted when 1, e.g. ``2``, ``-1/3+1*i``.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ScalarParseError(ValueError):
@@ -35,17 +40,42 @@ def _format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _rational(value):
+    """value as an int or Fraction, whose numerator/denominator are coprime.
+
+    Anything else Fraction accepts (a string, a Decimal) is converted; floats
+    and complex numbers are refused.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"Q(i) scalars are exact; got the {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
 class Scalar:
     """An element of Q(i), immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = _rational(re), _rational(im)
+        # over the lcm of two reduced denominators no prime divides a, b and d
+        d = lcm(re.denominator, im.denominator)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- construction -------------------------------------------------
 
@@ -65,64 +95,92 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
+        return _reduced(a * c, 0, self.d * other.d)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other.is_zero():
+        # (a + bi)/d1 / ((c + ei)/d2) = (a + bi)(c - ei) d2 / (d1 (c^2 + e^2))
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        norm = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((a * c + b * e) * other.d, (b * c - a * e) * other.d, self.d * n)
 
     def inverse(self) -> "Scalar":
         return ONE / self
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def scale(self, rational) -> "Scalar":
         """Multiply by an exact rational (Fraction or int)."""
-        q = Fraction(rational)
-        return Scalar(self.re * q, self.im * q)
+        q = _rational(rational)
+        return _reduced(self.a * q.numerator, self.b * q.numerator, self.d * q.denominator)
 
     # -- predicates / protocol ----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self.b:
             return _format_fraction(self.re)
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.b > 0 else "-"
         return f"{_format_fraction(self.re)}{sign}{_format_fraction(abs(self.im))}*i"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# The slots are written through their descriptors, which __setattr__ cannot
+# block; nothing outside this module does so.
+_new = object.__new__
+_set_a = Scalar.a.__set__
+_set_b = Scalar.b.__set__
+_set_d = Scalar.d.__set__
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d with d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _new(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d)
+    return s
 
 
 ZERO = Scalar(0)

@@ -272,9 +272,30 @@ def test_cli_bad_dot_count_usage_error(capsys, dots):
     assert "--dots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["x", "0,,1", "1.5", "0,"])
+@pytest.mark.parametrize("option", ["--squares", "--zigzags"])
+def test_cli_bad_degree_list_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "dots-squares", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and "integer degrees" in err
+
+
 def test_cli_dots_echoed_as_given(capsys):
     assert run_cli(["--format", "json", "generate", "dots-squares",
-                    "--dots", "0:0,1:2", "--squares", "0"]) == 0
+                    "--dots", "0:0,1:2", "--squares", "0", "--zigzags", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["options"]["dots"] == "0:0,1:2"
+    assert report["options"]["squares"] == "0"
+    assert report["options"]["zigzags"] == "1"
     assert "w1_1" in "\n".join(report["report"]["model"])
+
+
+@pytest.mark.parametrize("command", ["deform", "cohomology"])
+def test_cli_model_without_differential_reported(tmp_path, capsys, command):
+    path = tmp_path / "flat.model"
+    path.write_text("kind associative\n\ndegrees\n0 : one\n\nstructure\none one -> one : 1\n")
+    assert run_cli(["--format", "json", command, str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "no differential" in report["report"]["error"]
