@@ -323,15 +323,18 @@ def cmd_generate(args, report: Report):
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _window(text: str) -> int:
-    """--window: the half-width of the extended window, at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"window must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"window must be at least 1, got {value}")
-    return value
+def _at_least_one(name: str):
+    """argparse type of an integer option that must be at least 1
+    (--window, --samples, --end-rank)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {value}")
+        return value
+    return parse
 
 
 def _dot_counts(text: str) -> dict[int, int]:
@@ -400,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_model(sub.add_parser("qdolbeault", help="build and check the total complex"))
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--window", type=_window, default=3)
+    p.add_argument("--window", type=_at_least_one("window"), default=3)
     p.add_argument("--phi", action="store_true")
 
     with_model(sub.add_parser("spectral", help="E1/E2 pages and degeneration"))
 
     p = with_model(sub.add_parser("deform", help="Maurer-Cartan probes"))
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_at_least_one("samples"), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="emit model files")
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zigzags", type=_degrees_spec, default="")
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--end-rank", type=int, default=1)
+    p.add_argument("--end-rank", type=_at_least_one("end-rank"), default=1)
     p.add_argument("--no-unit", action="store_true")
     p.add_argument("-o", "--output", default=None)
     return parser

@@ -168,6 +168,22 @@ class _DegreeData:
             self.im01[k] = image_of(d0d1.block(k - 2))
 
 
+def _restricted_blocks(d: GradedMap, bases: dict, escape: str) -> dict[int, Matrix]:
+    """Blocks of d on the subcomplex spanned by `bases` ({degree: vectors}),
+    in the coordinates of those bases; raises InternalCheckError(escape)
+    when d leaves the subcomplex."""
+    blocks = {}
+    for k, basis in bases.items():
+        if not basis:
+            continue
+        target = bases.get(k + 1, [])
+        coords = coordinates_in_basis(target, [d.apply(k, v) for v in basis])
+        if coords is None:
+            raise InternalCheckError(escape)
+        blocks[k] = Matrix.from_columns(len(target), coords)
+    return blocks
+
+
 def _restricted_complex_acyclic(b: Bicomplex, im_of: GradedMap, d_rest: GradedMap):
     """Cohomology dims of (im(first map), second map restricted).
 
@@ -175,39 +191,11 @@ def _restricted_complex_acyclic(b: Bicomplex, im_of: GradedMap, d_rest: GradedMa
     Independent of the subspace-identity route: works in the coordinates of
     the image bases.
     """
-    space = b.space
-    bases = {k: image_of(im_of.block(k - 1)).vectors() for k in space.degrees()}
-    mats = {}
-    for k in space.degrees():
-        basis = bases.get(k, [])
-        if not basis:
-            continue
-        imgs = [d_rest.apply(k, v) for v in basis]
-        target = bases.get(k + 1, [])
-        if not target:
-            if any(not vec_is_zero(v) for v in imgs):
-                raise InternalCheckError(
-                    "restricted differential leaves the image subcomplex")
-            mats[k] = Matrix(0, len(basis))
-            continue
-        coords = coordinates_in_basis(target, imgs)
-        if coords is None:
-            raise InternalCheckError(
-                "restricted differential leaves the image subcomplex")
-        m = Matrix(len(target), len(basis))
-        for j, cvec in enumerate(coords):
-            for i, c in enumerate(cvec):
-                m.data[i][j] = c
-        mats[k] = m
-    dims = {}
-    for k in space.degrees():
-        basis = bases.get(k, [])
-        if not basis:
-            continue
-        mk = mats.get(k, Matrix(0, len(basis)))
-        rank_in = mats[k - 1].rank() if (k - 1) in mats else 0
-        dims[k] = (len(basis) - mk.rank()) - rank_in
-    return dims
+    bases = {k: image_of(im_of.block(k - 1)).vectors() for k in b.space.degrees()}
+    blocks = _restricted_blocks(d_rest, bases,
+                                "restricted differential leaves the image subcomplex")
+    ranks = {k: m.rank() for k, m in blocks.items()}
+    return {k: len(bases[k]) - rank - ranks.get(k - 1, 0) for k, rank in ranks.items()}
 
 
 def _first_missing_vector(lhs: Subspace, rhs: Subspace):
@@ -491,24 +479,7 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     a1_space = GradedSpace({k: [f"k{k}_{i}" for i in range(len(v))]
                             for k, v in ker_bases.items() if v})
 
-    d0_blocks = {}
-    for k, basis in ker_bases.items():
-        if not basis:
-            continue
-        imgs = [d0.apply(k, v) for v in basis]
-        target = ker_bases.get(k + 1, [])
-        if not target:
-            if any(not vec_is_zero(v) for v in imgs):
-                raise InternalCheckError("d0 does not preserve ker(d1)")
-            continue
-        coords = coordinates_in_basis(target, imgs)
-        if coords is None:
-            raise InternalCheckError("d0 does not preserve ker(d1)")
-        m = Matrix(len(target), len(basis))
-        for j, cv in enumerate(coords):
-            for i, c in enumerate(cv):
-                m.data[i][j] = c
-        d0_blocks[k] = m
+    d0_blocks = _restricted_blocks(d0, ker_bases, "d0 does not preserve ker(d1)")
 
     triples = []
     for k1, basis1 in ker_bases.items():
@@ -518,10 +489,6 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
             k = k1 + k2
             target = ker_bases.get(k, [])
             prods = [alg.mul(k1, v1, k2, v2) for v1 in basis1 for v2 in basis2]
-            if not target:
-                if any(not vec_is_zero(p) for p in prods):
-                    raise InternalCheckError("ker(d1) is not closed under the product")
-                continue
             coords = coordinates_in_basis(target, prods)
             if coords is None:
                 raise InternalCheckError("ker(d1) is not closed under the product")
@@ -539,10 +506,7 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
         StructuredAlgebra.structure_from_triples(triples))
 
     inclusion = GradedMap(a1_space, space, 0, {
-        k: Matrix(space.dim(k), len(basis),
-                  [[basis[j][i] for j in range(len(basis))] for i in range(space.dim(k))])
-        for k, basis in ker_bases.items() if basis
-    })
+        k: Matrix.from_columns(space.dim(k), basis) for k, basis in ker_bases.items() if basis})
 
     h_d1 = cohomology(alg, b.d1_name)
     h_alg = StructuredAlgebra(
@@ -550,20 +514,9 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
         {b.d0_name: GradedMap.zero(h_d1.h_space, h_d1.h_space, 1)},
         h_d1.induced_structure())
 
-    proj_blocks = {}
-    for k, basis in ker_bases.items():
-        if not basis:
-            continue
-        classes = h_d1.project_many(k, list(basis))
-        h_dim = h_d1.dim(k)
-        if h_dim == 0:
-            continue
-        m = Matrix(h_dim, len(basis))
-        for j, cls in enumerate(classes):
-            for i, c in enumerate(cls):
-                m.data[i][j] = c
-        proj_blocks[k] = m
-    projection = GradedMap(a1_space, h_d1.h_space, 0, proj_blocks)
+    projection = GradedMap(a1_space, h_d1.h_space, 0, {
+        k: Matrix.from_columns(h_d1.dim(k), h_d1.project_many(k, basis))
+        for k, basis in ker_bases.items() if basis})
 
     checks = ValidationReport()
     _algebra_map_check(checks, "inclusion preserves product", inclusion, a1, alg)

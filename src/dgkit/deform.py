@@ -28,6 +28,7 @@ from dgkit.graded import (
     cohomology,
     format_vector,
     induced_map_on_cohomology,
+    left_multiplication,
 )
 from dgkit.linalg import (
     Matrix,
@@ -71,12 +72,6 @@ class Series:
     @staticmethod
     def zero(degree: int, dim: int, ring: TruncatedRing) -> "Series":
         return Series(degree, [zero_vector(dim) for _ in range(ring.top_power)])
-
-    @staticmethod
-    def constant(degree: int, v: Vector, ring: TruncatedRing) -> "Series":
-        out = Series.zero(degree, len(v), ring)
-        out.coeffs[0] = v
-        return out
 
     def is_zero(self) -> bool:
         return all(vec_is_zero(c) for c in self.coeffs)
@@ -330,12 +325,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     im_d1 = image_of(b.d1.block(0))
     im_basis = im_d1.vectors()
     # solve d0 u = rhs with u constrained to im(d1): columns are d0(im-basis)
-    sys_matrix = Matrix(space.dim(2), len(im_basis),
-                        [[ZERO] * len(im_basis) for _ in range(space.dim(2))])
-    for j, v in enumerate(im_basis):
-        img = d0.apply(1, v)
-        for i, c in enumerate(img):
-            sys_matrix.data[i][j] = c
+    sys_matrix = Matrix.from_columns(space.dim(2), [d0.apply(1, v) for v in im_basis])
 
     results = []
     for xi in samples:
@@ -558,15 +548,8 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
         pi_x, pi_y = projection_maps(q)
         mx = induced_map_on_cohomology(pi_x, h_total, h_x).get(1)
         my = induced_map_on_cohomology(pi_y, h_total, h_y).get(1)
-        rows = (my.rows if my else 0) + (mx.rows if mx else 0)
-        stacked = Matrix(rows, dim_q)
-        r = 0
-        for m in (my, mx):
-            if m is None:
-                continue
-            for i in range(m.rows):
-                stacked.data[r] = list(m.data[i])
-                r += 1
+        # both maps have a block at degree 1 exactly when dim_q > 0
+        stacked = my.vstack(mx) if my is not None else Matrix(0, 0)
         bijection = stacked.rows == stacked.cols and invert(stacked) is not None
     return EvaluationReport(pi_x_ok, pi_y_ok, lift_results,
                             dim_q, dim_base, doubles, bijection)
@@ -613,25 +596,6 @@ class OpSeries:
 
     def order_zero(self) -> GradedMap:
         return self.maps[0]
-
-
-def left_multiplication(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
-    """The operator u -> v * u on the whole algebra."""
-    space = algebra.space
-    blocks = {}
-    for k in space.degrees():
-        n = space.dim(k)
-        m_rows = space.dim(k + degree)
-        if n == 0 or m_rows == 0:
-            continue
-        m = Matrix(m_rows, n)
-        for j, lab in enumerate(space.labels(k)):
-            _, unit = space.basis_vector(lab)
-            prod = algebra.mul(degree, v, k, unit)
-            for i, c in enumerate(prod):
-                m.data[i][j] = c
-        blocks[k] = m
-    return GradedMap(space, space, degree, blocks)
 
 
 def multiplication_series(algebra: StructuredAlgebra, s: Series,

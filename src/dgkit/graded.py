@@ -30,7 +30,6 @@ from dgkit.linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
-    zero_vector,
 )
 from dgkit.scalars import ONE, ZERO, Scalar
 
@@ -119,7 +118,7 @@ class GradedMap:
     @staticmethod
     def from_entries(source: GradedSpace, target: GradedSpace, shift: int,
                      entries: Iterable[tuple[str, str, Scalar]]) -> "GradedMap":
-        blocks: dict[int, Matrix] = {}
+        grouped: dict[int, list] = {}
         for frm, to, c in entries:
             if frm not in source.label_loc:
                 raise ModelError(f"unknown source label {frm!r}")
@@ -132,9 +131,10 @@ class GradedMap:
                     f"entry {frm!r} -> {to!r} violates shift {shift} "
                     f"(degrees {k} -> {kt})"
                 )
-            m = blocks.setdefault(k, Matrix.zero(target.dim(kt), source.dim(k)))
-            m.data[j][i] = m.data[j][i] + c
-        return GradedMap(source, target, shift, blocks)
+            grouped.setdefault(k, []).append((j, i, c))
+        return GradedMap(source, target, shift, {
+            k: Matrix.from_entries(target.dim(k + shift), source.dim(k), es)
+            for k, es in grouped.items()})
 
     def block(self, k: int) -> Matrix:
         if k in self.blocks:
@@ -154,11 +154,8 @@ class GradedMap:
         for k, m in self.blocks.items():
             src = self.source.labels(k)
             tgt = self.target.labels(k + self.shift)
-            for j in range(m.rows):
-                row = m.data[j]
-                for i in range(m.cols):
-                    if not row[i].is_zero():
-                        table[src[i]][tgt[j]] = row[i]
+            for i, j, c in m.entries():
+                table[src[j]][tgt[i]] = c
         return table
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
@@ -200,13 +197,9 @@ class GradedMap:
     def entries(self) -> list[tuple[str, str, Scalar]]:
         out = []
         for k in sorted(self.blocks):
-            m = self.blocks[k]
             src = self.source.labels(k)
             tgt = self.target.labels(k + self.shift)
-            for i, frm in enumerate(src):
-                for j, to in enumerate(tgt):
-                    if not m.data[j][i].is_zero():
-                        out.append((frm, to, m.data[j][i]))
+            out.extend((src[j], tgt[i], c) for i, j, c in self.blocks[k].entries())
         return out
 
     def __repr__(self):
@@ -597,20 +590,11 @@ class CohomologyPresentation:
         return self.project_many(k, [v])[0]
 
     def project_many(self, k: int, vectors: Sequence[Vector]) -> list[Vector]:
-        h_dim = self.dim(k)
-        if not vectors:
-            return []
-        if self.algebra.space.dim(k) == 0:
-            return [tuple()] * len(vectors)
-        basis = self._proj_basis.get(k)
-        if not basis:
-            if any(not vec_is_zero(v) for v in vectors):
-                raise PreconditionError(f"vector at degree {k} is not closed")
-            return [zero_vector(h_dim) for _ in vectors]
+        basis = self._proj_basis.get(k, [])
         coords = coordinates_in_basis(basis, list(vectors))
         if coords is None:
             raise PreconditionError(f"vector at degree {k} is not closed")
-        n_im = len(basis) - h_dim
+        n_im = len(basis) - self.dim(k)
         return [tuple(c[n_im:]) for c in coords]
 
     def induced_structure(self) -> dict:
@@ -682,26 +666,31 @@ def cohomology(algebra: StructuredAlgebra, d_name: str) -> CohomologyPresentatio
     return CohomologyPresentation(algebra, d_name)
 
 
-def adjoint_operator(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
-    """The graded commutator u -> v*u - (-1)^(deg v * deg u) u*v."""
+def _operator(algebra: StructuredAlgebra, degree: int,
+              image: Callable[[int, Vector], Vector]) -> GradedMap:
+    """The degree-shift operator sending each basis vector u of degree k to
+    image(k, u)."""
     space = algebra.space
-    minus = Scalar(-1)
     blocks = {}
     for k in space.degrees():
-        n = space.dim(k)
         rows = space.dim(k + degree)
-        if n == 0 or rows == 0:
-            continue
-        m = Matrix(rows, n)
-        for j, lab in enumerate(space.labels(k)):
-            _, u = space.basis_vector(lab)
-            left = algebra.mul(degree, v, k, u)
-            right = algebra.mul(k, u, degree, v)
-            sign = minus if (degree * k) % 2 == 0 else ONE
-            for i in range(rows):
-                m.data[i][j] = left[i] + sign * right[i]
-        blocks[k] = m
+        if rows:
+            blocks[k] = Matrix.from_columns(rows, [image(k, space.basis_vector(lab)[1])
+                                                   for lab in space.labels(k)])
     return GradedMap(space, space, degree, blocks)
+
+
+def adjoint_operator(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
+    """The graded commutator u -> v*u - (-1)^(deg v * deg u) u*v."""
+    def image(k: int, u: Vector) -> Vector:
+        sign = MINUS_ONE if (degree * k) % 2 == 0 else ONE
+        return vec_add(algebra.mul(degree, v, k, u), vec_scale(sign, algebra.mul(k, u, degree, v)))
+    return _operator(algebra, degree, image)
+
+
+def left_multiplication(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
+    """The operator u -> v * u on the whole algebra."""
+    return _operator(algebra, degree, lambda k, u: algebra.mul(degree, v, k, u))
 
 
 def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,
@@ -719,11 +708,5 @@ def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,
         imgs = [f.apply(k, r) for r in reps]
         if sign is not None:
             imgs = [vec_scale(sign(k), v) for v in imgs]
-        classes = target.project_many(k, imgs)
-        h_dim = target.dim(k)
-        m = Matrix(h_dim, len(reps))
-        for j, cls in enumerate(classes):
-            for i, c in enumerate(cls):
-                m.data[i][j] = c
-        out[k] = m
+        out[k] = Matrix.from_columns(target.dim(k), target.project_many(k, imgs))
     return out

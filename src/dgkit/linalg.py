@@ -3,6 +3,11 @@
 Subspaces are canonical: the basis is the reduced row echelon form of any
 spanning set, so equality of subspaces is literal equality of matrices.
 Vectors are tuples of Scalars; matrices act on column vectors.
+
+A Matrix stores its entries as row-major lists; that layout is private to
+this module.  Other modules build matrices through `Matrix.from_columns`
+and `Matrix.from_entries` and read them through `apply`, `column`, `row`
+and `entries`, so the storage can change here alone.
 """
 
 from __future__ import annotations
@@ -75,6 +80,24 @@ class Matrix:
         return Matrix(len(rows), cols, rows)
 
     @staticmethod
+    def from_columns(rows: int, columns: Iterable[Sequence[Scalar]]) -> "Matrix":
+        """The rows x len(columns) matrix with the given columns."""
+        columns = list(columns)
+        if any(len(c) != rows for c in columns):
+            raise DimensionMismatch("column length differs from row count")
+        return Matrix(rows, len(columns), [[c[i] for c in columns] for i in range(rows)])
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
+        """The rows x cols matrix summing each (i, j, c) into entry (i, j)."""
+        m = Matrix(rows, cols)
+        for i, j, c in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(f"entry ({i}, {j}) outside {rows}x{cols}")
+            m.data[i][j] = m.data[i][j] + c
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         m = Matrix(n, n)
         for i in range(n):
@@ -84,9 +107,6 @@ class Matrix:
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -121,9 +141,6 @@ class Matrix:
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[-a for a in row] for row in self.data])
-
     def scale(self, c: Scalar) -> "Matrix":
         return Matrix(self.rows, self.cols, [[c * a for a in row] for row in self.data])
 
@@ -154,16 +171,16 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def row(self, i: int) -> Vector:
         return tuple(self.data[i])
+
+    def entries(self) -> list[tuple[int, int, Scalar]]:
+        """The non-zero entries (i, j, c), column by column."""
+        return [(i, j, row[j]) for j in range(self.cols)
+                for i, row in enumerate(self.data) if not row[j].is_zero()]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -319,21 +336,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
 
 
-def subspace_calculus(u: Subspace, w: Subspace, op: str):
-    """Dispatch the subspace operations by name: sum/intersect/equal/contains."""
-    if u.ambient_dim != w.ambient_dim:
-        raise DimensionMismatch("ambient dimension mismatch")
-    if op == "sum":
-        return u.add(w)
-    if op == "intersect":
-        return u.intersect(w)
-    if op == "equal":
-        return u == w
-    if op == "contains":
-        return u.contains_subspace(w)
-    raise ValueError(f"unknown subspace operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # kernels, images, solving
 
@@ -416,9 +418,7 @@ def coordinates_in_basis(basis_vectors: Sequence[Vector], vectors: Sequence[Vect
     if not vectors:
         return []
     n = len(vectors[0])
-    cols = Matrix(n, len(basis_vectors), [[bv[i] for bv in basis_vectors] for i in range(n)])
-    targets = Matrix(n, len(vectors), [[v[i] for v in vectors] for i in range(n)])
-    sol = solve_batch(cols, targets)
+    sol = solve_batch(Matrix.from_columns(n, basis_vectors), Matrix.from_columns(n, vectors))
     if sol is None:
         return None
     return [sol.column(j) for j in range(sol.cols)]

@@ -37,6 +37,8 @@ from dgkit.linalg import (
     Matrix,
     Subspace,
     Vector,
+    coordinates_in_basis,
+    extend_basis,
     image_of,
     invert,
     kernel_of,
@@ -471,26 +473,17 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         ker = kernel_of(dbar.block(k)) if (p, qq + 1) in cells else Subspace.full(n)
         im = (image_of(dbar.block(k - 1)) if (p, qq - 1) in cells
               else Subspace.zero(n))
-        from dgkit.linalg import extend_basis
         comp = extend_basis(im, ker)
         reps[(p, qq)] = comp
         proj_basis[(p, qq)] = im.vectors() + comp
         e1_dims[(p, qq)] = len(comp)
 
     def project(cell, vectors):
-        from dgkit.linalg import coordinates_in_basis
         basis = proj_basis[cell]
-        h_dim = e1_dims[cell]
-        if not vectors:
-            return []
-        if not basis:
-            if any(not vec_is_zero(v) for v in vectors):
-                raise InternalCheckError("vector not closed in E1 column")
-            return [tuple() for _ in vectors]
-        coords = coordinates_in_basis(basis, list(vectors))
+        coords = coordinates_in_basis(basis, vectors)
         if coords is None:
             raise InternalCheckError("induced map image not vertical-closed")
-        return [tuple(c[len(basis) - h_dim:]) for c in coords]
+        return [tuple(c[len(basis) - e1_dims[cell]:]) for c in coords]
 
     induced: dict[tuple, Matrix] = {}
     for (p, qq) in q.cells:
@@ -502,12 +495,7 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         if not src_reps:
             continue
         imgs = [dbar_j.apply(k, r) for r in src_reps]
-        classes = project(tgt, imgs)
-        m = Matrix(e1_dims[tgt], len(src_reps))
-        for j, cls in enumerate(classes):
-            for i, c in enumerate(cls):
-                m.data[i][j] = c
-        induced[(p, qq)] = m
+        induced[(p, qq)] = Matrix.from_columns(e1_dims[tgt], project(tgt, imgs))
 
     # sanity: the induced horizontal differential squares to zero
     for (p, qq), m in induced.items():
@@ -630,28 +618,27 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
                 cls = plus.qmap.apply(k, w)
                 cols.append(tuple(c * coeff for c in cls))
             # restrict to the block rows; anything off-block must vanish
-            mat = Matrix(len(rows), nk)
+            entries = []
             for j, cv in enumerate(cols):
                 for lab2, c in q_space.vector_items(k, cv):
                     if lab2 in rows:
-                        mat.data[rows.index(lab2)][j] = c
-                    elif not c.is_zero():
+                        entries.append((rows.index(lab2), j, c))
+                    else:
                         identities = False
-            phi_blocks[cell] = mat
+            mat = phi_blocks[cell] = Matrix.from_entries(len(rows), nk, entries)
 
             inv_coeff = Scalar((-1) ** p).scale(Fraction(1, math.factorial(p)))
-            inv = Matrix(nk, len(rows))
+            entries = []
             for j, lab in enumerate(rows):
                 k_idx = q_space.label_loc[lab][1]
                 rep = plus.reps[k][k_idx]
                 u = _iterate(e_op, k, rep, p)
                 for lab2, c in full.space.vector_items(k, u):
                     if lab2 in d_space.label_loc:
-                        i = d_space.label_loc[lab2][1]
-                        inv.data[i][j] = c * inv_coeff
-                    elif not c.is_zero():
+                        entries.append((d_space.label_loc[lab2][1], j, c * inv_coeff))
+                    else:
                         inverse_ok = False
-            phi_inv_blocks[cell] = inv
+            inv = phi_inv_blocks[cell] = Matrix.from_entries(nk, len(rows), entries)
 
             if len(rows) != nk:
                 identities = False
@@ -679,8 +666,8 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
             expected = plus.qmap.apply(1, j.apply(1, fv))
             rows = block_labels.get(cell, [])
             got = [ZERO] * q_space.dim(1)
-            for i, rlab in enumerate(rows):
-                got[q_space.label_loc[rlab][1]] = phi_blocks[cell].data[i][idx]
+            for rlab, c in zip(rows, phi_blocks[cell].column(idx)):
+                got[q_space.label_loc[rlab][1]] = c
             if tuple(got) != tuple(expected):
                 spot = False
                 break
@@ -691,14 +678,11 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
         src = block_labels.get(src_cell, [])
         dst = block_labels.get(dst_cell, [])
         k = src_cell[0] + src_cell[1]
-        mat = Matrix(len(dst), len(src))
-        for jdx, lab in enumerate(src):
-            _, v = q_space.basis_vector(lab)
-            img = d.apply(k, v)
-            for lab2, c in q_space.vector_items(k + 1, img):
-                if lab2 in dst:
-                    mat.data[dst.index(lab2)][jdx] = c
-        return mat
+        return Matrix.from_entries(len(dst), len(src), [
+            (dst.index(lab2), jdx, c)
+            for jdx, lab in enumerate(src)
+            for lab2, c in q_space.vector_items(k + 1, d.apply(k, q_space.basis_vector(lab)[1]))
+            if lab2 in dst])
 
     inter_h = True
     inter_v = True

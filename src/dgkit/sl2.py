@@ -346,23 +346,16 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
 
     # projection blocks: coordinates in [ideal basis | representatives]
     proj_blocks = {}
-    proj_basis = {}
     for k in space.degrees():
-        n = space.dim(k)
-        ik = ideal.get(k, Subspace.zero(n))
-        basis = ik.vectors() + reps[k]
-        proj_basis[k] = (basis, ik.dim)
         if not reps[k]:
             continue
+        ik = ideal.get(k, Subspace.zero(space.dim(k)))
+        basis = ik.vectors() + reps[k]
         targets = [space.basis_vector(l)[1] for l in space.labels(k)]
         coords = coordinates_in_basis(basis, targets)
         if coords is None:
             raise InternalCheckError("ideal + representatives do not span")
-        m = Matrix(len(reps[k]), n)
-        for j, cv in enumerate(coords):
-            for i in range(len(reps[k])):
-                m.data[i][j] = cv[ik.dim + i]
-        proj_blocks[k] = m
+        proj_blocks[k] = Matrix.from_columns(len(reps[k]), [cv[ik.dim:] for cv in coords])
     qmap = GradedMap(space, q_space, 0, proj_blocks)
 
     # quotient structure and differentials through the projection
@@ -379,19 +372,16 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                         if not c.is_zero():
                             triples.append((f"q{k1}_{i}", f"q{k2}_{j}",
                                             f"q{k1 + k2}_{t}", c))
-    q_diffs = {}
-    for name, d in algebra.differentials.items():
-        blocks = {}
-        for k, chosen in reps.items():
-            if not chosen or q_space.dim(k + 1) == 0:
-                continue
-            m = Matrix(q_space.dim(k + 1), len(chosen))
-            for j, r in enumerate(chosen):
-                img = qmap.apply(k + 1, d.apply(k, r))
-                for i, c in enumerate(img):
-                    m.data[i][j] = c
-            blocks[k] = m
-        q_diffs[name] = GradedMap(q_space, q_space, 1, blocks)
+
+    def descended(op: GradedMap) -> GradedMap:
+        """The map op induces on the quotient, through the representatives."""
+        shift = op.shift
+        return GradedMap(q_space, q_space, shift, {
+            k: Matrix.from_columns(q_space.dim(k + shift),
+                                   [qmap.apply(k + shift, op.apply(k, r)) for r in chosen])
+            for k, chosen in reps.items() if chosen and q_space.dim(k + shift)})
+
+    q_diffs = {name: descended(d) for name, d in algebra.differentials.items()}
 
     q_maps = {}
     if h is not None:
@@ -404,19 +394,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                 ideal.get(k, Subspace.zero(space.dim(k))).contains(op.apply(k, v))
                 for k, sub in ideal.items() for v in sub.vectors())
             checks.add(f"ideal stable under {name}", stable)
-            if not stable:
-                continue
-            blocks = {}
-            for k, chosen in reps.items():
-                if not chosen or q_space.dim(k) == 0:
-                    continue
-                m = Matrix(q_space.dim(k), len(chosen))
-                for j, r in enumerate(chosen):
-                    img = qmap.apply(k, op.apply(k, r))
-                    for i, c in enumerate(img):
-                        m.data[i][j] = c
-                blocks[k] = m
-            q_maps[name] = GradedMap(q_space, q_space, 0, blocks)
+            if stable:
+                q_maps[name] = descended(op)
 
     q_algebra = StructuredAlgebra(
         q_space, algebra.kind, q_diffs,

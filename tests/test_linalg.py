@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from dgkit.linalg import (
     linear_solve,
     nullspace_and_image,
     solve_batch,
-    subspace_calculus,
     unit_vector,
     zero_vector,
 )
@@ -69,7 +70,8 @@ def test_rank_transpose_invariant():
     for _ in range(20):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = M([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
-        assert m.rank() == m.transpose().rank()
+        transpose = Matrix.from_columns(m.cols, [m.row(i) for i in range(m.rows)])
+        assert m.rank() == transpose.rank()
 
 
 # -- subspace calculus -------------------------------------------------------
@@ -78,13 +80,13 @@ def test_rank_transpose_invariant():
 def test_coordinate_subspace_intersection():
     u = Subspace.from_vectors(3, [unit_vector(3, 0), unit_vector(3, 1)])
     w = Subspace.from_vectors(3, [unit_vector(3, 1), unit_vector(3, 2)])
-    assert subspace_calculus(u, w, "intersect") == Subspace.from_vectors(3, [unit_vector(3, 1)])
+    assert u.intersect(w) == Subspace.from_vectors(3, [unit_vector(3, 1)])
 
 
 def test_equality_is_reflexive_and_canonical():
     u = Subspace.from_vectors(2, [V(1, 1), V(2, 2)])
     w = Subspace.from_vectors(2, [V(3, 3)])
-    assert subspace_calculus(u, u, "equal")
+    assert u == u
     assert u == w
     assert u.basis == w.basis  # canonical forms are bit-identical
 
@@ -103,8 +105,9 @@ def test_dimension_formula_random():
 
 
 def test_ambient_mismatch_rejected():
-    with pytest.raises(DimensionMismatch):
-        subspace_calculus(Subspace.zero(2), Subspace.zero(3), "sum")
+    for op in (Subspace.add, Subspace.intersect, Subspace.contains_subspace):
+        with pytest.raises(DimensionMismatch):
+            op(Subspace.zero(2), Subspace.zero(3))
 
 
 # -- linear_solve -------------------------------------------------------------
@@ -431,3 +434,90 @@ def test_kernel_operations_on_empty_shapes(rows, cols):
     assert Subspace.zero(cols).contains(zero_vector(cols))
     if rows:
         assert linear_solve(m, unit_vector(rows, 0)) is None
+
+
+# -- matrix builders ------------------------------------------------------------
+#
+# The reference loops are the hand-written fills that the other modules used
+# before `from_columns`, `from_entries` and `entries` existed.
+
+
+def ref_from_columns(rows, columns):
+    m = Matrix(rows, len(columns))
+    for j, col in enumerate(columns):
+        for i, c in enumerate(col):
+            m.data[i][j] = c
+    return m
+
+
+def ref_from_entries(rows, cols, entries):
+    m = Matrix.zero(rows, cols)
+    for i, j, c in entries:
+        m.data[i][j] = m.data[i][j] + c
+    return m
+
+
+def ref_entries(m):
+    return [(i, j, m.data[i][j]) for j in range(m.cols) for i in range(m.rows)
+            if not m.data[i][j].is_zero()]
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_builders_match_the_fill_loops(m, data):
+    columns = [m.column(j) for j in range(m.cols)]
+    assert Matrix.from_columns(m.rows, columns) == ref_from_columns(m.rows, columns) == m
+    assert m.entries() == ref_entries(m)
+    assert Matrix.from_entries(m.rows, m.cols, m.entries()) == m
+    if m.rows and m.cols:
+        # repeated (i, j) are summed, and may cancel to zero
+        extra = data.draw(st.lists(st.tuples(st.integers(0, m.rows - 1),
+                                             st.integers(0, m.cols - 1),
+                                             nonzero_entries), max_size=8))
+        extra += [(i, j, -c) for i, j, c in extra[:2]]
+        entries = m.entries() + extra
+        got = Matrix.from_entries(m.rows, m.cols, entries)
+        assert got == ref_from_entries(m.rows, m.cols, entries)
+        assert got.entries() == ref_entries(got)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_builders_on_empty_shapes(rows, cols):
+    empty = Matrix.zero(rows, cols)
+    assert Matrix.from_columns(rows, [zero_vector(rows)] * cols) == empty
+    assert Matrix.from_entries(rows, cols, []) == empty
+    assert empty.entries() == []
+
+
+@pytest.mark.parametrize("rows,columns", [(2, [V(1), V(1, 2)]), (0, [V(1)]),
+                                          (3, [V(1, 2, 3), V(1, 2)]), (1, [()])])
+def test_from_columns_rejects_length_mismatch(rows, columns):
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_columns(rows, columns)
+
+
+@pytest.mark.parametrize("entry", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_from_entries_rejects_out_of_range(entry):
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_entries(2, 2, [(*entry, ONE)])
+
+
+def test_coordinates_in_empty_basis():
+    # zero vectors have empty coordinates; anything else lies outside the span
+    assert coordinates_in_basis([], [V(0, 0), V(0, 0)]) == [(), ()]
+    assert coordinates_in_basis([], [(), ()]) == [(), ()]
+    assert coordinates_in_basis([], [V(0, 0), V(0, 1)]) is None
+    assert coordinates_in_basis([], [V(0, 1)]) is None
+
+
+def test_matrix_layout_stays_private():
+    """No module but linalg reads or writes a Matrix's row-major `.data`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "data":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

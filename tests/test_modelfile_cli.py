@@ -264,6 +264,26 @@ def test_cli_window_below_one_usage_error(tmp_path, capsys, window):
     assert "--window" in err and "window must" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3", "x"])
+def test_cli_samples_below_one_usage_error(tmp_path, capsys, samples):
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "--samples", samples, str(torus)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "samples must" in err
+
+
+@pytest.mark.parametrize("rank", ["0", "-2", "x"])
+def test_cli_end_rank_below_one_usage_error(capsys, rank):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "dots-squares", "--dots", "0:1", "--end-rank", rank])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--end-rank" in err and "end-rank must" in err
+
+
 @pytest.mark.parametrize("dots", ["0:-1", "1:2,0:-3", "0", "a:1"])
 def test_cli_bad_dot_count_usage_error(capsys, dots):
     with pytest.raises(SystemExit) as exc:
