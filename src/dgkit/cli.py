@@ -323,16 +323,17 @@ def cmd_generate(args, report: Report):
 # -- dispatcher ---------------------------------------------------------------
 
 
-def _at_least_one(name: str):
-    """argparse type of an integer option that must be at least 1
-    (--window, --samples, --end-rank)."""
+def _at_least(minimum: int, name: str):
+    """argparse type of an integer option that must be at least `minimum`
+    (--window, --samples, --end-rank, --rank at 1; --order at 2)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {value}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be at least {minimum}, got {value}")
         return value
     return parse
 
@@ -403,26 +404,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_model(sub.add_parser("qdolbeault", help="build and check the total complex"))
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--window", type=_at_least_one("window"), default=3)
+    p.add_argument("--window", type=_at_least(1, "window"), default=3)
     p.add_argument("--phi", action="store_true")
 
     with_model(sub.add_parser("spectral", help="E1/E2 pages and degeneration"))
 
     p = with_model(sub.add_parser("deform", help="Maurer-Cartan probes"))
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--samples", type=_at_least_one("samples"), default=20)
+    p.add_argument("--order", type=_at_least(2, "order"), default=3)
+    p.add_argument("--samples", type=_at_least(1, "samples"), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate", help="emit model files")
     p.add_argument("recipe", choices=("torus", "dots-squares", "zigzag"))
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_at_least(1, "rank"), default=1)
     p.add_argument("--nilpotent-twist", action="store_true")
     p.add_argument("--dots", type=_dots_spec, default="")
     p.add_argument("--squares", type=_degrees_spec, default="")
     p.add_argument("--zigzags", type=_degrees_spec, default="")
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--end-rank", type=_at_least_one("end-rank"), default=1)
+    p.add_argument("--end-rank", type=_at_least(1, "end-rank"), default=1)
     p.add_argument("--no-unit", action="store_true")
     p.add_argument("-o", "--output", default=None)
     return parser

@@ -321,6 +321,27 @@ class StructuredAlgebra:
     def mul_labels(self, l1: str, l2: str) -> dict[str, Scalar]:
         return self.structure.get((l1, l2), {})
 
+    def label_product(self, label: str, k: int, items: Iterable[tuple[int, Scalar]],
+                      label_first: bool) -> dict[int, Scalar]:
+        """label * v (label_first) or v * label, where v of degree k is given
+        by its non-zero (index, coefficient) pairs.
+
+        The result is the sparse {index: coefficient} of the product in
+        degree k + deg(label), with cancelled entries dropped.
+        """
+        labels = self.space.labels(k)
+        loc = self.space.label_loc
+        out: dict[int, Scalar] = {}
+        for i, c in items:
+            key = (label, labels[i]) if label_first else (labels[i], label)
+            targets = self.structure.get(key)
+            if not targets:
+                continue
+            for lt, ct in targets.items():
+                idx = loc[lt][1]
+                out[idx] = out.get(idx, ZERO) + c * ct
+        return {idx: c for idx, c in out.items() if not c.is_zero()}
+
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """Bilinear extension of the structure constants; result in degree k1+k2."""
         k = k1 + k2
@@ -633,33 +654,33 @@ class CohomologyPresentation:
     def check_well_defined(self) -> ValidationReport:
         """Induced structure is independent of the representative choice."""
         report = ValidationReport()
-        ok, witness = True, None
+        pair = self._dependent_degree_pair()
+        witness = None if pair is None else {"degree_pair": list(pair)}
+        report.add("induced structure representative-independent", pair is None, witness)
+        return report
+
+    def _dependent_degree_pair(self) -> Optional[tuple[int, int]]:
+        """The first (k1, k2) where some class [(r1 + b) * r2] differs from
+        [r1 * r2] for a boundary b, or None."""
+        mul = self.algebra.mul
         for k1, reps1 in self.reps.items():
-            if not ok:
-                break
             boundaries = self.images.get(k1, Subspace.zero(0)).vectors()
             for r1 in reps1:
+                # [r1 * r2] per (k2, index of r2), projected at first use
+                classes: dict[tuple[int, int], Vector] = {}
                 for b in boundaries:
                     shifted = vec_add(r1, b)
                     for k2, reps2 in self.reps.items():
                         k = k1 + k2
                         if self.algebra.space.dim(k) == 0:
                             continue
-                        for r2 in reps2:
-                            p1 = self.algebra.mul(k1, shifted, k2, r2)
-                            p2 = self.algebra.mul(k1, r1, k2, r2)
-                            if self.project(k, p1) != self.project(k, p2):
-                                ok = False
-                                witness = {"degree_pair": [k1, k2]}
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        report.add("induced structure representative-independent", ok, witness)
-        return report
+                        for j, r2 in enumerate(reps2):
+                            shifted_class = self.project(k, mul(k1, shifted, k2, r2))
+                            if (k2, j) not in classes:
+                                classes[(k2, j)] = self.project(k, mul(k1, r1, k2, r2))
+                            if shifted_class != classes[(k2, j)]:
+                                return k1, k2
+        return None
 
 
 def cohomology(algebra: StructuredAlgebra, d_name: str) -> CohomologyPresentation:

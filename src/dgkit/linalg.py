@@ -2,7 +2,9 @@
 
 Subspaces are canonical: the basis is the reduced row echelon form of any
 spanning set, so equality of subspaces is literal equality of matrices.
-Vectors are tuples of Scalars; matrices act on column vectors.
+Vectors are tuples of Scalars; matrices act on column vectors.  A sparse
+vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests
+without expanding it.
 
 A Matrix stores its entries as row-major lists; that layout is private to
 this module.  Other modules build matrices through `Matrix.from_columns`
@@ -34,6 +36,11 @@ def zero_vector(n: int) -> Vector:
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def dense_vector(n: int, entries: dict) -> Vector:
+    """The length-n vector with the given {index: Scalar} entries."""
+    return tuple(entries.get(i, ZERO) for i in range(n))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -241,13 +248,19 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of F^n in canonical form: RREF basis rows, no zero rows."""
+    """Subspace of F^n in canonical form: RREF basis rows, no zero rows.
 
-    __slots__ = ("ambient_dim", "basis")
+    `pivots` holds each basis row's pivot column.  The rows' non-zero
+    (column, entry) pairs are built on first use and kept.
+    """
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    __slots__ = ("ambient_dim", "basis", "pivots", "_sparse_rows")
+
+    def __init__(self, ambient_dim: int, basis: Matrix, pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self.pivots = tuple(pivots)
+        self._sparse_rows = None
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
@@ -256,18 +269,18 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
         if not rows:
-            return Subspace(ambient_dim, Matrix(0, ambient_dim))
+            return Subspace.zero(ambient_dim)
         red, pivots = Matrix.from_rows(rows, ambient_dim).rref()
         kept = [red.data[i][:] for i in range(len(pivots))]
-        return Subspace(ambient_dim, Matrix(len(kept), ambient_dim, kept))
+        return Subspace(ambient_dim, Matrix(len(kept), ambient_dim, kept), pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(0, ambient_dim))
+        return Subspace(ambient_dim, Matrix(0, ambient_dim), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim), range(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -275,6 +288,12 @@ class Subspace:
 
     def vectors(self) -> list:
         return [self.basis.row(i) for i in range(self.basis.rows)]
+
+    def sparse_rows(self) -> list:
+        """Each basis row as its non-zero (column, entry) pairs."""
+        if self._sparse_rows is None:
+            self._sparse_rows = [_nonzeros(row) for row in self.basis.data]
+        return self._sparse_rows
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -291,21 +310,25 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        residual = list(v)
-        for row in self.basis.data:
-            lead = next(j for j, x in enumerate(row) if not x.is_zero())
-            c = residual[lead]
-            if c.is_zero():
+        return self.contains_sparse(dict(_nonzeros(v)))
+
+    def contains_sparse(self, v: dict) -> bool:
+        """Whether the vector with entries {column: Scalar} lies in the span.
+
+        In RREF every other row is zero at a row's pivot, so the row's
+        coefficient is the vector's own entry there."""
+        residual = dict(v)
+        for p, row in zip(self.pivots, self.sparse_rows()):
+            c = residual.get(p)
+            if c is None or c.is_zero():
                 continue
-            for j in range(lead, self.ambient_dim):
-                b = row[j]
-                if not b.is_zero():
-                    residual[j] = residual[j] - c * b
-        return all(x.is_zero() for x in residual)
+            for j, b in row:
+                residual[j] = residual.get(j, ZERO) - c * b
+        return all(x.is_zero() for x in residual.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains(v) for v in other.vectors())
+        return all(self.contains_sparse(dict(row)) for row in other.sparse_rows())
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)

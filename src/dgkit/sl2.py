@@ -11,7 +11,7 @@ element is ever materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from dgkit.errors import InternalCheckError, ModelError
 from dgkit.graded import (
@@ -26,11 +26,12 @@ from dgkit.linalg import (
     Subspace,
     Vector,
     coordinates_in_basis,
+    dense_vector,
     extend_basis,
     kernel_of,
     vec_is_zero,
 )
-from dgkit.scalars import Scalar
+from dgkit.scalars import ZERO, Scalar
 
 
 class Sl2Module:
@@ -182,7 +183,8 @@ def low_weight_ideal(algebra: StructuredAlgebra,
     """
     space = algebra.space
     ideal = {k: Subspace.zero(space.dim(k)) for k in space.degrees()}
-    frontier: list[tuple[int, Vector]] = []
+    # frontier vectors are kept as their non-zero (index, coefficient) pairs
+    frontier: list[tuple[int, Iterable]] = []
     for k in space.degrees():
         gens = []
         for w in decomp.weights(k):
@@ -190,7 +192,7 @@ def low_weight_ideal(algebra: StructuredAlgebra,
                 gens.extend(decomp.isotypic_vectors(k, w))
         if gens:
             ideal[k] = Subspace.from_vectors(space.dim(k), gens)
-            frontier.extend((k, v) for v in ideal[k].vectors())
+            frontier.extend((k, row) for row in ideal[k].sparse_rows())
 
     labels = [(l, space.degree_of(l)) for l in space.all_labels()]
     rounds = 0
@@ -198,18 +200,17 @@ def low_weight_ideal(algebra: StructuredAlgebra,
         rounds += 1
         if rounds > space.total_dim() + 1:
             raise InternalCheckError("ideal closure failed to stabilize")
-        new_frontier: list[tuple[int, Vector]] = []
+        new_frontier: list[tuple[int, Iterable]] = []
         for kv, v in frontier:
             for lab, kl in labels:
-                _, unit = space.basis_vector(lab)
-                for deg, prod in ((kv + kl, algebra.mul(kl, unit, kv, v)),
-                                  (kv + kl, algebra.mul(kv, v, kl, unit))):
-                    if space.dim(deg) == 0 or vec_is_zero(prod):
-                        continue
-                    if not ideal[deg].contains(prod):
+                deg = kv + kl
+                for label_first in (True, False):
+                    prod = algebra.label_product(lab, kv, v, label_first)
+                    if prod and not ideal[deg].contains_sparse(prod):
+                        n = space.dim(deg)
                         ideal[deg] = ideal[deg].add(
-                            Subspace.from_vectors(space.dim(deg), [prod]))
-                        new_frontier.append((deg, prod))
+                            Subspace.from_vectors(n, [dense_vector(n, prod)]))
+                        new_frontier.append((deg, prod.items()))
         frontier = new_frontier
     return ideal
 
@@ -243,6 +244,55 @@ class QuotientResult:
         }
 
 
+def two_sided_witness(algebra: StructuredAlgebra,
+                      ideal: dict[int, Subspace]) -> Optional[dict]:
+    """The first {"degree", "label"} such that a basis label times an ideal
+    basis row of that degree, on either side, leaves the ideal; None when the
+    ideal is two-sided."""
+    labels = [(l, algebra.space.degree_of(l)) for l in algebra.space.all_labels()]
+    for k, sub in ideal.items():
+        for v in sub.sparse_rows():
+            for lab, kl in labels:
+                deg = k + kl
+                for label_first in (True, False):
+                    prod = algebra.label_product(lab, k, v, label_first)
+                    if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
+                        return {"degree": k, "label": lab}
+    return None
+
+
+def algebra_map_witness(algebra: StructuredAlgebra, qmap: GradedMap,
+                        quotient: StructuredAlgebra) -> Optional[dict]:
+    """The first basis pair {"pair": [a, b]} with q(a * b) != q(a) * q(b),
+    or None when the projection q is multiplicative on basis pairs.
+
+    q(a * b) pushes the pair's structure constants through the sparse
+    columns of qmap; q(a) * q(b) applies the quotient structure to them.
+    """
+    q_columns = qmap.label_table()
+    labels = algebra.space.all_labels()
+    for lab1 in labels:
+        q1 = q_columns[lab1]
+        for lab2 in labels:
+            q2 = q_columns[lab2]
+            lhs: dict[str, Scalar] = {}
+            for lt, ct in algebra.mul_labels(lab1, lab2).items():
+                for qt, c in q_columns[lt].items():
+                    lhs[qt] = lhs.get(qt, ZERO) + ct * c
+            rhs: dict[str, Scalar] = {}
+            for a, ca in q1.items():
+                for b, cb in q2.items():
+                    for qt, c in quotient.mul_labels(a, b).items():
+                        rhs[qt] = rhs.get(qt, ZERO) + ca * cb * c
+            if _nonzero_part(lhs) != _nonzero_part(rhs):
+                return {"pair": [lab1, lab2]}
+    return None
+
+
+def _nonzero_part(s: dict) -> dict:
+    return {key: c for key, c in s.items() if not c.is_zero()}
+
+
 def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                   decomp: Optional[IsotypicDecomposition] = None) -> QuotientResult:
     """Quotient of the algebra by a graded two-sided differential-stable ideal.
@@ -255,29 +305,9 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     space = algebra.space
     checks = ValidationReport()
 
-    # two-sided ideal check
-    ok, witness = True, None
-    labels = [(l, space.degree_of(l)) for l in space.all_labels()]
-    for k, sub in ideal.items():
-        for v in sub.vectors():
-            for lab, kl in labels:
-                _, unit = space.basis_vector(lab)
-                left = algebra.mul(kl, unit, k, v)
-                right = algebra.mul(k, v, kl, unit)
-                for deg, prod in ((kl + k, left), (k + kl, right)):
-                    if vec_is_zero(prod):
-                        continue
-                    if deg not in ideal or not ideal[deg].contains(prod):
-                        ok, witness = False, {"degree": k, "label": lab}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.add("two-sided ideal", ok, witness)
-    if not ok:
+    witness = two_sided_witness(algebra, ideal)
+    checks.add("two-sided ideal", witness is None, witness)
+    if witness is not None:
         raise ModelError(f"not a two-sided ideal: {witness}")
 
     # differential stability
@@ -402,22 +432,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         StructuredAlgebra.structure_from_triples(triples), q_maps)
 
     # certificates: projection is a surjective algebra chain map
-    ok, witness = True, None
-    for lab1, k1 in labels:
-        _, v1 = space.basis_vector(lab1)
-        q1 = qmap.apply(k1, v1)
-        for lab2, k2 in labels:
-            if q_space.dim(k1 + k2) == 0 and space.dim(k1 + k2) == 0:
-                continue
-            _, v2 = space.basis_vector(lab2)
-            lhs = qmap.apply(k1 + k2, algebra.mul(k1, v1, k2, v2))
-            rhs = q_algebra.mul(k1, q1, k2, qmap.apply(k2, v2))
-            if tuple(lhs) != tuple(rhs):
-                ok, witness = False, {"pair": [lab1, lab2]}
-                break
-        if not ok:
-            break
-    checks.add("projection is an algebra map", ok, witness)
+    witness = algebra_map_witness(algebra, qmap, q_algebra)
+    checks.add("projection is an algebra map", witness is None, witness)
     for name, d in algebra.differentials.items():
         lhs = qmap.compose(d)
         rhs = q_diffs[name].compose(qmap)

@@ -1,0 +1,52 @@
+"""Hypothesis strategies shared by the graded-algebra and sl(2) tests."""
+
+from hypothesis import strategies as st
+
+from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
+from dgkit.scalars import ONE, ZERO, Scalar
+
+COEFFS = (ONE, -ONE, Scalar(0, 1), Scalar(2), Scalar(1, -1))
+DEGREES = range(3)
+
+
+@st.composite
+def graded_spaces(draw, prefix="g"):
+    """Labels prefix{k}_{i} in degrees 0-2, at most three per degree."""
+    return GradedSpace({k: [f"{prefix}{k}_{i}" for i in range(draw(st.integers(0, 3)))]
+                        for k in DEGREES})
+
+
+@st.composite
+def random_algebras(draw, space=None):
+    """Random structure constants on a graded space in degrees 0-2; the
+    triples repeat (l1, l2, lt) with opposite signs, so some constants cancel
+    to empty products.  The products are in general neither commutative nor
+    associative."""
+    space = draw(graded_spaces()) if space is None else space
+    labels = space.all_labels()
+    triples = []
+    for l1 in labels:
+        for l2 in labels:
+            targets = space.labels(space.degree_of(l1) + space.degree_of(l2))
+            for lt in targets:
+                if draw(st.integers(0, 2)) == 0:
+                    c = draw(st.sampled_from(COEFFS))
+                    triples.append((l1, l2, lt, c))
+                    if draw(st.booleans()):
+                        triples.append((l1, l2, lt, -c))
+    return StructuredAlgebra(space, "associative", {},
+                             StructuredAlgebra.structure_from_triples(triples))
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    return tuple(draw(st.sampled_from((ZERO, ZERO) + COEFFS)) for _ in range(n))
+
+
+@st.composite
+def degree_preserving_maps(draw, source, target):
+    """A random shift-0 map between two graded spaces."""
+    entries = [(frm, to, draw(st.sampled_from(COEFFS)))
+               for k in source.degrees() for frm in source.labels(k)
+               for to in target.labels(k) if draw(st.integers(0, 1))]
+    return GradedMap.from_entries(source, target, 0, entries)

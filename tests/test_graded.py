@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.graded import (
@@ -8,8 +10,9 @@ from dgkit.graded import (
     cohomology,
     induced_map_on_cohomology,
 )
-from dgkit.linalg import Matrix
-from dgkit.scalars import ONE, Scalar
+from dgkit.linalg import Matrix, dense_vector
+from dgkit.scalars import ONE, ZERO, Scalar
+from strategies import COEFFS, random_algebras
 
 
 
@@ -174,3 +177,52 @@ def test_unknown_differential_name_rejected(exterior2):
         exterior2.validate_dg_algebra("nonexistent")
     with pytest.raises(ModelError):
         cohomology(exterior2, "nonexistent")
+
+
+def test_well_definedness_failure_names_the_degree_pair():
+    # d a = b, and b * x = y makes the boundary b shift [y * x] = 0 to [y]
+    space = GradedSpace({0: ["x", "a"], 1: ["b", "y"]})
+    d = GradedMap.from_entries(space, space, 1, [("a", "b", ONE)])
+    alg = StructuredAlgebra(space, "associative", {"d": d},
+                            StructuredAlgebra.structure_from_triples([("b", "x", "y", ONE)]))
+    check = cohomology(alg, "d").check_well_defined().checks[0]
+    assert not check.passed
+    assert check.witness == {"degree_pair": [1, 0]}
+
+
+# -- label-keyed sparse product against the dense bilinear product -------------
+
+def test_label_product_drops_cancelled_entries():
+    # a*x = t and a*y = -t, so a*(x + y) = 0 on both sides
+    space = GradedSpace({0: ["x", "y"], 1: ["a", "t"]})
+    triples = [("a", "x", "t", ONE), ("a", "y", "t", -ONE),
+               ("x", "a", "t", ONE), ("y", "a", "t", -ONE)]
+    alg = StructuredAlgebra(space, "associative", {},
+                            StructuredAlgebra.structure_from_triples(triples))
+    for label_first in (True, False):
+        assert alg.label_product("a", 0, [(0, ONE), (1, ONE)], label_first) == {}
+        assert alg.label_product("a", 0, [(1, Scalar(2))], label_first) == {1: Scalar(-2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_algebras(), st.data())
+def test_label_product_matches_dense_mul(alg, data):
+    space = alg.space
+    if not space.degrees():
+        return
+    label = data.draw(st.sampled_from(space.all_labels()))
+    kl = space.degree_of(label)
+    k = data.draw(st.sampled_from(space.degrees()))
+    n = space.dim(k)
+    if data.draw(st.booleans()):
+        v = space.basis_vector(data.draw(st.sampled_from(space.labels(k))))[1]
+    else:
+        v = tuple(data.draw(st.sampled_from((ZERO,) + COEFFS)) for _ in range(n))
+    items = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+    unit = space.basis_vector(label)[1]
+    m = space.dim(k + kl)
+    for label_first, dense in ((True, alg.mul(kl, unit, k, v)),
+                               (False, alg.mul(k, v, kl, unit))):
+        sparse = alg.label_product(label, k, items, label_first)
+        assert all(not c.is_zero() for c in sparse.values())
+        assert dense_vector(m, sparse) == dense

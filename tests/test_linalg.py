@@ -384,6 +384,45 @@ def test_contains_matches_dense_reference(m, data):
     assert sub.contains(v) == ref_contains(sub.basis.data, v)
 
 
+@st.composite
+def constructed_subspaces(draw):
+    """A subspace from each constructor: from_vectors, add, intersect, zero
+    and full, on sparse spanning sets."""
+    n = draw(dims)
+    how = draw(st.sampled_from(("from_vectors", "add", "intersect", "zero", "full")))
+    if how == "zero":
+        return how, Subspace.zero(n)
+    if how == "full":
+        return how, Subspace.full(n)
+    u, w = (Subspace.from_vectors(n, draw(sparse_matrices(cols=n)).data) for _ in range(2))
+    return how, {"from_vectors": u, "add": u.add(w), "intersect": u.intersect(w)}[how]
+
+
+@oracle
+@given(constructed_subspaces(), st.data())
+def test_every_constructor_stores_pivots_and_sparse_rows(built, data):
+    how, sub = built
+    rows = sub.basis.data
+    assert sub.pivots == tuple(next(j for j, x in enumerate(row) if not x.is_zero())
+                               for row in rows), how
+    assert sub.sparse_rows() == [[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+                                 for row in rows]
+    n = sub.ambient_dim
+    if data.draw(st.booleans()) or not sub.dim:
+        v = data.draw(sparse_vectors(n))
+    else:
+        coeffs = data.draw(sparse_vectors(sub.dim))
+        v = tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO) for j in range(n))
+        assert sub.contains(v)
+    want = ref_contains(rows, v)
+    assert sub.contains(v) == want
+    assert sub.contains_sparse({j: x for j, x in enumerate(v) if not x.is_zero()}) == want
+    # explicit zero entries in a sparse vector change nothing
+    assert sub.contains_sparse(dict(enumerate(v))) == want
+    other = Subspace.from_vectors(n, data.draw(sparse_matrices(cols=n)).data)
+    assert sub.contains_subspace(other) == all(ref_contains(rows, u) for u in other.vectors())
+
+
 @pytest.fixture(scope="module")
 def qq_i():
     """Scalar -> element of sympy's Gaussian rational field QQ<I>."""

@@ -284,6 +284,28 @@ def test_cli_end_rank_below_one_usage_error(capsys, rank):
     assert "--end-rank" in err and "end-rank must" in err
 
 
+@pytest.mark.parametrize("order", ["1", "0", "-1", "x"])
+def test_cli_order_below_two_usage_error(tmp_path, capsys, order):
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "--order", order, str(torus)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--order" in err and "order must" in err
+
+
+@pytest.mark.parametrize("nilpotent", [False, True])
+@pytest.mark.parametrize("rank", ["0", "-2", "x"])
+def test_cli_torus_rank_below_one_usage_error(capsys, rank, nilpotent):
+    argv = ["generate", "torus", "--rank", rank] + (["--nilpotent-twist"] if nilpotent else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--rank" in err and "rank must" in err
+
+
 @pytest.mark.parametrize("dots", ["0:-1", "1:2,0:-3", "0", "a:1"])
 def test_cli_bad_dot_count_usage_error(capsys, dots):
     with pytest.raises(SystemExit) as exc:

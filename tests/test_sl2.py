@@ -1,21 +1,38 @@
+import contextlib
+import hashlib
+import io
+import json
+import os
 import random
 from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dgkit.cli import main
 from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
-from dgkit.linalg import Subspace
-from dgkit.models import torus_model
+from dgkit.linalg import Matrix, Subspace, vec_is_zero
+from dgkit.models import nilpotent_torus_model, torus_model
 from dgkit.scalars import ONE, Scalar
+from strategies import (
+    COEFFS,
+    degree_preserving_maps,
+    graded_spaces,
+    random_algebras,
+    sparse_vectors,
+)
 from dgkit.sl2 import (
     Sl2Module,
+    algebra_map_witness,
     integer_spectrum,
     low_weight_ideal,
     plus_quotient,
+    two_sided_witness,
     weight_decomposition,
 )
-from dgkit.linalg import Matrix
 
 
 def sl2_on(space, e_entries, f_entries, h_entries):
@@ -211,3 +228,262 @@ def test_idempotent_restriction_of_decomposition():
     decomp = weight_decomposition(Sl2Module.from_algebra(full))
     sub = decomp.isotypic_subspace(2, 2)
     assert sub.dim == 3  # weight-2 irrep is 3-dimensional
+
+
+# -- sparse ideal loops against the dense reference ----------------------------
+#
+# The reference functions are the dense loops the ideal closure, the
+# two-sided check and the algebra-map certificate used before they went
+# through the label-keyed product and pivot containment: every product is a
+# dense StructuredAlgebra.mul of a unit vector and a dense vector.
+
+
+def ref_low_weight_ideal(algebra, decomp):
+    space = algebra.space
+    ideal = {k: Subspace.zero(space.dim(k)) for k in space.degrees()}
+    frontier = []
+    for k in space.degrees():
+        gens = []
+        for w in decomp.weights(k):
+            if w < k:
+                gens.extend(decomp.isotypic_vectors(k, w))
+        if gens:
+            ideal[k] = Subspace.from_vectors(space.dim(k), gens)
+            frontier.extend((k, v) for v in ideal[k].vectors())
+    labels = [(l, space.degree_of(l)) for l in space.all_labels()]
+    while frontier:
+        new_frontier = []
+        for kv, v in frontier:
+            for lab, kl in labels:
+                _, unit = space.basis_vector(lab)
+                for prod in (algebra.mul(kl, unit, kv, v), algebra.mul(kv, v, kl, unit)):
+                    deg = kv + kl
+                    if space.dim(deg) == 0 or vec_is_zero(prod):
+                        continue
+                    if not ideal[deg].contains(prod):
+                        ideal[deg] = ideal[deg].add(Subspace.from_vectors(space.dim(deg), [prod]))
+                        new_frontier.append((deg, prod))
+        frontier = new_frontier
+    return ideal
+
+
+def ref_two_sided_witness(algebra, ideal):
+    space = algebra.space
+    labels = [(l, space.degree_of(l)) for l in space.all_labels()]
+    for k, sub in ideal.items():
+        for v in sub.vectors():
+            for lab, kl in labels:
+                _, unit = space.basis_vector(lab)
+                for prod in (algebra.mul(kl, unit, k, v), algebra.mul(k, v, kl, unit)):
+                    if vec_is_zero(prod):
+                        continue
+                    if k + kl not in ideal or not ideal[k + kl].contains(prod):
+                        return {"degree": k, "label": lab}
+    return None
+
+
+def ref_algebra_map_witness(algebra, qmap, quotient):
+    space = algebra.space
+    q_space = quotient.space
+    labels = [(l, space.degree_of(l)) for l in space.all_labels()]
+    for lab1, k1 in labels:
+        _, v1 = space.basis_vector(lab1)
+        q1 = qmap.apply(k1, v1)
+        for lab2, k2 in labels:
+            if q_space.dim(k1 + k2) == 0 and space.dim(k1 + k2) == 0:
+                continue
+            _, v2 = space.basis_vector(lab2)
+            lhs = qmap.apply(k1 + k2, algebra.mul(k1, v1, k2, v2))
+            rhs = quotient.mul(k1, q1, k2, qmap.apply(k2, v2))
+            if tuple(lhs) != tuple(rhs):
+                return {"pair": [lab1, lab2]}
+    return None
+
+
+REFERENCE_MODELS = {
+    "torus_r1": lambda: torus_model(1).full_model,
+    "torus_r2": lambda: torus_model(2).full_model,
+    "nilpotent_r2": lambda: nilpotent_torus_model(2).full_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_ideal_loops_match_dense_reference(name):
+    full = REFERENCE_MODELS[name]()
+    decomp = weight_decomposition(Sl2Module.from_algebra(full))
+    ideal = low_weight_ideal(full, decomp)
+    assert ideal == ref_low_weight_ideal(full, decomp)
+    assert two_sided_witness(full, ideal) is None
+    assert ref_two_sided_witness(full, ideal) is None
+    quotient = plus_quotient(full, ideal, decomp)
+    assert algebra_map_witness(full, quotient.qmap, quotient.algebra) is None
+    assert ref_algebra_map_witness(full, quotient.qmap, quotient.algebra) is None
+
+
+def _torus_r1_ideal():
+    full = torus_model(1).full_model
+    return full, low_weight_ideal(full, weight_decomposition(Sl2Module.from_algebra(full)))
+
+
+def _drop_degree_3():
+    full, ideal = _torus_r1_ideal()
+    return full, {**ideal, 3: Subspace.zero(full.space.dim(3))}
+
+
+def _degree_2_only():
+    full, ideal = _torus_r1_ideal()
+    return full, {2: ideal[2]}
+
+
+def _random_degree_1_line():
+    full, ideal = _torus_r1_ideal()
+    rnd = random.Random(5)
+    v = tuple(Scalar(rnd.randint(-2, 2)) for _ in range(full.space.dim(1)))
+    return full, {**ideal, 1: Subspace.from_vectors(full.space.dim(1), [v])}
+
+
+@pytest.mark.parametrize("build", [_drop_degree_3, _degree_2_only, _random_degree_1_line])
+def test_non_two_sided_ideal_gives_the_reference_witness(build):
+    full, ideal = build()
+    witness = two_sided_witness(full, ideal)
+    assert witness is not None
+    assert witness == ref_two_sided_witness(full, ideal)
+    with pytest.raises(ModelError, match="not a two-sided ideal"):
+        plus_quotient(full, ideal)
+
+
+def test_left_ideal_that_is_not_right_gives_the_reference_witness(gl2):
+    # span(E11, E21) is gl(2) * E11, closed on the left but E11 * E12 = E12
+    labels = gl2.space.labels(0)
+    left_ideal = {0: Subspace.from_vectors(4, [
+        tuple(ONE if l == lab else Scalar(0) for l in labels) for lab in ("E11", "E21")])}
+    witness = two_sided_witness(gl2, left_ideal)
+    assert witness == {"degree": 0, "label": "E12"}
+    assert witness == ref_two_sided_witness(gl2, left_ideal)
+
+
+class GeneratorsOnly:
+    """Stands in for an IsotypicDecomposition in low_weight_ideal: the given
+    vectors are the whole low-weight part (weight -1 < k) of degree k."""
+
+    def __init__(self, gens):
+        self.gens = gens
+
+    def weights(self, k):
+        return [-1] if self.gens.get(k) else []
+
+    def isotypic_vectors(self, k, w):
+        return self.gens[k]
+
+
+random_oracle = settings(max_examples=100, deadline=None)
+
+
+@random_oracle
+@given(random_algebras(), st.data())
+def test_ideal_loops_match_dense_reference_on_random_algebras(alg, data):
+    space = alg.space
+    gens = {k: [data.draw(sparse_vectors(space.dim(k))) for _ in range(data.draw(st.integers(0, 2)))]
+            for k in space.degrees()}
+    ideal = low_weight_ideal(alg, GeneratorsOnly(gens))
+    assert ideal == ref_low_weight_ideal(alg, GeneratorsOnly(gens))
+    assert two_sided_witness(alg, ideal) is None
+    assert ref_two_sided_witness(alg, ideal) is None
+    # an arbitrary graded subspace, some degrees left out of the dict
+    hand_made = {k: Subspace.from_vectors(space.dim(k), [data.draw(sparse_vectors(space.dim(k)))])
+                 for k in space.degrees() if data.draw(st.booleans())}
+    assert two_sided_witness(alg, hand_made) == ref_two_sided_witness(alg, hand_made)
+
+
+@random_oracle
+@given(random_algebras(), st.data())
+def test_algebra_map_witness_matches_dense_reference_on_random_maps(alg, data):
+    if data.draw(st.booleans()):
+        # x -> c^deg(x) x respects every graded product
+        c = data.draw(st.sampled_from(COEFFS))
+        powers = [ONE, c, c * c]
+        qmap = GradedMap(alg.space, alg.space, 0,
+                         {k: m.scale(powers[k]) for k, m in GradedMap.identity(alg.space).blocks.items()})
+        quotient = alg
+    else:
+        q_space = data.draw(graded_spaces("q"))
+        qmap = data.draw(degree_preserving_maps(alg.space, q_space))
+        quotient = data.draw(random_algebras(q_space))
+    witness = algebra_map_witness(alg, qmap, quotient)
+    assert witness == ref_algebra_map_witness(alg, qmap, quotient)
+    if quotient is alg:
+        assert witness is None
+
+
+@pytest.mark.parametrize("pick", [0, 7, -1])
+@pytest.mark.parametrize("how", ["shift", "drop"])
+def test_corrupted_quotient_gives_the_reference_witness(pick, how):
+    full, ideal = _torus_r1_ideal()
+    quotient = plus_quotient(full, ideal)
+    q = quotient.algebra
+    triples = sorted(q.structure_triples())
+    l1, l2, lt, c = triples[pick]
+    if how == "shift":
+        triples[pick] = (l1, l2, lt, c + ONE)
+    else:
+        del triples[pick]
+    corrupted = StructuredAlgebra(q.space, q.kind, {},
+                                  StructuredAlgebra.structure_from_triples(triples))
+    witness = algebra_map_witness(full, quotient.qmap, corrupted)
+    assert witness is not None
+    assert witness == ref_algebra_map_witness(full, quotient.qmap, corrupted)
+
+
+# -- torus regression: quotient bigrading and pinned r = 3 reports -------------
+
+# sha256 of the `--format json` reports on `generate torus --rank 3`, run in
+# the directory of the model file; recorded before the ideal loops went sparse
+TORUS_R3_REPORT_SHA256 = {
+    ("sl2",): "57a97efa5dc059095536c77a58cc7ede89c786a445eb6e9bec62496345456265",
+    ("qdolbeault", "--phi"): "f45ee132b6f6c5b1eb2d1fee2be694892b737b1c11d6b13cd52e9bd3268438c5",
+}
+
+
+@pytest.fixture(scope="module")
+def torus_reports(tmp_path_factory):
+    """cli.main(argv) -> (exit code, stdout), run in a directory holding
+    torus_r{1,2,3}.model from `generate torus`."""
+    workdir = tmp_path_factory.mktemp("torus")
+    cache = {}
+
+    def run(*argv):
+        if argv not in cache:
+            out = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(list(argv))
+            finally:
+                os.chdir(cwd)
+            cache[argv] = (code, out.getvalue())
+        return cache[argv]
+
+    for r in (1, 2, 3):
+        assert run("generate", "torus", "--rank", str(r), "-o", f"torus_r{r}.model")[0] == 0
+    return run
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_torus_quotient_bigraded_dims(torus_reports, r):
+    """A regression on what dgkit computes, not a theorem it proves: the
+    quotient of the rank-r torus (quaternionic dimension n = 1) has
+    bigraded dimension r^2 C(2n, p + q) for p + q <= 2n and 0 elsewhere."""
+    code, out = torus_reports("--format", "json", "sl2", f"torus_r{r}.model")
+    assert code == 0
+    got = json.loads(out)["report"]["quotient"]["bigraded_dims"]
+    want = {f"{p},{q}": r * r * comb(2, p + q)
+            for p in range(3) for q in range(3) if p + q <= 2}
+    assert got == want
+
+
+@pytest.mark.parametrize("command", sorted(TORUS_R3_REPORT_SHA256), ids=" ".join)
+def test_torus_r3_reports_are_pinned(torus_reports, command):
+    code, out = torus_reports("--format", "json", *command, "torus_r3.model")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TORUS_R3_REPORT_SHA256[command]
