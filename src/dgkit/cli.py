@@ -27,7 +27,6 @@ from dgkit.ddbar import (
 )
 from dgkit.deform import (
     DeformationContext,
-    Series,
     TruncatedRing,
     connection_correspondence,
     first_order_dictionary,
@@ -256,9 +255,8 @@ def cmd_deform(args, report: Report):
         report.put("split_equivalence", {"samples": args.samples, "agree": splits},
                    asserted=splits == args.samples)
 
-        qa_lie = q.algebra.commutator_dgla(validate=False)
-        ctx = DeformationContext(qa_lie, "total", ring)
-        x = Series.zero(1, q.space.dim(1), ring)
+        ctx = DeformationContext(q.dgla, "total", ring)
+        x = ctx.zero(1)
         preserved = 0
         element = None
         for _ in range(args.samples):

@@ -1,7 +1,10 @@
-"""Maurer-Cartan theory over truncated polynomial rings F[t]/(t^N).
+"""Maurer-Cartan theory over truncated polynomial rings B = F[t]/(t^N).
 
-Elements of L ⊗ m are coefficient series (one vector per power of t,
-t^1 .. t^(N-1)); everything is evaluated order by order with exact
+One `Series` type carries everything that lives over B: coefficient p is
+the coefficient of t^p, p = 0..N-1, and is either a vector (an element of
+L ⊗ B; elements of L ⊗ m have a zero t^0 coefficient) or a graded map (a
+B-linear operator).  Brackets and compositions are the truncated product
+`Series.times`; everything is evaluated order by order with exact
 rationals, so nilpotency makes every series finite.
 
 The gauge action is
@@ -9,11 +12,13 @@ The gauge action is
     a * x = x + sum_{n>=0} ad_a^n / (n+1)! ([a, x] - d a)
 
 which preserves classical Maurer-Cartan solutions and reduces to the
-exponential adjoint action exp(ad_a) when the differential vanishes.
+exponential adjoint action exp(ad_a) when the differential vanishes.  It
+and the operator exponential are both sums of `exp_sum`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +43,7 @@ from dgkit.linalg import (
     invert,
     kernel_of,
     linear_solve,
+    unit_vector,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -62,30 +68,64 @@ class TruncatedRing:
         return self.order - 1
 
 
-class Series:
-    """Homogeneous element of L^degree ⊗ m: one vector per power t^1..t^(N-1)."""
+# A coefficient is a vector (a tuple of Scalars) or a GradedMap.
 
-    def __init__(self, degree: int, coeffs: Sequence[Vector]):
+def _is_zero(c) -> bool:
+    return c.is_zero() if isinstance(c, GradedMap) else vec_is_zero(c)
+
+
+def _add(a, b):
+    return a.add(b) if isinstance(a, GradedMap) else vec_add(a, b)
+
+
+def _scale(c: Scalar, a):
+    return a.scale(c) if isinstance(a, GradedMap) else vec_scale(c, a)
+
+
+class Series:
+    """Homogeneous element of L^degree ⊗ B, or a B-linear operator of shift
+    `degree`: coeffs[p] is the coefficient of t^p for p = 0..N-1."""
+
+    def __init__(self, degree: int, coeffs: Sequence):
         self.degree = degree
         self.coeffs = list(coeffs)
 
     @staticmethod
     def zero(degree: int, dim: int, ring: TruncatedRing) -> "Series":
-        return Series(degree, [zero_vector(dim) for _ in range(ring.top_power)])
+        return Series(degree, [zero_vector(dim)] * ring.order)
+
+    @staticmethod
+    def constant(g: GradedMap, ring: TruncatedRing) -> "Series":
+        """The operator g ⊗ 1 over B."""
+        zero = GradedMap.zero(g.source, g.target, g.shift)
+        return Series(g.shift, [g] + [zero] * ring.top_power)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(c) for c in self.coeffs)
+        return all(_is_zero(c) for c in self.coeffs)
 
     def add(self, other: "Series") -> "Series":
-        return Series(self.degree,
-                      [vec_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return Series(self.degree, [_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, q: Fraction) -> "Series":
         c = Scalar(q)
-        return Series(self.degree, [vec_scale(c, v) for v in self.coeffs])
+        return Series(self.degree, [_scale(c, a) for a in self.coeffs])
 
-    def copy(self) -> "Series":
-        return Series(self.degree, list(self.coeffs))
+    def times(self, other: "Series", mul: Callable, zero) -> "Series":
+        """The product truncated at t^N: coefficient p is the sum of
+        mul(self_i, other_j) over i + j = p, or `zero` when no pair with
+        both coefficients non-zero reaches t^p."""
+        n = len(self.coeffs)
+        out = [zero] * n
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not _is_zero(b)]
+        for i, a in enumerate(self.coeffs):
+            if _is_zero(a):
+                continue
+            for j, b in right:
+                if i + j < n:
+                    p = mul(a, b)
+                    # the first contribution to t^(i+j) replaces the shared zero
+                    out[i + j] = p if out[i + j] is zero else _add(out[i + j], p)
+        return Series(self.degree + other.degree, out)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -93,8 +133,19 @@ class Series:
         return self.degree == other.degree and self.coeffs == other.coeffs
 
 
-MCElement = Series      # degree-1 series
-GaugeElement = Series   # degree-0 series
+def exp_sum(term: Series, step: Callable[[Series], Series], first: int) -> Series:
+    """sum_{n>=0} step^n(term) / (n + first)!, stopping at the first zero
+    term.  `step` must raise the order in t, so that the sum is finite."""
+    factorial = math.factorial(first)
+    total = term if factorial == 1 else term.scale(Fraction(1, factorial))
+    n = first
+    while True:
+        term = step(term)
+        if term.is_zero():
+            return total
+        n += 1
+        factorial *= n
+        total = total.add(term.scale(Fraction(1, factorial)))
 
 
 class DeformationContext:
@@ -119,79 +170,46 @@ class DeformationContext:
                       [self.d.apply(u.degree, c) for c in u.coeffs])
 
     def bracket_series(self, u: Series, v: Series) -> Series:
-        degree = u.degree + v.degree
-        n = self.ring.top_power
-        out = [zero_vector(self.dim(degree)) for _ in range(n)]
-        for i, ci in enumerate(u.coeffs, start=1):
-            if vec_is_zero(ci):
-                continue
-            for j, cj in enumerate(v.coeffs, start=1):
-                if i + j > n or vec_is_zero(cj):
-                    continue
-                out[i + j - 1] = vec_add(out[i + j - 1],
-                                         self.dgla.mul(u.degree, ci, v.degree, cj))
-        return Series(degree, out)
+        k1, k2 = u.degree, v.degree
+        return u.times(v, lambda a, b: self.dgla.mul(k1, a, k2, b),
+                       zero_vector(self.dim(k1 + k2)))
 
     # -- Maurer-Cartan ---------------------------------------------------
 
-    def mc_residual(self, x: MCElement) -> Series:
-        """d x + 1/2 [x, x], order by order."""
-        if x.degree != 1:
-            raise ModelError("Maurer-Cartan elements live in degree 1")
-        return self.d_series(x).add(self.bracket_series(x, x).scale(Fraction(1, 2)))
-
-    def mc_check(self, x: MCElement, mode: str = "classical") -> "MCReport":
+    def mc_check(self, x: Series, mode: str = "classical") -> "MCReport":
+        """The residual d x + 1/2 [x, x], order by order; the strong mode
+        asks d x = 0 and [x, x] = 0 separately."""
         if x.degree != 1:
             raise ModelError("coefficient degree mismatch: expected degree 1")
-        residual = self.mc_residual(x)
+        if not vec_is_zero(x.coeffs[0]):
+            raise ModelError("Maurer-Cartan elements live in L ⊗ m: "
+                             "the t^0 coefficient must vanish")
+        if mode not in ("classical", "strong"):
+            raise ModelError(f"unknown mode {mode!r}")
+        dx = self.d_series(x)
+        br = self.bracket_series(x, x)
+        residual = dx.add(br.scale(Fraction(1, 2)))
         classical_ok = residual.is_zero()
         strong_ok = None
         if mode == "strong":
-            dx = self.d_series(x)
-            br = self.bracket_series(x, x)
             strong_ok = dx.is_zero() and br.is_zero()
             if strong_ok and not classical_ok:
                 raise InternalCheckError("strong solution fails the classical equation")
-        elif mode != "classical":
-            raise ModelError(f"unknown mode {mode!r}")
         passed = classical_ok if mode == "classical" else strong_ok
         return MCReport(mode, passed, classical_ok, strong_ok, residual,
                         self.dgla.space)
 
     # -- gauge action ------------------------------------------------------
 
-    def gauge_transform(self, a: GaugeElement, x: MCElement) -> MCElement:
+    def gauge_transform(self, a: Series, x: Series) -> Series:
         """a * x = x + sum ad_a^n/(n+1)! ([a,x] - da)."""
         if a.degree != 0 or x.degree != 1:
             raise ModelError("gauge elements have degree 0, MC elements degree 1")
+        if not vec_is_zero(a.coeffs[0]):
+            raise ModelError("gauge elements live in L ⊗ m: "
+                             "the t^0 coefficient must vanish")
         u = self.bracket_series(a, x).add(self.d_series(a).scale(Fraction(-1)))
-        result = x.copy()
-        term = u
-        n = 0
-        factorial = 1
-        while not term.is_zero():
-            factorial *= (n + 1)
-            result = result.add(term.scale(Fraction(1, factorial)))
-            term = self.bracket_series(a, term)
-            n += 1
-            if n > self.ring.top_power:
-                break
-        return result
-
-    def exp_adjoint(self, a: GaugeElement, x: MCElement) -> MCElement:
-        """exp(ad_a)(x), the gauge action of a differential-free DGLA."""
-        result = x.copy()
-        term = x
-        n = 0
-        factorial = 1
-        while True:
-            term = self.bracket_series(a, term)
-            n += 1
-            factorial *= n
-            if term.is_zero() or n > self.ring.top_power:
-                break
-            result = result.add(term.scale(Fraction(1, factorial)))
-        return result
+        return x.add(exp_sum(u, lambda term: self.bracket_series(a, term), 1))
 
 
 @dataclass
@@ -206,8 +224,8 @@ class MCReport:
     def residual_table(self):
         if self.space is None:
             return None
-        return {f"t^{i+1}": format_vector(self.space, self.residual.degree, c)
-                for i, c in enumerate(self.residual.coeffs) if not vec_is_zero(c)}
+        return {f"t^{p}": format_vector(self.space, self.residual.degree, c)
+                for p, c in enumerate(self.residual.coeffs) if not vec_is_zero(c)}
 
     def to_json(self):
         return {"mode": self.mode, "passed": self.passed,
@@ -243,28 +261,23 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
         raise PreconditionError("tangent/obstruction runs over a DGLA")
     h = cohomology(dgla, d_name)
     d = dgla.differential(d_name)
+    reps = Matrix.from_columns(dgla.space.dim(1),
+                               [h.rep_vector(1, i) for i in range(h.dim(1))])
 
-    def rep_of(xi: Vector) -> Vector:
-        out = zero_vector(dgla.space.dim(1))
-        for i, c in enumerate(xi):
-            if not c.is_zero():
-                out = vec_add(out, vec_scale(c, h.rep_vector(1, i)))
-        return out
+    def half_square(xi: Vector) -> Vector:
+        """-1/2 [r, r] for the representative r of the class xi."""
+        r = reps.apply(xi)
+        return vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
 
     def obstruction(xi: Vector) -> Vector:
-        r = rep_of(xi)
-        w = vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
-        return h.project(2, w) if h.dim(2) or dgla.space.dim(2) else tuple()
+        return h.project(2, half_square(xi))
 
     checks = ValidationReport()
     agree = True
     for i in range(h.dim(1)):
-        xi = tuple(ONE if j == i else ZERO for j in range(h.dim(1)))
-        r = rep_of(xi)
-        rhs = vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
-        clazz = obstruction(xi)
+        rhs = half_square(unit_vector(h.dim(1), i))
         solvable = linear_solve(d.block(1), rhs) is not None
-        if solvable != vec_is_zero(clazz):
+        if solvable != vec_is_zero(h.project(2, rhs)):
             agree = False
     checks.add("obstruction class vanishes iff the order-2 lift solves", agree)
     return TangentObstruction(h.dims(), h.dim(1), h.dim(2), obstruction, checks)
@@ -322,46 +335,38 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     d0 = b.d0
     space = dgla.space
     n1 = space.dim(1)
-    im_d1 = image_of(b.d1.block(0))
-    im_basis = im_d1.vectors()
+    reps = Matrix.from_columns(n1, [h.rep_vector(1, i) for i in range(h.dim(1))])
+    im_vectors = image_of(b.d1.block(0)).vectors()
+    im_basis = Matrix.from_columns(n1, im_vectors)
     # solve d0 u = rhs with u constrained to im(d1): columns are d0(im-basis)
-    sys_matrix = Matrix.from_columns(space.dim(2), [d0.apply(1, v) for v in im_basis])
+    sys_matrix = Matrix.from_columns(space.dim(2), [d0.apply(1, v) for v in im_vectors])
+    half = Scalar(Fraction(-1, 2))
 
     results = []
     for xi in samples:
-        rep = zero_vector(n1)
-        for i, c in enumerate(xi):
-            if not c.is_zero():
-                rep = vec_add(rep, vec_scale(c, h.rep_vector(1, i)))
+        rep = reps.apply(xi)
         sq = h_alg.mul(1, xi, 1, xi)
         obstructed = not vec_is_zero(sq)
         if obstructed:
-            rhs = vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, rep, 1, rep))
+            rhs = vec_scale(half, dgla.mul(1, rep, 1, rep))
             unsolvable = linear_solve(d0.block(1), rhs) is None
             results.append(QuadraticitySample(xi, True, None, unsolvable, unsolvable))
             continue
         ring = TruncatedRing(k_max)
         ctx = DeformationContext(dgla, b.d0_name, ring)
-        coeffs = [rep] + [zero_vector(n1) for _ in range(ring.top_power - 1)]
+        x = ctx.zero(1)
+        x.coeffs[1] = rep
         ok = True
-        for k in range(2, ring.top_power + 1):
-            rhs = zero_vector(space.dim(2))
-            for i in range(1, k):
-                j = k - i
-                rhs = vec_add(rhs, dgla.mul(1, coeffs[i - 1], 1, coeffs[j - 1]))
-            rhs = vec_scale(Scalar(Fraction(-1, 2)), rhs)
+        for k in range(2, ring.order):
+            # the t^k coefficient of [x, x] only involves x_1 .. x_(k-1)
+            rhs = vec_scale(half, ctx.bracket_series(x, x).coeffs[k])
             sol = linear_solve(sys_matrix, rhs)
             if sol is None:
                 ok = False
                 break
-            u = zero_vector(n1)
-            for j, c in enumerate(sol[0]):
-                if not c.is_zero():
-                    u = vec_add(u, vec_scale(c, im_basis[j]))
-            coeffs[k - 1] = u
+            x.coeffs[k] = im_basis.apply(sol[0])
         lifted = None
         if ok:
-            x = Series(1, coeffs)
             if not ctx.mc_check(x).passed:
                 raise InternalCheckError("constructed lift fails Maurer-Cartan")
             lifted = k_max
@@ -398,34 +403,35 @@ def _split_element(q: QuaternionicComplex, element: Series):
     return Series(1, xi1), Series(1, xi2)
 
 
-def _join_element(q: QuaternionicComplex, xi1: Series, xi2: Series,
-                  ring: TruncatedRing) -> Series:
+def _join_element(q: QuaternionicComplex, xi1: Series, xi2: Series) -> Series:
     d_space = q.model.dolbeault.space
     labels = q.space.labels(1)
     coeffs = []
-    for order in range(ring.top_power):
+    for c1, c2 in zip(xi1.coeffs, xi2.coeffs):
         v = [ZERO] * q.space.dim(1)
         for idx, lab in enumerate(labels):
             p, qq, dlabel = q.cell_of_label(lab)
             pos = d_space.label_loc[dlabel][1]
             if (p, qq) == (1, 0):
-                v[idx] = xi1.coeffs[order][pos]
+                v[idx] = c1[pos]
             elif (p, qq) == (0, 1):
-                v[idx] = xi2.coeffs[order][pos]
+                v[idx] = c2[pos]
         coeffs.append(tuple(v))
     return Series(1, coeffs)
 
 
-def _dolbeault_dgla(q: QuaternionicComplex) -> StructuredAlgebra:
-    if not hasattr(q, "_dolbeault_dgla"):
-        q._dolbeault_dgla = q.model.dolbeault.commutator_dgla(validate=False)
-    return q._dolbeault_dgla
+def _total_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing):
+    """The context of the total complex, whether `element` is Maurer-Cartan
+    there, and the element's Dolbeault split (xi1, xi2)."""
+    full_ctx = DeformationContext(q.dgla, "total", ring)
+    passed = full_ctx.mc_check(element).passed
+    return (full_ctx, passed) + _split_element(q, element)
 
 
-def _qa_dgla(q: QuaternionicComplex) -> StructuredAlgebra:
-    if not hasattr(q, "_qa_dgla"):
-        q._qa_dgla = q.algebra.commutator_dgla(validate=False)
-    return q._qa_dgla
+def _side_contexts(q: QuaternionicComplex, ring: TruncatedRing):
+    """The contexts of the y-side (D, del_bar) and the x-side (D, del_bar_J)."""
+    dolb = q.model.dolbeault_dgla
+    return DeformationContext(dolb, DEL_BAR, ring), DeformationContext(dolb, DEL_BAR_J, ring)
 
 
 @dataclass
@@ -449,13 +455,8 @@ def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) ->
     del_bar_J, and the mixed bracket condition
     del_bar_J(xi2) + del_bar(xi1) + [xi1, xi2] = 0, order by order.
     """
-    xi1, xi2 = _split_element(q, element)
-    full_ctx = DeformationContext(_qa_dgla(q), "total", ring)
-    full_ok = full_ctx.mc_check(element).passed
-
-    dolb = _dolbeault_dgla(q)
-    ctx_y = DeformationContext(dolb, DEL_BAR, ring)
-    ctx_x = DeformationContext(dolb, DEL_BAR_J, ring)
+    _, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
+    ctx_y, ctx_x = _side_contexts(q, ring)
     xi2_ok = ctx_y.mc_check(xi2).passed
     xi1_ok = ctx_x.mc_check(xi1).passed
 
@@ -515,13 +516,10 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
     The tangent map (pi_y, pi_x)* is checked to be a bijection
     H^1(total) -> H^1(del_bar) x H^1(del_bar_J) when `certified` is set.
     """
-    full_ctx = DeformationContext(_qa_dgla(q), "total", ring)
-    if not full_ctx.mc_check(element).passed:
+    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
+    if not full_ok:
         raise PreconditionError("element fails the Maurer-Cartan equation")
-    xi1, xi2 = _split_element(q, element)
-    dolb = _dolbeault_dgla(q)
-    ctx_y = DeformationContext(dolb, DEL_BAR, ring)
-    ctx_x = DeformationContext(dolb, DEL_BAR_J, ring)
+    ctx_y, ctx_x = _side_contexts(q, ring)
     pi_x_ok = ctx_x.mc_check(xi1).passed
     pi_y_ok = ctx_y.mc_check(xi2).passed
 
@@ -533,7 +531,7 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
                 raise PreconditionError("lift candidate leaves ker[del_bar_J,-]")
         if not ctx_y.mc_check(b_elt).passed:
             raise PreconditionError("lift candidate is not MC in the kernel sub-DGLA")
-        y_elt = _join_element(q, Series.zero(1, dolb.space.dim(1), ring), b_elt, ring)
+        y_elt = _join_element(q, ctx_y.zero(1), b_elt)
         lift_results.append(full_ctx.mc_check(y_elt).passed)
 
     h_total = cohomology(q.algebra, "total")
@@ -559,70 +557,25 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
 # operator series over B and the connection correspondence
 
 
-class OpSeries:
-    """A B-linear operator as graded maps per power of t (t^0..t^(N-1))."""
-
-    def __init__(self, maps: Sequence[GradedMap]):
-        self.maps = list(maps)
-
-    @staticmethod
-    def constant(g: GradedMap, ring: TruncatedRing) -> "OpSeries":
-        zero = GradedMap.zero(g.source, g.target, g.shift)
-        return OpSeries([g] + [zero] * ring.top_power)
-
-    def add(self, other: "OpSeries") -> "OpSeries":
-        return OpSeries([a.add(b) for a, b in zip(self.maps, other.maps)])
-
-    def compose(self, other: "OpSeries") -> "OpSeries":
-        n = len(self.maps)
-        shift = self.maps[0].shift + other.maps[0].shift
-        out = [GradedMap.zero(other.maps[0].source, self.maps[0].target, shift)
-               for _ in range(n)]
-        for i, a in enumerate(self.maps):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.maps):
-                if i + j >= n or b.is_zero():
-                    continue
-                out[i + j] = out[i + j].add(a.compose(b))
-        return OpSeries(out)
-
-    def scale(self, q: Fraction) -> "OpSeries":
-        c = Scalar(q)
-        return OpSeries([m.scale(c) for m in self.maps])
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.maps)
-
-    def order_zero(self) -> GradedMap:
-        return self.maps[0]
+def _compose(a: Series, b: Series) -> Series:
+    """a o b for operator series (b applied first)."""
+    zero = GradedMap.zero(b.coeffs[0].source, a.coeffs[0].target, a.degree + b.degree)
+    return a.times(b, GradedMap.compose, zero)
 
 
-def multiplication_series(algebra: StructuredAlgebra, s: Series,
-                          ring: TruncatedRing) -> OpSeries:
+def multiplication_series(algebra: StructuredAlgebra, s: Series) -> Series:
+    """The operator of left multiplication by s, coefficient by coefficient."""
     zero = GradedMap.zero(algebra.space, algebra.space, s.degree)
-    maps = [zero]
-    for c in s.coeffs:
-        maps.append(left_multiplication(algebra, s.degree, c)
-                    if not vec_is_zero(c) else zero)
-    return OpSeries(maps[:ring.order])
+    return Series(s.degree, [left_multiplication(algebra, s.degree, c)
+                             if not vec_is_zero(c) else zero for c in s.coeffs])
 
 
-def exp_series(s: OpSeries, ring: TruncatedRing) -> OpSeries:
+def exp_series(s: Series, ring: TruncatedRing) -> Series:
     """exp of an operator series with vanishing order-0 part."""
-    if not s.order_zero().is_zero():
+    if not s.coeffs[0].is_zero():
         raise ModelError("exp_series needs a nilpotent (order >= 1) input")
-    ident = OpSeries.constant(GradedMap.identity(s.maps[0].source), ring)
-    out = ident
-    term = ident
-    factorial = 1
-    for n in range(1, ring.order):
-        term = term.compose(s)
-        factorial *= n
-        if term.is_zero():
-            break
-        out = out.add(term.scale(Fraction(1, factorial)))
-    return out
+    ident = Series.constant(GradedMap.identity(s.coeffs[0].source), ring)
+    return exp_sum(ident, lambda term: _compose(term, s), 0)
 
 
 @dataclass
@@ -661,47 +614,41 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
     if m.full_model is None or "J" not in m.full_model.maps:
         raise ModelError("connection correspondence requires the J data "
                          "of a full model")
-    full_ctx = DeformationContext(_qa_dgla(q), "total", ring)
-    if not full_ctx.mc_check(element).passed:
+    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
+    if not full_ok:
         raise PreconditionError("element fails the Maurer-Cartan equation")
-    xi1, xi2 = _split_element(q, element)
     dolb = m.dolbeault
 
-    def deformed_pair(x1: Series, x2: Series) -> tuple[OpSeries, OpSeries]:
-        dbar = OpSeries.constant(m.del_bar, ring).add(
-            multiplication_series(dolb, x2, ring))
-        dbar_j = OpSeries.constant(m.del_bar_j, ring).add(
-            multiplication_series(dolb, x1, ring))
+    def deformed_pair(x1: Series, x2: Series) -> tuple[Series, Series]:
+        dbar = Series.constant(m.del_bar, ring).add(multiplication_series(dolb, x2))
+        dbar_j = Series.constant(m.del_bar_j, ring).add(multiplication_series(dolb, x1))
         return dbar_j, dbar
+
+    def differ(a: Series, b: Series) -> bool:
+        return not a.add(b.scale(Fraction(-1))).is_zero()
 
     dbar_j_b, dbar_b = deformed_pair(xi1, xi2)
 
     relations = ValidationReport()
-    relations.add("del_bar_B^2 = 0", dbar_b.compose(dbar_b).is_zero())
-    relations.add("del_bar_J_B^2 = 0", dbar_j_b.compose(dbar_j_b).is_zero())
-    anti = dbar_b.compose(dbar_j_b).add(dbar_j_b.compose(dbar_b))
+    relations.add("del_bar_B^2 = 0", _compose(dbar_b, dbar_b).is_zero())
+    relations.add("del_bar_J_B^2 = 0", _compose(dbar_j_b, dbar_j_b).is_zero())
+    anti = _compose(dbar_b, dbar_j_b).add(_compose(dbar_j_b, dbar_b))
     relations.add("anticommutator = 0 over B", anti.is_zero())
 
-    reduces = (dbar_b.order_zero() == m.del_bar
-               and dbar_j_b.order_zero() == m.del_bar_j)
+    reduces = dbar_b.coeffs[0] == m.del_bar and dbar_j_b.coeffs[0] == m.del_bar_j
 
     gauge_ok = None
     if gauge is not None:
-        qa_ctx = DeformationContext(_qa_dgla(q), "total", ring)
-        gauged = qa_ctx.gauge_transform(gauge, element)
-        if not qa_ctx.mc_check(gauged).passed:
+        gauged = full_ctx.gauge_transform(gauge, element)
+        if not full_ctx.mc_check(gauged).passed:
             raise InternalCheckError("gauge transform left the MC set")
-        g1, g2 = _split_element(q, gauged)
-        new_j, new_b = deformed_pair(g1, g2)
-        g_op = exp_series(multiplication_series(dolb, gauge, ring), ring)
-        g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1)),
-                                                 ring), ring)
-        ident = OpSeries.constant(GradedMap.identity(dolb.space), ring)
-        if not g_op.compose(g_inv).add(ident.scale(Fraction(-1))).is_zero():
+        new_j, new_b = deformed_pair(*_split_element(q, gauged))
+        g_op = exp_series(multiplication_series(dolb, gauge), ring)
+        g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1))), ring)
+        if differ(_compose(g_op, g_inv), Series.constant(GradedMap.identity(dolb.space), ring)):
             raise InternalCheckError("exp series is not invertible")
-        ok1 = new_b.compose(g_op).add(g_op.compose(dbar_b).scale(Fraction(-1))).is_zero()
-        ok2 = new_j.compose(g_op).add(g_op.compose(dbar_j_b).scale(Fraction(-1))).is_zero()
-        gauge_ok = ok1 and ok2
+        gauge_ok = not (differ(_compose(new_b, g_op), _compose(g_op, dbar_b))
+                        or differ(_compose(new_j, g_op), _compose(g_op, dbar_j_b)))
 
     oracle = None
     agrees = None
@@ -718,19 +665,12 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
                 out[f_space.label_loc[lab][1]] = c
             return tuple(out)
 
-        theta = [vec_add(embed(c2), j.apply(1, embed(c1)))
-                 for c1, c2 in zip(xi1.coeffs, xi2.coeffs)]
-        oracle = True
-        for k in range(2, ring.order):
-            r_k = zero_vector(f_space.dim(2))
-            for i in range(1, k):
-                jx = k - i
-                if jx < 1 or jx > ring.top_power:
-                    continue
-                r_k = vec_add(r_k, full.mul(1, theta[i - 1], 1, theta[jx - 1]))
-            for op_name in ("e", "f", "h"):
-                if not vec_is_zero(full.maps[op_name].apply(2, r_k)):
-                    oracle = False
+        theta = Series(1, [vec_add(embed(c2), j.apply(1, embed(c1)))
+                           for c1, c2 in zip(xi1.coeffs, xi2.coeffs)])
+        curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v),
+                                zero_vector(f_space.dim(2)))
+        oracle = all(vec_is_zero(full.maps[op_name].apply(2, r_k))
+                     for r_k in curvature.coeffs for op_name in ("e", "f", "h"))
         agrees = oracle == relations.passed
         if not agrees:
             raise InternalCheckError(
@@ -809,8 +749,9 @@ def random_vector(space, degree: int, rnd: random.Random,
 
 def random_series(space, degree: int, ring: TruncatedRing, rnd: random.Random,
                   support: Optional[Sequence[str]] = None) -> Series:
-    return Series(degree, [random_vector(space, degree, rnd, support)
-                           for _ in range(ring.top_power)])
+    """A seeded element of L^degree ⊗ m: random coefficients at t^1..t^(N-1)."""
+    return Series(degree, [zero_vector(space.dim(degree))]
+                  + [random_vector(space, degree, rnd, support) for _ in range(ring.top_power)])
 
 
 def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing,
@@ -826,20 +767,15 @@ def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing,
             space.dim(1), [space.basis_vector(l)[1] for l in support])
         ker = ker.intersect(sup)
     basis = ker.vectors()
+    combine = Matrix.from_columns(space.dim(1), basis)
     rnd = random.Random(seed)
     out = []
     attempts = 0
     while len(out) < count and attempts < 50 * count:
         attempts += 1
-        coeffs = []
-        for _ in range(ring.top_power):
-            v = zero_vector(space.dim(1))
-            for bvec in basis:
-                c = rnd.randint(-2, 2)
-                if c:
-                    v = vec_add(v, vec_scale(Scalar(c), bvec))
-            coeffs.append(v)
-        x = Series(1, coeffs)
+        x = ctx.zero(1)
+        for p in range(1, ring.order):
+            x.coeffs[p] = combine.apply(tuple(Scalar(rnd.randint(-2, 2)) for _ in basis))
         if ctx.mc_check(x, "strong").passed:
             out.append(x)
     if len(out) < count:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from dgkit.ddbar import Bicomplex, strong_lemma_check
@@ -95,6 +96,11 @@ class ConnectionModel:
     @property
     def del_bar_j(self) -> GradedMap:
         return self.dolbeault.differential(DEL_BAR_J)
+
+    @cached_property
+    def dolbeault_dgla(self) -> StructuredAlgebra:
+        """The graded-commutator DGLA of the Dolbeault algebra, built once."""
+        return self.dolbeault.commutator_dgla(validate=False)
 
     @property
     def j_op(self) -> GradedMap:
@@ -347,6 +353,11 @@ class QuaternionicComplex:
             {"x_del_bar_J": self.horizontal, "y_del_bar": self.vertical,
              "total": self.total},
             structure)
+
+    @cached_property
+    def dgla(self) -> StructuredAlgebra:
+        """The graded-commutator DGLA of the total algebra, built once."""
+        return self.algebra.commutator_dgla(validate=False)
 
     def cell_of_label(self, label: str) -> tuple[int, int, str]:
         head, dlabel = label.split(":", 1)

@@ -81,7 +81,7 @@ def integer_spectrum(m: Matrix) -> dict[int, Subspace]:
     for lam in [0] + [s * v for v in range(1, n + 1) for s in (1, -1)]:
         if covered == n:
             break
-        eig = kernel_of(m - Matrix.identity(n).scale(Scalar(lam)))
+        eig = kernel_of(m - Matrix.from_entries(n, n, [(i, i, Scalar(lam)) for i in range(n)]))
         if eig.dim:
             eigenspaces[lam] = eig
             covered += eig.dim

@@ -1,7 +1,35 @@
+import contextlib
+import io
+import os
+
 import pytest
 
+from dgkit.cli import main
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
 from dgkit.scalars import ONE, Scalar
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """run(*argv) -> (exit code, stdout) of cli.main(argv), run in one fresh
+    directory per test module and memoised per argv."""
+    workdir = tmp_path_factory.mktemp("cli")
+    cache = {}
+
+    def run(*argv):
+        if argv not in cache:
+            out = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = main(list(argv))
+            finally:
+                os.chdir(cwd)
+            cache[argv] = (code, out.getvalue())
+        return cache[argv]
+
+    return run
 
 
 def exterior_two_generators(d_entries=()):

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the graded-algebra and sl(2) tests."""
+"""Hypothesis strategies shared by the graded-algebra, sl(2) and deformation tests."""
 
 from hypothesis import strategies as st
 
@@ -44,9 +44,9 @@ def sparse_vectors(draw, n):
 
 
 @st.composite
-def degree_preserving_maps(draw, source, target):
-    """A random shift-0 map between two graded spaces."""
+def graded_maps(draw, source, target, shift=0):
+    """A random map of the given degree shift between two graded spaces."""
     entries = [(frm, to, draw(st.sampled_from(COEFFS)))
                for k in source.degrees() for frm in source.labels(k)
-               for to in target.labels(k) if draw(st.integers(0, 1))]
-    return GradedMap.from_entries(source, target, 0, entries)
+               for to in target.labels(k + shift) if draw(st.integers(0, 1))]
+    return GradedMap.from_entries(source, target, shift, entries)
