@@ -594,6 +594,15 @@ class CorrespondenceReport:
                 "oracle_agrees_with_relations": self.oracle_agrees}
 
 
+def curvature_has_weight_zero(full: StructuredAlgebra, theta: Series) -> bool:
+    """The curvature oracle: every t-coefficient of theta ^ theta, for theta
+    a degree-1 series of the full model, is killed by e, f and h."""
+    curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v),
+                            zero_vector(full.space.dim(2)))
+    return all(vec_is_zero(full.maps[op_name].apply(2, r_k))
+               for r_k in curvature.coeffs for op_name in ("e", "f", "h"))
+
+
 def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
                               element: Series, ring: TruncatedRing,
                               gauge: Optional[Series] = None) -> CorrespondenceReport:
@@ -667,10 +676,7 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
 
         theta = Series(1, [vec_add(embed(c2), j.apply(1, embed(c1)))
                            for c1, c2 in zip(xi1.coeffs, xi2.coeffs)])
-        curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v),
-                                zero_vector(f_space.dim(2)))
-        oracle = all(vec_is_zero(full.maps[op_name].apply(2, r_k))
-                     for r_k in curvature.coeffs for op_name in ("e", "f", "h"))
+        oracle = curvature_has_weight_zero(full, theta)
         agrees = oracle == relations.passed
         if not agrees:
             raise InternalCheckError(

@@ -15,6 +15,7 @@ Sign conventions (Koszul throughout):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from dgkit.errors import ModelError, PreconditionError
@@ -264,6 +265,9 @@ class StructuredAlgebra:
 
     kind is "associative" (structure = product) or "lie" (structure =
     bracket).  Structure constants map label pairs to sparse vectors.
+    ``mul`` and ``label_product`` read them through one index-keyed table,
+    built from ``structure`` on first use; ``structure`` is not changed
+    after construction.
     """
 
     def __init__(self, space: GradedSpace, kind: str = "associative",
@@ -321,6 +325,20 @@ class StructuredAlgebra:
     def mul_labels(self, l1: str, l2: str) -> dict[str, Scalar]:
         return self.structure.get((l1, l2), {})
 
+    @cached_property
+    def _products(self) -> dict[tuple[int, int], dict[int, dict[int, tuple]]]:
+        """{(k1, k2): {i: {j: ((index, c), ...)}}}: the non-zero structure
+        constants of the degree-k1 basis vector i times the degree-k2 basis
+        vector j, as indices into degree k1 + k2."""
+        loc = self.space.label_loc
+        table: dict = {}
+        for (l1, l2), targets in self.structure.items():
+            k1, i = loc[l1]
+            k2, j = loc[l2]
+            row = table.setdefault((k1, k2), {}).setdefault(i, {})
+            row[j] = tuple((loc[lt][1], c) for lt, c in targets.items())
+        return table
+
     def label_product(self, label: str, k: int, items: Iterable[tuple[int, Scalar]],
                       label_first: bool) -> dict[int, Scalar]:
         """label * v (label_first) or v * label, where v of degree k is given
@@ -329,36 +347,31 @@ class StructuredAlgebra:
         The result is the sparse {index: coefficient} of the product in
         degree k + deg(label), with cancelled entries dropped.
         """
-        labels = self.space.labels(k)
-        loc = self.space.label_loc
+        kl, il = self.space.label_loc[label]
+        if label_first:
+            targets_of = self._products.get((kl, k), {}).get(il, {}).get
+        else:
+            rows = self._products.get((k, kl), {})
+            targets_of = lambda i: rows.get(i, {}).get(il)
         out: dict[int, Scalar] = {}
         for i, c in items:
-            key = (label, labels[i]) if label_first else (labels[i], label)
-            targets = self.structure.get(key)
-            if not targets:
-                continue
-            for lt, ct in targets.items():
-                idx = loc[lt][1]
+            for idx, ct in targets_of(i) or ():
                 out[idx] = out.get(idx, ZERO) + c * ct
         return {idx: c for idx, c in out.items() if not c.is_zero()}
 
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """Bilinear extension of the structure constants; result in degree k1+k2."""
-        k = k1 + k2
-        out = [ZERO] * self.space.dim(k)
-        labels1 = self.space.labels(k1)
-        labels2 = self.space.labels(k2)
-        nz1 = [(labels1[i], c) for i, c in enumerate(v1) if not c.is_zero()]
-        nz2 = [(labels2[j], c) for j, c in enumerate(v2) if not c.is_zero()]
-        loc = self.space.label_loc
-        for l1, c1 in nz1:
-            for l2, c2 in nz2:
-                targets = self.structure.get((l1, l2))
-                if not targets:
+        out = [ZERO] * self.space.dim(k1 + k2)
+        for i, row in self._products.get((k1, k2), {}).items():
+            c1 = v1[i]
+            if c1.is_zero():
+                continue
+            for j, targets in row.items():
+                c2 = v2[j]
+                if c2.is_zero():
                     continue
                 c = c1 * c2
-                for lt, ct in targets.items():
-                    idx = loc[lt][1]
+                for idx, ct in targets:
                     out[idx] = out[idx] + c * ct
         return tuple(out)
 

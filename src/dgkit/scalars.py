@@ -3,7 +3,11 @@
 A scalar is (a + b*i)/d, held as three ints a, b, d with d > 0 and
 gcd(a, b, d) = 1.  That form is unique (zero is (0, 0, 1)), so equality,
 hashing and the zero test compare ints, and every operation is integer
-arithmetic followed by one gcd, skipped when the denominator is 1.  The
+arithmetic followed by one gcd, skipped when the denominator is 1.
+Trivial operands short-cut: ``+`` and ``-`` by zero, and ``*`` by 0 or
++-1, return the other operand itself, ``ZERO`` or its negation, with no
+arithmetic; sharing an operand is safe because scalars are immutable, and a
+negation keeps the reduced form, so it needs no gcd.  The
 real and imaginary parts are available as Fractions through ``re`` and
 ``im``.  Only exact rationals enter: the constructor refuses floats.  The
 text grammar is ``a/b``, ``a/b+c/d*i`` or ``a/b-c/d*i`` with denominators
@@ -22,7 +26,7 @@ class ScalarParseError(ValueError):
 
 
 _FRAC = r"[+-]?\d+(?:/\d+)?"
-_SCALAR_RE = _re.compile(rf"^({_FRAC})(?:([+-])(\d+(?:/\d+)?)\*i)?$")
+_SCALAR_RE = _re.compile(rf"({_FRAC})(?:([+-])(\d+(?:/\d+)?)\*i)?", _re.ASCII)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -81,12 +85,15 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        m = _SCALAR_RE.match(text)
+        m = _SCALAR_RE.fullmatch(text)
         if not m:
             raise ScalarParseError(f"invalid scalar {text!r}")
-        re_part = _parse_fraction(m.group(1))
+        re_text = m.group(1)
         if m.group(3) is None:
-            return Scalar(re_part)
+            if "/" not in re_text:
+                return _reduced(int(re_text), 0, 1)
+            return Scalar(_parse_fraction(re_text))
+        re_part = _parse_fraction(re_text)
         im_part = _parse_fraction(m.group(3))
         if m.group(2) == "-":
             im_part = -im_part
@@ -95,22 +102,34 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not other.a and not other.b:
+            return self
+        if not self.a and not self.b:
+            return other
         d, e = self.d, other.d
         if d == e:
             return _reduced(self.a + other.a, self.b + other.b, d)
         return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if not other.a and not other.b:
+            return self
+        if not self.a and not self.b:
+            return _negated(other)
         d, e = self.d, other.d
         if d == e:
             return _reduced(self.a - other.a, self.b - other.b, d)
         return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "Scalar":
-        return _reduced(-self.a, -self.b, self.d)
+        return _negated(self)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, e = self.a, self.b, other.a, other.b
+        if not e and other.d == 1 and -1 <= c <= 1:
+            return self if c == 1 else _negated(self) if c else ZERO
+        if not b and self.d == 1 and -1 <= a <= 1:
+            return other if a == 1 else _negated(other) if a else ZERO
         if b or e:
             return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
         return _reduced(a * c, 0, self.d * other.d)
@@ -180,6 +199,15 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
     _set_a(s, a)
     _set_b(s, b)
     _set_d(s, d)
+    return s
+
+
+def _negated(x: Scalar) -> Scalar:
+    """-x; (-a - b*i)/d is in lowest terms whenever (a + b*i)/d is."""
+    s = _new(Scalar)
+    _set_a(s, -x.a)
+    _set_b(s, -x.b)
+    _set_d(s, x.d)
     return s
 
 

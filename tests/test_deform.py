@@ -14,6 +14,7 @@ from dgkit.deform import (
     _join_element,
     _split_element,
     connection_correspondence,
+    curvature_has_weight_zero,
     evaluation_functors,
     exp_series,
     exp_sum,
@@ -478,6 +479,34 @@ def test_correspondence_gauge_conjugation():
     rep = connection_correspondence(m, q, elt, ring, gauge=gauge)
     assert rep.gauge_conjugation is True
     assert rep.oracle_agrees
+
+
+def full_model_theta(full, ring, *labels):
+    """The degree-1 series whose t^1 coefficient is the sum of the labels."""
+    space = full.space
+    t1 = zero_vector(space.dim(1))
+    for lab in labels:
+        t1 = vec_add(t1, space.basis_vector(lab)[1])
+    return Series(1, [zero_vector(space.dim(1)), t1] + [zero_vector(space.dim(1))]
+                  * (ring.order - 2))
+
+
+def test_curvature_oracle_reads_false_off_weight_zero():
+    # theta ^ theta = dz1 dz2 (E1_1 - E2_2) at t^2, of h-weight -2
+    full = torus_model(2).full_model
+    ring = TruncatedRing(3)
+    theta = full_model_theta(full, ring, "dz1|E1_2", "dz2|E2_1")
+    square = full.mul(1, theta.coeffs[1], 1, theta.coeffs[1])
+    assert not vec_is_zero(square)
+    assert not vec_is_zero(full.maps["h"].apply(2, square))
+    assert not vec_is_zero(full.maps["e"].apply(2, square))
+    assert curvature_has_weight_zero(full, theta) is False
+
+
+def test_curvature_oracle_reads_true_on_a_square_zero_theta():
+    full = torus_model(2).full_model
+    theta = full_model_theta(full, TruncatedRing(3), "dz1|E1_1")
+    assert curvature_has_weight_zero(full, theta) is True
 
 
 def test_first_order_dictionary_on_certified_models():

@@ -12,7 +12,7 @@ from dgkit.graded import (
 )
 from dgkit.linalg import Matrix, dense_vector
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import COEFFS, random_algebras
+from strategies import random_algebras, sparse_vectors
 
 
 
@@ -190,7 +190,30 @@ def test_well_definedness_failure_names_the_degree_pair():
     assert check.witness == {"degree_pair": [1, 0]}
 
 
-# -- label-keyed sparse product against the dense bilinear product -------------
+# -- index-keyed products against the former label-keyed loop ------------------
+
+
+def reference_mul(alg, k1, v1, k2, v2):
+    """The former StructuredAlgebra.mul: the bilinear extension of the
+    structure constants, looked up by label pair."""
+    k = k1 + k2
+    out = [ZERO] * alg.space.dim(k)
+    labels1 = alg.space.labels(k1)
+    labels2 = alg.space.labels(k2)
+    nz1 = [(labels1[i], c) for i, c in enumerate(v1) if not c.is_zero()]
+    nz2 = [(labels2[j], c) for j, c in enumerate(v2) if not c.is_zero()]
+    loc = alg.space.label_loc
+    for l1, c1 in nz1:
+        for l2, c2 in nz2:
+            targets = alg.structure.get((l1, l2))
+            if not targets:
+                continue
+            c = c1 * c2
+            for lt, ct in targets.items():
+                idx = loc[lt][1]
+                out[idx] = out[idx] + c * ct
+    return tuple(out)
+
 
 def test_label_product_drops_cancelled_entries():
     # a*x = t and a*y = -t, so a*(x + y) = 0 on both sides
@@ -206,23 +229,23 @@ def test_label_product_drops_cancelled_entries():
 
 @settings(max_examples=150, deadline=None)
 @given(random_algebras(), st.data())
-def test_label_product_matches_dense_mul(alg, data):
+def test_products_match_the_reference(alg, data):
     space = alg.space
+    degrees = space.degrees() + [3]  # random_algebras leaves degree 3 empty
+    k1 = data.draw(st.sampled_from(degrees))
+    k2 = data.draw(st.sampled_from(degrees))
+    v1 = data.draw(sparse_vectors(space.dim(k1)))
+    v2 = data.draw(sparse_vectors(space.dim(k2)))
+    assert alg.mul(k1, v1, k2, v2) == reference_mul(alg, k1, v1, k2, v2)
     if not space.degrees():
         return
     label = data.draw(st.sampled_from(space.all_labels()))
     kl = space.degree_of(label)
-    k = data.draw(st.sampled_from(space.degrees()))
-    n = space.dim(k)
-    if data.draw(st.booleans()):
-        v = space.basis_vector(data.draw(st.sampled_from(space.labels(k))))[1]
-    else:
-        v = tuple(data.draw(st.sampled_from((ZERO,) + COEFFS)) for _ in range(n))
-    items = [(i, c) for i, c in enumerate(v) if not c.is_zero()]
+    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
     unit = space.basis_vector(label)[1]
-    m = space.dim(k + kl)
-    for label_first, dense in ((True, alg.mul(kl, unit, k, v)),
-                               (False, alg.mul(k, v, kl, unit))):
-        sparse = alg.label_product(label, k, items, label_first)
+    m = space.dim(k2 + kl)
+    for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
+                              (False, reference_mul(alg, k2, v2, kl, unit))):
+        sparse = alg.label_product(label, k2, items, label_first)
         assert all(not c.is_zero() for c in sparse.values())
-        assert dense_vector(m, sparse) == dense
+        assert dense_vector(m, sparse) == want

@@ -29,7 +29,8 @@ def test_parse_rejects_zero_denominator():
         Scalar.parse("1/0")
 
 
-@pytest.mark.parametrize("bad", ["", "i", "1+i", "1 + 2*i", "1/2/3", "1*j"])
+@pytest.mark.parametrize("bad", ["", "i", "1+i", "1 + 2*i", "1/2/3", "1*j",
+                                 "1_0", "+ 1", " 1", "1 ", "1\n", "\u0663", "0x1", "1_0/3", "1/1_0"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ScalarParseError):
         Scalar.parse(bad)
@@ -155,11 +156,13 @@ _denominators = st.one_of(st.integers(1, 12), st.integers(1, 2**70),
                           st.sampled_from([2**65, 6 * 2**64, 3**45]))
 exact_rationals = st.builds(Fraction, _numerators, _denominators)
 _ZERO_Q = Fraction(0)
+# 0, 1, -1, i and -i: the operands that +, - and * short-cut on (or next to)
+TRIVIAL_PARTS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 parts = st.one_of(
     st.tuples(exact_rationals, exact_rationals),
     st.tuples(st.just(_ZERO_Q), exact_rationals),  # pure imaginary
     st.tuples(exact_rationals, st.just(_ZERO_Q)),  # real
-    st.just((_ZERO_Q, _ZERO_Q)),
+    st.sampled_from([tuple(map(Fraction, p)) for p in TRIVIAL_PARTS]),
 )
 
 
@@ -186,8 +189,11 @@ def test_operations_match_the_fraction_reference(p, q):
     rx, ry = RefScalar(*p), RefScalar(*q)
     assert_matches(x, rx)
     assert_matches(x + y, rx + ry)
+    assert_matches(y + x, ry + rx)
     assert_matches(x - y, rx - ry)
+    assert_matches(y - x, ry - rx)
     assert_matches(x * y, rx * ry)
+    assert_matches(y * x, ry * rx)
     assert_matches(-x, -rx)
     assert_matches(x.conjugate(), rx.conjugate())
     assert (x == y) == (rx == ry)
@@ -217,6 +223,21 @@ def test_equal_values_are_equal_and_hash_alike(p, q):
         assert_canonical(same)
     # same numerators over another denominator: a different number unless zero
     assert (x.scale(Fraction(1, 2)) == x) == x.is_zero()
+
+
+@given(parts)
+def test_trivial_operands_return_shared_scalars(p):
+    # the short-cuts hand back an operand itself, not an equal copy; when x
+    # is 0 or +-1 too, either operand may be the one handed back
+    x = Scalar(*p)
+    if x not in (ZERO, ONE, -ONE):
+        assert x + ZERO is x and ZERO + x is x and x - ZERO is x
+        assert x * ONE is x and ONE * x is x
+        assert x * ZERO is ZERO and ZERO * x is ZERO
+    for same in (x + ZERO, ZERO + x, x - ZERO, x * ONE, ONE * x):
+        assert_matches(same, RefScalar(*p))
+    for negation in (ZERO - x, x * -ONE, -ONE * x, -x):
+        assert_matches(negation, -RefScalar(*p))
 
 
 def test_zero_is_canonical():
