@@ -36,6 +36,7 @@ from dgkit.graded import (
     GradedSpace,
     StructuredAlgebra,
     ValidationReport,
+    algebra_map_witness,
     cohomology,
     format_vector,
     induced_map_on_cohomology,
@@ -384,27 +385,6 @@ class FormalityZigzag:
         }
 
 
-def _algebra_map_check(report: ValidationReport, name: str,
-                       f: GradedMap, src: StructuredAlgebra, tgt: StructuredAlgebra):
-    """f(x*y) = f(x)*f(y) on all basis pairs of the source."""
-    ok, witness = True, None
-    labels = [(l, src.space.degree_of(l)) for l in src.space.all_labels()]
-    for l1, k1 in labels:
-        _, v1 = src.space.basis_vector(l1)
-        f1 = f.apply(k1, v1)
-        for l2, k2 in labels:
-            _, v2 = src.space.basis_vector(l2)
-            prod = src.mul(k1, v1, k2, v2)
-            lhs = f.apply(k1 + k2, prod)
-            rhs = tgt.mul(k1, f1, k2, f.apply(k2, v2))
-            if lhs != rhs:
-                ok, witness = False, {"pair": [l1, l2]}
-                break
-        if not ok:
-            break
-    report.add(name, ok, witness)
-
-
 def _chain_map_check(report: ValidationReport, name: str, f: GradedMap,
                      d_src: GradedMap, d_tgt: GradedMap):
     lhs = f.compose(d_src)
@@ -428,29 +408,11 @@ def _quasi_iso_certificate(mats: dict, src: CohomologyPresentation,
     return QuasiIsoCertificate(dims_s, dims_t, mats, invertible)
 
 
-def _induced_algebra_map_ok(mats: dict, src_h: CohomologyPresentation,
-                            tgt_h: CohomologyPresentation) -> bool:
-    """The cohomology-level map is itself an algebra morphism."""
-    src_alg = src_h.as_algebra()
-    tgt_alg = tgt_h.as_algebra()
-    for k1 in src_alg.space.degrees():
-        for k2 in src_alg.space.degrees():
-            k = k1 + k2
-            m1 = mats.get(k1)
-            m2 = mats.get(k2)
-            mk = mats.get(k)
-            for i in range(src_alg.space.dim(k1)):
-                for j in range(src_alg.space.dim(k2)):
-                    _, vi = src_alg.space.basis_vector(src_alg.space.labels(k1)[i])
-                    _, vj = src_alg.space.basis_vector(src_alg.space.labels(k2)[j])
-                    prod = src_alg.mul(k1, vi, k2, vj)
-                    lhs = mk.apply(prod) if mk is not None else tuple()
-                    fi = m1.column(i) if m1 is not None else tuple()
-                    fj = m2.column(j) if m2 is not None else tuple()
-                    rhs = tgt_alg.mul(k1, fi, k2, fj)
-                    if tuple(lhs) != tuple(rhs):
-                        return False
-    return True
+def _preserves_product(mats: dict, src_h: CohomologyPresentation,
+                       tgt_h: CohomologyPresentation) -> bool:
+    """The cohomology-level map with blocks mats is an algebra morphism."""
+    src, tgt = src_h.as_algebra(), tgt_h.as_algebra()
+    return algebra_map_witness(src, GradedMap(src.space, tgt.space, 0, mats), tgt) is None
 
 
 def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
@@ -519,8 +481,9 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
         for k, basis in ker_bases.items() if basis})
 
     checks = ValidationReport()
-    _algebra_map_check(checks, "inclusion preserves product", inclusion, a1, alg)
-    _algebra_map_check(checks, "projection preserves product", projection, a1, h_alg)
+    for name, f, tgt in (("inclusion", inclusion, alg), ("projection", projection, h_alg)):
+        witness = algebra_map_witness(a1, f, tgt)
+        checks.add(f"{name} preserves product", witness is None, witness)
     _chain_map_check(checks, "inclusion chain map", inclusion,
                      a1.differential(b.d0_name), d0)
     _chain_map_check(checks, "projection chain map", projection,
@@ -536,8 +499,8 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     iota_cert = _quasi_iso_certificate(iota_mats, h_d0_a1, h_d0)
     rho_cert = _quasi_iso_certificate(rho_mats, h_d0_a1, h_h)
 
-    product_ok = (_induced_algebra_map_ok(iota_mats, h_d0_a1, h_d0)
-                  and _induced_algebra_map_ok(rho_mats, h_d0_a1, h_h))
+    product_ok = (_preserves_product(iota_mats, h_d0_a1, h_d0)
+                  and _preserves_product(rho_mats, h_d0_a1, h_h))
 
     zigzag = FormalityZigzag(b, a1, h_alg, inclusion, projection,
                              h_d0, h_d0_a1, h_d1,
@@ -603,7 +566,7 @@ def same_cohomology_check(b: Bicomplex) -> SameCohomologyReport:
         if inv is None:
             return SameCohomologyReport(dims_equal, dims0, dims1, False)
         transport[k] = zig.rho_certificate.matrices[k] * inv
-    product_ok = _induced_algebra_map_ok(transport, zig.h_d0, zig.h_d1)
+    product_ok = _preserves_product(transport, zig.h_d0, zig.h_d1)
     return SameCohomologyReport(dims_equal, dims0, dims1, product_ok)
 
 

@@ -4,7 +4,12 @@ Bases are labeled; a vector in degree k is a tuple of Scalars indexed by the
 degree-k labels.  Products and brackets are sparse structure constants on
 basis pairs, extended bilinearly.  Axioms are verified by full enumeration
 over basis tuples (with sparse early-out), which stays exact and cheap at
-model dimensions.
+model dimensions.  Every check that compares two sums of structure constants
+builds both sides as sparse {label: coefficient} dicts with one in-place
+accumulator; `algebra_map_witness` is the one check that a map preserves
+products.  The axioms that do not involve a differential (associativity, and
+skew-symmetry, Jacobi and the char-0 identities of a bracket) are walked once
+per algebra; the first failing labels are cached.
 
 Sign conventions (Koszul throughout):
     d(a*b)    = d(a)*b + (-1)^deg(a) a*d(b)
@@ -241,23 +246,29 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def _sparse_scale(c: Scalar, s: dict) -> dict:
-    return {l: c * v for l, v in s.items()}
+def _accumulate(out: dict, c: Scalar, s: dict) -> dict:
+    """out += c * s in place, dropping entries that cancel; returns out.
 
-
-def _sparse_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for l, c in b.items():
-        acc = out.get(l, ZERO) + c
+    A cancelled entry that comes back is re-inserted at the end, so the
+    order of the keys records the order of the additions."""
+    for key, v in s.items():
+        acc = out.get(key, ZERO) + c * v
         if acc.is_zero():
-            out.pop(l, None)
+            out.pop(key, None)
         else:
-            out[l] = acc
+            out[key] = acc
     return out
 
 
-def _sparse_is_zero(s: dict) -> bool:
-    return all(c.is_zero() for c in s.values())
+def nonzero_image_witness(f: GradedMap) -> Optional[dict]:
+    """{"label", "image"} of the first source basis label that f does not
+    kill, or None when f is zero."""
+    for k, m in f.blocks.items():
+        for i, lab in enumerate(f.source.labels(k)):
+            img = m.column(i)
+            if not vec_is_zero(img):
+                return {"label": lab, "image": format_vector(f.target, k + f.shift, img)}
+    return None
 
 
 class StructuredAlgebra:
@@ -324,6 +335,15 @@ class StructuredAlgebra:
 
     def mul_labels(self, l1: str, l2: str) -> dict[str, Scalar]:
         return self.structure.get((l1, l2), {})
+
+    def _times_label(self, out: dict, c: Scalar, s: dict, label: str,
+                     label_first: bool) -> dict:
+        """out += c * (label * s) (label_first) or c * (s * label), for a
+        sparse {label: coefficient} vector s; returns out."""
+        for lt, cs in s.items():
+            pair = (label, lt) if label_first else (lt, label)
+            _accumulate(out, c * cs, self.structure.get(pair, {}))
+        return out
 
     @cached_property
     def _products(self) -> dict[tuple[int, int], dict[int, dict[int, tuple]]]:
@@ -396,16 +416,8 @@ class StructuredAlgebra:
     # -- axiom validation -------------------------------------------------
 
     def _d_squared_check(self, report: ValidationReport, d: GradedMap, name: str):
-        sq = d.compose(d)
-        if sq.is_zero():
-            report.add(f"{name}^2 = 0", True)
-            return
-        k = next(kk for kk, m in sq.blocks.items() if not m.is_zero())
-        lab = next(l for l in self.space.labels(k)
-                   if not vec_is_zero(sq.apply(k, self.space.basis_vector(l)[1])))
-        img = sq.apply(k, self.space.basis_vector(lab)[1])
-        report.add(f"{name}^2 = 0", False,
-                   {"label": lab, "image": format_vector(self.space, k + 2, img)})
+        witness = nonzero_image_witness(d.compose(d))
+        report.add(f"{name}^2 = 0", witness is None, witness)
 
     def _leibniz_check(self, report: ValidationReport, d: GradedMap, name: str):
         table = d.label_table()
@@ -420,19 +432,15 @@ class StructuredAlgebra:
                     or any((l1, t) in self.structure for t in d2)
                 if not relevant:
                     continue
+                # d(l1 * l2) - (d(l1) * l2 + (-1)^k1 l1 * d(l2))
                 lhs: dict[str, Scalar] = {}
-                if p12:
-                    for lt, c in p12.items():
-                        for lu, cu in table[lt].items():
-                            lhs = _sparse_add(lhs, {lu: c * cu})
-                rhs: dict[str, Scalar] = {}
-                for t, c in d1.items():
-                    rhs = _sparse_add(rhs, _sparse_scale(c, self.mul_labels(t, l2)))
+                for lt, c in (p12 or {}).items():
+                    _accumulate(lhs, c, table[lt])
+                rhs = self._times_label({}, ONE, d1, l2, False)
                 sign = ONE if k1 % 2 == 0 else MINUS_ONE
-                for t, c in d2.items():
-                    rhs = _sparse_add(rhs, _sparse_scale(sign * c, self.mul_labels(l1, t)))
-                diff = _sparse_add(lhs, _sparse_scale(MINUS_ONE, rhs))
-                if not _sparse_is_zero(diff):
+                self._times_label(rhs, sign, d2, l1, True)
+                diff = _accumulate(lhs, MINUS_ONE, rhs)
+                if diff:
                     ok = False
                     witness = {"pair": [l1, l2],
                                "difference": [[l, str(c)] for l, c in diff.items()]}
@@ -440,6 +448,69 @@ class StructuredAlgebra:
             if not ok:
                 break
         report.add(f"Leibniz({name})", ok, witness)
+
+    @cached_property
+    def _associativity_failure(self) -> Optional[tuple[str, str, str]]:
+        """The first basis triple (a, b, c) with (ab)c != a(bc), or None.  A
+        triple can only violate associativity if one of the two inner
+        products is non-zero, so the walk covers the triples through a
+        structure pair."""
+        labels = self.space.all_labels()
+        candidates = set()
+        for (a, b) in self.structure:
+            for c in labels:
+                candidates.add((a, b, c))
+                candidates.add((c, a, b))
+        for l1, l2, l3 in sorted(candidates):
+            diff = self._times_label({}, ONE, self.mul_labels(l1, l2), l3, False)
+            self._times_label(diff, MINUS_ONE, self.mul_labels(l2, l3), l1, True)
+            if diff:
+                return l1, l2, l3
+        return None
+
+    @cached_property
+    def _skew_symmetry_failure(self) -> Optional[tuple[str, str]]:
+        """The first pair (a, b) with [a,b] + (-1)^(deg a deg b) [b,a] != 0, or None."""
+        degree_of = self.space.degree_of
+        for (l1, l2) in sorted(set(self.structure) | {(b, a) for (a, b) in self.structure}):
+            koszul = ONE if (degree_of(l1) * degree_of(l2)) % 2 == 0 else MINUS_ONE
+            if _accumulate(dict(self.mul_labels(l1, l2)), koszul, self.mul_labels(l2, l1)):
+                return l1, l2
+        return None
+
+    @cached_property
+    def _jacobi_failure(self) -> Optional[tuple[str, str, str]]:
+        """The first triple violating
+        [l1,[l2,l3]] = [[l1,l2],l3] + (-1)^(deg l1 deg l2) [l2,[l1,l3]], or None."""
+        degree_of = self.space.degree_of
+        labels = self.space.all_labels()
+        candidates = set()
+        for (a, b) in self.structure:
+            for c in labels:
+                candidates.add((c, a, b))   # [l1,[l2,l3]] with (l2,l3) in S
+                candidates.add((a, b, c))   # [[l1,l2],l3]
+                candidates.add((a, c, b))   # [l2,[l1,l3]] with (l1,l3) in S
+        for l1, l2, l3 in sorted(candidates):
+            sign = ONE if (degree_of(l1) * degree_of(l2)) % 2 == 0 else MINUS_ONE
+            diff = self._times_label({}, ONE, self.mul_labels(l2, l3), l1, True)
+            self._times_label(diff, MINUS_ONE, self.mul_labels(l1, l2), l3, False)
+            self._times_label(diff, -sign, self.mul_labels(l1, l3), l2, True)
+            if diff:
+                return l1, l2, l3
+        return None
+
+    @cached_property
+    def _char0_failure(self) -> Optional[tuple[str, str]]:
+        """The first (label, identity) violating [a,a] = 0 (a even) or
+        [a,[a,a]] = 0 (a odd), or None."""
+        for lab in self.space.all_labels():
+            sq = self.mul_labels(lab, lab)
+            if self.space.degree_of(lab) % 2 == 0:
+                if sq:
+                    return lab, "[a,a]=0 (even)"
+            elif self._times_label({}, ONE, sq, lab, True):
+                return lab, "[a,[a,a]]=0 (odd)"
+        return None
 
     def validate_dg_algebra(self, d_name: str) -> ValidationReport:
         """d^2 = 0, Leibniz on all basis pairs, associativity on all triples."""
@@ -449,27 +520,8 @@ class StructuredAlgebra:
         report = ValidationReport()
         self._d_squared_check(report, d, d_name)
         self._leibniz_check(report, d, d_name)
-        ok, witness = True, None
-        labels = self.space.all_labels()
-        # A triple can only violate associativity if one of the two inner
-        # products is nonzero, so walk the sparse pair set.
-        candidates = set()
-        for (a, b) in self.structure:
-            for c in labels:
-                candidates.add((a, b, c))
-                candidates.add((c, a, b))
-        for l1, l2, l3 in sorted(candidates):
-            lhs: dict[str, Scalar] = {}
-            for lt, c in self.mul_labels(l1, l2).items():
-                lhs = _sparse_add(lhs, _sparse_scale(c, self.mul_labels(lt, l3)))
-            rhs: dict[str, Scalar] = {}
-            for lt, c in self.mul_labels(l2, l3).items():
-                rhs = _sparse_add(rhs, _sparse_scale(c, self.mul_labels(l1, lt)))
-            diff = _sparse_add(lhs, _sparse_scale(MINUS_ONE, rhs))
-            if not _sparse_is_zero(diff):
-                ok, witness = False, {"triple": [l1, l2, l3]}
-                break
-        report.add("associativity", ok, witness)
+        bad = self._associativity_failure
+        report.add("associativity", bad is None, bad and {"triple": list(bad)})
         return report
 
     def validate_dgla(self, d_name: str) -> ValidationReport:
@@ -481,63 +533,13 @@ class StructuredAlgebra:
         report = ValidationReport()
         self._d_squared_check(report, d, d_name)
         self._leibniz_check(report, d, d_name)
-
-        ok, witness = True, None
-        labels = self.space.all_labels()
-        checked = set(self.structure) | {(b, a) for (a, b) in self.structure}
-        for (l1, l2) in sorted(checked):
-            k1 = self.space.degree_of(l1)
-            k2 = self.space.degree_of(l2)
-            # [a,b] + (-1)^(deg a deg b) [b,a] must vanish
-            koszul = ONE if (k1 * k2) % 2 == 0 else MINUS_ONE
-            diff = _sparse_add(self.mul_labels(l1, l2),
-                               _sparse_scale(koszul, self.mul_labels(l2, l1)))
-            if not _sparse_is_zero(diff):
-                ok, witness = False, {"pair": [l1, l2]}
-                break
-        report.add("skew-symmetry", ok, witness)
-
-        ok, witness = True, None
-        candidates = set()
-        for (a, b) in self.structure:
-            for c in labels:
-                candidates.add((c, a, b))   # [l1,[l2,l3]] with (l2,l3) in S
-                candidates.add((a, b, c))   # [[l1,l2],l3]
-                candidates.add((a, c, b))   # [l2,[l1,l3]] with (l1,l3) in S
-        for l1, l2, l3 in sorted(candidates):
-            k1 = self.space.degree_of(l1)
-            k2 = self.space.degree_of(l2)
-            lhs: dict[str, Scalar] = {}
-            for lt, c in self.mul_labels(l2, l3).items():
-                lhs = _sparse_add(lhs, _sparse_scale(c, self.mul_labels(l1, lt)))
-            rhs: dict[str, Scalar] = {}
-            for lt, c in self.mul_labels(l1, l2).items():
-                rhs = _sparse_add(rhs, _sparse_scale(c, self.mul_labels(lt, l3)))
-            sign = ONE if (k1 * k2) % 2 == 0 else MINUS_ONE
-            for lt, c in self.mul_labels(l1, l3).items():
-                rhs = _sparse_add(rhs, _sparse_scale(sign * c, self.mul_labels(l2, lt)))
-            diff = _sparse_add(lhs, _sparse_scale(MINUS_ONE, rhs))
-            if not _sparse_is_zero(diff):
-                ok, witness = False, {"triple": [l1, l2, l3]}
-                break
-        report.add("Jacobi", ok, witness)
-
-        ok, witness = True, None
-        for lab in labels:
-            k = self.space.degree_of(lab)
-            sq = self.mul_labels(lab, lab)
-            if k % 2 == 0:
-                if not _sparse_is_zero(sq):
-                    ok, witness = False, {"label": lab, "identity": "[a,a]=0 (even)"}
-                    break
-            else:
-                bianchi: dict[str, Scalar] = {}
-                for lt, c in sq.items():
-                    bianchi = _sparse_add(bianchi, _sparse_scale(c, self.mul_labels(lab, lt)))
-                if not _sparse_is_zero(bianchi):
-                    ok, witness = False, {"label": lab, "identity": "[a,[a,a]]=0 (odd)"}
-                    break
-        report.add("char-0 consequences", ok, witness)
+        bad = self._skew_symmetry_failure
+        report.add("skew-symmetry", bad is None, bad and {"pair": list(bad)})
+        bad = self._jacobi_failure
+        report.add("Jacobi", bad is None, bad and {"triple": list(bad)})
+        bad = self._char0_failure
+        report.add("char-0 consequences", bad is None,
+                   bad and {"label": bad[0], "identity": bad[1]})
         return report
 
     def commutator_dgla(self, validate: bool = True) -> "StructuredAlgebra":
@@ -556,13 +558,35 @@ class StructuredAlgebra:
             k1 = self.space.degree_of(l1)
             k2 = self.space.degree_of(l2)
             sign = MINUS_ONE if (k1 * k2) % 2 == 0 else ONE
-            br = _sparse_add(self.mul_labels(l1, l2),
-                             _sparse_scale(sign, self.mul_labels(l2, l1)))
-            br = {l: c for l, c in br.items() if not c.is_zero()}
+            br = _accumulate(dict(self.mul_labels(l1, l2)), sign, self.mul_labels(l2, l1))
             if br:
                 structure[(l1, l2)] = br
         return StructuredAlgebra(self.space, "lie", self.differentials,
                                  structure, self.maps)
+
+
+def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
+                        tgt: StructuredAlgebra) -> Optional[dict]:
+    """The first basis pair {"pair": [a, b]} of src with f(a * b) != f(a) * f(b),
+    or None when the shift-0 map f is multiplicative on basis pairs.
+
+    f(a * b) pushes the pair's structure constants through the sparse
+    columns of f; f(a) * f(b) applies the structure of tgt to them.
+    """
+    columns = f.label_table()
+    labels = src.space.all_labels()
+    for l1 in labels:
+        f1 = columns[l1]
+        for l2 in labels:
+            lhs: dict[str, Scalar] = {}
+            for lt, c in src.mul_labels(l1, l2).items():
+                _accumulate(lhs, c, columns[lt])
+            rhs: dict[str, Scalar] = {}
+            for a, ca in f1.items():
+                tgt._times_label(rhs, ca, columns[l2], a, True)
+            if lhs != rhs:
+                return {"pair": [l1, l2]}
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from dgkit.ddbar import Bicomplex, strong_lemma_check
+from dgkit.ddbar import Bicomplex, _DegreeData, strong_lemma_check
 from dgkit.errors import InternalCheckError, ModelError, PreconditionError
 from dgkit.graded import (
     GradedMap,
@@ -32,7 +32,7 @@ from dgkit.graded import (
     StructuredAlgebra,
     ValidationReport,
     cohomology,
-    format_vector,
+    nonzero_image_witness,
 )
 from dgkit.linalg import (
     Matrix,
@@ -45,7 +45,7 @@ from dgkit.linalg import (
     kernel_of,
     vec_is_zero,
 )
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.scalars import ZERO, Scalar
 from dgkit.sl2 import (
     IsotypicDecomposition,
     QuotientResult,
@@ -172,14 +172,13 @@ def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
     for name in (DEL, DEL_BAR):
         if name not in full.differentials:
             raise ModelError(f"full model lacks differential {name!r}")
-    h = full.maps["h"]
+    h_columns = full.maps["h"].label_table()
     space = full.space
     d_labels: dict[int, list[str]] = {}
     for k in space.degrees():
+        eigen = Scalar(k)
         for lab in space.labels(k):
-            _, v = space.basis_vector(lab)
-            img = h.apply(k, v)
-            if img == tuple(c.scale(Fraction(k)) for c in v):
+            if h_columns[lab] == ({lab: eigen} if k else {}):
                 d_labels.setdefault(k, []).append(lab)
     d_space = GradedSpace(d_labels)
 
@@ -237,23 +236,12 @@ class AutodualityReport:
 def autoduality_check(m: ConnectionModel) -> AutodualityReport:
     """The three operator relations, each with a witness label on failure."""
     report = ValidationReport()
-    space = m.dolbeault.space
-
-    def witness_for(op: GradedMap, name: str):
-        bad = next((k for k, mm in op.blocks.items() if not mm.is_zero()), None)
-        if bad is None:
-            report.add(name, True)
-            return
-        lab = next(l for l in space.labels(bad)
-                   if not vec_is_zero(op.apply(bad, space.basis_vector(l)[1])))
-        img = op.apply(bad, space.basis_vector(lab)[1])
-        report.add(name, False,
-                   {"label": lab, "image": format_vector(space, bad + op.shift, img)})
-
-    witness_for(m.del_bar.compose(m.del_bar), "del_bar^2 = 0")
-    witness_for(m.del_bar_j.compose(m.del_bar_j), "del_bar_J^2 = 0")
     anti = m.del_bar.compose(m.del_bar_j).add(m.del_bar_j.compose(m.del_bar))
-    witness_for(anti, "del_bar del_bar_J + del_bar_J del_bar = 0")
+    for name, op in (("del_bar^2 = 0", m.del_bar.compose(m.del_bar)),
+                     ("del_bar_J^2 = 0", m.del_bar_j.compose(m.del_bar_j)),
+                     ("del_bar del_bar_J + del_bar_J del_bar = 0", anti)):
+        witness = nonzero_image_witness(op)
+        report.add(name, witness is None, witness)
     return AutodualityReport(report, report.passed)
 
 
@@ -744,27 +732,17 @@ def extended_strong_lemma_interior(q: QuaternionicComplex, margin: int = 1) -> E
     boundary cells and are excluded."""
     if not q.extended:
         raise PreconditionError("interior check applies to the extended variant")
-    d0, d1 = q.horizontal, q.vertical
-    d0d1 = d0.compose(d1)
+    data = _DegreeData(q.as_bicomplex())
     per_degree = {}
     rhs_ok = True
     for k in q.space.degrees():
-        n = q.space.dim(k)
-        ker0 = kernel_of(d0.block(k))
-        ker1 = kernel_of(d1.block(k))
-        im0 = image_of(d0.block(k - 1))
-        im1 = image_of(d1.block(k - 1))
-        rhs = image_of(d0d1.block(k - 2))
-        lhs = ker0.intersect(ker1).intersect(im0.add(im1))
+        rhs = data.im01[k]
+        lhs = data.ker0[k].intersect(data.ker1[k]).intersect(data.im0[k].add(data.im1[k]))
         if not lhs.contains_subspace(rhs):
             rhs_ok = False
-        interior_indices = [
-            i for i, lab in enumerate(q.space.labels(k))
-            if q.interior_cell(*q.cell_of_label(lab)[:2], margin=margin)
-        ]
-        interior = Subspace.from_vectors(
-            n, [tuple(ONE if j == i else ZERO for j in range(n))
-                for i in interior_indices])
+        interior = Subspace.from_vectors(q.space.dim(k), [
+            q.space.basis_vector(lab)[1] for lab in q.space.labels(k)
+            if q.interior_cell(*q.cell_of_label(lab)[:2], margin=margin)])
         per_degree[k] = rhs.contains_subspace(lhs.intersect(interior))
     return ExtendedLemmaReport(per_degree, rhs_ok,
                                rhs_ok and all(per_degree.values()))

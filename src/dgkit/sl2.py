@@ -19,6 +19,7 @@ from dgkit.graded import (
     GradedSpace,
     StructuredAlgebra,
     ValidationReport,
+    algebra_map_witness,
     format_vector,
 )
 from dgkit.linalg import (
@@ -31,7 +32,7 @@ from dgkit.linalg import (
     kernel_of,
     vec_is_zero,
 )
-from dgkit.scalars import ZERO, Scalar
+from dgkit.scalars import Scalar
 
 
 class Sl2Module:
@@ -259,38 +260,6 @@ def two_sided_witness(algebra: StructuredAlgebra,
                     if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
                         return {"degree": k, "label": lab}
     return None
-
-
-def algebra_map_witness(algebra: StructuredAlgebra, qmap: GradedMap,
-                        quotient: StructuredAlgebra) -> Optional[dict]:
-    """The first basis pair {"pair": [a, b]} with q(a * b) != q(a) * q(b),
-    or None when the projection q is multiplicative on basis pairs.
-
-    q(a * b) pushes the pair's structure constants through the sparse
-    columns of qmap; q(a) * q(b) applies the quotient structure to them.
-    """
-    q_columns = qmap.label_table()
-    labels = algebra.space.all_labels()
-    for lab1 in labels:
-        q1 = q_columns[lab1]
-        for lab2 in labels:
-            q2 = q_columns[lab2]
-            lhs: dict[str, Scalar] = {}
-            for lt, ct in algebra.mul_labels(lab1, lab2).items():
-                for qt, c in q_columns[lt].items():
-                    lhs[qt] = lhs.get(qt, ZERO) + ct * c
-            rhs: dict[str, Scalar] = {}
-            for a, ca in q1.items():
-                for b, cb in q2.items():
-                    for qt, c in quotient.mul_labels(a, b).items():
-                        rhs[qt] = rhs.get(qt, ZERO) + ca * cb * c
-            if _nonzero_part(lhs) != _nonzero_part(rhs):
-                return {"pair": [lab1, lab2]}
-    return None
-
-
-def _nonzero_part(s: dict) -> dict:
-    return {key: c for key, c in s.items() if not c.is_zero()}
 
 
 def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],

@@ -12,7 +12,7 @@ from dgkit.scalars import ONE, Scalar
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """run(*argv) -> (exit code, stdout) of cli.main(argv), run in one fresh
-    directory per test module and memoised per argv."""
+    directory per test module (run.workdir) and memoised per argv."""
     workdir = tmp_path_factory.mktemp("cli")
     cache = {}
 
@@ -29,6 +29,7 @@ def cli_run(tmp_path_factory):
             cache[argv] = (code, out.getvalue())
         return cache[argv]
 
+    run.workdir = workdir
     return run
 
 

@@ -39,6 +39,17 @@ def random_algebras(draw, space=None):
 
 
 @st.composite
+def dg_algebras(draw, kind="associative"):
+    """random_algebras() with a random shift-1 map as the differential "d".
+    d is in general neither square-zero nor a derivation; with kind "lie"
+    the structure constants are a bracket that in general is neither
+    skew-symmetric nor satisfies Jacobi."""
+    alg = draw(random_algebras())
+    d = draw(graded_maps(alg.space, alg.space, 1))
+    return StructuredAlgebra(alg.space, kind, {"d": d}, alg.structure)
+
+
+@st.composite
 def sparse_vectors(draw, n):
     return tuple(draw(st.sampled_from((ZERO, ZERO) + COEFFS)) for _ in range(n))
 

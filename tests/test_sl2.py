@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgkit.errors import ModelError
-from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
+from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, algebra_map_witness
 from dgkit.linalg import Matrix, Subspace, vec_is_zero
 from dgkit.models import nilpotent_torus_model, torus_model
 from dgkit.scalars import ONE, Scalar
@@ -22,7 +22,6 @@ from strategies import (
 )
 from dgkit.sl2 import (
     Sl2Module,
-    algebra_map_witness,
     integer_spectrum,
     low_weight_ideal,
     plus_quotient,
