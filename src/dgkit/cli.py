@@ -152,7 +152,7 @@ def cmd_validate(args, report: Report):
 
 def cmd_dgms(args, report: Report):
     b = _bicomplex_from_file(args.model, args.d0, args.d1)
-    structure = b.validate_structure()
+    structure = b.invariants
     report.put("bicomplex_invariants", structure.to_json(), asserted=structure.passed)
     if not structure.passed:
         return
@@ -162,7 +162,7 @@ def cmd_dgms(args, report: Report):
     report.put("induced_differentials", induced.to_json())
     if verdict.is_ddbar_algebra:
         twisted = sum_twist(b)
-        twist_verdict = is_ddbar_algebra(twisted)
+        twist_verdict = strong_lemma_check(twisted)
         report.put("sum_twist_strong_lemma", twist_verdict.strong_lemma,
                    asserted=twist_verdict.strong_lemma)
 

@@ -26,7 +26,8 @@ invertible, products are preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from dgkit.errors import InternalCheckError, PreconditionError
@@ -53,7 +54,8 @@ from dgkit.linalg import (
 
 
 class Bicomplex:
-    """A structured algebra with two named anticommuting differentials."""
+    """A structured algebra with two named anticommuting differentials.  Its
+    invariants, verdict and derivation report are computed once and shared."""
 
     def __init__(self, algebra: StructuredAlgebra, d0_name: str = "d0",
                  d1_name: str = "d1"):
@@ -70,7 +72,8 @@ class Bicomplex:
     def swapped(self) -> "Bicomplex":
         return Bicomplex(self.algebra, self.d1_name, self.d0_name)
 
-    def validate_structure(self) -> ValidationReport:
+    @cached_property
+    def invariants(self) -> ValidationReport:
         """d0^2 = 0, d1^2 = 0, d0 d1 + d1 d0 = 0, with witness degrees."""
         report = ValidationReport()
         for name, d in ((self.d0_name, self.d0), (self.d1_name, self.d1)):
@@ -85,19 +88,30 @@ class Bicomplex:
         return report
 
     def require_structure(self):
-        report = self.validate_structure()
+        report = self.invariants
         if not report.passed:
             failing = report.failures()[0]
             raise PreconditionError(
                 f"bicomplex invariant failed: {failing.name} at degree "
                 f"{(failing.witness or {}).get('degree')}")
 
-    def derivation_report(self) -> ValidationReport:
+    @cached_property
+    def derivations(self) -> ValidationReport:
         """Both differentials are derivations for the product/bracket."""
         report = ValidationReport()
         self.algebra._leibniz_check(report, self.d0, self.d0_name)
         self.algebra._leibniz_check(report, self.d1, self.d1_name)
         return report
+
+    @cached_property
+    def verdict(self) -> "DdbarVerdict":
+        """The condition verdict, with strong = b ∧ b* enforced degreewise."""
+        verdict = ddbar_condition_check(self)
+        for row in verdict.per_degree:
+            if row.strong != (row.b and row.bstar):
+                raise InternalCheckError(
+                    f"strong lemma disagrees with b ∧ b* at degree {row.degree}")
+        return verdict
 
 
 @dataclass
@@ -116,17 +130,18 @@ class DegreeConditions:
                 "dims": self.dims}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DdbarVerdict:
     """Outcome of the condition checks on a bicomplex.
 
     `strong_lemma` is the conjunction over degrees of the three-way subspace
     identity; by the equivalence lemma it must equal condition_b and
-    condition_bstar jointly, and this agreement is enforced.
+    condition_bstar jointly, and this agreement is enforced.  Verdicts are
+    shared through `Bicomplex.verdict`, so they are frozen.
     """
 
     anticommute: bool
-    per_degree: list[DegreeConditions] = field(default_factory=list)
+    per_degree: tuple[DegreeConditions, ...] = ()
     condition_b: bool = True
     condition_bstar: bool = True
     condition_c: bool = True
@@ -213,7 +228,8 @@ def ddbar_condition_check(b: Bicomplex) -> DdbarVerdict:
     data = _DegreeData(b)
     c_dims = _restricted_complex_acyclic(b, b.d0, b.d1)
     cstar_dims = _restricted_complex_acyclic(b, b.d1, b.d0)
-    verdict = DdbarVerdict(anticommute=True)
+    per_degree: list[DegreeConditions] = []
+    witnesses: dict = {}
     for k in b.space.degrees():
         lhs_b = data.ker1[k].intersect(data.im0[k])
         lhs_bstar = data.ker0[k].intersect(data.im1[k])
@@ -231,49 +247,48 @@ def ddbar_condition_check(b: Bicomplex) -> DdbarVerdict:
         strong_lhs = data.ker0[k].intersect(data.ker1[k]).intersect(
             data.im0[k].add(data.im1[k]))
         ok_strong = strong_lhs == rhs
-        verdict.per_degree.append(DegreeConditions(
+        per_degree.append(DegreeConditions(
             k, ok_b, ok_bstar, ok_c, ok_cstar, ok_strong,
             {"ker_d0": data.ker0[k].dim, "ker_d1": data.ker1[k].dim,
              "im_d0": data.im0[k].dim, "im_d1": data.im1[k].dim,
              "im_d0d1": rhs.dim}))
-        if not ok_b and "b" not in verdict.witnesses:
+        if not ok_b and "b" not in witnesses:
             w = _first_missing_vector(lhs_b, rhs)
-            verdict.witnesses["b"] = {"degree": k,
-                                      "vector": format_vector(b.space, k, w)}
-        if not ok_bstar and "bstar" not in verdict.witnesses:
+            witnesses["b"] = {"degree": k,
+                              "vector": format_vector(b.space, k, w)}
+        if not ok_bstar and "bstar" not in witnesses:
             w = _first_missing_vector(lhs_bstar, rhs)
-            verdict.witnesses["bstar"] = {"degree": k,
-                                          "vector": format_vector(b.space, k, w)}
-        if not ok_strong and "strong" not in verdict.witnesses:
+            witnesses["bstar"] = {"degree": k,
+                                  "vector": format_vector(b.space, k, w)}
+        if not ok_strong and "strong" not in witnesses:
             w = _first_missing_vector(strong_lhs, rhs)
-            verdict.witnesses["strong"] = {"degree": k,
-                                           "vector": format_vector(b.space, k, w)}
-    verdict.condition_b = all(d.b for d in verdict.per_degree)
-    verdict.condition_bstar = all(d.bstar for d in verdict.per_degree)
-    verdict.condition_c = all(d.c for d in verdict.per_degree)
-    verdict.condition_cstar = all(d.cstar for d in verdict.per_degree)
-    verdict.strong_lemma = all(d.strong for d in verdict.per_degree)
-    return verdict
+            witnesses["strong"] = {"degree": k,
+                                   "vector": format_vector(b.space, k, w)}
+    return DdbarVerdict(
+        anticommute=True, per_degree=tuple(per_degree),
+        condition_b=all(d.b for d in per_degree),
+        condition_bstar=all(d.bstar for d in per_degree),
+        condition_c=all(d.c for d in per_degree),
+        condition_cstar=all(d.cstar for d in per_degree),
+        strong_lemma=all(d.strong for d in per_degree),
+        witnesses=witnesses)
 
 
 def strong_lemma_check(b: Bicomplex) -> DdbarVerdict:
     """Full verdict; enforces strong = b ∧ b* degreewise (the equivalence)."""
-    verdict = ddbar_condition_check(b)
-    for row in verdict.per_degree:
-        if row.strong != (row.b and row.bstar):
-            raise InternalCheckError(
-                f"strong lemma disagrees with b ∧ b* at degree {row.degree}")
-    return verdict
+    return b.verdict
 
 
 def is_ddbar_algebra(b: Bicomplex) -> DdbarVerdict:
-    """strong_lemma_check plus derivation checks for both differentials."""
+    """strong_lemma_check plus derivation checks for both differentials, as
+    a new verdict; the shared one is left as it is."""
     verdict = strong_lemma_check(b)
-    deriv = b.derivation_report()
-    verdict.is_ddbar_algebra = verdict.strong_lemma and deriv.passed
+    deriv = b.derivations
+    witnesses = dict(verdict.witnesses)
     if not deriv.passed:
-        verdict.witnesses["derivation"] = deriv.failures()[0].to_json()
-    return verdict
+        witnesses["derivation"] = deriv.failures()[0].to_json()
+    return replace(verdict, witnesses=witnesses,
+                   is_ddbar_algebra=verdict.strong_lemma and deriv.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +320,7 @@ def induced_differential_triviality(b: Bicomplex) -> InducedDifferentialReport:
     (and b* symmetrically); the report also records the computed maps on
     models where the condition fails, naming the failed condition.
     """
-    b.require_structure()
-    conditions = ddbar_condition_check(b)
+    conditions = strong_lemma_check(b)
     h1 = cohomology(b.algebra, b.d1_name)
     h0 = cohomology(b.algebra, b.d0_name)
     witnesses = {}
@@ -427,7 +441,7 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     if not verdict.strong_lemma:
         raise PreconditionError("formality requires the strong lemma; "
                                 f"witness: {verdict.witnesses}")
-    deriv = b.derivation_report()
+    deriv = b.derivations
     if not deriv.passed:
         raise PreconditionError(
             f"formality requires derivation differentials: {deriv.failures()[0].name}")

@@ -25,11 +25,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.linalg import (
+    Complement,
     Matrix,
     Subspace,
     Vector,
-    coordinates_in_basis,
-    extend_basis,
     image_of,
     kernel_of,
     unit_vector,
@@ -615,7 +614,7 @@ class CohomologyPresentation:
         self.kernels: dict[int, Subspace] = {}
         self.images: dict[int, Subspace] = {}
         self.reps: dict[int, list[Vector]] = {}
-        self._proj_basis: dict[int, list[Vector]] = {}
+        self._complements: dict[int, Complement] = {}
         for k in space.degrees():
             n = space.dim(k)
             if n == 0:
@@ -624,9 +623,9 @@ class CohomologyPresentation:
             im = image_of(d.block(k - 1))
             self.kernels[k] = ker
             self.images[k] = im
-            comp = extend_basis(im, ker)
-            self.reps[k] = comp
-            self._proj_basis[k] = im.vectors() + comp
+            comp = Complement(im, ker.vectors())
+            self._complements[k] = comp
+            self.reps[k] = comp.vectors
 
         self.h_space = GradedSpace({
             k: [f"h{k}_{i}" for i in range(len(reps))]
@@ -648,12 +647,12 @@ class CohomologyPresentation:
         return self.project_many(k, [v])[0]
 
     def project_many(self, k: int, vectors: Sequence[Vector]) -> list[Vector]:
-        basis = self._proj_basis.get(k, [])
-        coords = coordinates_in_basis(basis, list(vectors))
+        comp = (self._complements.get(k)  # or a degree the space does not have
+                or Complement(Subspace.zero(self.algebra.space.dim(k)), []))
+        coords = comp.project(vectors)
         if coords is None:
             raise PreconditionError(f"vector at degree {k} is not closed")
-        n_im = len(basis) - self.dim(k)
-        return [tuple(c[n_im:]) for c in coords]
+        return coords
 
     def induced_structure(self) -> dict:
         """Structure constants inherited on cohomology classes."""

@@ -447,18 +447,40 @@ def coordinates_in_basis(basis_vectors: Sequence[Vector], vectors: Sequence[Vect
     return [sol.column(j) for j in range(sol.cols)]
 
 
-def extend_basis(inner: Subspace, outer: Subspace) -> list:
-    """Vectors of `outer` extending a basis of `inner` to one of `outer`.
+class Complement:
+    """A complement of `inner` in inner + span(outer), and the projection onto
+    it along `inner`.  A vector of `outer` is taken, in order, when it is not
+    in the span of `inner` and the vectors taken before.  One elimination of
+    the columns [inner basis | outer | identity] picks them as pivot columns
+    and leaves in the identity block an invertible E with E B = [I; 0] for
+    B = [inner basis | vectors]; `project` only applies rows of E."""
 
-    The returned complement vectors are rows of outer's canonical basis, so
-    the choice is deterministic.
-    """
-    if not outer.contains_subspace(inner):
-        raise DimensionMismatch("inner subspace is not contained in outer")
-    chosen = []
-    current = inner
-    for v in outer.vectors():
-        if not current.contains(v):
-            chosen.append(v)
-            current = current.add(Subspace.from_vectors(outer.ambient_dim, [v]))
-    return chosen
+    __slots__ = ("taken", "vectors", "_rows")
+
+    def __init__(self, inner: Subspace, outer: Sequence[Vector]):
+        n = inner.ambient_dim
+        outer = list(outer)
+        if any(len(v) != n for v in outer):
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        left = inner.vectors() + outer
+        red, pivots = Matrix(n, len(left) + n, [
+            [v[i] for v in left] + [ONE if j == i else ZERO for j in range(n)]
+            for i in range(n)]).rref()
+        a = inner.dim
+        self.taken = [p - a for p in pivots if a <= p < len(left)]  # indices into outer
+        self.vectors = [outer[i] for i in self.taken]
+        # rows a.. of E: complement coordinates, then rows vanishing on B
+        self._rows = Matrix(n - a, n, [red.data[i][len(left):] for i in range(a, n)])
+
+    def project(self, vectors: Sequence[Vector]) -> Optional[list]:
+        """The complement coordinates of each vector in the basis
+        [inner basis | self.vectors], or None if some vector is outside
+        their span."""
+        m = len(self.vectors)
+        out = []
+        for v in vectors:
+            c = self._rows.apply(v)
+            if not all(x.is_zero() for x in c[m:]):
+                return None
+            out.append(c[:m])
+        return out

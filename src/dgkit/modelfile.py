@@ -87,11 +87,14 @@ class ParsedModel:
                          "(d0, d1) nor full data")
 
 
-def _scalar(tok: str, line_no: int, line: str) -> Scalar:
-    try:
-        return Scalar.parse(tok)
-    except ScalarParseError as exc:
-        raise ParseError(str(exc), line_no, line.find(tok) + 1) from exc
+def _scalar(tok: str, line_no: int, line: str, parsed: dict) -> Scalar:
+    """The scalar of a token, parsed once per distinct token into `parsed`."""
+    if tok not in parsed:
+        try:
+            parsed[tok] = Scalar.parse(tok)
+        except ScalarParseError as exc:
+            raise ParseError(str(exc), line_no, line.find(tok) + 1) from exc
+    return parsed[tok]
 
 
 def parse_model(text: str) -> ParsedModel:
@@ -101,6 +104,7 @@ def parse_model(text: str) -> ParsedModel:
     structure_raw: list[tuple] = []     # (l1, l2, lt, Scalar)
     sl2_names = None
     j_name = None
+    scalars: dict[str, Scalar] = {}
 
     section = None
     current_map = None
@@ -166,7 +170,7 @@ def parse_model(text: str) -> ParsedModel:
             stok = stok.strip()
             if not frm or not to or not stok or " " in frm or " " in to:
                 raise ParseError("map entry is: FROM -> TO : SCALAR", line_no)
-            current_map[2].append((frm, to, _scalar(stok, line_no, line)))
+            current_map[2].append((frm, to, _scalar(stok, line_no, line, scalars)))
         elif section == "structure":
             if "->" not in line or ":" not in line:
                 raise ParseError("structure entry is: L1 L2 -> L3 : SCALAR", line_no)
@@ -177,7 +181,7 @@ def parse_model(text: str) -> ParsedModel:
                 raise ParseError("structure entry needs two source labels", line_no)
             lt = mid.strip()
             structure_raw.append((pair[0], pair[1], lt,
-                                  _scalar(stok.strip(), line_no, line)))
+                                  _scalar(stok.strip(), line_no, line, scalars)))
         else:
             raise ParseError(f"unexpected line outside any section: {line!r}",
                              line_no)

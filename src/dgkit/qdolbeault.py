@@ -35,11 +35,10 @@ from dgkit.graded import (
     nonzero_image_witness,
 )
 from dgkit.linalg import (
+    Complement,
     Matrix,
     Subspace,
     Vector,
-    coordinates_in_basis,
-    extend_basis,
     image_of,
     invert,
     kernel_of,
@@ -463,8 +462,7 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
     dbar_j = q.model.del_bar_j
     cells = set(q.cells)
 
-    reps: dict[tuple, list[Vector]] = {}
-    proj_basis: dict[tuple, list[Vector]] = {}
+    complements: dict[tuple, Complement] = {}
     e1_dims: dict[tuple, int] = {}
     for (p, qq) in q.cells:
         k = p + qq
@@ -472,17 +470,8 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         ker = kernel_of(dbar.block(k)) if (p, qq + 1) in cells else Subspace.full(n)
         im = (image_of(dbar.block(k - 1)) if (p, qq - 1) in cells
               else Subspace.zero(n))
-        comp = extend_basis(im, ker)
-        reps[(p, qq)] = comp
-        proj_basis[(p, qq)] = im.vectors() + comp
-        e1_dims[(p, qq)] = len(comp)
-
-    def project(cell, vectors):
-        basis = proj_basis[cell]
-        coords = coordinates_in_basis(basis, vectors)
-        if coords is None:
-            raise InternalCheckError("induced map image not vertical-closed")
-        return [tuple(c[len(basis) - e1_dims[cell]:]) for c in coords]
+        complements[(p, qq)] = Complement(im, ker.vectors())
+        e1_dims[(p, qq)] = len(complements[(p, qq)].vectors)
 
     induced: dict[tuple, Matrix] = {}
     for (p, qq) in q.cells:
@@ -490,11 +479,13 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         if tgt not in cells:
             continue
         k = p + qq
-        src_reps = reps[(p, qq)]
+        src_reps = complements[(p, qq)].vectors
         if not src_reps:
             continue
-        imgs = [dbar_j.apply(k, r) for r in src_reps]
-        induced[(p, qq)] = Matrix.from_columns(e1_dims[tgt], project(tgt, imgs))
+        coords = complements[tgt].project([dbar_j.apply(k, r) for r in src_reps])
+        if coords is None:
+            raise InternalCheckError("induced map image not vertical-closed")
+        induced[(p, qq)] = Matrix.from_columns(e1_dims[tgt], coords)
 
     # sanity: the induced horizontal differential squares to zero
     for (p, qq), m in induced.items():

@@ -23,12 +23,11 @@ from dgkit.graded import (
     format_vector,
 )
 from dgkit.linalg import (
+    Complement,
     Matrix,
     Subspace,
     Vector,
-    coordinates_in_basis,
     dense_vector,
-    extend_basis,
     kernel_of,
     vec_is_zero,
 )
@@ -63,8 +62,12 @@ class Sl2Module:
         def comm(a: GradedMap, b: GradedMap) -> GradedMap:
             return a.compose(b).add(b.compose(a).neg())
 
-        report.add("[h,e] = 2e", comm(self.h, self.e) == self.e.scale(two))
-        report.add("[h,f] = -2f", comm(self.h, self.f) == self.f.scale(-two))
+        def is_multiple(a: GradedMap, c: Scalar, b: GradedMap) -> bool:
+            """a = c b for a non-zero c, through the non-zero entries."""
+            return a.entries() == [(s, t, c * x) for s, t, x in b.entries()]
+
+        report.add("[h,e] = 2e", is_multiple(comm(self.h, self.e), two, self.e))
+        report.add("[h,f] = -2f", is_multiple(comm(self.h, self.f), -two, self.f))
         report.add("[e,f] = h", comm(self.e, self.f) == self.h)
         return report
 
@@ -303,36 +306,31 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     h = algebra.maps.get("h")
     # a decomposition of this very h already holds its eigenspaces
     stored = decomp.eigenspaces if decomp is not None and decomp.module.h is h else None
+    complements: dict[int, Complement] = {}
     reps: dict[int, list[Vector]] = {}
     bidegrees: dict[str, tuple[int, int]] = {}
     rep_weights: dict[int, list[Optional[int]]] = {}
     for k in space.degrees():
         n = space.dim(k)
         ik = ideal.get(k, Subspace.zero(n))
-        chosen: list[Vector] = []
-        weights: list[Optional[int]] = []
-        if h is not None:
-            covered = 0
+        if h is None:
+            outer, weights = Subspace.full(n).vectors(), [None] * n
+        else:
             if stored is None:
                 spectrum = integer_spectrum(h.block(k))
             else:
                 spectrum = {lam: eig for (kk, lam), eig in stored.items() if kk == k}
-            for lam, eig in sorted(spectrum.items()):
-                i_lam = ik.intersect(eig)
-                covered += i_lam.dim
-                for v in extend_basis(i_lam, eig):
-                    chosen.append(v)
-                    weights.append(lam)
-            if covered != ik.dim:
+            # h is diagonalizable: an h-stable ideal is the sum of its parts in
+            # the eigenspaces, so the complement splits along them as well
+            if not all(ik.contains(h.apply(k, v)) for v in ik.vectors()):
                 raise ModelError(
                     f"ideal is not h-stable at degree {k}; bigraded quotient "
                     f"unavailable")
-        else:
-            full = Subspace.full(n)
-            chosen = extend_basis(ik, full)
-            weights = [None] * len(chosen)
-        reps[k] = chosen
-        rep_weights[k] = weights
+            pairs = [(lam, v) for lam, eig in sorted(spectrum.items()) for v in eig.vectors()]
+            outer, weights = [v for _, v in pairs], [lam for lam, _ in pairs]
+        complements[k] = Complement(ik, outer)
+        reps[k] = complements[k].vectors
+        rep_weights[k] = [weights[i] for i in complements[k].taken]
 
     q_space = GradedSpace({k: [f"q{k}_{i}" for i in range(len(v))]
                            for k, v in reps.items() if v})
@@ -348,13 +346,10 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     for k in space.degrees():
         if not reps[k]:
             continue
-        ik = ideal.get(k, Subspace.zero(space.dim(k)))
-        basis = ik.vectors() + reps[k]
-        targets = [space.basis_vector(l)[1] for l in space.labels(k)]
-        coords = coordinates_in_basis(basis, targets)
+        coords = complements[k].project([space.basis_vector(l)[1] for l in space.labels(k)])
         if coords is None:
             raise InternalCheckError("ideal + representatives do not span")
-        proj_blocks[k] = Matrix.from_columns(len(reps[k]), [cv[ik.dim:] for cv in coords])
+        proj_blocks[k] = Matrix.from_columns(len(reps[k]), coords)
     qmap = GradedMap(space, q_space, 0, proj_blocks)
 
     # quotient structure and differentials through the projection

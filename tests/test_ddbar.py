@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from dgkit.ddbar import (
     formality_zigzag,
     homotopy_abelian_verdict,
     induced_differential_triviality,
+    is_ddbar_algebra,
     same_cohomology_check,
     strong_lemma_check,
     sum_twist,
@@ -290,3 +294,75 @@ def test_formality_product_checks_match_the_dense_loops(b):
     assert ref_induced_algebra_map_ok(zig.iota_certificate.matrices, zig.h_d0_a1, zig.h_d0)
     assert ref_induced_algebra_map_ok(zig.rho_certificate.matrices, zig.h_d0_a1, h_h)
     assert same_cohomology_check(b).product_tables_agree
+
+
+# -- one verdict per bicomplex ------------------------------------------------
+
+
+def test_is_ddbar_algebra_leaves_the_shared_verdict_alone():
+    """d0(x) = y with x * x = x is square-zero but no derivation:
+    d0(x * x) = y while d0(x) * x + x * d0(x) = 0."""
+    space = GradedSpace({0: ["x"], 1: ["y"]})
+    d0 = GradedMap.from_entries(space, space, 1, [("x", "y", ONE)])
+    alg = StructuredAlgebra(space, "associative",
+                            {"d0": d0, "d1": GradedMap.zero(space, space, 1)},
+                            StructuredAlgebra.structure_from_triples([("x", "x", "x", ONE)]))
+    b = Bicomplex(alg, "d0", "d1")
+
+    def frozen(verdict):  # to_json shares the verdict's witness dict
+        return json.dumps(verdict.to_json(), sort_keys=True)
+
+    before = frozen(strong_lemma_check(b))
+    got = is_ddbar_algebra(b)
+    assert got.is_ddbar_algebra is False
+    assert got.witnesses["derivation"]["name"] == "Leibniz(d0)"
+    assert frozen(strong_lemma_check(b)) == before
+    assert "derivation" not in before and "is_ddbar_algebra" not in before
+    assert frozen(is_ddbar_algebra(b)) == frozen(got)
+    assert strong_lemma_check(b) is strong_lemma_check(b)
+    with pytest.raises(AttributeError):
+        got.strong_lemma = True
+
+
+# sha256 and exit code of the `--format json` reports, run in the directory of
+# the model files; recorded before the strong-lemma verdict was cached per
+# bicomplex and the complement-and-projection copies were merged
+VERDICT_REPORT_SHA256 = {
+    ("dgms", "torus_r2.model", "--d0", "del", "--d1", "del_bar"):
+        (0, "2fdc5c4e49a2d96db120495263c80f9a8680a3962df69e14e37a0b6437e4cb70"),
+    ("spectral", "torus_r2.model"):
+        (0, "df2348ed03187f094a0619eb48776c759adc2b16eca79d330c60f590fefc115a"),
+    ("qdolbeault", "torus_r2.model", "--phi"):
+        (0, "34ae7de969da30d7586b33795ba7020a3b817fc18cc65d83ccb2f727e851f445"),
+    ("dgms", "twisted_r2.model", "--d0", "del", "--d1", "del_bar"):
+        (1, "77ed8a28493cdde0a4550aebff8cd20ca4a9a63ce7d338c3e34746b275e10b65"),
+    ("spectral", "twisted_r2.model"):
+        (0, "7f8fd9f66bcd47349b74a33d61565c223b1056cce25e40d7e63df18d4d5c97d5"),
+    ("qdolbeault", "twisted_r2.model", "--phi"):
+        (0, "d38bae68d966c587fcaf106a0f6499188ea5cd22f88b6a529a263f98a70161b0"),
+    ("dgms", "ds.model"):
+        (0, "4d19bab40aa11badc0ea4b49aeec143f644a981343787ea05ce7562b1bfde350"),
+    ("formality", "ds.model"):
+        (0, "d9ba2295088be4ed5a7e723091387a7117903d19278d1d8f13616099d6fd360c"),
+    ("cohomology", "ds.model"):
+        (0, "f26948889f67c49ca6b4ffb135d6f85895dfea64f195024649555a8739fb360b"),
+}
+
+
+@pytest.fixture(scope="module")
+def verdict_models(cli_run):
+    """cli_run in a directory holding the rank-2 torus, its nilpotent twist
+    and a gl(2)-tensored dots-squares model."""
+    for argv in (("torus", "--rank", "2", "-o", "torus_r2.model"),
+                 ("torus", "--rank", "2", "--nilpotent-twist", "-o", "twisted_r2.model"),
+                 ("dots-squares", "--dots", "0:1,1:2,2:1", "--squares", "0",
+                  "--end-rank", "2", "--seed", "5", "-o", "ds.model")):
+        assert cli_run("generate", *argv)[0] == 0
+    return cli_run
+
+
+@pytest.mark.parametrize("argv", list(VERDICT_REPORT_SHA256),
+                         ids=[" ".join(a[:2]) for a in VERDICT_REPORT_SHA256])
+def test_strong_lemma_reports_are_pinned(verdict_models, argv):
+    code, out = verdict_models("--format", "json", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERDICT_REPORT_SHA256[argv]

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgkit.linalg import (
+    Complement,
     DimensionMismatch,
     Matrix,
     Subspace,
     coordinates_in_basis,
-    extend_basis,
     image_of,
     kernel_of,
     linear_solve,
@@ -146,10 +146,24 @@ def test_solve_batch_and_coordinates():
 def test_extend_basis():
     inner = Subspace.from_vectors(3, [V(1, 0, 0)])
     outer = Subspace.full(3)
-    comp = extend_basis(inner, outer)
-    assert len(comp) == 2
-    total = inner.add(Subspace.from_vectors(3, comp))
+    comp = Complement(inner, outer.vectors())
+    assert comp.vectors == [V(0, 1, 0), V(0, 0, 1)] == ref_extend_basis(inner, outer)
+    assert comp.taken == [1, 2]
+    total = inner.add(Subspace.from_vectors(3, comp.vectors))
     assert total == outer
+    # the inner part is dropped; a vector of F^3 always lies in the span
+    assert comp.project([V(5, 2, -1), V(1, 0, 0)]) == [(Scalar(2), -ONE), (ZERO, ZERO)]
+
+
+def test_complement_projection_rejects_vectors_outside_the_span():
+    inner = Subspace.from_vectors(3, [V(1, 1, 0)])
+    comp = Complement(inner, [V(1, 1, 0), V(2, 2, 0), V(0, 1, 0)])
+    assert comp.taken == [2]
+    assert comp.project([V(3, 1, 0)]) == [(Scalar(-2),)]
+    assert comp.project([V(3, 1, 0), V(0, 0, 1)]) is None
+    assert comp.project([]) == []
+    empty = Complement(Subspace.zero(0), [])
+    assert (empty.vectors, empty.project([(), ()])) == ([], [(), ()])
 
 
 # -- property-based checks ----------------------------------------------------
@@ -281,6 +295,27 @@ def ref_linear_solve(m, target):
     for r, p in enumerate(pivots):
         x[p] = rows[r][m.cols]
     return tuple(x), ref_kernel(m)
+
+
+def ref_extend_basis(inner, outer):
+    """Vectors of `outer` extending a basis of `inner`: each canonical row of
+    outer not yet in the span, with one Subspace.add per row taken."""
+    if not outer.contains_subspace(inner):
+        raise DimensionMismatch("inner subspace is not contained in outer")
+    chosen = []
+    current = inner
+    for v in outer.vectors():
+        if not current.contains(v):
+            chosen.append(v)
+            current = current.add(Subspace.from_vectors(outer.ambient_dim, [v]))
+    return chosen
+
+
+def ref_project(inner, complement, vectors):
+    """Complement coordinates of each vector, one elimination of
+    [inner basis | complement | vectors] per call; None outside the span."""
+    coords = coordinates_in_basis(inner.vectors() + complement, list(vectors))
+    return None if coords is None else [tuple(c[inner.dim:]) for c in coords]
 
 
 UNITS = (ONE, -ONE, Scalar(0, 1), Scalar(0, -1))
@@ -560,3 +595,65 @@ def test_matrix_layout_stays_private():
             if isinstance(node, ast.Attribute) and node.attr == "data":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# -- the complement-and-projection primitive against the per-call references --
+
+
+def combination(draw, rows, n):
+    """A sparse Q(i) combination of the given rows of length n."""
+    coeffs = draw(sparse_vectors(len(rows)))
+    return tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), ZERO) for j in range(n))
+
+
+@st.composite
+def nested_subspaces(draw):
+    """(inner, outer) with inner inside outer: empty, equal to outer, or
+    spanned by sparse combinations of outer's rows."""
+    n = draw(dims)
+    outer = Subspace.from_vectors(n, draw(sparse_matrices(cols=n)).data)
+    how = draw(st.sampled_from(("empty", "equal", "combinations")))
+    if how == "empty":
+        return Subspace.zero(n), outer
+    if how == "equal":
+        return outer, outer
+    rows = outer.vectors()
+    count = draw(st.integers(0, len(rows)))
+    return Subspace.from_vectors(n, [combination(draw, rows, n) for _ in range(count)]), outer
+
+
+@oracle
+@given(nested_subspaces(), st.data())
+def test_complement_matches_extend_basis_and_projection_references(pair, data):
+    inner, outer = pair
+    n = outer.ambient_dim
+    comp = Complement(inner, outer.vectors())
+    assert comp.vectors == ref_extend_basis(inner, outer)
+    assert comp.vectors == [outer.vectors()[i] for i in comp.taken]
+    # vectors of outer, then (often) one that need not lie in outer
+    vectors = [combination(data.draw, outer.vectors(), n)
+               for _ in range(data.draw(st.integers(0, 3)))]
+    if data.draw(st.booleans()):
+        vectors.append(data.draw(sparse_vectors(n)))
+    want = ref_project(inner, comp.vectors, vectors)
+    assert comp.project(vectors) == want
+    assert (want is None) == (not all(outer.contains(v) for v in vectors))
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_complement_takes_each_candidate_outside_the_span_so_far(m, data):
+    """Any candidate list, not only canonical rows: a candidate is taken
+    exactly when it is not in the span of inner and the ones taken before."""
+    n = m.cols
+    inner = Subspace.from_vectors(n, m.data)
+    outer = [tuple(row) for row in data.draw(sparse_matrices(cols=n)).data]
+    comp = Complement(inner, outer)
+    current, taken = inner, []
+    for i, v in enumerate(outer):
+        if not current.contains(v):
+            taken.append(i)
+            current = current.add(Subspace.from_vectors(n, [v]))
+    assert comp.taken == taken
+    v = data.draw(sparse_vectors(n))
+    assert comp.project([v]) == ref_project(inner, comp.vectors, [v])

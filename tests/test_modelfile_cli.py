@@ -16,6 +16,7 @@ from dgkit.modelfile import (
 )
 from dgkit.models import dots_squares_model, torus_model
 from dgkit.qdolbeault import autoduality_check
+from dgkit.scalars import Scalar
 
 GOOD = """
 kind associative
@@ -60,6 +61,20 @@ def test_zero_denominator_scalar_is_parse_error():
         parse_model(bad)
     assert "denominator" in str(err.value)
     assert "line" in str(err.value)
+
+
+def test_repeated_scalar_tokens_each_report_their_own_position():
+    # "1" parses once and is shared; a bad token is never stored, so each
+    # occurrence raises at its own line and column
+    text = GOOD + "one one -> one : 1\none b -> b :  1/0\n"
+    parsed = parse_model(text.replace("1/0", "1"))
+    assert parsed.algebra.mul_labels("one", "one") == {"one": Scalar(1)}
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (15, 15)
+    with pytest.raises(ParseError) as err:
+        parse_model(text.replace("a -> b : 1/2", "a -> b : 1/0"))
+    assert (err.value.line, err.value.column) == (10, 10)
 
 
 def test_unknown_label_is_semantic_error():

@@ -217,6 +217,48 @@ def test_differential_unstable_ideal_rejected():
         plus_quotient(alg, ideal)
 
 
+def ref_quotient_reps(ideal, decomp, degrees):
+    """The quotient basis eigenspace by eigenspace: each canonical row of an
+    h-eigenspace not yet in the span of the ideal's part in it and the rows
+    taken before."""
+    reps = {}
+    for k in degrees:
+        chosen = []
+        for lam, eig in sorted((lam, eig) for (kk, lam), eig in decomp.eigenspaces.items()
+                               if kk == k):
+            current = ideal[k].intersect(eig)
+            for v in eig.vectors():
+                if not current.contains(v):
+                    chosen.append(v)
+                    current = current.add(Subspace.from_vectors(eig.ambient_dim, [v]))
+        reps[k] = chosen
+    return reps
+
+
+@pytest.mark.parametrize("which", ["low_weight", "zero", "positive_degrees"])
+def test_quotient_basis_matches_the_per_eigenspace_reference(which):
+    full = torus_model(1).full_model
+    degrees = full.space.degrees()
+    decomp = weight_decomposition(Sl2Module.from_algebra(full))
+    dim = full.space.dim
+    ideal = {"low_weight": lambda: low_weight_ideal(full, decomp),
+             "zero": lambda: {k: Subspace.zero(dim(k)) for k in degrees},
+             "positive_degrees": lambda: {k: Subspace.full(dim(k)) if k >= 1
+                                          else Subspace.zero(dim(k)) for k in degrees}}[which]()
+    assert plus_quotient(full, ideal).reps == ref_quotient_reps(ideal, decomp, degrees)
+
+
+def test_ideal_that_is_not_h_stable_rejected():
+    # h = diag(1, -1) on a, b; with no products every subspace is an ideal
+    space = GradedSpace({0: ["a", "b"]})
+    h = GradedMap.from_entries(space, space, 0, [("a", "a", ONE), ("b", "b", -ONE)])
+    alg = StructuredAlgebra(space, "associative", {}, {}, {"h": h})
+    stable = plus_quotient(alg, {0: Subspace.from_vectors(2, [(ONE, Scalar(0))])})
+    assert stable.reps == {0: [(Scalar(0), ONE)]}
+    with pytest.raises(ModelError, match="not h-stable at degree 0"):
+        plus_quotient(alg, {0: Subspace.from_vectors(2, [(ONE, ONE)])})
+
+
 def test_idempotent_restriction_of_decomposition():
     # restricting to one isotypic component returns a single weight
     full = torus_model(1).full_model
