@@ -122,8 +122,10 @@ def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
     diffs = parsed.algebra.differentials
     if d0 in diffs and d1 in diffs:
         return Bicomplex(parsed.algebra, d0, d1)
-    if DEL_BAR_J in diffs and DEL_BAR in diffs:
+    if parsed.is_connection():
         return Bicomplex(parsed.algebra, DEL_BAR_J, DEL_BAR)
+    if parsed.is_full():
+        return parsed.to_connection_model().as_bicomplex()
     raise ModelError(f"model has no differential pair ({d0}, {d1}) and no "
                      f"(del_bar_J, del_bar)")
 
@@ -230,10 +232,7 @@ def cmd_spectral(args, report: Report):
     model = parsed.to_connection_model()
     q = build_quaternionic_complex(model, allow_non_autodual=False)
     pages = double_complex_spectral_sequence(q)
-    try:
-        certified = strong_lemma_check(model.as_bicomplex()).strong_lemma
-    except PreconditionError:
-        certified = False
+    certified = model.strong_lemma_certified()
     # degeneration at the second page is a theorem only for certified pairs
     report.put("strong_lemma_certified", certified)
     report.put("pages", pages.to_json(),
@@ -278,8 +277,13 @@ def cmd_deform(args, report: Report):
             report.put("correspondence", corr.to_json(), asserted=ok)
         elif not has_j:
             report.put("correspondence", "skipped: model has no J data")
+        # the dictionary is a theorem only where the strong lemma holds for
+        # (del_bar_J, del_bar), checked only when the bijection fails
         fo = first_order_dictionary(model)
-        report.put("first_order_dictionary", fo.to_json(), asserted=fo.bijection)
+        if not fo.bijection and model.strong_lemma_certified():
+            raise InternalCheckError(
+                "first-order dictionary is not a bijection on a certified model")
+        report.put("first_order_dictionary", fo.to_json(), asserted=fo.bijection or None)
     else:
         alg = parsed.algebra
         if alg.kind != "lie":

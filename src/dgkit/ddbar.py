@@ -36,21 +36,14 @@ from dgkit.graded import (
     GradedMap,
     GradedSpace,
     StructuredAlgebra,
+    Subquotient,
     ValidationReport,
     algebra_map_witness,
     cohomology,
     format_vector,
     induced_map_on_cohomology,
 )
-from dgkit.linalg import (
-    Matrix,
-    Subspace,
-    coordinates_in_basis,
-    image_of,
-    invert,
-    kernel_of,
-    vec_is_zero,
-)
+from dgkit.linalg import Matrix, Subspace, invert, vec_is_zero
 
 
 class Bicomplex:
@@ -71,6 +64,15 @@ class Bicomplex:
 
     def swapped(self) -> "Bicomplex":
         return Bicomplex(self.algebra, self.d1_name, self.d0_name)
+
+    @cached_property
+    def d0d1(self) -> GradedMap:
+        return self.d0.compose(self.d1)
+
+    def strong_lhs(self, k: int) -> Subspace:
+        """ker(d0) ∩ ker(d1) ∩ (im(d0) + im(d1)) in degree k."""
+        return self.d0.kernel(k).intersect(self.d1.kernel(k)).intersect(
+            self.d0.image(k).add(self.d1.image(k)))
 
     @cached_property
     def invariants(self) -> ValidationReport:
@@ -166,40 +168,6 @@ class DdbarVerdict:
         return out
 
 
-class _DegreeData:
-    """Kernels/images of both differentials per degree, computed once."""
-
-    def __init__(self, b: Bicomplex):
-        self.bicomplex = b
-        space = b.space
-        d0, d1 = b.d0, b.d1
-        d0d1 = d0.compose(d1)
-        self.ker0, self.ker1 = {}, {}
-        self.im0, self.im1, self.im01 = {}, {}, {}
-        for k in space.degrees():
-            self.ker0[k] = kernel_of(d0.block(k))
-            self.ker1[k] = kernel_of(d1.block(k))
-            self.im0[k] = image_of(d0.block(k - 1))
-            self.im1[k] = image_of(d1.block(k - 1))
-            self.im01[k] = image_of(d0d1.block(k - 2))
-
-
-def _restricted_blocks(d: GradedMap, bases: dict, escape: str) -> dict[int, Matrix]:
-    """Blocks of d on the subcomplex spanned by `bases` ({degree: vectors}),
-    in the coordinates of those bases; raises InternalCheckError(escape)
-    when d leaves the subcomplex."""
-    blocks = {}
-    for k, basis in bases.items():
-        if not basis:
-            continue
-        target = bases.get(k + 1, [])
-        coords = coordinates_in_basis(target, [d.apply(k, v) for v in basis])
-        if coords is None:
-            raise InternalCheckError(escape)
-        blocks[k] = Matrix.from_columns(len(target), coords)
-    return blocks
-
-
 def _restricted_complex_acyclic(b: Bicomplex, im_of: GradedMap, d_rest: GradedMap):
     """Cohomology dims of (im(first map), second map restricted).
 
@@ -207,11 +175,11 @@ def _restricted_complex_acyclic(b: Bicomplex, im_of: GradedMap, d_rest: GradedMa
     Independent of the subspace-identity route: works in the coordinates of
     the image bases.
     """
-    bases = {k: image_of(im_of.block(k - 1)).vectors() for k in b.space.degrees()}
-    blocks = _restricted_blocks(d_rest, bases,
-                                "restricted differential leaves the image subcomplex")
-    ranks = {k: m.rank() for k, m in blocks.items()}
-    return {k: len(bases[k]) - rank - ranks.get(k - 1, 0) for k, rank in ranks.items()}
+    images = Subquotient(
+        b.algebra, {}, {k: im_of.image(k).vectors() for k in b.space.degrees()}, "i",
+        lambda k: InternalCheckError("restricted differential leaves the image subcomplex"))
+    ranks = {k: m.rank() for k, m in images.blocks(d_rest).items()}
+    return {k: images.dim(k) - rank - ranks.get(k - 1, 0) for k, rank in ranks.items()}
 
 
 def _first_missing_vector(lhs: Subspace, rhs: Subspace):
@@ -225,15 +193,16 @@ def ddbar_condition_check(b: Bicomplex) -> DdbarVerdict:
     """Evaluate the one-sided conditions b, b* per degree, plus their
     cohomological reformulations c, c*; the two routes must agree."""
     b.require_structure()
-    data = _DegreeData(b)
     c_dims = _restricted_complex_acyclic(b, b.d0, b.d1)
     cstar_dims = _restricted_complex_acyclic(b, b.d1, b.d0)
     per_degree: list[DegreeConditions] = []
     witnesses: dict = {}
     for k in b.space.degrees():
-        lhs_b = data.ker1[k].intersect(data.im0[k])
-        lhs_bstar = data.ker0[k].intersect(data.im1[k])
-        rhs = data.im01[k]
+        ker0, ker1 = b.d0.kernel(k), b.d1.kernel(k)
+        im0, im1 = b.d0.image(k), b.d1.image(k)
+        lhs_b = ker1.intersect(im0)
+        lhs_bstar = ker0.intersect(im1)
+        rhs = b.d0d1.image(k)
         if not lhs_b.contains_subspace(rhs) or not lhs_bstar.contains_subspace(rhs):
             raise InternalCheckError("im(d0 d1) escapes a one-sided left side")
         ok_b = lhs_b == rhs
@@ -244,13 +213,12 @@ def ddbar_condition_check(b: Bicomplex) -> DdbarVerdict:
         if ok_b != ok_c or ok_bstar != ok_cstar:
             raise InternalCheckError(
                 f"subspace and subcomplex routes disagree at degree {k}")
-        strong_lhs = data.ker0[k].intersect(data.ker1[k]).intersect(
-            data.im0[k].add(data.im1[k]))
+        strong_lhs = b.strong_lhs(k)
         ok_strong = strong_lhs == rhs
         per_degree.append(DegreeConditions(
             k, ok_b, ok_bstar, ok_c, ok_cstar, ok_strong,
-            {"ker_d0": data.ker0[k].dim, "ker_d1": data.ker1[k].dim,
-             "im_d0": data.im0[k].dim, "im_d1": data.im1[k].dim,
+            {"ker_d0": ker0.dim, "ker_d1": ker1.dim,
+             "im_d0": im0.dim, "im_d1": im1.dim,
              "im_d0d1": rhs.dim}))
         if not ok_b and "b" not in witnesses:
             w = _first_missing_vector(lhs_b, rhs)
@@ -451,48 +419,25 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     d0, d1 = b.d0, b.d1
 
     # A1 = ker(d1) as a sub-structured-algebra
-    ker_bases = {k: kernel_of(d1.block(k)).vectors() for k in space.degrees()}
-    a1_space = GradedSpace({k: [f"k{k}_{i}" for i in range(len(v))]
-                            for k, v in ker_bases.items() if v})
-
-    d0_blocks = _restricted_blocks(d0, ker_bases, "d0 does not preserve ker(d1)")
-
-    triples = []
-    for k1, basis1 in ker_bases.items():
-        for k2, basis2 in ker_bases.items():
-            if not basis1 or not basis2:
-                continue
-            k = k1 + k2
-            target = ker_bases.get(k, [])
-            prods = [alg.mul(k1, v1, k2, v2) for v1 in basis1 for v2 in basis2]
-            coords = coordinates_in_basis(target, prods)
-            if coords is None:
-                raise InternalCheckError("ker(d1) is not closed under the product")
-            idx = 0
-            for i in range(len(basis1)):
-                for j in range(len(basis2)):
-                    for t, c in enumerate(coords[idx]):
-                        if not c.is_zero():
-                            triples.append((f"k{k1}_{i}", f"k{k2}_{j}", f"k{k}_{t}", c))
-                    idx += 1
-
+    ker_d1 = Subquotient(alg, {}, {k: d1.kernel(k).vectors() for k in space.degrees()}, "k")
+    a1_space = ker_d1.space
+    d0_blocks = ker_d1.blocks(
+        d0, escape=lambda k: InternalCheckError("d0 does not preserve ker(d1)"))
     a1 = StructuredAlgebra(
         a1_space, alg.kind,
         {b.d0_name: GradedMap(a1_space, a1_space, 1, d0_blocks)},
-        StructuredAlgebra.structure_from_triples(triples))
+        ker_d1.structure(
+            lambda k: InternalCheckError("ker(d1) is not closed under the product")))
 
     inclusion = GradedMap(a1_space, space, 0, {
-        k: Matrix.from_columns(space.dim(k), basis) for k, basis in ker_bases.items() if basis})
+        k: Matrix.from_columns(space.dim(k), basis) for k, basis in ker_d1.reps.items() if basis})
 
     h_d1 = cohomology(alg, b.d1_name)
-    h_alg = StructuredAlgebra(
-        h_d1.h_space, alg.kind,
-        {b.d0_name: GradedMap.zero(h_d1.h_space, h_d1.h_space, 1)},
-        h_d1.induced_structure())
+    h_alg = h_d1.as_algebra(b.d0_name)
 
-    projection = GradedMap(a1_space, h_d1.h_space, 0, {
+    projection = GradedMap(a1_space, h_d1.space, 0, {
         k: Matrix.from_columns(h_d1.dim(k), h_d1.project_many(k, basis))
-        for k, basis in ker_bases.items() if basis})
+        for k, basis in ker_d1.reps.items() if basis})
 
     checks = ValidationReport()
     for name, f, tgt in (("inclusion", inclusion, alg), ("projection", projection, h_alg)):

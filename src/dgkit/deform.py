@@ -39,9 +39,7 @@ from dgkit.linalg import (
     Matrix,
     Subspace,
     Vector,
-    image_of,
     invert,
-    kernel_of,
     linear_solve,
     unit_vector,
     vec_add,
@@ -336,7 +334,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     space = dgla.space
     n1 = space.dim(1)
     reps = Matrix.from_columns(n1, [h.rep_vector(1, i) for i in range(h.dim(1))])
-    im_vectors = image_of(b.d1.block(0)).vectors()
+    im_vectors = b.d1.image(1).vectors()
     im_basis = Matrix.from_columns(n1, im_vectors)
     # solve d0 u = rhs with u constrained to im(d1): columns are d0(im-basis)
     sys_matrix = Matrix.from_columns(space.dim(2), [d0.apply(1, v) for v in im_vectors])
@@ -711,8 +709,8 @@ def first_order_dictionary(m: ConnectionModel) -> FirstOrderDictionary:
     biject with H^1 of (D, del_bar_J).
     """
     dolb = m.dolbeault
-    k_joint = kernel_of(m.del_bar_j.block(1)).intersect(kernel_of(m.del_bar.block(1)))
-    gauge0 = kernel_of(m.del_bar.block(0))
+    k_joint = m.del_bar_j.kernel(1).intersect(m.del_bar.kernel(1))
+    gauge0 = m.del_bar.kernel(0)
     gauge_dirs = Subspace.from_vectors(
         dolb.space.dim(1),
         [m.del_bar_j.apply(0, v) for v in gauge0.vectors()])
@@ -766,7 +764,7 @@ def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing,
     """Seeded strong solutions: random closed degree-1 series from a support
     whose pairwise brackets vanish; each sample is verified before returning."""
     ctx = DeformationContext(dgla, d_name, ring)
-    ker = kernel_of(ctx.d.block(1))
+    ker = ctx.d.kernel(1)
     space = dgla.space
     if support is not None:
         sup = Subspace.from_vectors(

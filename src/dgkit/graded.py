@@ -11,6 +11,15 @@ products.  The axioms that do not involve a differential (associativity, and
 skew-symmetry, Jacobi and the char-0 identities of a bracket) are walked once
 per algebra; the first failing labels are cached.
 
+A graded map eliminates each block once: `GradedMap.kernel(k)` and
+`GradedMap.image(k)` are cached on the map, so every consumer of one
+differential (cohomology, the strong lemma, its twist) shares them.
+`Subquotient` is span(outer) modulo inner, degree by degree, with one
+`linalg.Complement` per degree; cohomology (`CohomologyPresentation`), the
+ker(d1) sub-algebra and image subcomplexes of `dgkit.ddbar` and the sl(2)
+quotient of `dgkit.sl2` are its cases, and its `structure` and `blocks`
+are the one product loop and the one induced-map loop.
+
 Sign conventions (Koszul throughout):
     d(a*b)    = d(a)*b + (-1)^deg(a) a*d(b)
     [a,b]     = -(-1)^(deg a * deg b) [b,a]
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from dgkit.errors import ModelError, PreconditionError
+from dgkit.errors import InternalCheckError, ModelError, PreconditionError
 from dgkit.linalg import (
     Complement,
     Matrix,
@@ -101,6 +110,8 @@ class GradedMap:
         self.source = source
         self.target = target
         self.shift = shift
+        self._kernels: dict[int, Subspace] = {}
+        self._images: dict[int, Subspace] = {}
         self.blocks = {}
         for k, m in (blocks or {}).items():
             if m.rows != target.dim(k + shift) or m.cols != source.dim(k):
@@ -145,6 +156,19 @@ class GradedMap:
         if k in self.blocks:
             return self.blocks[k]
         return Matrix.zero(self.target.dim(k + self.shift), self.source.dim(k))
+
+    def kernel(self, k: int) -> Subspace:
+        """The kernel of block(k), in source degree k; eliminated once."""
+        if k not in self._kernels:
+            self._kernels[k] = kernel_of(self.block(k))
+        return self._kernels[k]
+
+    def image(self, k: int) -> Subspace:
+        """The image in target degree k, that is, of block(k - shift);
+        eliminated once."""
+        if k not in self._images:
+            self._images[k] = image_of(self.block(k - self.shift))
+        return self._images[k]
 
     def apply(self, k: int, v: Vector) -> Vector:
         return self.block(k).apply(v)
@@ -589,49 +613,47 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
 
 
 # ---------------------------------------------------------------------------
-# cohomology
+# subquotients: cohomology, sub-algebras and quotients
 
 
-class CohomologyPresentation:
-    """Cohomology of (A, d): representatives, projection, induced structure.
+def _outside(k: int) -> Exception:
+    return InternalCheckError(f"vector at degree {k} leaves the subquotient")
 
-    Representatives span a complement of im(d) inside ker(d); the complement
-    is the deterministic echelon extension, no metric enters.  The induced
-    product/bracket is computed on representatives and verified well-defined
-    by `check_well_defined`.
+
+def _not_closed(k: int) -> Exception:
+    return PreconditionError(f"vector at degree {k} is not closed")
+
+
+class Subquotient:
+    """span(outer) modulo inner, degree by degree, inside a structured algebra.
+
+    `inner` maps a degree to a Subspace and `outer` to a list of vectors; a
+    degree either leaves out is zero.  One `linalg.Complement` per degree
+    picks the representatives: each vector of outer[k] outside the span of
+    inner[k] and the vectors picked before it (`taken[k]` holds their
+    indices into outer[k]).  They are labelled f"{prefix}{k}_{i}" in
+    `space`, and the complement projects onto them along inner[k].  Products
+    and maps descend through the representatives; projecting a vector
+    outside inner + span(outer) raises escape(k).  Cohomology is the case
+    (im d, ker d), a sub-algebra the case (0, basis), and the quotient by an
+    ideal I the case (I, a spanning set).
     """
 
-    def __init__(self, algebra: StructuredAlgebra, d_name: str):
+    def __init__(self, algebra: StructuredAlgebra, inner: dict[int, Subspace],
+                 outer: dict[int, Sequence[Vector]], prefix: str,
+                 escape: Callable[[int], Exception] = _outside):
         self.algebra = algebra
-        self.d_name = d_name
-        d = algebra.differential(d_name)
-        sq = d.compose(d)
-        for k in algebra.space.degrees():
-            if not sq.block(k).is_zero():
-                raise PreconditionError(f"{d_name}^2 != 0 at degree {k}")
-        self.d = d
+        self.escape = escape
         space = algebra.space
-        self.kernels: dict[int, Subspace] = {}
-        self.images: dict[int, Subspace] = {}
-        self.reps: dict[int, list[Vector]] = {}
-        self._complements: dict[int, Complement] = {}
-        for k in space.degrees():
-            n = space.dim(k)
-            if n == 0:
-                continue
-            ker = kernel_of(d.block(k))
-            im = image_of(d.block(k - 1))
-            self.kernels[k] = ker
-            self.images[k] = im
-            comp = Complement(im, ker.vectors())
-            self._complements[k] = comp
-            self.reps[k] = comp.vectors
-
-        self.h_space = GradedSpace({
-            k: [f"h{k}_{i}" for i in range(len(reps))]
-            for k, reps in self.reps.items() if reps
-        })
-        self._induced = None
+        self.inner = {k: inner[k] if k in inner else Subspace.zero(space.dim(k))
+                      for k in space.degrees()}
+        self._complements = {k: Complement(sub, outer.get(k, []))
+                             for k, sub in self.inner.items()}
+        self.reps = {k: comp.vectors for k, comp in self._complements.items()}
+        self.taken = {k: comp.taken for k, comp in self._complements.items()}
+        self.space = GradedSpace({k: [f"{prefix}{k}_{i}" for i in range(len(reps))]
+                                  for k, reps in self.reps.items()})
+        self._structure: Optional[dict] = None
 
     def dims(self) -> dict[int, int]:
         return {k: len(v) for k, v in self.reps.items() if v}
@@ -643,48 +665,94 @@ class CohomologyPresentation:
         return self.reps[k][i]
 
     def project(self, k: int, v: Vector) -> Vector:
-        """Coordinates of a closed vector's class in the representative basis."""
+        """Coordinates of v's class in the representative basis."""
         return self.project_many(k, [v])[0]
 
-    def project_many(self, k: int, vectors: Sequence[Vector]) -> list[Vector]:
+    def project_many(self, k: int, vectors: Sequence[Vector],
+                     escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
         comp = (self._complements.get(k)  # or a degree the space does not have
                 or Complement(Subspace.zero(self.algebra.space.dim(k)), []))
         coords = comp.project(vectors)
         if coords is None:
-            raise PreconditionError(f"vector at degree {k} is not closed")
+            raise (escape or self.escape)(k)
         return coords
+
+    def structure(self, escape: Optional[Callable[[int], Exception]] = None) -> dict:
+        """Structure constants on the representatives: each product of two
+        representatives, projected.  A degree that lies wholly in inner has
+        no coordinates, so its products are not formed."""
+        if self._structure is None:
+            mul, labels = self.algebra.mul, self.space.labels
+            reps = [(k, v) for k, v in self.reps.items() if v]
+            triples = []
+            for k1, reps1 in reps:
+                for k2, reps2 in reps:
+                    k = k1 + k2
+                    if k not in self.inner or self.inner[k].dim == self.algebra.space.dim(k):
+                        continue
+                    classes = iter(self.project_many(
+                        k, [mul(k1, r1, k2, r2) for r1 in reps1 for r2 in reps2], escape))
+                    for i in range(len(reps1)):
+                        for j in range(len(reps2)):
+                            for t, c in enumerate(next(classes)):
+                                if not c.is_zero():
+                                    triples.append((labels(k1)[i], labels(k2)[j],
+                                                    labels(k)[t], c))
+            self._structure = StructuredAlgebra.structure_from_triples(triples)
+        return self._structure
+
+    def blocks(self, op: GradedMap, source: Optional["Subquotient"] = None,
+               escape: Optional[Callable[[int], Exception]] = None) -> dict[int, Matrix]:
+        """The matrices of the map op induces from source (by default this
+        subquotient) to this one: op of each representative of source,
+        projected here; one block per non-empty source degree."""
+        source = self if source is None else source
+        return {k: Matrix.from_columns(
+                    self.dim(k + op.shift),
+                    self.project_many(k + op.shift, [op.apply(k, r) for r in reps], escape))
+                for k, reps in source.reps.items() if reps}
+
+    def projection(self) -> Optional[GradedMap]:
+        """The projection of the whole algebra onto this subquotient along
+        inner, or None when inner and outer do not span some degree."""
+        blocks = {k: comp.projection() for k, comp in self._complements.items()}
+        if any(m is None for m in blocks.values()):
+            return None
+        return GradedMap(self.algebra.space, self.space, 0, blocks)
+
+
+class CohomologyPresentation(Subquotient):
+    """Cohomology of (A, d): the subquotient ker(d) / im(d), labelled h{k}_{i}.
+
+    Representatives span a complement of im(d) inside ker(d); the complement
+    is the deterministic echelon extension, no metric enters.  Projecting a
+    vector that is not closed raises PreconditionError.  The induced
+    product/bracket is computed on representatives and verified well-defined
+    by `check_well_defined`.
+    """
+
+    def __init__(self, algebra: StructuredAlgebra, d_name: str):
+        d = algebra.differential(d_name)
+        sq = d.compose(d)
+        for k in algebra.space.degrees():
+            if not sq.block(k).is_zero():
+                raise PreconditionError(f"{d_name}^2 != 0 at degree {k}")
+        self.d_name = d_name
+        self.d = d
+        degrees = algebra.space.degrees()
+        super().__init__(algebra, {k: d.image(k) for k in degrees},
+                         {k: d.kernel(k).vectors() for k in degrees}, "h", _not_closed)
 
     def induced_structure(self) -> dict:
         """Structure constants inherited on cohomology classes."""
-        if self._induced is not None:
-            return self._induced
-        triples = []
-        for k1, reps1 in self.reps.items():
-            for k2, reps2 in self.reps.items():
-                if not reps1 or not reps2:
-                    continue
-                k = k1 + k2
-                if self.algebra.space.dim(k) == 0:
-                    continue
-                prods = [self.algebra.mul(k1, r1, k2, r2)
-                         for r1 in reps1 for r2 in reps2]
-                classes = self.project_many(k, prods)
-                idx = 0
-                for i in range(len(reps1)):
-                    for j in range(len(reps2)):
-                        cls = classes[idx]
-                        idx += 1
-                        for t, c in enumerate(cls):
-                            if not c.is_zero():
-                                triples.append((f"h{k1}_{i}", f"h{k2}_{j}", f"h{k}_{t}", c))
-        self._induced = StructuredAlgebra.structure_from_triples(triples)
-        return self._induced
+        return self.structure()
 
-    def as_algebra(self) -> StructuredAlgebra:
-        """Cohomology as a structured algebra with zero differential."""
+    def as_algebra(self, d_name: Optional[str] = None) -> StructuredAlgebra:
+        """Cohomology as a structured algebra whose one differential, named
+        d_name (by default this presentation's), is zero."""
         return StructuredAlgebra(
-            self.h_space, self.algebra.kind,
-            {self.d_name: GradedMap.zero(self.h_space, self.h_space, 1)},
+            self.space, self.algebra.kind,
+            {d_name or self.d_name: GradedMap.zero(self.space, self.space, 1)},
             self.induced_structure())
 
     def check_well_defined(self) -> ValidationReport:
@@ -700,7 +768,7 @@ class CohomologyPresentation:
         [r1 * r2] for a boundary b, or None."""
         mul = self.algebra.mul
         for k1, reps1 in self.reps.items():
-            boundaries = self.images.get(k1, Subspace.zero(0)).vectors()
+            boundaries = self.inner[k1].vectors()
             for r1 in reps1:
                 # [r1 * r2] per (k2, index of r2), projected at first use
                 classes: dict[tuple[int, int], Vector] = {}
@@ -751,19 +819,10 @@ def left_multiplication(algebra: StructuredAlgebra, degree: int, v: Vector) -> G
 
 
 def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,
-                              target: CohomologyPresentation,
-                              sign: Optional[Callable[[int], Scalar]] = None) -> dict[int, Matrix]:
+                              target: CohomologyPresentation) -> dict[int, Matrix]:
     """Matrix of the map induced on cohomology by a chain map f (shift 0).
 
     f must send kernels to kernels and images to images; the projection
     raises otherwise.
     """
-    out = {}
-    for k, reps in source.reps.items():
-        if not reps:
-            continue
-        imgs = [f.apply(k, r) for r in reps]
-        if sign is not None:
-            imgs = [vec_scale(sign(k), v) for v in imgs]
-        out[k] = Matrix.from_columns(target.dim(k), target.project_many(k, imgs))
-    return out
+    return target.blocks(f, source)

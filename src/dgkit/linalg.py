@@ -472,6 +472,11 @@ class Complement:
         # rows a.. of E: complement coordinates, then rows vanishing on B
         self._rows = Matrix(n - a, n, [red.data[i][len(left):] for i in range(a, n)])
 
+    def projection(self) -> Optional[Matrix]:
+        """The matrix of `project` on all of F^n, or None when inner and
+        self.vectors do not span F^n."""
+        return self._rows if self._rows.rows == len(self.vectors) else None
+
     def project(self, vectors: Sequence[Vector]) -> Optional[list]:
         """The complement coordinates of each vector in the basis
         [inner basis | self.vectors], or None if some vector is outside

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from dgkit.ddbar import Bicomplex, _DegreeData, strong_lemma_check
+from dgkit.ddbar import Bicomplex, strong_lemma_check
 from dgkit.errors import InternalCheckError, ModelError, PreconditionError
 from dgkit.graded import (
     GradedMap,
@@ -34,16 +34,7 @@ from dgkit.graded import (
     cohomology,
     nonzero_image_witness,
 )
-from dgkit.linalg import (
-    Complement,
-    Matrix,
-    Subspace,
-    Vector,
-    image_of,
-    invert,
-    kernel_of,
-    vec_is_zero,
-)
+from dgkit.linalg import Complement, Matrix, Subspace, Vector, invert, vec_is_zero
 from dgkit.scalars import ZERO, Scalar
 from dgkit.sl2 import (
     IsotypicDecomposition,
@@ -111,6 +102,14 @@ class ConnectionModel:
         """The (del_bar_J, del_bar) pair as a bicomplex on the Dolbeault side."""
         return Bicomplex(self.dolbeault, DEL_BAR_J, DEL_BAR)
 
+    def strong_lemma_certified(self) -> bool:
+        """Whether the strong lemma holds for (del_bar_J, del_bar); False
+        when the pair is not a bicomplex."""
+        try:
+            return strong_lemma_check(self.as_bicomplex()).strong_lemma
+        except PreconditionError:
+            return False
+
     # -- full-model pipeline -------------------------------------------
 
     def decomposition(self) -> IsotypicDecomposition:
@@ -125,7 +124,6 @@ class ConnectionModel:
             decomp = self.decomposition()
             ideal = low_weight_ideal(self.full_model, decomp)
             self._plus = plus_quotient(self.full_model, ideal, decomp)
-            self._ideal = ideal
         return self._plus
 
     def j_consistency_certificate(self) -> ValidationReport:
@@ -355,12 +353,8 @@ class QuaternionicComplex:
         return self.total.compose(self.total).is_zero()
 
     def total_cohomology_dims(self) -> dict[int, int]:
-        dims = {}
-        for k in self.space.degrees():
-            ker = kernel_of(self.total.block(k))
-            im = image_of(self.total.block(k - 1))
-            dims[k] = ker.dim - im.dim
-        return dims
+        return {k: self.total.kernel(k).dim - self.total.image(k).dim
+                for k in self.space.degrees()}
 
     def as_bicomplex(self) -> Bicomplex:
         return Bicomplex(self.algebra, "x_del_bar_J", "y_del_bar")
@@ -409,10 +403,7 @@ def quaternionic_cohomology_check(q: QuaternionicComplex) -> FactorizationReport
     if q.extended:
         raise PreconditionError("factorization check applies to the standard complex")
     model = q.model
-    try:
-        certified = strong_lemma_check(model.as_bicomplex()).strong_lemma
-    except PreconditionError:
-        certified = False
+    certified = model.strong_lemma_certified()
     base = cohomology(model.dolbeault, DEL_BAR)
     base_dims = base.dims()
     q_dims = q.total_cohomology_dims()
@@ -467,9 +458,8 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
     for (p, qq) in q.cells:
         k = p + qq
         n = d_space.dim(k)
-        ker = kernel_of(dbar.block(k)) if (p, qq + 1) in cells else Subspace.full(n)
-        im = (image_of(dbar.block(k - 1)) if (p, qq - 1) in cells
-              else Subspace.zero(n))
+        ker = dbar.kernel(k) if (p, qq + 1) in cells else Subspace.full(n)
+        im = dbar.image(k) if (p, qq - 1) in cells else Subspace.zero(n)
         complements[(p, qq)] = Complement(im, ker.vectors())
         e1_dims[(p, qq)] = len(complements[(p, qq)].vectors)
 
@@ -570,7 +560,7 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
         raise PreconditionError("phi requires an autodual model")
     full = m.full_model
     plus = m.plus_quotient()
-    ideal = m._ideal
+    ideal = plus.ideal
     decomp = m.decomposition()
     e_op = full.maps["e"]
     f_op = full.maps["f"]
@@ -723,12 +713,12 @@ def extended_strong_lemma_interior(q: QuaternionicComplex, margin: int = 1) -> E
     boundary cells and are excluded."""
     if not q.extended:
         raise PreconditionError("interior check applies to the extended variant")
-    data = _DegreeData(q.as_bicomplex())
+    b = q.as_bicomplex()
     per_degree = {}
     rhs_ok = True
     for k in q.space.degrees():
-        rhs = data.im01[k]
-        lhs = data.ker0[k].intersect(data.ker1[k]).intersect(data.im0[k].add(data.im1[k]))
+        rhs = b.d0d1.image(k)
+        lhs = b.strong_lhs(k)
         if not lhs.contains_subspace(rhs):
             rhs_ok = False
         interior = Subspace.from_vectors(q.space.dim(k), [

@@ -18,19 +18,12 @@ from dgkit.graded import (
     GradedMap,
     GradedSpace,
     StructuredAlgebra,
+    Subquotient,
     ValidationReport,
     algebra_map_witness,
     format_vector,
 )
-from dgkit.linalg import (
-    Complement,
-    Matrix,
-    Subspace,
-    Vector,
-    dense_vector,
-    kernel_of,
-    vec_is_zero,
-)
+from dgkit.linalg import Matrix, Subspace, Vector, dense_vector, kernel_of, vec_is_zero
 from dgkit.scalars import Scalar
 
 
@@ -155,7 +148,7 @@ def weight_decomposition(module: Sl2Module) -> IsotypicDecomposition:
         if n == 0:
             continue
         eigenspaces = integer_spectrum(module.h.block(k))
-        e_ker = kernel_of(module.e.block(k))
+        e_ker = module.e.kernel(k)
         dim_count = 0
         for lam, eig in eigenspaces.items():
             decomp.eigenspaces[(k, lam)] = eig
@@ -228,6 +221,7 @@ class QuotientResult:
     reps: dict                            # degree -> list of representative vectors
     bidegrees: dict                       # quotient label -> (p, q), when h-graded
     checks: ValidationReport
+    ideal: dict                           # degree -> Subspace, the ideal divided out
     embedding_injective: Optional[bool] = None
 
     def dims(self) -> dict[int, int]:
@@ -306,76 +300,42 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     h = algebra.maps.get("h")
     # a decomposition of this very h already holds its eigenspaces
     stored = decomp.eigenspaces if decomp is not None and decomp.module.h is h else None
-    complements: dict[int, Complement] = {}
-    reps: dict[int, list[Vector]] = {}
-    bidegrees: dict[str, tuple[int, int]] = {}
-    rep_weights: dict[int, list[Optional[int]]] = {}
+    outer: dict[int, list[Vector]] = {}
+    weights: dict[int, list[Optional[int]]] = {}
     for k in space.degrees():
         n = space.dim(k)
-        ik = ideal.get(k, Subspace.zero(n))
         if h is None:
-            outer, weights = Subspace.full(n).vectors(), [None] * n
-        else:
-            if stored is None:
-                spectrum = integer_spectrum(h.block(k))
-            else:
-                spectrum = {lam: eig for (kk, lam), eig in stored.items() if kk == k}
-            # h is diagonalizable: an h-stable ideal is the sum of its parts in
-            # the eigenspaces, so the complement splits along them as well
-            if not all(ik.contains(h.apply(k, v)) for v in ik.vectors()):
-                raise ModelError(
-                    f"ideal is not h-stable at degree {k}; bigraded quotient "
-                    f"unavailable")
-            pairs = [(lam, v) for lam, eig in sorted(spectrum.items()) for v in eig.vectors()]
-            outer, weights = [v for _, v in pairs], [lam for lam, _ in pairs]
-        complements[k] = Complement(ik, outer)
-        reps[k] = complements[k].vectors
-        rep_weights[k] = [weights[i] for i in complements[k].taken]
-
-    q_space = GradedSpace({k: [f"q{k}_{i}" for i in range(len(v))]
-                           for k, v in reps.items() if v})
-    for k, chosen in reps.items():
-        for i, lam in enumerate(rep_weights[k]):
-            if lam is None:
-                continue
-            if (k - lam) % 2 == 0:
-                bidegrees[f"q{k}_{i}"] = ((k - lam) // 2, (k + lam) // 2)
-
-    # projection blocks: coordinates in [ideal basis | representatives]
-    proj_blocks = {}
-    for k in space.degrees():
-        if not reps[k]:
+            outer[k], weights[k] = Subspace.full(n).vectors(), [None] * n
             continue
-        coords = complements[k].project([space.basis_vector(l)[1] for l in space.labels(k)])
-        if coords is None:
-            raise InternalCheckError("ideal + representatives do not span")
-        proj_blocks[k] = Matrix.from_columns(len(reps[k]), coords)
-    qmap = GradedMap(space, q_space, 0, proj_blocks)
+        if stored is None:
+            spectrum = integer_spectrum(h.block(k))
+        else:
+            spectrum = {lam: eig for (kk, lam), eig in stored.items() if kk == k}
+        # h is diagonalizable: an h-stable ideal is the sum of its parts in
+        # the eigenspaces, so the complement splits along them as well
+        ik = ideal.get(k, Subspace.zero(n))
+        if not all(ik.contains(h.apply(k, v)) for v in ik.vectors()):
+            raise ModelError(
+                f"ideal is not h-stable at degree {k}; bigraded quotient "
+                f"unavailable")
+        pairs = [(lam, v) for lam, eig in sorted(spectrum.items()) for v in eig.vectors()]
+        outer[k], weights[k] = [v for _, v in pairs], [lam for lam, _ in pairs]
+    quotient = Subquotient(algebra, ideal, outer, "q")
+    q_space = quotient.space
 
-    # quotient structure and differentials through the projection
-    triples = []
-    for k1, reps1 in reps.items():
-        for k2, reps2 in reps.items():
-            if not reps1 or not reps2 or q_space.dim(k1 + k2) == 0:
-                continue
-            for i, r1 in enumerate(reps1):
-                for j, r2 in enumerate(reps2):
-                    prod = algebra.mul(k1, r1, k2, r2)
-                    cls = qmap.apply(k1 + k2, prod)
-                    for t, c in enumerate(cls):
-                        if not c.is_zero():
-                            triples.append((f"q{k1}_{i}", f"q{k2}_{j}",
-                                            f"q{k1 + k2}_{t}", c))
+    bidegrees: dict[str, tuple[int, int]] = {}
+    for k, taken in quotient.taken.items():
+        for label, t in zip(q_space.labels(k), taken):
+            lam = weights[k][t]
+            if lam is not None and (k - lam) % 2 == 0:
+                bidegrees[label] = ((k - lam) // 2, (k + lam) // 2)
 
-    def descended(op: GradedMap) -> GradedMap:
-        """The map op induces on the quotient, through the representatives."""
-        shift = op.shift
-        return GradedMap(q_space, q_space, shift, {
-            k: Matrix.from_columns(q_space.dim(k + shift),
-                                   [qmap.apply(k + shift, op.apply(k, r)) for r in chosen])
-            for k, chosen in reps.items() if chosen and q_space.dim(k + shift)})
+    qmap = quotient.projection()
+    if qmap is None:
+        raise InternalCheckError("ideal + representatives do not span")
 
-    q_diffs = {name: descended(d) for name, d in algebra.differentials.items()}
+    q_diffs = {name: GradedMap(q_space, q_space, 1, quotient.blocks(d))
+               for name, d in algebra.differentials.items()}
 
     q_maps = {}
     if h is not None:
@@ -389,11 +349,9 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                 for k, sub in ideal.items() for v in sub.vectors())
             checks.add(f"ideal stable under {name}", stable)
             if stable:
-                q_maps[name] = descended(op)
+                q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))
 
-    q_algebra = StructuredAlgebra(
-        q_space, algebra.kind, q_diffs,
-        StructuredAlgebra.structure_from_triples(triples), q_maps)
+    q_algebra = StructuredAlgebra(q_space, algebra.kind, q_diffs, quotient.structure(), q_maps)
 
     # certificates: projection is a surjective algebra chain map
     witness = algebra_map_witness(algebra, qmap, q_algebra)
@@ -403,7 +361,7 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         rhs = q_diffs[name].compose(qmap)
         checks.add(f"projection chain map for {name}", lhs == rhs)
 
-    result = QuotientResult(q_algebra, qmap, reps, bidegrees, checks)
+    result = QuotientResult(q_algebra, qmap, quotient.reps, bidegrees, checks, ideal)
 
     if decomp is not None:
         # the top-weight part of each degree embeds injectively

@@ -258,11 +258,11 @@ def test_cohomology_product_check_matches_the_dense_loop(src, data):
         # x -> c^deg(x) x respects every graded product
         c = data.draw(st.sampled_from(COEFFS))
         powers = [ONE, c, c * c]
-        tgt_h, f = src_h, GradedMap(src_h.h_space, src_h.h_space, 0, {
+        tgt_h, f = src_h, GradedMap(src_h.space, src_h.space, 0, {
             k: Matrix.identity(src_h.dim(k)).scale(powers[k]) for k in src_h.dims()})
     else:
         tgt_h = cohomology_of(data.draw(random_algebras(data.draw(graded_spaces("q")))))
-        f = data.draw(graded_maps(src_h.h_space, tgt_h.h_space))
+        f = data.draw(graded_maps(src_h.space, tgt_h.space))
     mats = {k: f.block(k) for k in src_h.dims()}
     got = _preserves_product(mats, src_h, tgt_h)
     want = ref_induced_algebra_map_ok(mats, src_h, tgt_h)

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +36,7 @@ from dgkit.models import (
     end_tensor,
     torus_model,
 )
-from dgkit.qdolbeault import DEL_BAR, build_quaternionic_complex
+from dgkit.qdolbeault import DEL_BAR, ConnectionModel, build_quaternionic_complex
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import dg_algebras, graded_maps, random_algebras, sparse_vectors
 
@@ -616,6 +618,48 @@ def test_deform_reports_are_pinned(deform_models, argv):
     code, out = deform_models("--format", "json", "deform", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DEFORM_REPORT_SHA256[argv]
+
+
+def test_first_order_dictionary_is_not_asserted_without_the_strong_lemma(deform_models):
+    """On the twisted torus the strong lemma fails for (del_bar_J, del_bar),
+    so the dictionary is reported, not asserted: H^1 has 8 dimensions and the
+    first-order quotient 6."""
+    assert deform_models("generate", "torus", "--rank", "2", "--nilpotent-twist",
+                         "-o", "twisted_r2.model")[0] == 0
+    code, out = deform_models("--format", "json", "deform", "twisted_r2.model",
+                              "--samples", "3")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    assert report["report"]["first_order_dictionary"] == {
+        "bijection": False, "gauge_directions_dim": 0, "h1_del_bar_J_dim": 8,
+        "quotient_dim": 6, "strong_first_order_dim": 6}
+    code, out = deform_models("--format", "json", "spectral", "twisted_r2.model")
+    assert json.loads(out)["report"]["strong_lemma_certified"] is False
+
+
+def test_first_order_dictionary_failure_on_a_certified_pair_is_internal(
+        deform_models, monkeypatch, capsys):
+    import dgkit.cli as cli
+
+    def certified_calls(model):
+        calls.append(model)
+        return real(model)
+
+    calls = []
+    real = ConnectionModel.strong_lemma_certified
+    monkeypatch.setattr(ConnectionModel, "strong_lemma_certified", certified_calls)
+    path = str(deform_models.workdir / "torus_r2.model")
+    # a bijection needs no strong-lemma check
+    assert cli.main(["deform", path, "--samples", "2"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "first_order_dictionary",
+                        lambda m: replace(first_order_dictionary(m), bijection=False))
+    assert cli.main(["--format", "json", "deform", path, "--samples", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert len(calls) == 1
+    assert report["internal_error"] == (
+        "first-order dictionary is not a bijection on a certified model")
 
 
 # sha256 of the t^1..t^3 coefficients of seeded samples at order 4, recorded

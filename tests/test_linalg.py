@@ -597,6 +597,18 @@ def test_matrix_layout_stays_private():
     assert offenders == []
 
 
+def test_no_module_imports_another_modules_private_names():
+    """No dgkit module imports an underscore name from another dgkit module."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dgkit"):
+                offenders.extend(f"{path.name}:{node.lineno}: {alias.name}"
+                                 for alias in node.names if alias.name.startswith("_"))
+    assert offenders == []
+
+
 # -- the complement-and-projection primitive against the per-call references --
 
 

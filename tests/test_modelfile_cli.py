@@ -222,6 +222,20 @@ def test_cli_formality_and_sl2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["dgms", "formality"])
+def test_cli_reads_torus_files_without_flags(tmp_path, capsys, command):
+    """A full model file without (d0, d1) is read as its connection model's
+    (del_bar_J, del_bar) bicomplex, as `spectral` reads it."""
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    assert run_cli(["--format", "json", command, str(torus)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    if command == "dgms":
+        assert report["conditions"]["strong_lemma"] is True
+    else:
+        assert report["zigzag"]["certified"] is True
+
+
 def test_cli_formality_fails_on_zigzag(tmp_path, capsys):
     from dgkit.models import zigzag_model
     zz = tmp_path / "zz.model"
