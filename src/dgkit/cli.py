@@ -52,7 +52,6 @@ from dgkit.models import (
 from dgkit.qdolbeault import (
     DEL_BAR,
     DEL_BAR_J,
-    autoduality_check,
     build_quaternionic_complex,
     double_complex_spectral_sequence,
     extended_strong_lemma_interior,
@@ -125,7 +124,7 @@ def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
     if parsed.is_connection():
         return Bicomplex(parsed.algebra, DEL_BAR_J, DEL_BAR)
     if parsed.is_full():
-        return parsed.to_connection_model().as_bicomplex()
+        return parsed.to_connection_model().bicomplex
     raise ModelError(f"model has no differential pair ({d0}, {d1}) and no "
                      f"(del_bar_J, del_bar)")
 
@@ -206,7 +205,7 @@ def cmd_sl2(args, report: Report):
 def cmd_qdolbeault(args, report: Report):
     parsed = parse_model_file(args.model)
     model = parsed.to_connection_model()
-    auto = autoduality_check(model)
+    auto = model.autoduality
     report.put("autoduality", auto.to_json(), asserted=auto.autodual)
     if not auto.autodual:
         return
@@ -230,7 +229,7 @@ def cmd_qdolbeault(args, report: Report):
 def cmd_spectral(args, report: Report):
     parsed = parse_model_file(args.model)
     model = parsed.to_connection_model()
-    q = build_quaternionic_complex(model, allow_non_autodual=False)
+    q = build_quaternionic_complex(model)
     pages = double_complex_spectral_sequence(q)
     certified = model.strong_lemma_certified()
     # degeneration at the second page is a theorem only for certified pairs

@@ -39,6 +39,7 @@ from dgkit.graded import (
     Subquotient,
     ValidationReport,
     algebra_map_witness,
+    chain_map_failure,
     cohomology,
     format_vector,
     induced_map_on_cohomology,
@@ -48,7 +49,8 @@ from dgkit.linalg import Matrix, Subspace, invert, vec_is_zero
 
 class Bicomplex:
     """A structured algebra with two named anticommuting differentials.  Its
-    invariants, verdict and derivation report are computed once and shared."""
+    anticommutator, invariants, verdict and derivation report are computed
+    once and shared; the squares are the differentials' own."""
 
     def __init__(self, algebra: StructuredAlgebra, d0_name: str = "d0",
                  d1_name: str = "d1"):
@@ -69,6 +71,11 @@ class Bicomplex:
     def d0d1(self) -> GradedMap:
         return self.d0.compose(self.d1)
 
+    @cached_property
+    def anticommutator(self) -> GradedMap:
+        """d0 d1 + d1 d0, on the shared d0 d1."""
+        return self.d0d1.add(self.d1.compose(self.d0))
+
     def strong_lhs(self, k: int) -> Subspace:
         """ker(d0) ∩ ker(d1) ∩ (im(d0) + im(d1)) in degree k."""
         return self.d0.kernel(k).intersect(self.d1.kernel(k)).intersect(
@@ -78,15 +85,11 @@ class Bicomplex:
     def invariants(self) -> ValidationReport:
         """d0^2 = 0, d1^2 = 0, d0 d1 + d1 d0 = 0, with witness degrees."""
         report = ValidationReport()
-        for name, d in ((self.d0_name, self.d0), (self.d1_name, self.d1)):
-            sq = d.compose(d)
-            bad = next((k for k, m in sq.blocks.items() if not m.is_zero()), None)
-            report.add(f"{name}^2 = 0", bad is None,
-                       None if bad is None else {"degree": bad})
-        anti = self.d0.compose(self.d1).add(self.d1.compose(self.d0))
-        bad = next((k for k, m in anti.blocks.items() if not m.is_zero()), None)
-        report.add("anticommutation", bad is None,
-                   None if bad is None else {"degree": bad})
+        for name, op in ((f"{self.d0_name}^2 = 0", self.d0.square),
+                         (f"{self.d1_name}^2 = 0", self.d1.square),
+                         ("anticommutation", self.anticommutator)):
+            bad = next(iter(op.blocks), None)
+            report.add(name, bad is None, None if bad is None else {"degree": bad})
         return report
 
     def require_structure(self):
@@ -294,10 +297,9 @@ def induced_differential_triviality(b: Bicomplex) -> InducedDifferentialReport:
     witnesses = {}
 
     def induced_is_zero(h: CohomologyPresentation, d: GradedMap, key: str) -> bool:
-        for k, reps in h.reps.items():
-            for i, r in enumerate(reps):
-                img = d.apply(k, r)
-                cls = h.project(k + 1, img)
+        for k, m in h.blocks(d).items():
+            for i in range(m.cols):
+                cls = m.column(i)
                 if not vec_is_zero(cls):
                     witnesses[key] = {"degree": k, "class_index": i,
                                       "image_class": [str(c) for c in cls]}
@@ -367,15 +369,6 @@ class FormalityZigzag:
         }
 
 
-def _chain_map_check(report: ValidationReport, name: str, f: GradedMap,
-                     d_src: GradedMap, d_tgt: GradedMap):
-    lhs = f.compose(d_src)
-    rhs = d_tgt.compose(f)
-    diff = lhs.add(rhs.neg())
-    bad = next((k for k, m in diff.blocks.items() if not m.is_zero()), None)
-    report.add(name, bad is None, None if bad is None else {"degree": bad})
-
-
 def _quasi_iso_certificate(mats: dict, src: CohomologyPresentation,
                            tgt: CohomologyPresentation) -> QuasiIsoCertificate:
     dims_s, dims_t = src.dims(), tgt.dims()
@@ -443,11 +436,10 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     for name, f, tgt in (("inclusion", inclusion, alg), ("projection", projection, h_alg)):
         witness = algebra_map_witness(a1, f, tgt)
         checks.add(f"{name} preserves product", witness is None, witness)
-    _chain_map_check(checks, "inclusion chain map", inclusion,
-                     a1.differential(b.d0_name), d0)
-    _chain_map_check(checks, "projection chain map", projection,
-                     a1.differential(b.d0_name),
-                     h_alg.differential(b.d0_name))
+    for name, f, d_tgt in (("inclusion", inclusion, d0),
+                           ("projection", projection, h_alg.differential(b.d0_name))):
+        bad = chain_map_failure(f, a1.differential(b.d0_name), d_tgt)
+        checks.add(f"{name} chain map", bad is None, None if bad is None else {"degree": bad})
 
     h_d0 = cohomology(alg, b.d0_name)
     h_d0_a1 = cohomology(a1, b.d0_name)

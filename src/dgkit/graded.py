@@ -11,9 +11,12 @@ products.  The axioms that do not involve a differential (associativity, and
 skew-symmetry, Jacobi and the char-0 identities of a bracket) are walked once
 per algebra; the first failing labels are cached.
 
-A graded map eliminates each block once: `GradedMap.kernel(k)` and
-`GradedMap.image(k)` are cached on the map, so every consumer of one
-differential (cohomology, the strong lemma, its twist) shares them.
+A graded map keeps only its non-zero blocks, in degree order, and forms
+each derived object once: `GradedMap.kernel(k)`, `GradedMap.image(k)` and
+`GradedMap.square` are cached on the map, so every consumer of one
+differential (the axiom checks, cohomology, the strong lemma, its twist)
+shares them.  A map is zero exactly when it has no blocks, and the first
+failing degree of a relation is its first block.
 `Subquotient` is span(outer) modulo inner, degree by degree, with one
 `linalg.Complement` per degree; cohomology (`CohomologyPresentation`), the
 ker(d1) sub-algebra and image subcomplexes of `dgkit.ddbar` and the sl(2)
@@ -103,7 +106,10 @@ def format_vector(space: GradedSpace, k: int, v: Vector) -> list[list[str]]:
 
 
 class GradedMap:
-    """Degree-shift linear map given by one matrix block per source degree."""
+    """Degree-shift linear map given by one matrix block per source degree.
+
+    The constructor is the one writer of `blocks`: it keeps the non-zero
+    blocks in degree order."""
 
     def __init__(self, source: GradedSpace, target: GradedSpace, shift: int,
                  blocks: Optional[dict[int, Matrix]] = None):
@@ -113,7 +119,7 @@ class GradedMap:
         self._kernels: dict[int, Subspace] = {}
         self._images: dict[int, Subspace] = {}
         self.blocks = {}
-        for k, m in (blocks or {}).items():
+        for k, m in sorted((blocks or {}).items()):
             if m.rows != target.dim(k + shift) or m.cols != source.dim(k):
                 raise ModelError(
                     f"block at degree {k} has shape {m.rows}x{m.cols}, "
@@ -187,15 +193,17 @@ class GradedMap:
                 table[src[j]][tgt[i]] = c
         return table
 
+    @cached_property
+    def square(self) -> "GradedMap":
+        """self o self, formed once; a differential squares to zero exactly
+        when this has no blocks."""
+        return self.compose(self)
+
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self o inner (inner applied first)."""
-        shift = self.shift + inner.shift
-        blocks = {}
-        for k in inner.source.degrees():
-            m = self.block(k + inner.shift) * inner.block(k)
-            if not m.is_zero():
-                blocks[k] = m
-        return GradedMap(inner.source, self.target, shift, blocks)
+        return GradedMap(inner.source, self.target, self.shift + inner.shift,
+                         {k: self.blocks[k + inner.shift] * m for k, m in inner.blocks.items()
+                          if k + inner.shift in self.blocks})
 
     def add(self, other: "GradedMap") -> "GradedMap":
         if self.shift != other.shift:
@@ -213,7 +221,7 @@ class GradedMap:
         return self.scale(MINUS_ONE)
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
+        return not self.blocks
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -292,6 +300,12 @@ def nonzero_image_witness(f: GradedMap) -> Optional[dict]:
             if not vec_is_zero(img):
                 return {"label": lab, "image": format_vector(f.target, k + f.shift, img)}
     return None
+
+
+def chain_map_failure(f: GradedMap, d_src: GradedMap, d_tgt: GradedMap) -> Optional[int]:
+    """The first source degree where f o d_src != d_tgt o f, or None when f
+    is a chain map."""
+    return next(iter(f.compose(d_src).add(d_tgt.compose(f).neg()).blocks), None)
 
 
 class StructuredAlgebra:
@@ -439,7 +453,7 @@ class StructuredAlgebra:
     # -- axiom validation -------------------------------------------------
 
     def _d_squared_check(self, report: ValidationReport, d: GradedMap, name: str):
-        witness = nonzero_image_witness(d.compose(d))
+        witness = nonzero_image_witness(d.square)
         report.add(f"{name}^2 = 0", witness is None, witness)
 
     def _leibniz_check(self, report: ValidationReport, d: GradedMap, name: str):
@@ -733,10 +747,9 @@ class CohomologyPresentation(Subquotient):
 
     def __init__(self, algebra: StructuredAlgebra, d_name: str):
         d = algebra.differential(d_name)
-        sq = d.compose(d)
-        for k in algebra.space.degrees():
-            if not sq.block(k).is_zero():
-                raise PreconditionError(f"{d_name}^2 != 0 at degree {k}")
+        bad = next(iter(d.square.blocks), None)
+        if bad is not None:
+            raise PreconditionError(f"{d_name}^2 != 0 at degree {bad}")
         self.d_name = d_name
         self.d = d
         degrees = algebra.space.degrees()

@@ -3,9 +3,9 @@
 Three families:
 
 * torus models: the invariant-form model of a flat 2-complex-dimensional
-  torus, full exterior algebra on dz1, dz2, dzb1, dzb2 with gl(r)
-  coefficients, multiplicative J, sl(2)-action by derivations, and zero
-  connection operators;
+  torus, the full exterior algebra on dz1, dz2, dzb1, dzb2 (multiplicative
+  J, sl(2)-action by derivations, zero connection operators) tensored with
+  gl(r);
 * dots and squares: bounded bicomplexes assembled from isolated cohomology
   generators (dots), fully exact 4-element blocks (squares), and the
   elementary strong-lemma violations (zigzags);
@@ -28,7 +28,6 @@ from dgkit.qdolbeault import (
     DEL_BAR,
     DEL_BAR_J,
     ConnectionModel,
-    autoduality_check,
     connection_model_from_full,
 )
 from dgkit.scalars import ONE, ZERO, Scalar
@@ -102,79 +101,62 @@ def _j_on_monomial(mono: tuple) -> tuple[tuple, Scalar]:
     return merged, coeff.scale(Fraction(sign))
 
 
-def torus_model(r: int = 1) -> ConnectionModel:
-    """Invariant-form model of a flat torus with gl(r) coefficients.
-
-    Connection operators are zero (flat trivial connection); J satisfies
-    J^2 = -1 on 1-forms and the e/f/h triple is a valid sl(2)-action, both
-    verified at build time.
-    """
-    if r < 1:
-        raise ModelError("rank must be at least 1")
-    monos = []
-    for size in range(5):
-        monos.extend(_subsets(4, size))
-    e_labels = [f"E{a}_{b}" for a in range(1, r + 1) for b in range(1, r + 1)]
-
+def _torus_forms() -> StructuredAlgebra:
+    """The invariant forms of the flat torus: the exterior algebra on GENS,
+    with the sl(2)-action e/f/h by derivations, the multiplicative J, and
+    zero del/del_bar."""
+    monos = [mono for size in range(5) for mono in _subsets(4, size)]
     components: dict[int, list[str]] = {}
     for mono in monos:
-        k = len(mono)
-        for el in e_labels:
-            components.setdefault(k, []).append(f"{_mono_label(mono)}|{el}")
+        components.setdefault(len(mono), []).append(_mono_label(mono))
     space = GradedSpace(components)
-
-    def lab(mono, el):
-        return f"{_mono_label(mono)}|{el}"
 
     triples = []
     for m1 in monos:
         for m2 in monos:
             merged, sign = _merge_sign(m1, m2)
-            if merged is None:
-                continue
-            c = Scalar(sign)
-            for a in range(1, r + 1):
-                for b in range(1, r + 1):
-                    for d in range(1, r + 1):
-                        triples.append((lab(m1, f"E{a}_{b}"), lab(m2, f"E{b}_{d}"),
-                                        lab(merged, f"E{a}_{d}"), c))
+            if merged is not None:
+                triples.append((_mono_label(m1), _mono_label(m2), _mono_label(merged),
+                                Scalar(sign)))
 
     def derivation_map(action) -> GradedMap:
-        entries = []
-        for mono in monos:
-            img = _derivation_on_monomial(action, mono)
-            for tgt, c in img.items():
-                for el in e_labels:
-                    entries.append((lab(mono, el), lab(tgt, el), c))
-        return GradedMap.from_entries(space, space, 0, entries)
+        return GradedMap.from_entries(space, space, 0, [
+            (_mono_label(mono), _mono_label(tgt), c)
+            for mono in monos for tgt, c in _derivation_on_monomial(action, mono).items()])
 
     j_entries = []
     for mono in monos:
         tgt, c = _j_on_monomial(mono)
-        for el in e_labels:
-            j_entries.append((lab(mono, el), lab(tgt, el), c))
-    j_map = GradedMap.from_entries(space, space, 0, j_entries)
-
+        j_entries.append((_mono_label(mono), _mono_label(tgt), c))
     maps = {"e": derivation_map(_E_ACTION), "f": derivation_map(_F_ACTION),
-            "h": derivation_map(_H_ACTION), "J": j_map}
+            "h": derivation_map(_H_ACTION),
+            "J": GradedMap.from_entries(space, space, 0, j_entries)}
     diffs = {DEL: GradedMap.zero(space, space, 1),
              DEL_BAR: GradedMap.zero(space, space, 1)}
-    full = StructuredAlgebra(space, "associative", diffs,
-                             StructuredAlgebra.structure_from_triples(triples),
-                             maps)
+    return StructuredAlgebra(space, "associative", diffs,
+                             StructuredAlgebra.structure_from_triples(triples), maps)
+
+
+def torus_model(r: int = 1) -> ConnectionModel:
+    """Invariant-form model of a flat torus with gl(r) coefficients: the
+    torus forms tensored with gl(r).
+
+    Connection operators are zero (flat trivial connection); J satisfies
+    J^2 = -1 on 1-forms and the e/f/h triple is a valid sl(2)-action, both
+    verified at build time.
+    """
+    full = tensor_gl(_torus_forms(), r)
 
     # build-time consistency: sl(2) relations and J^2 = -1 on 1-forms
     sl2_report = Sl2Module.from_algebra(full).validate()
     if not sl2_report.passed:
         raise ModelError(f"torus sl(2) action broken: {sl2_report.failures()[0].name}")
-    jj = j_map.compose(j_map)
-    expect = GradedMap.identity(space).scale(Scalar(-1)).block(1)
-    if jj.block(1) != expect:
+    expect = GradedMap.identity(full.space).scale(Scalar(-1)).block(1)
+    if full.maps["J"].square.block(1) != expect:
         raise ModelError("torus J does not square to -1 on 1-forms")
 
     model = connection_model_from_full(full)
-    report = autoduality_check(model)
-    if not report.autodual:
+    if not model.autoduality.autodual:
         raise ModelError("flat torus model failed autoduality")
     return model
 
@@ -199,7 +181,7 @@ def nilpotent_torus_model(r: int = 2) -> ConnectionModel:
         {DEL: GradedMap.zero(full.space, full.space, 1), DEL_BAR: ad_theta},
         full.structure, full.maps)
     model = connection_model_from_full(twisted)
-    if not autoduality_check(model).autodual:
+    if not model.autoduality.autodual:
         raise ModelError("nilpotent twist failed autoduality")
     return model
 
@@ -405,6 +387,6 @@ def random_connection_model(seed: int, corrupt: bool = False) -> tuple[Connectio
          DEL_BAR: GradedMap.from_entries(big, big, 1, d1_entries)},
         {})
     model = ConnectionModel(algebra)
-    if autoduality_check(model).autodual:
+    if model.autoduality.autodual:
         raise ModelError("corruption failed to break autoduality")
     return model, False

@@ -67,7 +67,9 @@ def inverse_map(g: GradedMap) -> GradedMap:
 
 
 class ConnectionModel:
-    """Dolbeault-side algebra with del_bar / del_bar_J, plus optional full data."""
+    """Dolbeault-side algebra with del_bar / del_bar_J, plus optional full
+    data.  The bicomplex, the autoduality verdict, the decomposition and the
+    quotient are built on first use and shared."""
 
     def __init__(self, dolbeault: StructuredAlgebra,
                  full_model: Optional[StructuredAlgebra] = None):
@@ -76,8 +78,6 @@ class ConnectionModel:
                 raise ModelError(f"connection model lacks operator {name!r}")
         self.dolbeault = dolbeault
         self.full_model = full_model
-        self._plus: Optional[QuotientResult] = None
-        self._decomp: Optional[IsotypicDecomposition] = None
 
     @property
     def del_bar(self) -> GradedMap:
@@ -98,33 +98,35 @@ class ConnectionModel:
             raise ModelError("model has no J data")
         return self.full_model.maps["J"]
 
-    def as_bicomplex(self) -> Bicomplex:
+    @cached_property
+    def bicomplex(self) -> Bicomplex:
         """The (del_bar_J, del_bar) pair as a bicomplex on the Dolbeault side."""
         return Bicomplex(self.dolbeault, DEL_BAR_J, DEL_BAR)
+
+    @cached_property
+    def autoduality(self) -> AutodualityReport:
+        return autoduality_check(self)
 
     def strong_lemma_certified(self) -> bool:
         """Whether the strong lemma holds for (del_bar_J, del_bar); False
         when the pair is not a bicomplex."""
         try:
-            return strong_lemma_check(self.as_bicomplex()).strong_lemma
+            return strong_lemma_check(self.bicomplex).strong_lemma
         except PreconditionError:
             return False
 
     # -- full-model pipeline -------------------------------------------
 
+    @cached_property
     def decomposition(self) -> IsotypicDecomposition:
         if self.full_model is None:
             raise ModelError("no full model attached")
-        if self._decomp is None:
-            self._decomp = weight_decomposition(Sl2Module.from_algebra(self.full_model))
-        return self._decomp
+        return weight_decomposition(Sl2Module.from_algebra(self.full_model))
 
+    @cached_property
     def plus_quotient(self) -> QuotientResult:
-        if self._plus is None:
-            decomp = self.decomposition()
-            ideal = low_weight_ideal(self.full_model, decomp)
-            self._plus = plus_quotient(self.full_model, ideal, decomp)
-        return self._plus
+        decomp = self.decomposition
+        return plus_quotient(self.full_model, low_weight_ideal(self.full_model, decomp), decomp)
 
     def j_consistency_certificate(self) -> ValidationReport:
         """del_bar_J = J^{-1} o del o J restricted to the Dolbeault part."""
@@ -231,12 +233,12 @@ class AutodualityReport:
 
 
 def autoduality_check(m: ConnectionModel) -> AutodualityReport:
-    """The three operator relations, each with a witness label on failure."""
+    """The three operator relations, each with a witness label on failure.
+    Read it as `m.autoduality`, which runs it once per model."""
     report = ValidationReport()
-    anti = m.del_bar.compose(m.del_bar_j).add(m.del_bar_j.compose(m.del_bar))
-    for name, op in (("del_bar^2 = 0", m.del_bar.compose(m.del_bar)),
-                     ("del_bar_J^2 = 0", m.del_bar_j.compose(m.del_bar_j)),
-                     ("del_bar del_bar_J + del_bar_J del_bar = 0", anti)):
+    for name, op in (("del_bar^2 = 0", m.del_bar.square),
+                     ("del_bar_J^2 = 0", m.del_bar_j.square),
+                     ("del_bar del_bar_J + del_bar_J del_bar = 0", m.bicomplex.anticommutator)):
         witness = nonzero_image_witness(op)
         report.add(name, witness is None, witness)
     return AutodualityReport(report, report.passed)
@@ -273,11 +275,11 @@ class QuaternionicComplex:
         else:
             top = max(d_space.degrees(), default=0)
             self.window = (0, top, 0, top)
-        self.autodual = autoduality_check(model).autodual
+        self.autodual = model.autoduality.autodual
         if not self.autodual and not allow_non_autodual:
+            failed = model.autoduality.relations.failures()[0]
             raise PreconditionError(
-                "model is not autodual; total differential would not square "
-                "to zero (pass allow_non_autodual=True for negative testing)")
+                f"model is not autodual: {failed.name} fails at {failed.witness['label']}")
 
         pmin, pmax, qmin, qmax = self.window
         self.cells: list[tuple[int, int]] = []
@@ -350,13 +352,14 @@ class QuaternionicComplex:
         return int(xpart), int(ypart), dlabel
 
     def total_squares_to_zero(self) -> bool:
-        return self.total.compose(self.total).is_zero()
+        return self.total.square.is_zero()
 
     def total_cohomology_dims(self) -> dict[int, int]:
         return {k: self.total.kernel(k).dim - self.total.image(k).dim
                 for k in self.space.degrees()}
 
-    def as_bicomplex(self) -> Bicomplex:
+    @cached_property
+    def bicomplex(self) -> Bicomplex:
         return Bicomplex(self.algebra, "x_del_bar_J", "y_del_bar")
 
     def interior_cell(self, p: int, q: int, margin: int = 1) -> bool:
@@ -556,12 +559,12 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
     """
     if m.full_model is None:
         raise ModelError("phi requires the full model")
-    if not autoduality_check(m).autodual:
+    if not m.autoduality.autodual:
         raise PreconditionError("phi requires an autodual model")
     full = m.full_model
-    plus = m.plus_quotient()
+    plus = m.plus_quotient
     ideal = plus.ideal
-    decomp = m.decomposition()
+    decomp = m.decomposition
     e_op = full.maps["e"]
     f_op = full.maps["f"]
     d_space = m.dolbeault.space
@@ -713,7 +716,7 @@ def extended_strong_lemma_interior(q: QuaternionicComplex, margin: int = 1) -> E
     boundary cells and are excluded."""
     if not q.extended:
         raise PreconditionError("interior check applies to the extended variant")
-    b = q.as_bicomplex()
+    b = q.bicomplex
     per_degree = {}
     rhs_ok = True
     for k in q.space.degrees():

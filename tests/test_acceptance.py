@@ -69,9 +69,9 @@ def strong_lemma_model_suite():
         end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=33), 2),
     ]
     torus = torus_model(1)
-    suite.append(torus.as_bicomplex())
+    suite.append(torus.bicomplex)
     torus2 = torus_model(2)
-    suite.append(torus2.as_bicomplex())
+    suite.append(torus2.bicomplex)
     return suite
 
 

@@ -597,6 +597,36 @@ def test_matrix_layout_stays_private():
     assert offenders == []
 
 
+def _calls(tree, scope=()):
+    """(dotted path of the enclosing classes and functions, call) for every
+    call in a syntax tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            yield ".".join(scope), node
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _calls(node, scope + (node.name,) if named else scope)
+
+
+def test_operator_relations_are_formed_once():
+    """Only GradedMap.square composes an expression with itself, and only
+    ConnectionModel.autoduality runs autoduality_check."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    allowed = {"compose": "graded.py:GradedMap.square",
+               "autoduality_check": "qdolbeault.py:ConnectionModel.autoduality"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(), str(path))):
+            f = call.func
+            name = getattr(f, "id", getattr(f, "attr", None))
+            self_composed = (isinstance(f, ast.Attribute) and name == "compose"
+                             and len(call.args) == 1
+                             and ast.dump(f.value) == ast.dump(call.args[0]))
+            if (self_composed or name == "autoduality_check") and \
+                    f"{path.name}:{scope}" != allowed[name]:
+                offenders.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert offenders == []
+
+
 def test_no_module_imports_another_modules_private_names():
     """No dgkit module imports an underscore name from another dgkit module."""
     src = Path(__file__).resolve().parents[1] / "src" / "dgkit"

@@ -143,7 +143,7 @@ def test_strong_lemma_fails_on_truncated_total_complex():
     # the first-quadrant total complex of a square model is not strong
     m = connection_from_bicomplex(dots_squares_model({}, [0], seed=3, unit=False))
     q = build_quaternionic_complex(m)
-    assert not strong_lemma_check(q.as_bicomplex()).strong_lemma
+    assert not strong_lemma_check(q.bicomplex).strong_lemma
 
 
 def test_degeneration_on_certified_models():
