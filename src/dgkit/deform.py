@@ -48,7 +48,7 @@ from dgkit.linalg import (
     zero_vector,
 )
 from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, QuaternionicComplex
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.scalars import ONE, ZERO, Scalar, gaussian
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,7 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
         raise PreconditionError("tangent/obstruction runs over a DGLA")
     h = cohomology(dgla, d_name)
     d = dgla.differential(d_name)
-    reps = Matrix.from_columns(dgla.space.dim(1),
-                               [h.rep_vector(1, i) for i in range(h.dim(1))])
+    reps = Matrix.from_columns(dgla.space.dim(1), h.reps.get(1, []))
 
     def half_square(xi: Vector) -> Vector:
         """-1/2 [r, r] for the representative r of the class xi."""
@@ -333,7 +332,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     d0 = b.d0
     space = dgla.space
     n1 = space.dim(1)
-    reps = Matrix.from_columns(n1, [h.rep_vector(1, i) for i in range(h.dim(1))])
+    reps = Matrix.from_columns(n1, h.reps.get(1, []))
     im_vectors = b.d1.image(1).vectors()
     im_basis = Matrix.from_columns(n1, im_vectors)
     # solve d0 u = rhs with u constrained to im(d1): columns are d0(im-basis)
@@ -747,7 +746,7 @@ def random_vector(space, degree: int, rnd: random.Random,
         if num:
             den = rnd.choice([1, 2])
             im = rnd.randint(-1, 1) if rnd.random() < 0.25 else 0
-            out[i] = Scalar(Fraction(num, den), im)
+            out[i] = gaussian(num, im * den, den)
     return tuple(out)
 
 

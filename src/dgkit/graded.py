@@ -2,9 +2,14 @@
 
 Bases are labeled; a vector in degree k is a tuple of Scalars indexed by the
 degree-k labels.  Products and brackets are sparse structure constants on
-basis pairs, extended bilinearly.  Axioms are verified by full enumeration
-over basis tuples (with sparse early-out), which stays exact and cheap at
-model dimensions.  Every check that compares two sums of structure constants
+basis pairs, extended bilinearly.  `StructuredAlgebra.mul` and
+`label_product` read one index-keyed table that holds, per degree pair, each
+constant as Gaussian-integer numerators over one common denominator and as
+its Scalar; a product that sums over two or more rows adds int products and
+reduces each touched entry once, through `scalars.lift` and
+`scalars.gaussian`.  Axioms are verified by full enumeration over basis
+tuples (with sparse early-out), which stays exact and cheap at model
+dimensions.  Every check that compares two sums of structure constants
 builds both sides as sparse {label: coefficient} dicts with one in-place
 accumulator; `algebra_map_witness` is the one check that a map preserves
 products.  The axioms that do not involve a differential (associativity, and
@@ -47,10 +52,12 @@ from dgkit.linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    zero_vector,
 )
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.scalars import ONE, ZERO, Scalar, gaussian, lift
 
 MINUS_ONE = Scalar(-1)
+_NO_PRODUCTS = (1, {})  # the product-table entry of a degree pair without products
 
 
 class GradedSpace:
@@ -177,6 +184,10 @@ class GradedMap:
         return self._images[k]
 
     def apply(self, k: int, v: Vector) -> Vector:
+        """The image of v of degree k; a degree without a block maps v to
+        zero, and a vector of the wrong length raises DimensionMismatch."""
+        if k not in self.blocks and len(v) == self.source.dim(k):
+            return zero_vector(self.target.dim(k + self.shift))
         return self.block(k).apply(v)
 
     def apply_label(self, label: str) -> tuple[int, Vector]:
@@ -186,11 +197,8 @@ class GradedMap:
     def label_table(self) -> dict[str, dict[str, Scalar]]:
         """Sparse label -> (label -> coefficient) view of the map."""
         table: dict[str, dict[str, Scalar]] = {l: {} for l in self.source.all_labels()}
-        for k, m in self.blocks.items():
-            src = self.source.labels(k)
-            tgt = self.target.labels(k + self.shift)
-            for i, j, c in m.entries():
-                table[src[j]][tgt[i]] = c
+        for frm, to, c in self.entries():
+            table[frm][to] = c
         return table
 
     @cached_property
@@ -208,10 +216,9 @@ class GradedMap:
     def add(self, other: "GradedMap") -> "GradedMap":
         if self.shift != other.shift:
             raise ModelError("cannot add maps of different shifts")
-        blocks = {}
-        for k in set(self.blocks) | set(other.blocks):
-            blocks[k] = self.block(k) + other.block(k)
-        return GradedMap(self.source, self.target, self.shift, blocks)
+        return GradedMap(self.source, self.target, self.shift,
+                         {k: self.block(k) + other.block(k)
+                          for k in self.blocks.keys() | other.blocks.keys()})
 
     def scale(self, c: Scalar) -> "GradedMap":
         return GradedMap(self.source, self.target, self.shift,
@@ -226,10 +233,7 @@ class GradedMap:
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if self.shift != other.shift:
-            return False
-        degrees = set(self.blocks) | set(other.blocks)
-        return all(self.block(k) == other.block(k) for k in degrees)
+        return self.shift == other.shift and self.blocks == other.blocks
 
     def entries(self) -> list[tuple[str, str, Scalar]]:
         out = []
@@ -314,8 +318,14 @@ class StructuredAlgebra:
     kind is "associative" (structure = product) or "lie" (structure =
     bracket).  Structure constants map label pairs to sparse vectors.
     ``mul`` and ``label_product`` read them through one index-keyed table,
-    built from ``structure`` on first use; ``structure`` is not changed
-    after construction.
+    built from ``structure`` on first use: per degree pair, each constant as
+    integer numerators over one common denominator s, next to its Scalar.
+    ``mul`` lifts the non-zero operand entries to numerators over their
+    common denominators, accumulates in ints and reduces each touched entry
+    once, over the product of the denominators; a product that meets one
+    row of the table, and ``label_product``, whose operand is one basis
+    label, multiply Scalars.  ``structure`` is not changed after
+    construction.
     """
 
     def __init__(self, space: GradedSpace, kind: str = "associative",
@@ -362,11 +372,8 @@ class StructuredAlgebra:
         return structure
 
     def structure_triples(self) -> list[tuple[str, str, str, Scalar]]:
-        out = []
-        for (l1, l2), targets in self.structure.items():
-            for lt, c in targets.items():
-                out.append((l1, l2, lt, c))
-        return out
+        return [(l1, l2, lt, c) for (l1, l2), targets in self.structure.items()
+                for lt, c in targets.items()]
 
     # -- multiplication -------------------------------------------------
 
@@ -383,17 +390,25 @@ class StructuredAlgebra:
         return out
 
     @cached_property
-    def _products(self) -> dict[tuple[int, int], dict[int, dict[int, tuple]]]:
-        """{(k1, k2): {i: {j: ((index, c), ...)}}}: the non-zero structure
-        constants of the degree-k1 basis vector i times the degree-k2 basis
-        vector j, as indices into degree k1 + k2."""
+    def _products(self) -> dict[tuple[int, int], tuple[int, dict[int, dict[int, tuple]]]]:
+        """{(k1, k2): (s, {i: {j: ((index, re, im, c), ...)}})}: each
+        non-zero structure constant c = (re + im*i)/s of the degree-k1 basis
+        vector i times the degree-k2 basis vector j, with its index into
+        degree k1 + k2 and its numerators over one common denominator s per
+        degree pair; c is the Scalar of `structure` itself, not a copy."""
         loc = self.space.label_loc
+        pairs: dict = {}
+        for l1, l2 in self.structure:
+            pairs.setdefault((loc[l1][0], loc[l2][0]), []).append((l1, l2))
         table: dict = {}
-        for (l1, l2), targets in self.structure.items():
-            k1, i = loc[l1]
-            k2, j = loc[l2]
-            row = table.setdefault((k1, k2), {}).setdefault(i, {})
-            row[j] = tuple((loc[lt][1], c) for lt, c in targets.items())
+        for degrees, keys in pairs.items():
+            s, nums = lift(((loc[l1][1], loc[l2][1], loc[lt][1], c), c) for l1, l2 in keys
+                           for lt, c in self.structure[(l1, l2)].items())
+            rows: dict = {}
+            for (i, j, idx, c), (re, im) in nums.items():
+                row = rows.setdefault(i, {})
+                row[j] = row.get(j, ()) + ((idx, re, im, c),)
+            table[degrees] = s, rows
         return table
 
     def label_product(self, label: str, k: int, items: Iterable[tuple[int, Scalar]],
@@ -406,31 +421,48 @@ class StructuredAlgebra:
         """
         kl, il = self.space.label_loc[label]
         if label_first:
-            targets_of = self._products.get((kl, k), {}).get(il, {}).get
+            targets_of = self._products.get((kl, k), _NO_PRODUCTS)[1].get(il, {}).get
         else:
-            rows = self._products.get((k, kl), {})
+            rows = self._products.get((k, kl), _NO_PRODUCTS)[1]
             targets_of = lambda i: rows.get(i, {}).get(il)
         out: dict[int, Scalar] = {}
         for i, c in items:
-            for idx, ct in targets_of(i) or ():
+            for idx, _, _, ct in targets_of(i) or ():
                 out[idx] = out.get(idx, ZERO) + c * ct
         return {idx: c for idx, c in out.items() if not c.is_zero()}
 
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
-        """Bilinear extension of the structure constants; result in degree k1+k2."""
+        """Bilinear extension of the structure constants; result in degree k1+k2.
+
+        When v1 meets two or more rows of the table, the products are summed
+        as Gaussian-integer numerators and each touched entry is reduced
+        once, over the product of the denominators.  With one row there is
+        no sum across rows, and the Scalar short-cuts on the +-1 entries of
+        such sparse operands are cheaper than lifting them."""
+        s, rows = self._products.get((k1, k2), _NO_PRODUCTS)
+        nonzero = [i for i in rows if not v1[i].is_zero()]
         out = [ZERO] * self.space.dim(k1 + k2)
-        for i, row in self._products.get((k1, k2), {}).items():
-            c1 = v1[i]
-            if c1.is_zero():
-                continue
-            for j, targets in row.items():
-                c2 = v2[j]
-                if c2.is_zero():
-                    continue
-                c = c1 * c2
-                for idx, ct in targets:
-                    out[idx] = out[idx] + c * ct
-        return tuple(out)
+        if len(nonzero) < 2:
+            for i in nonzero:
+                for j, targets in rows[i].items():
+                    if not v2[j].is_zero():
+                        c = v1[i] * v2[j]
+                        for idx, _, _, ct in targets:
+                            out[idx] = out[idx] + c * ct
+            return tuple(out)
+        d1, nums1 = lift((i, v1[i]) for i in nonzero)
+        d2, nums2 = lift(enumerate(v2))
+        re, im = [0] * len(out), [0] * len(out)
+        for i, (a1, b1) in nums1.items():
+            for j, targets in rows[i].items():
+                if j in nums2:
+                    a2, b2 = nums2[j]
+                    p, q = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                    for idx, cr, ci, _ in targets:
+                        re[idx] += p * cr - q * ci
+                        im[idx] += p * ci + q * cr
+        d = d1 * d2 * s
+        return tuple(gaussian(a, b, d) if a or b else ZERO for a, b in zip(re, im))
 
     def bracket(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """The bracket: structure itself for lie kind, graded commutator else."""
@@ -674,9 +706,6 @@ class Subquotient:
 
     def dim(self, k: int) -> int:
         return len(self.reps.get(k, ()))
-
-    def rep_vector(self, k: int, i: int) -> Vector:
-        return self.reps[k][i]
 
     def project(self, k: int, v: Vector) -> Vector:
         """Coordinates of v's class in the representative basis."""

@@ -128,36 +128,6 @@ class ConnectionModel:
         decomp = self.decomposition
         return plus_quotient(self.full_model, low_weight_ideal(self.full_model, decomp), decomp)
 
-    def j_consistency_certificate(self) -> ValidationReport:
-        """del_bar_J = J^{-1} o del o J restricted to the Dolbeault part."""
-        report = ValidationReport()
-        if self.full_model is None:
-            report.add("J conjugation consistency", True,
-                       {"note": "no full model; nothing to certify"})
-            return report
-        full = self.full_model
-        j = self.j_op
-        jinv = inverse_map(j)
-        conj = jinv.compose(full.differential(DEL).compose(j))
-        ok, witness = True, None
-        dspace = self.dolbeault.space
-        for k in dspace.degrees():
-            for lab in dspace.labels(k):
-                _, fv = full.space.basis_vector(lab)
-                img = conj.apply(k, fv)
-                expected_d = self.del_bar_j.apply_label(lab)[1]
-                expected = [ZERO] * full.space.dim(k + 1)
-                for lab2, c in dspace.vector_items(k + 1, expected_d):
-                    _, idx = full.space.label_loc[lab2]
-                    expected[idx] = c
-                if tuple(expected) != tuple(img):
-                    ok, witness = False, {"label": lab}
-                    break
-            if not ok:
-                break
-        report.add("del_bar_J = J^-1 del J on the (0,*) part", ok, witness)
-        return report
-
 
 def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
     """Derive the Dolbeault part of a full model from its h-grading.

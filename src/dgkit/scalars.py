@@ -12,6 +12,11 @@ real and imaginary parts are available as Fractions through ``re`` and
 ``im``.  Only exact rationals enter: the constructor refuses floats.  The
 text grammar is ``a/b``, ``a/b+c/d*i`` or ``a/b-c/d*i`` with denominators
 omitted when 1, e.g. ``2``, ``-1/3+1*i``.
+
+The layout stays private to this module.  A kernel that sums many products
+lifts its operands with ``lift`` to Gaussian-integer numerators over a
+common denominator, accumulates in ints and builds each result once with
+``gaussian``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Hashable, Iterable
 
 
 class ScalarParseError(ValueError):
@@ -214,6 +220,27 @@ def _negated(x: Scalar) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
+
+
+def gaussian(a: int, b: int, d: int) -> Scalar:
+    """(a + b*i)/d in lowest terms, for ints a, b and d > 0."""
+    if d <= 0:
+        raise ValueError(f"denominator {d} is not positive")
+    return _reduced(a, b, d)
+
+
+def lift(items: Iterable[tuple[Hashable, Scalar]]) -> tuple[int, dict]:
+    """The non-zero scalars of (key, scalar) pairs as Gaussian-integer
+    numerators over one common denominator: (d, {key: (a, b)}) with each
+    scalar equal to (a + b*i)/d, where d is the lcm of their denominators.
+
+    An exact sum of products of lifted values is a sum of int products over
+    the product of the denominators, reduced once by ``gaussian``."""
+    nonzero = {key: x for key, x in items if x.a or x.b}
+    d = lcm(*{x.d for x in nonzero.values()})
+    if d == 1:
+        return 1, {key: (x.a, x.b) for key, x in nonzero.items()}
+    return d, {key: (x.a * (m := d // x.d), x.b * m) for key, x in nonzero.items()}
 
 
 def of(value) -> Scalar:

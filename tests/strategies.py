@@ -1,11 +1,17 @@
 """Hypothesis strategies shared by the graded-algebra, sl(2) and deformation tests."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
 from dgkit.scalars import ONE, ZERO, Scalar
 
 COEFFS = (ONE, -ONE, Scalar(0, 1), Scalar(2), Scalar(1, -1))
+# non-integral Gaussian rationals with mixed denominators, so that products
+# and sums go through a common denominator larger than 1
+FRACTIONS = (Scalar(Fraction(1, 2)), Scalar(Fraction(-2, 3)),
+             Scalar(Fraction(1, 3), Fraction(1, 4)), Scalar(Fraction(3, 4), Fraction(-1, 6)))
 DEGREES = range(3)
 
 
@@ -17,11 +23,11 @@ def graded_spaces(draw, prefix="g"):
 
 
 @st.composite
-def random_algebras(draw, space=None):
-    """Random structure constants on a graded space in degrees 0-2; the
-    triples repeat (l1, l2, lt) with opposite signs, so some constants cancel
-    to empty products.  The products are in general neither commutative nor
-    associative."""
+def random_algebras(draw, space=None, coeffs=COEFFS):
+    """Random structure constants from coeffs on a graded space in degrees
+    0-2; the triples repeat (l1, l2, lt) with opposite signs, so some
+    constants cancel to empty products.  The products are in general neither
+    commutative nor associative."""
     space = draw(graded_spaces()) if space is None else space
     labels = space.all_labels()
     triples = []
@@ -30,7 +36,7 @@ def random_algebras(draw, space=None):
             targets = space.labels(space.degree_of(l1) + space.degree_of(l2))
             for lt in targets:
                 if draw(st.integers(0, 2)) == 0:
-                    c = draw(st.sampled_from(COEFFS))
+                    c = draw(st.sampled_from(coeffs))
                     triples.append((l1, l2, lt, c))
                     if draw(st.booleans()):
                         triples.append((l1, l2, lt, -c))
@@ -50,8 +56,14 @@ def dg_algebras(draw, kind="associative"):
 
 
 @st.composite
-def sparse_vectors(draw, n):
-    return tuple(draw(st.sampled_from((ZERO, ZERO) + COEFFS)) for _ in range(n))
+def sparse_vectors(draw, n, coeffs=COEFFS):
+    return tuple(draw(st.sampled_from((ZERO, ZERO) + coeffs)) for _ in range(n))
+
+
+@st.composite
+def dense_vectors(draw, n, coeffs=COEFFS):
+    """Vectors with every entry non-zero."""
+    return tuple(draw(st.sampled_from(coeffs)) for _ in range(n))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -17,11 +18,12 @@ from dgkit.graded import (
     induced_map_on_cohomology,
     nonzero_image_witness,
 )
-from dgkit.linalg import Matrix, dense_vector, vec_is_zero
+from dgkit.linalg import DimensionMismatch, Matrix, dense_vector, vec_is_zero
 from dgkit.modelfile import serialize_connection_model
 from dgkit.models import torus_model
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import COEFFS, dg_algebras, graded_maps, random_algebras, sparse_vectors
+from strategies import (COEFFS, FRACTIONS, dense_vectors, dg_algebras, graded_maps, random_algebras,
+                        sparse_vectors)
 
 
 
@@ -258,6 +260,67 @@ def test_products_match_the_reference(alg, data):
         sparse = alg.label_product(label, k2, items, label_first)
         assert all(not c.is_zero() for c in sparse.values())
         assert dense_vector(m, sparse) == want
+
+
+MIXED = COEFFS + FRACTIONS
+
+
+def mixed_vectors(n):
+    return st.one_of(sparse_vectors(n, MIXED), dense_vectors(n, MIXED))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_algebras(coeffs=MIXED), st.data())
+def test_products_over_mixed_denominators_match_the_reference(alg, data):
+    space = alg.space
+    k1 = data.draw(st.sampled_from(space.degrees() + [3]))
+    k2 = data.draw(st.sampled_from(space.degrees() + [3]))
+    v1 = data.draw(mixed_vectors(space.dim(k1)))
+    v2 = data.draw(mixed_vectors(space.dim(k2)))
+    assert alg.mul(k1, v1, k2, v2) == reference_mul(alg, k1, v1, k2, v2)
+    if not space.degrees():
+        return
+    label = data.draw(st.sampled_from(space.all_labels()))
+    kl = space.degree_of(label)
+    unit = space.basis_vector(label)[1]
+    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
+    for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
+                              (False, reference_mul(alg, k2, v2, kl, unit))):
+        sparse = alg.label_product(label, k2, items, label_first)
+        assert all(not c.is_zero() for c in sparse.values())
+        assert dense_vector(space.dim(k2 + kl), sparse) == want
+
+
+def test_fractional_products_are_reduced_once_and_cancel_to_zero():
+    # x*x = 1/2 t + 3/4 u, x*y = 1/3 t and y*x = -1/3 t: three denominators
+    space = GradedSpace({1: ["x", "y"], 2: ["t", "u"]})
+    q = Fraction
+    alg = StructuredAlgebra(space, "associative", {}, StructuredAlgebra.structure_from_triples([
+        ("x", "x", "t", Scalar(q(1, 2))), ("x", "x", "u", Scalar(q(3, 4))),
+        ("x", "y", "t", Scalar(q(1, 3))), ("y", "x", "t", Scalar(q(-1, 3)))]))
+    # v = 2/3 x + 5/6 i y: v*v = 4/9 x*x = 2/9 t + 1/3 u, as the x*y and y*x
+    # terms cancel
+    v = (Scalar(q(2, 3)), Scalar(0, q(5, 6)))
+    assert alg.mul(1, v, 1, v) == (Scalar(q(2, 9)), Scalar(q(1, 3)))
+    assert alg.mul(1, v, 1, v) == reference_mul(alg, 1, v, 1, v)
+    assert alg.mul(1, (Scalar(q(2, 3)), ZERO), 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
+    assert alg.mul(2, (ONE, ONE), 1, v) == ()
+    # 3/2 y * x = -1/2 t; x * (1/3 x + 1/2 y) = 1/6 t + 1/4 u + 1/6 t
+    assert alg.label_product("x", 1, [(1, Scalar(q(3, 2)))], False) == {0: Scalar(q(-1, 2))}
+    assert alg.label_product("x", 1, [(0, Scalar(q(1, 3))), (1, Scalar(q(1, 2)))], True) \
+        == {0: Scalar(q(1, 3)), 1: Scalar(q(1, 4))}
+    assert alg.label_product("y", 1, [(0, Scalar(3))], True) == {0: Scalar(-1)}
+    # (3x + y)(x + 3y) = 3 x*x + 9 x*y + y*x = (3/2 + 3 - 1/3) t + 9/4 u
+    assert alg.mul(1, (Scalar(3), ONE), 1, (ONE, Scalar(3))) == (Scalar(q(25, 6)), Scalar(q(9, 4)))
+
+
+def test_apply_skips_missing_blocks_but_checks_the_length():
+    space = GradedSpace({0: ["x"], 1: ["y", "z"]})
+    f = GradedMap.from_entries(space, space, 1, [])
+    assert f.apply(0, (ONE,)) == (ZERO, ZERO)
+    assert f.apply(1, (ONE, ONE)) == ()
+    with pytest.raises(DimensionMismatch):
+        f.apply(0, (ONE, ONE))
 
 
 # -- pinned reports on broken models --------------------------------------------

@@ -187,11 +187,6 @@ def test_interior_check_rejects_standard_build():
         extended_strong_lemma_interior(q)
 
 
-def test_j_consistency_certificate_on_torus():
-    report = torus_model(1).j_consistency_certificate()
-    assert report.passed
-
-
 def test_evaluation_maps_are_dgla_morphisms():
     from dgkit.deform import projection_maps
 

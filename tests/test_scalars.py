@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dgkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, of
+from dgkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, gaussian, lift, of
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -275,3 +275,50 @@ def test_scalars_are_immutable():
         with pytest.raises(AttributeError):
             setattr(x, name, 5)
     assert (x.a, x.b, x.d) == (1, 2, 1)
+
+
+# -- Gaussian-integer numerators: lift and gaussian ----------------------------
+
+
+@given(_numerators, _numerators, _denominators)
+def test_gaussian_is_the_quotient_in_lowest_terms(a, b, d):
+    x = gaussian(a, b, d)
+    assert_matches(x, RefScalar(Fraction(a, d), Fraction(b, d)))
+    assert (x == ZERO) == (a == 0 and b == 0)
+
+
+@pytest.mark.parametrize("d", [0, -1, -6])
+def test_gaussian_refuses_a_non_positive_denominator(d):
+    with pytest.raises(ValueError):
+        gaussian(1, 2, d)
+
+
+def test_gaussian_reduces_negative_numerators():
+    assert gaussian(-4, 6, 8) == Scalar(Fraction(-1, 2), Fraction(3, 4))
+    assert gaussian(-3, -6, 9) == Scalar(Fraction(-1, 3), Fraction(-2, 3))
+    assert gaussian(0, -5, 10) == Scalar(0, Fraction(-1, 2))
+    assert gaussian(0, 0, 7) == ZERO
+
+
+@given(st.lists(parts, max_size=8), st.lists(parts, max_size=8))
+def test_lift_puts_the_non_zero_entries_over_one_denominator(ps, qs):
+    u, v = [Scalar(*p) for p in ps], [Scalar(*q) for q in qs]
+    du, nu = lift(enumerate(u))
+    assert du == math.lcm(*(x.d for x in u if x))
+    assert list(nu) == [i for i, x in enumerate(u) if x]
+    for i, (a, b) in nu.items():
+        assert type(a) is int and type(b) is int
+        assert Scalar(Fraction(a, du), Fraction(b, du)) == u[i] == gaussian(a, b, du)
+    # a sum of products of numerators, reduced once, is the Scalar sum
+    dv, nv = lift(enumerate(v))
+    re = sum(a * c - b * e for i, (a, b) in nu.items() if i in nv for c, e in [nv[i]])
+    im = sum(a * e + b * c for i, (a, b) in nu.items() if i in nv for c, e in [nv[i]])
+    assert_matches(gaussian(re, im, du * dv),
+                   sum((RefScalar(*p) * RefScalar(*q) for p, q in zip(ps, qs)), RefScalar()))
+
+
+def test_lift_of_nothing_or_zeros_is_empty_over_one():
+    assert lift([]) == (1, {})
+    assert lift(enumerate([ZERO, ZERO])) == (1, {})
+    assert lift([("k", Scalar(Fraction(-1, 2))), ("z", ZERO), ("j", Scalar(0, Fraction(2, 3)))]) \
+        == (6, {"k": (-3, 0), "j": (0, 4)})
