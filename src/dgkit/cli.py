@@ -4,8 +4,8 @@ Subcommands: validate, dgms, cohomology, formality, sl2, qdolbeault,
 spectral, deform, generate.  Exit code 0 exactly when every asserted check
 in the run passed.  Reports render as text (default) or JSON; identical
 argv + files + seed produce byte-identical JSON (timing appears only in the
-text format).  The default format can be overridden with the environment
-variable DGKIT_REPORT_FORMAT.
+text format).  The environment variable DGKIT_REPORT_FORMAT (text or json,
+anything else is a usage error) overrides the default format.
 """
 
 from __future__ import annotations
@@ -96,7 +96,9 @@ class Report:
                         lines.append(f"{pad}{k}: {v}")
             elif isinstance(obj, list):
                 for v in obj:
-                    if isinstance(v, (dict, list)):
+                    if isinstance(v, list) and not any(isinstance(x, (dict, list)) for x in v):
+                        lines.append(f"{pad}- [{', '.join(map(str, v))}]")
+                    elif isinstance(v, (dict, list)):
                         walk(v, indent)
                     else:
                         lines.append(f"{pad}- {v}")
@@ -355,12 +357,6 @@ def _dot_counts(text: str) -> dict[int, int]:
     return dots
 
 
-def _dots_spec(text: str) -> str:
-    """Validate --dots at parse time; the report echoes the text as given."""
-    _dot_counts(text)
-    return text
-
-
 def _degree_list(text: str) -> list[int]:
     """--squares / --zigzags DEGREE,...: the degree of each square or zigzag."""
     try:
@@ -369,88 +365,92 @@ def _degree_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"entries must be integer degrees, got {text!r}")
 
 
-def _degrees_spec(text: str) -> str:
-    """Validate --squares / --zigzags at parse time; the report echoes the text as given."""
-    _degree_list(text)
-    return text
+def _echoed(check):
+    """argparse type that checks the text at parse time and keeps it as given."""
+    def parse(text: str) -> str:
+        check(text)
+        return text
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dgkit",
-        description="exact checks for bicomplexes, formality and deformations")
-    parser.add_argument("--format", choices=("text", "json"),
+_MODEL = ("model", {"help": "model file"})
+_PAIR = (("--d0", {"default": "d0"}), ("--d1", {"default": "d1"}))
+_SEED = ("--seed", {"type": int, "default": 0})
+
+# name: (help, handler, specs), each spec the flags and keyword arguments of
+# one add_argument call, in the order the parser adds them
+SUBCOMMANDS = {
+    "validate": ("DG/DGLA axiom checks", cmd_validate, (_MODEL, ("--differential", {}))),
+    "dgms": ("condition table, strong lemma, twist", cmd_dgms, (_MODEL, *_PAIR)),
+    "cohomology": ("dims and induced structure", cmd_cohomology,
+                   (_MODEL, ("--differential", {}))),
+    "formality": ("zig-zag certificate", cmd_formality, (_MODEL, *_PAIR)),
+    "sl2": ("weight decomposition, ideal, quotient", cmd_sl2, (_MODEL,)),
+    "qdolbeault": ("build and check the total complex", cmd_qdolbeault, (
+        _MODEL, ("--extended", {"action": "store_true"}),
+        ("--window", {"type": _at_least(1, "window"), "default": 3}),
+        ("--phi", {"action": "store_true"}))),
+    "spectral": ("E1/E2 pages and degeneration", cmd_spectral, (_MODEL,)),
+    "deform": ("Maurer-Cartan probes", cmd_deform, (
+        _MODEL, ("--order", {"type": _at_least(2, "order"), "default": 3}),
+        ("--samples", {"type": _at_least(1, "samples"), "default": 20}), _SEED)),
+    "generate": ("emit model files", cmd_generate, (
+        ("recipe", {"choices": ("torus", "dots-squares", "zigzag")}),
+        ("--rank", {"type": _at_least(1, "rank"), "default": 1}),
+        ("--nilpotent-twist", {"action": "store_true"}),
+        ("--dots", {"type": _echoed(_dot_counts), "default": ""}),
+        ("--squares", {"type": _echoed(_degree_list), "default": ""}),
+        ("--zigzags", {"type": _echoed(_degree_list), "default": ""}),
+        ("--degree", {"type": int, "default": 0}), _SEED,
+        ("--end-rank", {"type": _at_least(1, "end-rank"), "default": 1}),
+        ("--no-unit", {"action": "store_true"}), ("-o", "--output", {}))),
+}
+FORMATS = ("text", "json")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The dgkit parser with every subcommand, or with `only` that one.  Its
+    usage names them all either way; only the full parser keeps argparse's own
+    metavar, which its invalid-choice and missing-command errors call "command"."""
+    parser = argparse.ArgumentParser(prog="dgkit", description="exact checks for "
+                                     "bicomplexes, formality and deformations")
+    parser.add_argument("--format", choices=FORMATS,
                         default=os.environ.get("DGKIT_REPORT_FORMAT", "text"))
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_model(p):
-        p.add_argument("model", help="model file")
-        return p
-
-    p = with_model(sub.add_parser("validate", help="DG/DGLA axiom checks"))
-    p.add_argument("--differential", default=None)
-
-    p = with_model(sub.add_parser("dgms", help="condition table, strong lemma, twist"))
-    p.add_argument("--d0", default="d0")
-    p.add_argument("--d1", default="d1")
-
-    p = with_model(sub.add_parser("cohomology", help="dims and induced structure"))
-    p.add_argument("--differential", default=None)
-
-    p = with_model(sub.add_parser("formality", help="zig-zag certificate"))
-    p.add_argument("--d0", default="d0")
-    p.add_argument("--d1", default="d1")
-
-    with_model(sub.add_parser("sl2", help="weight decomposition, ideal, quotient"))
-
-    p = with_model(sub.add_parser("qdolbeault", help="build and check the total complex"))
-    p.add_argument("--extended", action="store_true")
-    p.add_argument("--window", type=_at_least(1, "window"), default=3)
-    p.add_argument("--phi", action="store_true")
-
-    with_model(sub.add_parser("spectral", help="E1/E2 pages and degeneration"))
-
-    p = with_model(sub.add_parser("deform", help="Maurer-Cartan probes"))
-    p.add_argument("--order", type=_at_least(2, "order"), default=3)
-    p.add_argument("--samples", type=_at_least(1, "samples"), default=20)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("generate", help="emit model files")
-    p.add_argument("recipe", choices=("torus", "dots-squares", "zigzag"))
-    p.add_argument("--rank", type=_at_least(1, "rank"), default=1)
-    p.add_argument("--nilpotent-twist", action="store_true")
-    p.add_argument("--dots", type=_dots_spec, default="")
-    p.add_argument("--squares", type=_degrees_spec, default="")
-    p.add_argument("--zigzags", type=_degrees_spec, default="")
-    p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--end-rank", type=_at_least(1, "end-rank"), default=1)
-    p.add_argument("--no-unit", action="store_true")
-    p.add_argument("-o", "--output", default=None)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name in SUBCOMMANDS if only is None else (only,):
+        help_text, _, specs = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for *flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "dgms": cmd_dgms,
-    "cohomology": cmd_cohomology,
-    "formality": cmd_formality,
-    "sl2": cmd_sl2,
-    "qdolbeault": cmd_qdolbeault,
-    "spectral": cmd_spectral,
-    "deform": cmd_deform,
-    "generate": cmd_generate,
-}
+def _invoked(argv) -> str | None:
+    """The subcommand argv names, its first token after any --format VALUE;
+    None when that token is not a subcommand (-h, --form, a typo, none)."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--format":
+            next(tokens, None)
+        elif not token.startswith("--format="):
+            return token if token in SUBCOMMANDS else None
+    return None
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_invoked(argv))
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:  # argparse leaves string defaults unchecked
+        parser.error(f"environment variable DGKIT_REPORT_FORMAT: invalid choice: "
+                     f"{args.format!r} (choose from 'text', 'json')")
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "format") and v is not None}
     report = Report(args.command, options)
     try:
-        COMMANDS[args.command](args, report)
+        SUBCOMMANDS[args.command][1](args, report)
     except (ModelError, PreconditionError, ParseError) as exc:
         report.put("error", str(exc), asserted=False)
     except InternalCheckError as exc:

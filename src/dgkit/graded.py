@@ -434,15 +434,15 @@ class StructuredAlgebra:
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """Bilinear extension of the structure constants; result in degree k1+k2.
 
-        When v1 meets two or more rows of the table, the products are summed
-        as Gaussian-integer numerators and each touched entry is reduced
-        once, over the product of the denominators.  With one row there is
-        no sum across rows, and the Scalar short-cuts on the +-1 entries of
-        such sparse operands are cheaper than lifting them."""
+        When v1 meets two or more rows of the table and v2 has two or more
+        non-zero entries, the products are summed as Gaussian-integer
+        numerators and each touched entry is reduced once, over the product
+        of the denominators.  Otherwise the Scalar short-cuts on the +-1
+        entries of such sparse operands are cheaper than lifting them."""
         s, rows = self._products.get((k1, k2), _NO_PRODUCTS)
         nonzero = [i for i in rows if not v1[i].is_zero()]
         out = [ZERO] * self.space.dim(k1 + k2)
-        if len(nonzero) < 2:
+        if len(nonzero) < 2 or sum(not c.is_zero() for c in v2) < 2:
             for i in nonzero:
                 for j, targets in rows[i].items():
                     if not v2[j].is_zero():

@@ -265,8 +265,17 @@ def test_products_match_the_reference(alg, data):
 MIXED = COEFFS + FRACTIONS
 
 
+def one_entry_vectors(n):
+    """Vectors with one non-zero entry, so that a dense v1 times one of them
+    meets several rows but a single v2 entry."""
+    if not n:
+        return st.just(())
+    return st.tuples(st.integers(0, n - 1), st.sampled_from(MIXED)).map(
+        lambda ic: tuple(ic[1] if k == ic[0] else ZERO for k in range(n)))
+
+
 def mixed_vectors(n):
-    return st.one_of(sparse_vectors(n, MIXED), dense_vectors(n, MIXED))
+    return st.one_of(sparse_vectors(n, MIXED), dense_vectors(n, MIXED), one_entry_vectors(n))
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,6 +313,8 @@ def test_fractional_products_are_reduced_once_and_cancel_to_zero():
     assert alg.mul(1, v, 1, v) == (Scalar(q(2, 9)), Scalar(q(1, 3)))
     assert alg.mul(1, v, 1, v) == reference_mul(alg, 1, v, 1, v)
     assert alg.mul(1, (Scalar(q(2, 3)), ZERO), 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
+    # v meets the rows of x and y, the second operand is one entry: v * 1/2 y = 1/9 t
+    assert alg.mul(1, v, 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
     assert alg.mul(2, (ONE, ONE), 1, v) == ()
     # 3/2 y * x = -1/2 t; x * (1/3 x + 1/2 y) = 1/6 t + 1/4 u + 1/6 t
     assert alg.label_product("x", 1, [(1, Scalar(q(3, 2)))], False) == {0: Scalar(q(-1, 2))}
