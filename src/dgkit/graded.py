@@ -46,8 +46,10 @@ from dgkit.linalg import (
     Matrix,
     Subspace,
     Vector,
+    dense_vector,
     image_of,
     kernel_of,
+    sparse_vector,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -323,9 +325,8 @@ class StructuredAlgebra:
     ``mul`` lifts the non-zero operand entries to numerators over their
     common denominators, accumulates in ints and reduces each touched entry
     once, over the product of the denominators; a product that meets one
-    row of the table, and ``label_product``, whose operand is one basis
-    label, multiply Scalars.  ``structure`` is not changed after
-    construction.
+    row of the table, and ``label_product``, on sparse operands, multiply
+    Scalars.  ``structure`` is not changed after construction.
     """
 
     def __init__(self, space: GradedSpace, kind: str = "associative",
@@ -411,24 +412,26 @@ class StructuredAlgebra:
             table[degrees] = s, rows
         return table
 
-    def label_product(self, label: str, k: int, items: Iterable[tuple[int, Scalar]],
-                      label_first: bool) -> dict[int, Scalar]:
-        """label * v (label_first) or v * label, where v of degree k is given
-        by its non-zero (index, coefficient) pairs.
+    def label_product(self, k1: int, u: Iterable[tuple[int, Scalar]], k2: int,
+                      v: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+        """u * v for u of degree k1 and v of degree k2, each given by its
+        non-zero (index, coefficient) pairs; a basis label is the one pair
+        (index, ONE).  v is read once per row of the table that u meets.
 
         The result is the sparse {index: coefficient} of the product in
-        degree k + deg(label), with cancelled entries dropped.
+        degree k1 + k2, with cancelled entries dropped.
         """
-        kl, il = self.space.label_loc[label]
-        if label_first:
-            targets_of = self._products.get((kl, k), _NO_PRODUCTS)[1].get(il, {}).get
-        else:
-            rows = self._products.get((k, kl), _NO_PRODUCTS)[1]
-            targets_of = lambda i: rows.get(i, {}).get(il)
+        rows = self._products.get((k1, k2), _NO_PRODUCTS)[1]
         out: dict[int, Scalar] = {}
-        for i, c in items:
-            for idx, _, _, ct in targets_of(i) or ():
-                out[idx] = out.get(idx, ZERO) + c * ct
+        for i, a in u:
+            row = rows.get(i)
+            if row:
+                for j, b in v:
+                    targets = row.get(j)
+                    if targets:
+                        c = a * b
+                        for idx, _, _, ct in targets:
+                            out[idx] = out.get(idx, ZERO) + c * ct
         return {idx: c for idx, c in out.items() if not c.is_zero()}
 
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
@@ -438,21 +441,17 @@ class StructuredAlgebra:
         non-zero entries, the products are summed as Gaussian-integer
         numerators and each touched entry is reduced once, over the product
         of the denominators.  Otherwise the Scalar short-cuts on the +-1
-        entries of such sparse operands are cheaper than lifting them."""
+        entries of such sparse operands are cheaper than lifting them, and
+        the product is ``label_product``."""
         s, rows = self._products.get((k1, k2), _NO_PRODUCTS)
-        nonzero = [i for i in rows if not v1[i].is_zero()]
-        out = [ZERO] * self.space.dim(k1 + k2)
-        if len(nonzero) < 2 or sum(not c.is_zero() for c in v2) < 2:
-            for i in nonzero:
-                for j, targets in rows[i].items():
-                    if not v2[j].is_zero():
-                        c = v1[i] * v2[j]
-                        for idx, _, _, ct in targets:
-                            out[idx] = out[idx] + c * ct
-            return tuple(out)
-        d1, nums1 = lift((i, v1[i]) for i in nonzero)
-        d2, nums2 = lift(enumerate(v2))
-        re, im = [0] * len(out), [0] * len(out)
+        u = [(i, v1[i]) for i in rows if not v1[i].is_zero()]
+        v = sparse_vector(v2).items()
+        n = self.space.dim(k1 + k2)
+        if len(u) < 2 or len(v) < 2:
+            return dense_vector(n, self.label_product(k1, u, k2, v))
+        d1, nums1 = lift(u)
+        d2, nums2 = lift(v)
+        re, im = [0] * n, [0] * n
         for i, (a1, b1) in nums1.items():
             for j, targets in rows[i].items():
                 if j in nums2:
@@ -640,21 +639,26 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
     or None when the shift-0 map f is multiplicative on basis pairs.
 
     f(a * b) pushes the pair's structure constants through the sparse
-    columns of f; f(a) * f(b) applies the structure of tgt to them.
+    columns of f; f(a) * f(b) applies the structure of tgt to them.  A pair
+    whose degree is empty in tgt is skipped: both sides are empty there, so
+    the skip changes no verdict and no witness.
     """
     columns = f.label_table()
-    labels = src.space.all_labels()
-    for l1 in labels:
+    for l1 in src.space.all_labels():
         f1 = columns[l1]
-        for l2 in labels:
-            lhs: dict[str, Scalar] = {}
-            for lt, c in src.mul_labels(l1, l2).items():
-                _accumulate(lhs, c, columns[lt])
-            rhs: dict[str, Scalar] = {}
-            for a, ca in f1.items():
-                tgt._times_label(rhs, ca, columns[l2], a, True)
-            if lhs != rhs:
-                return {"pair": [l1, l2]}
+        k1 = src.space.degree_of(l1)
+        for k2, labels in src.space.components.items():
+            if not tgt.space.dim(k1 + k2):
+                continue
+            for l2 in labels:
+                lhs: dict[str, Scalar] = {}
+                for lt, c in src.mul_labels(l1, l2).items():
+                    _accumulate(lhs, c, columns[lt])
+                rhs: dict[str, Scalar] = {}
+                for a, ca in f1.items():
+                    tgt._times_label(rhs, ca, columns[l2], a, True)
+                if lhs != rhs:
+                    return {"pair": [l1, l2]}
     return None
 
 
@@ -679,10 +683,12 @@ class Subquotient:
     inner[k] and the vectors picked before it (`taken[k]` holds their
     indices into outer[k]).  They are labelled f"{prefix}{k}_{i}" in
     `space`, and the complement projects onto them along inner[k].  Products
-    and maps descend through the representatives; projecting a vector
-    outside inner + span(outer) raises escape(k).  Cohomology is the case
-    (im d, ker d), a sub-algebra the case (0, basis), and the quotient by an
-    ideal I the case (I, a spanning set).
+    and maps descend through the representatives, kept also as sparse
+    {index: Scalar} views: products go through `label_product` and every
+    class through `Complement.project_sparse`.  Projecting a vector outside
+    inner + span(outer) raises escape(k).  Cohomology is the case (im d,
+    ker d), a sub-algebra the case (0, basis), and the quotient by an ideal
+    I the case (I, a spanning set).
     """
 
     def __init__(self, algebra: StructuredAlgebra, inner: dict[int, Subspace],
@@ -696,6 +702,10 @@ class Subquotient:
         self._complements = {k: Complement(sub, outer.get(k, []))
                              for k, sub in self.inner.items()}
         self.reps = {k: comp.vectors for k, comp in self._complements.items()}
+        self._sparse = {k: [sparse_vector(r) for r in reps] for k, reps in self.reps.items()}
+        # the degrees not wholly in inner: only there can a class be non-zero
+        # or a vector escape
+        self._open = {k for k, sub in self.inner.items() if sub.dim < space.dim(k)}
         self.taken = {k: comp.taken for k, comp in self._complements.items()}
         self.space = GradedSpace({k: [f"{prefix}{k}_{i}" for i in range(len(reps))]
                                   for k, reps in self.reps.items()})
@@ -707,40 +717,47 @@ class Subquotient:
     def dim(self, k: int) -> int:
         return len(self.reps.get(k, ()))
 
+    def _classes(self, k: int, vectors: Iterable[dict],
+                 escape: Optional[Callable[[int], Exception]] = None) -> list[dict]:
+        """The non-zero class coordinates {t: Scalar} of sparse vectors of
+        degree k; outside `_open` every class is 0 and nothing escapes."""
+        if k not in self._open:
+            return [{} for _ in vectors]
+        coords = self._complements[k].project_sparse(vectors)
+        if coords is None:
+            raise (escape or self.escape)(k)
+        return coords
+
     def project(self, k: int, v: Vector) -> Vector:
         """Coordinates of v's class in the representative basis."""
         return self.project_many(k, [v])[0]
 
     def project_many(self, k: int, vectors: Sequence[Vector],
                      escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
-        comp = (self._complements.get(k)  # or a degree the space does not have
-                or Complement(Subspace.zero(self.algebra.space.dim(k)), []))
-        coords = comp.project(vectors)
-        if coords is None:
-            raise (escape or self.escape)(k)
-        return coords
+        return [dense_vector(self.dim(k), c)
+                for c in self._classes(k, [sparse_vector(v) for v in vectors], escape)]
 
     def structure(self, escape: Optional[Callable[[int], Exception]] = None) -> dict:
         """Structure constants on the representatives: each product of two
-        representatives, projected.  A degree that lies wholly in inner has
-        no coordinates, so its products are not formed."""
+        representatives, projected, as its non-zero class coordinates.  A
+        degree that lies wholly in inner has no coordinates and nothing
+        escapes to it, so its products are not formed."""
         if self._structure is None:
-            mul, labels = self.algebra.mul, self.space.labels
-            reps = [(k, v) for k, v in self.reps.items() if v]
+            product, labels = self.algebra.label_product, self.space.labels
+            reps = [(k, v) for k, v in self._sparse.items() if v]
             triples = []
             for k1, reps1 in reps:
                 for k2, reps2 in reps:
                     k = k1 + k2
-                    if k not in self.inner or self.inner[k].dim == self.algebra.space.dim(k):
+                    if k not in self._open:
                         continue
-                    classes = iter(self.project_many(
-                        k, [mul(k1, r1, k2, r2) for r1 in reps1 for r2 in reps2], escape))
+                    classes = iter(self._classes(k, [product(k1, r1.items(), k2, r2.items())
+                                                     for r1 in reps1 for r2 in reps2], escape))
                     for i in range(len(reps1)):
                         for j in range(len(reps2)):
-                            for t, c in enumerate(next(classes)):
-                                if not c.is_zero():
-                                    triples.append((labels(k1)[i], labels(k2)[j],
-                                                    labels(k)[t], c))
+                            for t, c in next(classes).items():
+                                triples.append((labels(k1)[i], labels(k2)[j],
+                                                labels(k)[t], c))
             self._structure = StructuredAlgebra.structure_from_triples(triples)
         return self._structure
 
@@ -807,23 +824,26 @@ class CohomologyPresentation(Subquotient):
 
     def _dependent_degree_pair(self) -> Optional[tuple[int, int]]:
         """The first (k1, k2) where some class [(r1 + b) * r2] differs from
-        [r1 * r2] for a boundary b, or None."""
-        mul = self.algebra.mul
-        for k1, reps1 in self.reps.items():
-            boundaries = self.inner[k1].vectors()
+        [r1 * r2] for a boundary b, or None.  A degree k1 + k2 that lies
+        wholly in im d is skipped: every class there is 0 and every vector
+        closed, so the skip changes no verdict and no witness."""
+        product = self.algebra.label_product
+        for k1, reps1 in self._sparse.items():
+            boundaries = self.inner[k1].sparse_rows()
             for r1 in reps1:
                 # [r1 * r2] per (k2, index of r2), projected at first use
-                classes: dict[tuple[int, int], Vector] = {}
+                classes: dict[tuple[int, int], dict] = {}
                 for b in boundaries:
-                    shifted = vec_add(r1, b)
-                    for k2, reps2 in self.reps.items():
+                    shifted = _accumulate(dict(r1), ONE, dict(b)).items()
+                    for k2, reps2 in self._sparse.items():
                         k = k1 + k2
-                        if self.algebra.space.dim(k) == 0:
+                        if k not in self._open:
                             continue
                         for j, r2 in enumerate(reps2):
-                            shifted_class = self.project(k, mul(k1, shifted, k2, r2))
                             if (k2, j) not in classes:
-                                classes[(k2, j)] = self.project(k, mul(k1, r1, k2, r2))
+                                classes[(k2, j)] = self._classes(
+                                    k, [product(k1, r1.items(), k2, r2.items())])[0]
+                            shifted_class = self._classes(k, [product(k1, shifted, k2, r2.items())])[0]
                             if shifted_class != classes[(k2, j)]:
                                 return k1, k2
         return None

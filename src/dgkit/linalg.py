@@ -3,8 +3,8 @@
 Subspaces are canonical: the basis is the reduced row echelon form of any
 spanning set, so equality of subspaces is literal equality of matrices.
 Vectors are tuples of Scalars; matrices act on column vectors.  A sparse
-vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests
-without expanding it.
+vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests and
+`Complement.project_sparse` projects without expanding it.
 
 A Matrix stores its entries as row-major lists; that layout is private to
 this module.  Other modules build matrices through `Matrix.from_columns`
@@ -43,6 +43,11 @@ def dense_vector(n: int, entries: dict) -> Vector:
     return tuple(entries.get(i, ZERO) for i in range(n))
 
 
+def sparse_vector(u: Sequence[Scalar]) -> dict:
+    """The non-zero {index: Scalar} entries of u; dense_vector inverts it."""
+    return {j: a for j, a in enumerate(u) if not a.is_zero()}
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -53,11 +58,6 @@ def vec_scale(c: Scalar, u: Vector) -> Vector:
 
 def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
-
-
-def _nonzeros(u: Sequence[Scalar]) -> list:
-    """The (index, entry) pairs of u whose entry is non-zero."""
-    return [(j, a) for j, a in enumerate(u) if not a.is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
         out = Matrix(self.rows, other.cols)
-        other_nonzeros = [_nonzeros(row) for row in other.data]
+        other_nonzeros = [sparse_vector(row).items() for row in other.data]
         for row, out_row in zip(self.data, out.data):
             for a, b_nonzeros in zip(row, other_nonzeros):
                 if a.is_zero():
@@ -167,7 +167,7 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match matrix columns")
-        v_nonzeros = _nonzeros(v)
+        v_nonzeros = sparse_vector(v).items()
         out = []
         for row in self.data:
             acc = ZERO
@@ -292,7 +292,7 @@ class Subspace:
     def sparse_rows(self) -> list:
         """Each basis row as its non-zero (column, entry) pairs."""
         if self._sparse_rows is None:
-            self._sparse_rows = [_nonzeros(row) for row in self.basis.data]
+            self._sparse_rows = [list(sparse_vector(row).items()) for row in self.basis.data]
         return self._sparse_rows
 
     def _check(self, other: "Subspace"):
@@ -310,7 +310,7 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        return self.contains_sparse(dict(_nonzeros(v)))
+        return self.contains_sparse(sparse_vector(v))
 
     def contains_sparse(self, v: dict) -> bool:
         """Whether the vector with entries {column: Scalar} lies in the span.
@@ -453,9 +453,11 @@ class Complement:
     in the span of `inner` and the vectors taken before.  One elimination of
     the columns [inner basis | outer | identity] picks them as pivot columns
     and leaves in the identity block an invertible E with E B = [I; 0] for
-    B = [inner basis | vectors]; `project` only applies rows of E."""
+    B = [inner basis | vectors]; the rows of E from inner.dim on are kept,
+    and also as their sparse columns, so a projection only applies the
+    columns on the support of a vector."""
 
-    __slots__ = ("taken", "vectors", "_rows")
+    __slots__ = ("taken", "vectors", "_rows", "_columns")
 
     def __init__(self, inner: Subspace, outer: Sequence[Vector]):
         n = inner.ambient_dim
@@ -471,21 +473,37 @@ class Complement:
         self.vectors = [outer[i] for i in self.taken]
         # rows a.. of E: complement coordinates, then rows vanishing on B
         self._rows = Matrix(n - a, n, [red.data[i][len(left):] for i in range(a, n)])
+        self._columns = [[(i, row[j]) for i, row in enumerate(self._rows.data)
+                          if not row[j].is_zero()] for j in range(n)]
 
     def projection(self) -> Optional[Matrix]:
         """The matrix of `project` on all of F^n, or None when inner and
         self.vectors do not span F^n."""
         return self._rows if self._rows.rows == len(self.vectors) else None
 
-    def project(self, vectors: Sequence[Vector]) -> Optional[list]:
-        """The complement coordinates of each vector in the basis
-        [inner basis | self.vectors], or None if some vector is outside
-        their span."""
+    def project_sparse(self, vectors: Iterable[dict]) -> Optional[list[dict]]:
+        """The non-zero complement coordinates {t: Scalar}, in ascending t, of
+        each sparse vector {index: Scalar} in the basis [inner basis |
+        self.vectors], or None if some vector is outside their span."""
         m = len(self.vectors)
         out = []
         for v in vectors:
-            c = self._rows.apply(v)
-            if not all(x.is_zero() for x in c[m:]):
-                return None
-            out.append(c[:m])
+            acc: dict = {}
+            for j, x in v.items():
+                for i, e in self._columns[j]:
+                    acc[i] = acc.get(i, ZERO) + e * x
+            coords = {}
+            for i in sorted(acc):
+                if not acc[i].is_zero():
+                    if i >= m:
+                        return None
+                    coords[i] = acc[i]
+            out.append(coords)
         return out
+
+    def project(self, vectors: Sequence[Vector]) -> Optional[list]:
+        """`project_sparse` of dense vectors, with dense coordinates."""
+        if any(len(v) != len(self._columns) for v in vectors):
+            raise DimensionMismatch("vector length does not match matrix columns")
+        coords = self.project_sparse(sparse_vector(v) for v in vectors)
+        return None if coords is None else [dense_vector(len(self.vectors), c) for c in coords]

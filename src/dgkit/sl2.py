@@ -10,6 +10,7 @@ element is ever materialized.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -25,7 +26,7 @@ from dgkit.graded import (
     format_vector,
 )
 from dgkit.linalg import Matrix, Subspace, Vector, dense_vector, kernel_of, vec_is_zero
-from dgkit.scalars import Scalar
+from dgkit.scalars import ONE, Scalar
 
 
 class Sl2Module:
@@ -171,13 +172,30 @@ def weight_decomposition(module: Sl2Module) -> IsotypicDecomposition:
     return decomp
 
 
+def _full(space: GradedSpace, ideal: dict[int, Subspace], k: int) -> bool:
+    """Whether no vector of degree k can leave the ideal: the space has no
+    degree k, or the ideal holds all of it."""
+    n = space.dim(k)
+    return n == 0 or (k in ideal and ideal[k].dim == n)
+
+
+def _units_by_degree(space: GradedSpace) -> list[tuple[int, list[tuple[str, tuple]]]]:
+    """Per degree, each basis label and its one-entry sparse vector, in the
+    order of `space.all_labels()`."""
+    return [(k, [(lab, ((i, ONE),)) for i, lab in enumerate(space.labels(k))])
+            for k in space.degrees()]
+
+
 def low_weight_ideal(algebra: StructuredAlgebra,
                      decomp: IsotypicDecomposition) -> dict[int, Subspace]:
     """Smallest two-sided graded ideal containing, in each degree k, every
     isotypic component of weight strictly less than k.
 
     Closure is computed by iterating products with all basis elements to a
-    fixed point; monotone, so it terminates within total_dim steps.
+    fixed point; monotone, so it terminates within total_dim steps.  A
+    product whose degree the space lacks or the ideal already fills, judged
+    when the product is due, is not formed: it lies in the ideal, so the
+    ideal grows by the same vectors in the same order.
     """
     space = algebra.space
     ideal = {k: Subspace.zero(space.dim(k)) for k in space.degrees()}
@@ -192,7 +210,7 @@ def low_weight_ideal(algebra: StructuredAlgebra,
             ideal[k] = Subspace.from_vectors(space.dim(k), gens)
             frontier.extend((k, row) for row in ideal[k].sparse_rows())
 
-    labels = [(l, space.degree_of(l)) for l in space.all_labels()]
+    units = _units_by_degree(space)
     rounds = 0
     while frontier:
         rounds += 1
@@ -200,10 +218,13 @@ def low_weight_ideal(algebra: StructuredAlgebra,
             raise InternalCheckError("ideal closure failed to stabilize")
         new_frontier: list[tuple[int, Iterable]] = []
         for kv, v in frontier:
-            for lab, kl in labels:
+            for kl, labelled in units:
                 deg = kv + kl
-                for label_first in (True, False):
-                    prod = algebra.label_product(lab, kv, v, label_first)
+                for (_, unit), label_first in itertools.product(labelled, (True, False)):
+                    if _full(space, ideal, deg):
+                        break
+                    prod = (algebra.label_product(kl, unit, kv, v) if label_first
+                            else algebra.label_product(kv, v, kl, unit))
                     if prod and not ideal[deg].contains_sparse(prod):
                         n = space.dim(deg)
                         ideal[deg] = ideal[deg].add(
@@ -247,16 +268,21 @@ def two_sided_witness(algebra: StructuredAlgebra,
                       ideal: dict[int, Subspace]) -> Optional[dict]:
     """The first {"degree", "label"} such that a basis label times an ideal
     basis row of that degree, on either side, leaves the ideal; None when the
-    ideal is two-sided."""
-    labels = [(l, algebra.space.degree_of(l)) for l in algebra.space.all_labels()]
+    ideal is two-sided.  Products whose degree the space lacks or the ideal
+    fills are not formed: they cannot leave it, so the witness is the same."""
+    space = algebra.space
+    units = _units_by_degree(space)
     for k, sub in ideal.items():
         for v in sub.sparse_rows():
-            for lab, kl in labels:
+            for kl, labelled in units:
                 deg = k + kl
-                for label_first in (True, False):
-                    prod = algebra.label_product(lab, k, v, label_first)
-                    if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
-                        return {"degree": k, "label": lab}
+                if _full(space, ideal, deg):
+                    continue
+                for lab, unit in labelled:
+                    for prod in (algebra.label_product(kl, unit, k, v),
+                                 algebra.label_product(k, v, kl, unit)):
+                        if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
+                            return {"degree": k, "label": lab}
     return None
 
 
@@ -268,6 +294,10 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     stable under every named differential.  When an sl(2) decomposition is
     supplied, representatives are chosen inside h-eigenspaces so the quotient
     inherits the bigrading (p, q) = ((k - lam)/2, (k + lam)/2).
+
+    The stability checks under the differentials, e, f and h skip an ideal
+    degree whose target degree the space lacks or the ideal fills: no image
+    can leave the ideal there, so no verdict or witness changes.
     """
     space = algebra.space
     checks = ValidationReport()
@@ -277,10 +307,12 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     if witness is not None:
         raise ModelError(f"not a two-sided ideal: {witness}")
 
-    # differential stability
+    # differential stability; a target degree the ideal fills cannot fail
     for name, d in algebra.differentials.items():
         ok, witness = True, None
         for k, sub in ideal.items():
+            if _full(space, ideal, k + 1):
+                continue
             for v in sub.vectors():
                 img = d.apply(k, v)
                 if vec_is_zero(img):
@@ -315,7 +347,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         # h is diagonalizable: an h-stable ideal is the sum of its parts in
         # the eigenspaces, so the complement splits along them as well
         ik = ideal.get(k, Subspace.zero(n))
-        if not all(ik.contains(h.apply(k, v)) for v in ik.vectors()):
+        if not _full(space, ideal, k) and not all(ik.contains(h.apply(k, v))
+                                                  for v in ik.vectors()):
             raise ModelError(
                 f"ideal is not h-stable at degree {k}; bigraded quotient "
                 f"unavailable")
@@ -345,9 +378,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
             op = algebra.maps.get(name)
             if op is None:
                 continue
-            stable = all(
-                ideal.get(k, Subspace.zero(space.dim(k))).contains(op.apply(k, v))
-                for k, sub in ideal.items() for v in sub.vectors())
+            stable = all(sub.contains(op.apply(k, v)) for k, sub in ideal.items()
+                         if not _full(space, ideal, k) for v in sub.vectors())
             checks.add(f"ideal stable under {name}", stable)
             if stable:
                 q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))

@@ -226,6 +226,15 @@ def reference_mul(alg, k1, v1, k2, v2):
     return tuple(out)
 
 
+def label_times(alg, label, k, items, label_first):
+    """label * v (label_first) or v * label through label_product, the
+    label as its one-entry sparse vector."""
+    kl, i = alg.space.label_loc[label]
+    unit = [(i, ONE)]
+    return (alg.label_product(kl, unit, k, items) if label_first
+            else alg.label_product(k, items, kl, unit))
+
+
 def test_label_product_drops_cancelled_entries():
     # a*x = t and a*y = -t, so a*(x + y) = 0 on both sides
     space = GradedSpace({0: ["x", "y"], 1: ["a", "t"]})
@@ -234,8 +243,8 @@ def test_label_product_drops_cancelled_entries():
     alg = StructuredAlgebra(space, "associative", {},
                             StructuredAlgebra.structure_from_triples(triples))
     for label_first in (True, False):
-        assert alg.label_product("a", 0, [(0, ONE), (1, ONE)], label_first) == {}
-        assert alg.label_product("a", 0, [(1, Scalar(2))], label_first) == {1: Scalar(-2)}
+        assert label_times(alg, "a", 0, [(0, ONE), (1, ONE)], label_first) == {}
+        assert label_times(alg, "a", 0, [(1, Scalar(2))], label_first) == {1: Scalar(-2)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,17 +256,22 @@ def test_products_match_the_reference(alg, data):
     k2 = data.draw(st.sampled_from(degrees))
     v1 = data.draw(sparse_vectors(space.dim(k1)))
     v2 = data.draw(sparse_vectors(space.dim(k2)))
-    assert alg.mul(k1, v1, k2, v2) == reference_mul(alg, k1, v1, k2, v2)
+    want = reference_mul(alg, k1, v1, k2, v2)
+    assert alg.mul(k1, v1, k2, v2) == want
+    # two sparse operands
+    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
+    sparse = alg.label_product(k1, [(i, c) for i, c in enumerate(v1) if not c.is_zero()], k2, items)
+    assert all(not c.is_zero() for c in sparse.values())
+    assert dense_vector(space.dim(k1 + k2), sparse) == want
     if not space.degrees():
         return
     label = data.draw(st.sampled_from(space.all_labels()))
     kl = space.degree_of(label)
-    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
     unit = space.basis_vector(label)[1]
     m = space.dim(k2 + kl)
     for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
                               (False, reference_mul(alg, k2, v2, kl, unit))):
-        sparse = alg.label_product(label, k2, items, label_first)
+        sparse = label_times(alg, label, k2, items, label_first)
         assert all(not c.is_zero() for c in sparse.values())
         assert dense_vector(m, sparse) == want
 
@@ -286,16 +300,21 @@ def test_products_over_mixed_denominators_match_the_reference(alg, data):
     k2 = data.draw(st.sampled_from(space.degrees() + [3]))
     v1 = data.draw(mixed_vectors(space.dim(k1)))
     v2 = data.draw(mixed_vectors(space.dim(k2)))
-    assert alg.mul(k1, v1, k2, v2) == reference_mul(alg, k1, v1, k2, v2)
+    want = reference_mul(alg, k1, v1, k2, v2)
+    assert alg.mul(k1, v1, k2, v2) == want
+    # two sparse operands, both possibly with several entries over mixed denominators
+    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
+    sparse = alg.label_product(k1, [(i, c) for i, c in enumerate(v1) if not c.is_zero()], k2, items)
+    assert all(not c.is_zero() for c in sparse.values())
+    assert dense_vector(space.dim(k1 + k2), sparse) == want
     if not space.degrees():
         return
     label = data.draw(st.sampled_from(space.all_labels()))
     kl = space.degree_of(label)
     unit = space.basis_vector(label)[1]
-    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
     for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
                               (False, reference_mul(alg, k2, v2, kl, unit))):
-        sparse = alg.label_product(label, k2, items, label_first)
+        sparse = label_times(alg, label, k2, items, label_first)
         assert all(not c.is_zero() for c in sparse.values())
         assert dense_vector(space.dim(k2 + kl), sparse) == want
 
@@ -317,10 +336,10 @@ def test_fractional_products_are_reduced_once_and_cancel_to_zero():
     assert alg.mul(1, v, 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
     assert alg.mul(2, (ONE, ONE), 1, v) == ()
     # 3/2 y * x = -1/2 t; x * (1/3 x + 1/2 y) = 1/6 t + 1/4 u + 1/6 t
-    assert alg.label_product("x", 1, [(1, Scalar(q(3, 2)))], False) == {0: Scalar(q(-1, 2))}
-    assert alg.label_product("x", 1, [(0, Scalar(q(1, 3))), (1, Scalar(q(1, 2)))], True) \
+    assert label_times(alg, "x", 1, [(1, Scalar(q(3, 2)))], False) == {0: Scalar(q(-1, 2))}
+    assert label_times(alg, "x", 1, [(0, Scalar(q(1, 3))), (1, Scalar(q(1, 2)))], True) \
         == {0: Scalar(q(1, 3)), 1: Scalar(q(1, 4))}
-    assert alg.label_product("y", 1, [(0, Scalar(3))], True) == {0: Scalar(-1)}
+    assert label_times(alg, "y", 1, [(0, Scalar(3))], True) == {0: Scalar(-1)}
     # (3x + y)(x + 3y) = 3 x*x + 9 x*y + y*x = (3/2 + 3 - 1/3) t + 9/4 u
     assert alg.mul(1, (Scalar(3), ONE), 1, (ONE, Scalar(3))) == (Scalar(q(25, 6)), Scalar(q(9, 4)))
 

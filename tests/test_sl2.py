@@ -13,6 +13,7 @@ from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, algebra_map_
 from dgkit.linalg import Matrix, Subspace, vec_is_zero
 from dgkit.models import nilpotent_torus_model, torus_model
 from dgkit.scalars import ONE, Scalar
+from test_ddbar import ref_dense_algebra_map_witness
 from strategies import (
     COEFFS,
     graded_maps,
@@ -471,6 +472,98 @@ def test_corrupted_quotient_gives_the_reference_witness(pick, how):
     assert witness == ref_algebra_map_witness(full, quotient.qmap, corrupted)
 
 
+# -- degree pruning: walks that skip products which cannot fail ------------------
+#
+# The ideal closure, the two-sided check, the stability loops of plus_quotient
+# and the algebra-map certificate skip every product whose degree the space
+# lacks or the ideal (or the quotient) fills; the dense references above form
+# every product.
+
+
+@random_oracle
+@given(random_algebras(), st.data())
+def test_pruned_walks_match_the_dense_reference_where_the_ideal_fills_degrees(alg, data):
+    space = alg.space
+    filled = [k for k in space.degrees() if data.draw(st.booleans())]
+    gens = {k: (Subspace.full(space.dim(k)).vectors() if k in filled else
+                [data.draw(sparse_vectors(space.dim(k))) for _ in range(data.draw(st.integers(0, 2)))])
+            for k in space.degrees()}
+    ideal = low_weight_ideal(alg, GeneratorsOnly(gens))
+    assert ideal == ref_low_weight_ideal(alg, GeneratorsOnly(gens))
+    assert all(ideal[k].dim == space.dim(k) for k in filled)
+    # some degrees full, some left out of the dict, some a line
+    hand_made = {}
+    for k in space.degrees():
+        how = data.draw(st.sampled_from(("full", "absent", "line")))
+        if how == "full":
+            hand_made[k] = Subspace.full(space.dim(k))
+        elif how == "line":
+            hand_made[k] = Subspace.from_vectors(space.dim(k), [data.draw(sparse_vectors(space.dim(k)))])
+    assert two_sided_witness(alg, hand_made) == ref_two_sided_witness(alg, hand_made)
+
+
+@random_oracle
+@given(random_algebras(), st.data())
+def test_algebra_map_witness_matches_the_dense_loop_on_targets_with_empty_degrees(alg, data):
+    empty = data.draw(st.sets(st.sampled_from((0, 1, 2, 3, 4))))
+    q_space = GradedSpace({k: [f"q{k}_{i}" for i in range(data.draw(st.integers(1, 3)))]
+                           for k in range(3) if k not in empty})
+    qmap = data.draw(graded_maps(alg.space, q_space))
+    quotient = data.draw(random_algebras(q_space))
+    witness = algebra_map_witness(alg, qmap, quotient)
+    assert witness == ref_dense_algebra_map_witness(qmap, alg, quotient)
+    assert witness == ref_algebra_map_witness(alg, qmap, quotient)
+
+
+def test_first_failure_just_below_a_full_degree_gives_the_reference_witness():
+    """Degrees 3 and 4 of the rank-1 torus ideal are full.  With a random
+    line in degree 1, the first product that leaves the ideal is a degree-1
+    label times it, in degree 2, the degree just below the full one; the
+    products into degree 3 are the ones the walk skips."""
+    full, ideal = _random_degree_1_line()
+    dim = full.space.dim
+    assert ideal[3].dim == dim(3) and ideal[2].dim < dim(2)
+    witness = two_sided_witness(full, ideal)
+    assert witness == ref_two_sided_witness(full, ideal)
+    assert witness["degree"] == 1 and full.space.degree_of(witness["label"]) == 1
+    with pytest.raises(ModelError, match="not a two-sided ideal"):
+        plus_quotient(full, ideal)
+
+
+def test_stability_loops_skip_only_filled_target_degrees():
+    # d x = y: the ideal spanned by x is d-stable exactly when it holds y
+    space = GradedSpace({0: ["u"], 1: ["x"], 2: ["y"]})
+    d = GradedMap.from_entries(space, space, 1, [("x", "y", ONE)])
+    alg = StructuredAlgebra(space, "associative", {"d": d}, {})
+    zero, full = Subspace.zero(1), Subspace.full(1)
+    assert plus_quotient(alg, {0: zero, 1: full, 2: full}).dims() == {0: 1}
+    with pytest.raises(ModelError, match="not stable under differential 'd': degree 1"):
+        plus_quotient(alg, {0: zero, 1: full, 2: zero})
+
+
+def test_plus_quotient_forms_no_dense_product_on_the_rank_2_torus(monkeypatch):
+    """A count, not a timing: building the rank-2 torus quotient made 8,192
+    label products and 496 dense products before the walks skipped the
+    products into degrees the ideal fills and the quotient structure went
+    through sparse representatives."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(StructuredAlgebra, name)
+
+        def count(*args):
+            calls[name] += 1
+            return method(*args)
+        return count
+
+    model = torus_model(2)
+    for name in ("label_product", "mul"):
+        monkeypatch.setattr(StructuredAlgebra, name, counted(name))
+    model.plus_quotient
+    assert calls["mul"] == 0
+    assert 0 < calls["label_product"] <= 688
+
+
 # -- torus regression: quotient bigrading and pinned r = 3 reports -------------
 
 # sha256 of the `--format json` reports on `generate torus --rank 3`, run in
@@ -480,12 +573,29 @@ TORUS_R3_REPORT_SHA256 = {
     ("qdolbeault", "--phi"): "f45ee132b6f6c5b1eb2d1fee2be694892b737b1c11d6b13cd52e9bd3268438c5",
 }
 
+# sha256 of the `--format json` reports of the commands whose product walks
+# went sparse and degree-pruned, on `generate torus --rank 2|3` and on
+# `generate torus --rank 2 --nilpotent-twist`; recorded before that change
+PRUNED_WALK_REPORT_SHA256 = {
+    ("formality", "--d0", "del", "--d1", "del_bar", "torus_r2.model"):
+        "5993290401cb427a5c7c30be069ad3d871091ff08ca3f7441655b2b472c1f7b7",
+    ("formality", "--d0", "del", "--d1", "del_bar", "torus_r3.model"):
+        "b8ee281fbc099d71a911f6e97dec86190d84fe196095329b4193c44fde633bc3",
+    ("sl2", "twisted_r2.model"):
+        "e41c9e15683a5820ac38dc67550ef9c939b3dc110c99a9ca769215dc76630af1",
+    ("qdolbeault", "--phi", "twisted_r2.model"):
+        "d38bae68d966c587fcaf106a0f6499188ea5cd22f88b6a529a263f98a70161b0",
+}
+
 
 @pytest.fixture(scope="module")
 def torus_reports(cli_run):
-    """cli_run in a directory holding torus_r{1,2,3}.model from `generate torus`."""
+    """cli_run in a directory holding torus_r{1,2,3}.model from `generate torus`
+    and twisted_r2.model from `generate torus --rank 2 --nilpotent-twist`."""
     for r in (1, 2, 3):
         assert cli_run("generate", "torus", "--rank", str(r), "-o", f"torus_r{r}.model")[0] == 0
+    assert cli_run("generate", "torus", "--rank", "2", "--nilpotent-twist",
+                   "-o", "twisted_r2.model")[0] == 0
     return cli_run
 
 
@@ -507,3 +617,10 @@ def test_torus_r3_reports_are_pinned(torus_reports, command):
     code, out = torus_reports("--format", "json", *command, "torus_r3.model")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORUS_R3_REPORT_SHA256[command]
+
+
+@pytest.mark.parametrize("argv", sorted(PRUNED_WALK_REPORT_SHA256), ids=" ".join)
+def test_pruned_walk_reports_are_pinned(torus_reports, argv):
+    code, out = torus_reports("--format", "json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRUNED_WALK_REPORT_SHA256[argv]

@@ -3,8 +3,11 @@
 The ref_* functions are the representative-product loops and induced-map
 loops that cohomology, the ker(d1) sub-algebra of the formality zig-zag, the
 image subcomplexes of the strong-lemma check and the sl(2) quotient each ran
-before they became cases of `graded.Subquotient`.
+before they became cases of `graded.Subquotient`, and the dense product loops
+`Subquotient` ran before its representatives and classes went sparse.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,10 @@ from dgkit.linalg import (
     kernel_of,
 )
 from dgkit.models import dots_squares_model
-from dgkit.scalars import ONE
-from strategies import graded_maps, random_algebras, sparse_vectors
+from dgkit.scalars import ONE, ZERO, Scalar
+from strategies import (COEFFS, FRACTIONS, dense_vectors, graded_maps, random_algebras,
+                        sparse_vectors)
+from test_graded import reference_mul
 
 oracle = settings(max_examples=120, deadline=None)
 
@@ -143,6 +148,68 @@ def ref_quotient(alg, inner, outer):
     return reps, qmap, StructuredAlgebra.structure_from_triples(triples), descended
 
 
+def ref_classes(sub, k, vectors, escape=None):
+    """Class coordinates of dense vectors of degree k, solved in the basis
+    [inner basis | representatives] by one elimination; raises escape(k)
+    when some vector is outside their span."""
+    if not vectors:
+        return []
+    inner = sub.inner[k].vectors() if k in sub.inner else []
+    coords = coordinates_in_basis(inner + sub.reps.get(k, []), vectors)
+    if coords is None:
+        raise (escape or sub.escape)(k)
+    return [c[len(inner):] for c in coords]
+
+
+def ref_structure(sub, escape=None):
+    """Subquotient.structure before sparse representatives: dense products
+    of the representatives, each class projected in full."""
+    labels = sub.space.labels
+
+    def mul(k1, v1, k2, v2):
+        return reference_mul(sub.algebra, k1, v1, k2, v2)
+    reps = [(k, v) for k, v in sub.reps.items() if v]
+    triples = []
+    for k1, reps1 in reps:
+        for k2, reps2 in reps:
+            k = k1 + k2
+            if k not in sub.inner or sub.inner[k].dim == sub.algebra.space.dim(k):
+                continue
+            classes = iter(ref_classes(
+                sub, k, [mul(k1, r1, k2, r2) for r1 in reps1 for r2 in reps2], escape))
+            for i in range(len(reps1)):
+                for j in range(len(reps2)):
+                    for t, c in enumerate(next(classes)):
+                        if not c.is_zero():
+                            triples.append((labels(k1)[i], labels(k2)[j], labels(k)[t], c))
+    return StructuredAlgebra.structure_from_triples(triples)
+
+
+def ref_dependent_degree_pair(h):
+    """CohomologyPresentation._dependent_degree_pair before sparse
+    representatives: dense sums r1 + b and dense products."""
+    def mul(k1, v1, k2, v2):
+        return reference_mul(h.algebra, k1, v1, k2, v2)
+
+    for k1, reps1 in h.reps.items():
+        boundaries = h.inner[k1].vectors()
+        for r1 in reps1:
+            classes = {}
+            for b in boundaries:
+                shifted = tuple(x + y for x, y in zip(r1, b))
+                for k2, reps2 in h.reps.items():
+                    k = k1 + k2
+                    if h.algebra.space.dim(k) == 0:
+                        continue
+                    for j, r2 in enumerate(reps2):
+                        shifted_class = ref_classes(h, k, [mul(k1, shifted, k2, r2)])[0]
+                        if (k2, j) not in classes:
+                            classes[(k2, j)] = ref_classes(h, k, [mul(k1, r1, k2, r2)])[0]
+                        if shifted_class != classes[(k2, j)]:
+                            return k1, k2
+    return None
+
+
 def outcome(fn, *args):
     """fn(*args), or the type and message of the error it raises."""
     try:
@@ -174,6 +241,65 @@ def subspaces_of(draw, space):
         for k in space.degrees()}
 
 
+MIXED = COEFFS + FRACTIONS
+
+
+def mixed_vectors(n):
+    """Vectors with any number of non-zero entries over mixed denominators."""
+    return st.one_of(sparse_vectors(n, MIXED), dense_vectors(n, MIXED))
+
+
+@st.composite
+def subquotients(draw):
+    """A subquotient of random_algebras() with FRACTIONS constants: per
+    degree inner is zero, full or spanned by random vectors, and outer is a
+    few random vectors, followed half the time by a basis; when it is not,
+    inner and outer need not span, so a product can escape."""
+    alg = draw(random_algebras(coeffs=MIXED))
+    inner, outer = {}, {}
+    for k in alg.space.degrees():
+        n = alg.space.dim(k)
+        how = draw(st.sampled_from(("zero", "full", "span")))
+        inner[k] = (Subspace.zero(n) if how == "zero" else Subspace.full(n) if how == "full"
+                    else Subspace.from_vectors(n, [draw(mixed_vectors(n))
+                                                   for _ in range(draw(st.integers(1, 2)))]))
+        outer[k] = [draw(mixed_vectors(n)) for _ in range(draw(st.integers(0, n + 1)))]
+        if draw(st.booleans()):  # representatives that span with inner
+            outer[k] += Subspace.full(n).vectors()
+    return Subquotient(alg, inner, outer, "s")
+
+
+# -- the sparse product loop ---------------------------------------------------------
+
+
+@oracle
+@given(subquotients())
+def test_sparse_structure_matches_the_dense_loop(sub):
+    assert outcome(sub.structure) == outcome(ref_structure, sub)
+    for k, reps in sub.reps.items():
+        assert sub.project_many(k, reps) == ref_classes(sub, k, reps)
+
+
+def test_structure_skips_a_degree_wholly_in_inner_and_reports_an_escape():
+    # x*x = 1/2 t + u, x*y = t - 2/3 u: degree 2 wholly in inner has no classes
+    space = GradedSpace({1: ["x", "y"], 2: ["t", "u"]})
+    q = Scalar
+    alg = StructuredAlgebra(space, "associative", {}, StructuredAlgebra.structure_from_triples([
+        ("x", "x", "t", q(Fraction(1, 2))), ("x", "x", "u", ONE),
+        ("x", "y", "t", ONE), ("x", "y", "u", q(Fraction(-2, 3)))]))
+    reps = {1: [(ONE, q(2)), (q(Fraction(1, 3)), -ONE)]}
+    full = Subquotient(alg, {2: Subspace.full(2)}, reps, "s")
+    assert full.structure() == ref_structure(full) == {}
+    # inner 0 in degree 2 and outer t alone: a product with a u part escapes
+    escaping = Subquotient(alg, {}, {**reps, 2: [(ONE, ZERO)]}, "s")
+    assert outcome(escaping.structure) == outcome(ref_structure, escaping) \
+        == (InternalCheckError, "vector at degree 2 leaves the subquotient")
+    # with u as well, every class has two non-zero coordinates
+    spanning = Subquotient(alg, {}, {**reps, 2: [(ONE, ZERO), (ZERO, ONE)]}, "s")
+    assert spanning.structure() == ref_structure(spanning)
+    assert all(len(targets) == 2 for targets in spanning.structure().values())
+
+
 # -- cohomology ------------------------------------------------------------------
 
 
@@ -182,6 +308,8 @@ def subspaces_of(draw, space):
 def test_cohomology_structure_and_maps_match_the_former_loops(alg, data):
     h = cohomology(alg, "d")
     assert outcome(h.induced_structure) == outcome(ref_cohomology_structure, h)
+    assert outcome(h.induced_structure) == outcome(ref_structure, h)
+    assert outcome(h._dependent_degree_pair) == outcome(ref_dependent_degree_pair, h)
     # x -> c^deg(x) x is a chain map; a random shift-0 map in general is not
     c = data.draw(sparse_vectors(1))[0]
     powers = [ONE, c, c * c]
