@@ -4,8 +4,11 @@ One `Series` type carries everything that lives over B: coefficient p is
 the coefficient of t^p, p = 0..N-1, and is either a vector (an element of
 L ⊗ B; elements of L ⊗ m have a zero t^0 coefficient) or a graded map (a
 B-linear operator).  Brackets and compositions are the truncated product
-`Series.times`; everything is evaluated order by order with exact
-rationals, so nilpotency makes every series finite.
+`Series.times`, and a graded map acts coefficientwise through
+`Series.apply` (differentials, the evaluations pi_x / pi_y of the
+quaternionic complex, its y-section, the embedding of D into F);
+everything is evaluated order by order with exact rationals, so
+nilpotency makes every series finite.
 
 The gauge action is
 
@@ -28,6 +31,7 @@ from dgkit.ddbar import FormalityZigzag
 from dgkit.errors import InternalCheckError, ModelError, PreconditionError
 from dgkit.graded import (
     GradedMap,
+    GradedSpace,
     StructuredAlgebra,
     ValidationReport,
     cohomology,
@@ -108,6 +112,10 @@ class Series:
         c = Scalar(q)
         return Series(self.degree, [_scale(c, a) for a in self.coeffs])
 
+    def apply(self, g: GradedMap) -> "Series":
+        """g applied coefficientwise to a vector series."""
+        return Series(self.degree + g.shift, [g.apply(self.degree, c) for c in self.coeffs])
+
     def times(self, other: "Series", mul: Callable, zero) -> "Series":
         """The product truncated at t^N: coefficient p is the sum of
         mul(self_i, other_j) over i + j = p, or `zero` when no pair with
@@ -164,8 +172,7 @@ class DeformationContext:
         return Series.zero(degree, self.dim(degree), self.ring)
 
     def d_series(self, u: Series) -> Series:
-        return Series(u.degree + 1,
-                      [self.d.apply(u.degree, c) for c in u.coeffs])
+        return u.apply(self.d)
 
     def bracket_series(self, u: Series, v: Series) -> Series:
         k1, k2 = u.degree, v.degree
@@ -217,11 +224,9 @@ class MCReport:
     classical: bool
     strong: Optional[bool]
     residual: Series
-    space: object = None
+    space: GradedSpace
 
     def residual_table(self):
-        if self.space is None:
-            return None
         return {f"t^{p}": format_vector(self.space, self.residual.degree, c)
                 for p, c in enumerate(self.residual.coeffs) if not vec_is_zero(c)}
 
@@ -375,54 +380,14 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
 # quaternionic splits and evaluations
 
 
-def _split_element(q: QuaternionicComplex, element: Series):
-    """Coordinates of a qA^1 element as (xi1, xi2) Dolbeault series."""
-    d_space = q.model.dolbeault.space
-    n1 = d_space.dim(1)
-    labels = q.space.labels(1)
-    xi1, xi2 = [], []
-    for coeff in element.coeffs:
-        v1 = [ZERO] * n1
-        v2 = [ZERO] * n1
-        for idx, c in enumerate(coeff):
-            if c.is_zero():
-                continue
-            p, qq, dlabel = q.cell_of_label(labels[idx])
-            pos = d_space.label_loc[dlabel][1]
-            if (p, qq) == (1, 0):
-                v1[pos] = v1[pos] + c
-            elif (p, qq) == (0, 1):
-                v2[pos] = v2[pos] + c
-            else:
-                raise ModelError("element not supported in bidegrees (1,0)+(0,1)")
-        xi1.append(tuple(v1))
-        xi2.append(tuple(v2))
-    return Series(1, xi1), Series(1, xi2)
-
-
-def _join_element(q: QuaternionicComplex, xi1: Series, xi2: Series) -> Series:
-    d_space = q.model.dolbeault.space
-    labels = q.space.labels(1)
-    coeffs = []
-    for c1, c2 in zip(xi1.coeffs, xi2.coeffs):
-        v = [ZERO] * q.space.dim(1)
-        for idx, lab in enumerate(labels):
-            p, qq, dlabel = q.cell_of_label(lab)
-            pos = d_space.label_loc[dlabel][1]
-            if (p, qq) == (1, 0):
-                v[idx] = c1[pos]
-            elif (p, qq) == (0, 1):
-                v[idx] = c2[pos]
-        coeffs.append(tuple(v))
-    return Series(1, coeffs)
-
-
 def _total_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing):
     """The context of the total complex, whether `element` is Maurer-Cartan
-    there, and the element's Dolbeault split (xi1, xi2)."""
+    there, and the element's Dolbeault split (xi1, xi2) = (pi_x, pi_y)(element);
+    the extended complex has no evaluations and is refused."""
+    pi_x, pi_y = q.evaluations
     full_ctx = DeformationContext(q.dgla, "total", ring)
     passed = full_ctx.mc_check(element).passed
-    return (full_ctx, passed) + _split_element(q, element)
+    return full_ctx, passed, element.apply(pi_x), element.apply(pi_y)
 
 
 def _side_contexts(q: QuaternionicComplex, ring: TruncatedRing):
@@ -467,22 +432,6 @@ def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) ->
     return SplitReport(full_ok, xi2_ok, xi1_ok, mixed_ok, equivalent)
 
 
-def projection_maps(q: QuaternionicComplex) -> tuple[GradedMap, GradedMap]:
-    """pi_x (evaluate x=1, y=0) and pi_y (evaluate x=0, y=1) as graded maps."""
-    d_space = q.model.dolbeault.space
-    entries_x, entries_y = [], []
-    for k in q.space.degrees():
-        for lab in q.space.labels(k):
-            p, qq, dlabel = q.cell_of_label(lab)
-            if qq == 0:
-                entries_x.append((lab, dlabel, ONE))
-            if p == 0:
-                entries_y.append((lab, dlabel, ONE))
-    pi_x = GradedMap.from_entries(q.space, d_space, 0, entries_x)
-    pi_y = GradedMap.from_entries(q.space, d_space, 0, entries_y)
-    return pi_x, pi_y
-
-
 @dataclass
 class EvaluationReport:
     pi_x_mc: bool
@@ -520,27 +469,25 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
     pi_x_ok = ctx_x.mc_check(xi1).passed
     pi_y_ok = ctx_y.mc_check(xi2).passed
 
+    _, y_section = q.sections
     lift_results = []
     for b_elt in lifts:
-        for c in b_elt.coeffs:
-            img = q.model.del_bar_j.apply(1, c)
-            if not vec_is_zero(img):
-                raise PreconditionError("lift candidate leaves ker[del_bar_J,-]")
+        if not b_elt.apply(q.model.del_bar_j).is_zero():
+            raise PreconditionError("lift candidate leaves ker[del_bar_J,-]")
         if not ctx_y.mc_check(b_elt).passed:
             raise PreconditionError("lift candidate is not MC in the kernel sub-DGLA")
-        y_elt = _join_element(q, ctx_y.zero(1), b_elt)
-        lift_results.append(full_ctx.mc_check(y_elt).passed)
+        lift_results.append(full_ctx.mc_check(b_elt.apply(y_section)).passed)
 
     h_total = cohomology(q.algebra, "total")
     h_y = cohomology(q.model.dolbeault, DEL_BAR)
-    h_x = cohomology(q.model.dolbeault, DEL_BAR_J)
     dim_q = h_total.dim(1)
     dim_base = h_y.dim(1)
     doubles = None
     bijection = None
     if certified:
         doubles = dim_q == 2 * dim_base
-        pi_x, pi_y = projection_maps(q)
+        h_x = cohomology(q.model.dolbeault, DEL_BAR_J)
+        pi_x, pi_y = q.evaluations
         mx = induced_map_on_cohomology(pi_x, h_total, h_x).get(1)
         my = induced_map_on_cohomology(pi_y, h_total, h_y).get(1)
         # both maps have a block at degree 1 exactly when dim_q > 0
@@ -648,7 +595,7 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
         gauged = full_ctx.gauge_transform(gauge, element)
         if not full_ctx.mc_check(gauged).passed:
             raise InternalCheckError("gauge transform left the MC set")
-        new_j, new_b = deformed_pair(*_split_element(q, gauged))
+        new_j, new_b = deformed_pair(*(gauged.apply(pi) for pi in q.evaluations))
         g_op = exp_series(multiplication_series(dolb, gauge), ring)
         g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1))), ring)
         if differ(_compose(g_op, g_inv), Series.constant(GradedMap.identity(dolb.space), ring)):
@@ -662,17 +609,10 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
     if (full is not None
             and full.differential(DEL_BAR).is_zero()
             and full.differential("del").is_zero()):
-        j = m.j_op
-        f_space = full.space
-
-        def embed(v: Vector) -> Vector:
-            out = [ZERO] * f_space.dim(1)
-            for lab, c in dolb.space.vector_items(1, v):
-                out[f_space.label_loc[lab][1]] = c
-            return tuple(out)
-
-        theta = Series(1, [vec_add(embed(c2), j.apply(1, embed(c1)))
-                           for c1, c2 in zip(xi1.coeffs, xi2.coeffs)])
+        # D sits in F under its own labels
+        embed = GradedMap.from_entries(dolb.space, full.space, 0,
+                                       [(lab, lab, ONE) for lab in dolb.space.all_labels()])
+        theta = xi2.apply(embed).add(xi1.apply(m.j_op.compose(embed)))
         oracle = curvature_has_weight_zero(full, theta)
         agrees = oracle == relations.passed
         if not agrees:

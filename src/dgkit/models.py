@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from dgkit.ddbar import Bicomplex
@@ -105,7 +106,7 @@ def _torus_forms() -> StructuredAlgebra:
     """The invariant forms of the flat torus: the exterior algebra on GENS,
     with the sl(2)-action e/f/h by derivations, the multiplicative J, and
     zero del/del_bar."""
-    monos = [mono for size in range(5) for mono in _subsets(4, size)]
+    monos = [mono for size in range(5) for mono in combinations(range(4), size)]
     components: dict[int, list[str]] = {}
     for mono in monos:
         components.setdefault(len(mono), []).append(_mono_label(mono))
@@ -184,22 +185,6 @@ def nilpotent_torus_model(r: int = 2) -> ConnectionModel:
     if not model.autoduality.autodual:
         raise ModelError("nilpotent twist failed autoduality")
     return model
-
-
-def _subsets(n: int, size: int) -> list[tuple]:
-    if size == 0:
-        return [tuple()]
-    out = []
-
-    def rec(start, acc):
-        if len(acc) == size:
-            out.append(tuple(acc))
-            return
-        for i in range(start, n):
-            rec(i + 1, acc + [i])
-
-    rec(0, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +352,8 @@ def random_connection_model(seed: int, corrupt: bool = False) -> tuple[Connectio
         components.setdefault(k + i, []).append(labf)
     big = GradedSpace(components)
 
-    def relift(g: GradedMap) -> list:
-        return list(g.entries())
-
-    d0_entries = relift(base.d0)
-    d1_entries = relift(base.d1)
+    d0_entries = base.d0.entries()
+    d1_entries = base.d1.entries()
     mode = rnd.choice(["sq0", "sq1", "anti"])
     c1, c2 = _random_nonzero(rnd), _random_nonzero(rnd)
     if mode == "sq0":       # del_bar_J^2 != 0

@@ -7,7 +7,11 @@ shift-1 operators del_bar and del_bar_J.  The model is *autodual* when
 
 equivalently when the bigraded complex with components x^p y^q D^(p+q),
 horizontal differential x*del_bar_J and vertical differential y*del_bar has
-a square-zero total differential.
+a square-zero total differential.  The complex keeps one table from its
+basis labels to their cells (p, q, D-label); its differentials, the
+evaluations pi_x (x = 1, y = 0) and pi_y (x = 0, y = 1) onto D and their
+sections D -> x^k D, y^k D are read from it, and no other module writes or
+reads a cell label.
 
 When the model also carries the ambient algebra F (all form types) with an
 sl(2)-action e/f/h, a multiplicative J, and the two components del/del_bar
@@ -35,7 +39,7 @@ from dgkit.graded import (
     nonzero_image_witness,
 )
 from dgkit.linalg import Complement, Matrix, Subspace, Vector, invert, vec_is_zero
-from dgkit.scalars import ZERO, Scalar
+from dgkit.scalars import ONE, ZERO, Scalar
 from dgkit.sl2 import (
     IsotypicDecomposition,
     QuotientResult,
@@ -263,27 +267,26 @@ class QuaternionicComplex:
         for (p, q) in self.cells:
             cells_by_degree.setdefault(p + q, []).append((p, q))
 
+        # the one table of the cell labels: label -> (p, q, D-label)
+        self._cells: dict[str, tuple[int, int, str]] = {}
         components = {}
         for k, cell_list in sorted(cells_by_degree.items()):
-            labels = []
-            for (p, q) in sorted(cell_list):
-                labels.extend(_cell_label(p, q, l) for l in d_space.labels(k))
-            components[k] = labels
+            labels = components[k] = []
+            for (p, q) in cell_list:
+                for dlabel in d_space.labels(k):
+                    lab = _cell_label(p, q, dlabel)
+                    self._cells[lab] = (p, q, dlabel)
+                    labels.append(lab)
         self.space = GradedSpace(components)
         self.cells_by_degree = cells_by_degree
 
         def lifted(op: GradedMap, dp: int, dq: int) -> GradedMap:
-            entries = []
-            for (p, q) in self.cells:
-                if (p + dp, q + dq) not in cells_by_degree.get(p + q + 1, []):
-                    continue
-                k = p + q
-                for lab in d_space.labels(k):
-                    _, img = op.apply_label(lab)
-                    for lab2, c in d_space.vector_items(k + 1, img):
-                        entries.append((_cell_label(p, q, lab),
-                                        _cell_label(p + dp, q + dq, lab2), c))
-            return GradedMap.from_entries(self.space, self.space, 1, entries)
+            columns = op.label_table()
+            return GradedMap.from_entries(self.space, self.space, 1, [
+                (lab, _cell_label(p + dp, q + dq, lab2), c)
+                for lab, (p, q, dlabel) in self._cells.items()
+                if (p + dp, q + dq) in cells_by_degree.get(p + q + 1, [])
+                for lab2, c in columns[dlabel].items()])
 
         self.horizontal = lifted(model.del_bar_j, 1, 0)   # x * del_bar_J
         self.vertical = lifted(model.del_bar, 0, 1)       # y * del_bar
@@ -317,9 +320,29 @@ class QuaternionicComplex:
         return self.algebra.commutator_dgla(validate=False)
 
     def cell_of_label(self, label: str) -> tuple[int, int, str]:
-        head, dlabel = label.split(":", 1)
-        xpart, ypart = head[1:].split("y")
-        return int(xpart), int(ypart), dlabel
+        """(p, q, D-label) of the cell label x^p y^q D-label."""
+        return self._cells[label]
+
+    @cached_property
+    def evaluations(self) -> tuple[GradedMap, GradedMap]:
+        """pi_x (x = 1, y = 0) and pi_y (x = 0, y = 1) as maps qA -> D,
+        built once; a negative power has no value at 0, so the extended
+        variant has neither."""
+        if self.extended:
+            raise PreconditionError("evaluation at x and y applies to the standard complex")
+        d_space = self.model.dolbeault.space
+        x_axis = [(lab, dlabel, ONE) for lab, (p, q, dlabel) in self._cells.items() if q == 0]
+        y_axis = [(lab, dlabel, ONE) for lab, (p, q, dlabel) in self._cells.items() if p == 0]
+        return (GradedMap.from_entries(self.space, d_space, 0, x_axis),
+                GradedMap.from_entries(self.space, d_space, 0, y_axis))
+
+    @cached_property
+    def sections(self) -> tuple[GradedMap, GradedMap]:
+        """beta -> x^k beta and beta -> y^k beta for beta in D^k: the
+        sections D -> qA of pi_x and pi_y, built once."""
+        return tuple(GradedMap.from_entries(pi.target, pi.source, 0,
+                                            [(dlabel, lab, c) for lab, dlabel, c in pi.entries()])
+                     for pi in self.evaluations)
 
     def total_squares_to_zero(self) -> bool:
         return self.total.square.is_zero()

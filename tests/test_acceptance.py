@@ -18,7 +18,6 @@ from dgkit.deform import (
     DeformationContext,
     Series,
     TruncatedRing,
-    _join_element,
     connection_correspondence,
     evaluation_functors,
     qa_mc_split,
@@ -315,10 +314,11 @@ def test_criterion_12_connection_correspondence():
     rnd = random.Random(92)
     qa_lie = q.algebra.commutator_dgla(validate=False)
     qa_ctx = DeformationContext(qa_lie, "total", ring)
+    x_section, y_section = q.sections
     done = 0
     for i in range(20):
         xi1, xi2 = samples[2 * i], samples[2 * i + 1]
-        elt = _join_element(q, xi1, xi2)
+        elt = xi1.apply(x_section).add(xi2.apply(y_section))
         if i % 2 == 1:
             # also exercise non-corner inputs via a seeded gauge twist
             elt = qa_ctx.gauge_transform(

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,6 @@ from dgkit.deform import (
     DeformationContext,
     Series,
     TruncatedRing,
-    _join_element,
-    _split_element,
     connection_correspondence,
     curvature_has_weight_zero,
     evaluation_functors,
@@ -29,11 +28,20 @@ from dgkit.deform import (
 )
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
-from dgkit.linalg import invert, vec_add, vec_is_zero, vec_scale, zero_vector
+from dgkit.linalg import (
+    Matrix,
+    invert,
+    linear_solve,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vector,
+)
 from dgkit.models import (
     connection_from_bicomplex,
     dots_squares_model,
     end_tensor,
+    nilpotent_torus_model,
     torus_model,
 )
 from dgkit.qdolbeault import DEL_BAR, ConnectionModel, build_quaternionic_complex
@@ -385,6 +393,167 @@ def test_split_rejects_wrong_support():
         qa_mc_split(q, bad, ring)
 
 
+def test_split_and_evaluations_refuse_the_extended_complex():
+    m = torus_model(1)
+    q = build_quaternionic_complex(m, extended=True, window=2)
+    ring = TruncatedRing(3)
+    elt = Series.zero(1, q.space.dim(1), ring)
+    for probe in (lambda: qa_mc_split(q, elt, ring),
+                  lambda: evaluation_functors(q, elt, ring),
+                  lambda: connection_correspondence(m, q, elt, ring)):
+        with pytest.raises(PreconditionError, match="standard complex"):
+            probe()
+
+
+# -- the evaluation maps against the label walks they replaced -----------------------
+
+
+def ref_cell(label):
+    """(p, q, D-label) parsed from the written cell label x{p}y{q}:{D-label}."""
+    head, dlabel = label.split(":", 1)
+    xpart, ypart = head[1:].split("y")
+    return int(xpart), int(ypart), dlabel
+
+
+def ref_split(q, element):
+    """The label walk that split a qA^1 series into (xi1, xi2)."""
+    d_space = q.model.dolbeault.space
+    n1 = d_space.dim(1)
+    labels = q.space.labels(1)
+    xi1, xi2 = [], []
+    for coeff in element.coeffs:
+        v1 = [ZERO] * n1
+        v2 = [ZERO] * n1
+        for idx, c in enumerate(coeff):
+            if c.is_zero():
+                continue
+            p, qq, dlabel = ref_cell(labels[idx])
+            pos = d_space.label_loc[dlabel][1]
+            if (p, qq) == (1, 0):
+                v1[pos] = v1[pos] + c
+            elif (p, qq) == (0, 1):
+                v2[pos] = v2[pos] + c
+            else:
+                raise ModelError("element not supported in bidegrees (1,0)+(0,1)")
+        xi1.append(tuple(v1))
+        xi2.append(tuple(v2))
+    return Series(1, xi1), Series(1, xi2)
+
+
+def ref_join(q, xi1, xi2):
+    """The label walk that joined (xi1, xi2) into x xi1 + y xi2."""
+    d_space = q.model.dolbeault.space
+    labels = q.space.labels(1)
+    coeffs = []
+    for c1, c2 in zip(xi1.coeffs, xi2.coeffs):
+        v = [ZERO] * q.space.dim(1)
+        for idx, lab in enumerate(labels):
+            p, qq, dlabel = ref_cell(lab)
+            pos = d_space.label_loc[dlabel][1]
+            if (p, qq) == (1, 0):
+                v[idx] = c1[pos]
+            elif (p, qq) == (0, 1):
+                v[idx] = c2[pos]
+        coeffs.append(tuple(v))
+    return Series(1, coeffs)
+
+
+def split(q, element):
+    pi_x, pi_y = q.evaluations
+    return element.apply(pi_x), element.apply(pi_y)
+
+
+def join(q, xi1, xi2):
+    x_section, y_section = q.sections
+    return xi1.apply(x_section).add(xi2.apply(y_section))
+
+
+SPLIT_JOIN_MODELS = [
+    lambda: torus_model(1), lambda: torus_model(2), lambda: nilpotent_torus_model(2),
+    lambda: connection_from_bicomplex(
+        end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=3), 2))]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_split_and_join_match_the_label_walks(index):
+    m = SPLIT_JOIN_MODELS[index]()
+    q = build_quaternionic_complex(m)
+    ring = TruncatedRing(4)
+    rnd = random.Random(40 + index)
+    d_space = m.dolbeault.space
+    for _ in range(6):
+        elt = random_series(q.space, 1, ring, rnd)
+        xi1, xi2 = split(q, elt)
+        assert (xi1, xi2) == ref_split(q, elt)
+        assert join(q, xi1, xi2) == ref_join(q, xi1, xi2) == elt
+        b1 = random_series(d_space, 1, ring, rnd)
+        b2 = random_series(d_space, 1, ring, rnd)
+        assert join(q, b1, b2) == ref_join(q, b1, b2)
+        assert split(q, join(q, b1, b2)) == (b1, b2)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_evaluations_and_sections_match_the_cell_labels(index):
+    m = SPLIT_JOIN_MODELS[index]()
+    q = build_quaternionic_complex(m)
+    d_space = m.dolbeault.space
+    pi_x, pi_y = q.evaluations
+    x_section, y_section = q.sections
+    x_axis = [(lab, ref_cell(lab)[2], ONE) for lab in q.space.all_labels()
+              if ref_cell(lab)[1] == 0]
+    y_axis = [(lab, ref_cell(lab)[2], ONE) for lab in q.space.all_labels()
+              if ref_cell(lab)[0] == 0]
+    assert pi_x == GradedMap.from_entries(q.space, d_space, 0, x_axis)
+    assert pi_y == GradedMap.from_entries(q.space, d_space, 0, y_axis)
+    identity = GradedMap.identity(d_space)
+    assert pi_x.compose(x_section) == identity == pi_y.compose(y_section)
+    # x^0 = y^0: a section survives the other evaluation in degree 0 only
+    degree_zero = GradedMap(d_space, d_space, 0, {0: identity.block(0)})
+    assert pi_x.compose(y_section) == degree_zero == pi_y.compose(x_section)
+
+
+def test_cell_table_matches_the_written_labels():
+    m = torus_model(1)
+    for q in (build_quaternionic_complex(m),
+              build_quaternionic_complex(m, extended=True, window=2)):
+        assert all(q.cell_of_label(lab) == ref_cell(lab) for lab in q.space.all_labels())
+    # the window (-2, 2) reaches negative powers
+    assert q.cell_of_label(q.space.labels(0)[0])[:2] == (-2, 2)
+
+
+# sha256 of the (xi1, xi2) splits of four seeded random_series(q.space, 1, ...)
+# elements and of the y-lifts y b of three corner strong samples b, at order 4,
+# recorded with the label walks before the evaluation maps replaced them
+SPLIT_AND_LIFT_SHA256 = {
+    "torus": ("67baac755aa82068f17196a1b3e3aba91d09302d5089e93e196a13f51dac0fbc",
+              "f33fd806672440e055cacab07b8d4671d589b70a4a51b8f7885f7016e65fc8c7"),
+    "nilpotent": ("5a1a47465fb165c37474e25b479085a4db8c997c4c2d9f9253c94c9a5195150b",
+                  "14fca589c81c591fd6495bf86ecec9244af1fe4e9f5553cb698e2722e192f18c"),
+}
+
+
+@pytest.mark.parametrize("name, build, seeds", [
+    ("torus", torus_model, (11, 12)), ("nilpotent", nilpotent_torus_model, (13, 14))])
+def test_splits_and_y_lifts_are_pinned(name, build, seeds):
+    m = build(2)
+    q = build_quaternionic_complex(m)
+    ring = TruncatedRing(4)
+    rnd = random.Random(seeds[0])
+    splits = []
+    for _ in range(4):
+        splits += split(q, random_series(q.space, 1, ring, rnd))
+    lie = m.dolbeault_dgla
+    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
+    lifts = strong_mc_samples(lie, DEL_BAR, ring, 3, seed=seeds[1], support=corner)
+    ys = [b.apply(q.sections[1]) for b in lifts]
+
+    def digest(series):
+        text = repr([[tuple(str(c) for c in v) for v in s.coeffs] for s in series])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (digest(splits), digest(ys)) == SPLIT_AND_LIFT_SHA256[name]
+
+
 # -- evaluations and lifts ---------------------------------------------------------
 
 
@@ -410,9 +579,36 @@ def test_y_lift_of_kernel_mc_elements():
     rep = evaluation_functors(q, elt, ring, lifts=lifts, certified=True)
     assert all(rep.lift_checks)
     # pi_y returns b, pi_x returns 0 on a pure y-lift
-    y_elt = _join_element(q, Series.zero(1, m.dolbeault.space.dim(1), ring), lifts[0])
-    xi1, xi2 = _split_element(q, y_elt)
+    y_elt = lifts[0].apply(q.sections[1])
+    xi1, xi2 = split(q, y_elt)
     assert xi1.is_zero() and xi2 == lifts[0]
+
+
+def test_y_lift_of_a_non_strong_kernel_element():
+    """On the twisted torus, b = t b1 + t^2 b2 with [b1, b1] != 0 is MC for
+    del_bar and killed by del_bar_J: its y-lift y b is MC in the total
+    complex, while x b is not (it would need del_bar b = 0)."""
+    m = nilpotent_torus_model(2)
+    q = build_quaternionic_complex(m)
+    lie = m.dolbeault_dgla
+    ring = TruncatedRing(3)
+    kernel_j = m.del_bar_j.kernel(1).vectors()
+    system = Matrix.from_columns(lie.space.dim(2), [m.del_bar.apply(1, v) for v in kernel_j])
+    joint = m.del_bar.kernel(1).intersect(m.del_bar_j.kernel(1)).vectors()
+    for u, v in combinations(joint, 2):
+        b1 = vec_add(u, v)
+        rhs = vec_scale(Scalar(Fraction(-1, 2)), lie.mul(1, b1, 1, b1))
+        sol = linear_solve(system, rhs)
+        if not vec_is_zero(rhs) and sol is not None:
+            break
+    b2 = Matrix.from_columns(lie.space.dim(1), kernel_j).apply(sol[0])
+    b = Series(1, [zero_vector(lie.space.dim(1)), b1, b2])
+    zero = Series.zero(1, q.space.dim(1), ring)
+    assert evaluation_functors(q, zero, ring, lifts=[b]).lift_checks == [True]
+    full = DeformationContext(q.dgla, "total", ring)
+    x_section, y_section = q.sections
+    assert full.mc_check(b.apply(y_section)).passed
+    assert not full.mc_check(b.apply(x_section)).passed
 
 
 def test_evaluation_rejects_non_mc():
@@ -463,7 +659,7 @@ def test_correspondence_y_lift_is_autodual_over_b():
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
     b_elt = strong_mc_samples(lie, DEL_BAR, ring, 1, seed=21, support=corner)[0]
-    y_elt = _join_element(q, Series.zero(1, m.dolbeault.space.dim(1), ring), b_elt)
+    y_elt = b_elt.apply(q.sections[1])
     rep = connection_correspondence(m, q, y_elt, ring)
     assert rep.relations_over_b.passed
 
@@ -475,7 +671,7 @@ def test_correspondence_gauge_conjugation():
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
     xi1, xi2 = strong_mc_samples(lie, DEL_BAR, ring, 2, seed=22, support=corner)
-    elt = _join_element(q, xi1, xi2)
+    elt = join(q, xi1, xi2)
     rnd = random.Random(23)
     gauge = random_series(m.dolbeault.space, 0, ring, rnd)
     rep = connection_correspondence(m, q, elt, ring, gauge=gauge)

@@ -627,6 +627,21 @@ def test_operator_relations_are_formed_once():
     assert offenders == []
 
 
+def test_only_qdolbeault_writes_or_reads_cell_labels():
+    """Only qdolbeault.py calls _cell_label or cell_of_label: every other
+    module reaches the cells through the evaluation maps and sections."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "qdolbeault.py":
+            continue
+        for _, call in _calls(ast.parse(path.read_text(), str(path))):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if name in ("_cell_label", "cell_of_label"):
+                offenders.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert offenders == []
+
+
 def test_no_module_imports_another_modules_private_names():
     """No dgkit module imports an underscore name from another dgkit module."""
     src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
