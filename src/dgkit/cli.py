@@ -6,6 +6,13 @@ in the run passed.  Reports render as text (default) or JSON; identical
 argv + files + seed produce byte-identical JSON (timing appears only in the
 text format).  The environment variable DGKIT_REPORT_FORMAT (text or json,
 anything else is a usage error) overrides the default format.
+
+A well-formed command line is read straight off the SUBCOMMANDS table:
+`[--format text|json] COMMAND`, then the command's positional and options in
+any order, each option spelled in full, a flag alone and any other option
+followed by a separate value that does not start with "-".  Every other
+command line (help, abbreviations, --opt=value, --, bad values) goes to the
+full argparse parser, which writes every usage, help and error text.
 """
 
 from __future__ import annotations
@@ -316,8 +323,11 @@ def cmd_generate(args, report: Report):
     else:
         raise ModelError(f"unknown recipe {args.recipe!r}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ModelError(f"cannot write model file {args.output!r}: {exc}") from exc
         report.put("written", args.output)
     else:
         report.put("model", text.splitlines())
@@ -408,44 +418,77 @@ SUBCOMMANDS = {
 FORMATS = ("text", "json")
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The dgkit parser with every subcommand, or with `only` that one.  Its
-    usage names them all either way; only the full parser keeps argparse's own
-    metavar, which its invalid-choice and missing-command errors call "command"."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand.  main builds it only for an
+    argv the plain parser leaves alone, so argparse writes every usage, help
+    and error text."""
     parser = argparse.ArgumentParser(prog="dgkit", description="exact checks for "
                                      "bicomplexes, formality and deformations")
     parser.add_argument("--format", choices=FORMATS,
                         default=os.environ.get("DGKIT_REPORT_FORMAT", "text"))
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(SUBCOMMANDS) + "}")
-    for name in SUBCOMMANDS if only is None else (only,):
-        help_text, _, specs = SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, specs) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for *flags, kwargs in specs:
             p.add_argument(*flags, **kwargs)
     return parser
 
 
-def _invoked(argv) -> str | None:
-    """The subcommand argv names, its first token after any --format VALUE;
-    None when that token is not a subcommand (-h, --form, a typo, none)."""
-    tokens = iter(argv)
+def _plain_parse(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse would build for a well-formed argv (see the
+    module docstring), read off the invoked subcommand's row of SUBCOMMANDS,
+    with the same keys in the same order and string defaults through their
+    type.  None for anything else, a repeated token, a failing type or choice,
+    a missing positional or an invalid DGKIT_REPORT_FORMAT included."""
+    fmt = os.environ.get("DGKIT_REPORT_FORMAT", "text")
+    if argv[:1] == ["--format"] and len(argv) > 1:
+        fmt, argv = argv[1], argv[2:]
+    if fmt not in FORMATS or not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    # (dest, flags, kwargs) per spec; the long flag is the last one
+    specs = [(flags[-1].lstrip("-").replace("-", "_"), flags, kwargs)
+             for *flags, kwargs in SUBCOMMANDS[argv[0]][2]]
+    options = {flag: spec for spec in specs for flag in spec[1] if flag[0] == "-"}
+    positional = next(spec for spec in specs if spec[1][0][0] != "-")
+    given = {}
+    tokens = iter(argv[1:])
     for token in tokens:
-        if token == "--format":
-            next(tokens, None)
-        elif not token.startswith("--format="):
-            return token if token in SUBCOMMANDS else None
-    return None
+        spec = options.get(token) or (positional if token[:1] != "-" else None)
+        if spec is None or spec[0] in given:
+            return None
+        if spec is positional:
+            given[spec[0]] = token
+        elif "action" in spec[2]:
+            given[spec[0]] = True
+        else:
+            given[spec[0]] = value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+    if positional[0] not in given:
+        return None
+    values = {"format": fmt, "command": argv[0]}
+    for dest, _, kwargs in specs:
+        value = given.get(dest, kwargs.get("default", False if "action" in kwargs else None))
+        try:
+            if isinstance(value, str):
+                value = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if dest in given and value not in kwargs.get("choices", (value,)):
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(_invoked(argv))
-    args = parser.parse_args(argv)
-    if args.format not in FORMATS:  # argparse leaves string defaults unchecked
-        parser.error(f"environment variable DGKIT_REPORT_FORMAT: invalid choice: "
-                     f"{args.format!r} (choose from 'text', 'json')")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_parse(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.format not in FORMATS:  # argparse leaves string defaults unchecked
+            parser.error(f"environment variable DGKIT_REPORT_FORMAT: invalid choice: "
+                         f"{args.format!r} (choose from 'text', 'json')")
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "format") and v is not None}
     report = Report(args.command, options)

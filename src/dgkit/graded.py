@@ -640,8 +640,9 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
 
     f(a * b) pushes the pair's structure constants through the sparse
     columns of f; f(a) * f(b) applies the structure of tgt to them.  A pair
-    whose degree is empty in tgt is skipped: both sides are empty there, so
-    the skip changes no verdict and no witness.
+    whose degree is empty in tgt is skipped, and so is a pair with no product
+    in src whose f(a) or f(b) is zero: both sides are empty there, so the
+    skips change no verdict and no witness.
     """
     columns = f.label_table()
     for l1 in src.space.all_labels():
@@ -651,8 +652,11 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
             if not tgt.space.dim(k1 + k2):
                 continue
             for l2 in labels:
+                product = src.mul_labels(l1, l2)
+                if not (product or f1 and columns[l2]):
+                    continue
                 lhs: dict[str, Scalar] = {}
-                for lt, c in src.mul_labels(l1, l2).items():
+                for lt, c in product.items():
                     _accumulate(lhs, c, columns[lt])
                 rhs: dict[str, Scalar] = {}
                 for a, ca in f1.items():

@@ -210,6 +210,17 @@ def test_cli_unreadable_model_file_reported(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("where, reason", [("missing/t.model", "No such file"),
+                                           (".", "Is a directory")])
+def test_cli_unwritable_generate_output_reported(tmp_path, capsys, where, reason):
+    path = str(tmp_path / where)
+    assert run_cli(["--format", "json", "generate", "torus", "-o", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and "written" not in report["report"]
+    assert report["report"]["error"].startswith(f"cannot write model file {path!r}: ")
+    assert reason in report["report"]["error"]
+
+
 def test_cli_formality_and_sl2(tmp_path, capsys):
     ds = tmp_path / "ds.model"
     ds.write_text(serialize_model(dots_squares_model({0: 1, 1: 1}, [0], seed=9).algebra))

@@ -515,6 +515,23 @@ def test_algebra_map_witness_matches_the_dense_loop_on_targets_with_empty_degree
     assert witness == ref_algebra_map_witness(alg, qmap, quotient)
 
 
+@random_oracle
+@given(random_algebras(), st.data())
+def test_algebra_map_witness_matches_the_dense_loops_when_f_kills_basis_labels(alg, data):
+    """f(a) = 0 on a drawn set of labels: a pair with no product in alg and a
+    killed factor is skipped, a pair with a product is still checked."""
+    labels = alg.space.all_labels()
+    killed = data.draw(st.sets(st.sampled_from(labels))) if labels else set()
+    q_space = data.draw(graded_spaces("q"))
+    drawn = data.draw(graded_maps(alg.space, q_space))
+    qmap = GradedMap.from_entries(alg.space, q_space, 0,
+                                  [e for e in drawn.entries() if e[0] not in killed])
+    quotient = data.draw(random_algebras(q_space))
+    witness = algebra_map_witness(alg, qmap, quotient)
+    assert witness == ref_dense_algebra_map_witness(qmap, alg, quotient)
+    assert witness == ref_algebra_map_witness(alg, qmap, quotient)
+
+
 def test_first_failure_just_below_a_full_degree_gives_the_reference_witness():
     """Degrees 3 and 4 of the rank-1 torus ideal are full.  With a random
     line in degree 1, the first product that leaves the ideal is a degree-1
