@@ -377,7 +377,7 @@ def _quasi_iso_certificate(mats: dict, src: CohomologyPresentation,
     if invertible:
         for k, n in dims_s.items():
             m = mats.get(k, Matrix(dims_t.get(k, 0), n))
-            if m.rows != m.cols or invert(m) is None:
+            if m.rows != m.cols or m.rank() != m.rows:
                 invertible = False
                 break
     return QuasiIsoCertificate(dims_s, dims_t, mats, invertible)

@@ -43,7 +43,6 @@ from dgkit.linalg import (
     Matrix,
     Subspace,
     Vector,
-    invert,
     linear_solve,
     unit_vector,
     vec_add,
@@ -492,7 +491,7 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
         my = induced_map_on_cohomology(pi_y, h_total, h_y).get(1)
         # both maps have a block at degree 1 exactly when dim_q > 0
         stacked = my.vstack(mx) if my is not None else Matrix(0, 0)
-        bijection = stacked.rows == stacked.cols and invert(stacked) is not None
+        bijection = stacked.rows == stacked.cols and stacked.rank() == stacked.rows
     return EvaluationReport(pi_x_ok, pi_y_ok, lift_results,
                             dim_q, dim_base, doubles, bijection)
 
@@ -540,7 +539,11 @@ class CorrespondenceReport:
 
 def curvature_has_weight_zero(full: StructuredAlgebra, theta: Series) -> bool:
     """The curvature oracle: every t-coefficient of theta ^ theta, for theta
-    a degree-1 series of the full model, is killed by e, f and h."""
+    a degree-1 series of the full model, is killed by e, f and h.  When
+    connection_correspondence builds theta from a Dolbeault part D closed
+    under the product, the verdict does not depend on J: theta ^ theta
+    vanishes exactly when the three operator relations hold, and has h-weight
+    2 otherwise."""
     curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v),
                             zero_vector(full.space.dim(2)))
     return all(vec_is_zero(full.maps[op_name].apply(2, r_k))
@@ -558,7 +561,10 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
     (iii) gauge-transforming the element conjugates the pair by exp of the
           multiplication operator of the gauge series,
     and, when the base operators vanish, an independent curvature oracle:
-    theta ^ theta has weight zero under the ambient sl(2)-action.
+    theta ^ theta has weight zero under the ambient sl(2)-action.  Where D
+    is closed under the product, as on the generated models, the oracle's
+    verdict does not depend on J: there it cross-checks the three relations,
+    not the J-conjugation.
 
     The J-conjugation datum is required: the deformed (1,0)-side is the
     J-conjugate of the del_bar_J deformation, so without J the rebuilt pair

@@ -96,9 +96,6 @@ class GradedSpace:
         k, i = self.label_loc[label]
         return k, unit_vector(self.dim(k), i)
 
-    def vector_items(self, k: int, v: Vector) -> list[tuple[str, Scalar]]:
-        return [(lab, c) for lab, c in zip(self.labels(k), v) if not c.is_zero()]
-
     def __eq__(self, other):
         if not isinstance(other, GradedSpace):
             return NotImplemented
@@ -111,7 +108,7 @@ class GradedSpace:
 
 def format_vector(space: GradedSpace, k: int, v: Vector) -> list[list[str]]:
     """Labeled coefficient list, the witness format used in reports."""
-    return [[lab, str(c)] for lab, c in space.vector_items(k, v)]
+    return [[lab, str(c)] for lab, c in zip(space.labels(k), v) if not c.is_zero()]
 
 
 class GradedMap:
@@ -191,10 +188,6 @@ class GradedMap:
         if k not in self.blocks and len(v) == self.source.dim(k):
             return zero_vector(self.target.dim(k + self.shift))
         return self.block(k).apply(v)
-
-    def apply_label(self, label: str) -> tuple[int, Vector]:
-        k, v = self.source.basis_vector(label)
-        return k + self.shift, self.apply(k, v)
 
     def label_table(self) -> dict[str, dict[str, Scalar]]:
         """Sparse label -> (label -> coefficient) view of the map."""

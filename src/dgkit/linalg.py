@@ -8,8 +8,8 @@ vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests and
 
 A Matrix stores its entries as row-major lists; that layout is private to
 this module.  Other modules build matrices through `Matrix.from_columns`
-and `Matrix.from_entries` and read them through `apply`, `column`, `row`
-and `entries`, so the storage can change here alone.
+and `Matrix.from_entries` and read them through `apply`, `column`, `row`,
+`select` and `entries`, so the storage can change here alone.
 """
 
 from __future__ import annotations
@@ -183,6 +183,10 @@ class Matrix:
 
     def row(self, i: int) -> Vector:
         return tuple(self.data[i])
+
+    def select(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The sub-matrix on the given row and column indices, in their order."""
+        return Matrix(len(rows), len(cols), [[self.data[i][j] for j in cols] for i in rows])
 
     def entries(self) -> list[tuple[int, int, Scalar]]:
         """The non-zero entries (i, j, c), column by column."""

@@ -17,7 +17,9 @@ When the model also carries the ambient algebra F (all form types) with an
 sl(2)-action e/f/h, a multiplicative J, and the two components del/del_bar
 of the full connection, the low-weight quotient F_+ exists and the bigraded
 identification phi between the quaternionic complex and F_+ is built and
-certified exactly.
+certified exactly.  Its blocks, and those of its inverse, are sub-matrices of
+products of operator blocks (f^p, e^p, the projection onto F_+ and the
+representatives), selected on the indices of D and of each bidegree.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from dgkit.graded import (
     cohomology,
     nonzero_image_witness,
 )
-from dgkit.linalg import Complement, Matrix, Subspace, Vector, invert, vec_is_zero
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.linalg import Complement, Matrix, Subspace, invert
+from dgkit.scalars import ONE, Scalar
 from dgkit.sl2 import (
     IsotypicDecomposition,
     QuotientResult,
@@ -155,29 +157,28 @@ def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
                 d_labels.setdefault(k, []).append(lab)
     d_space = GradedSpace(d_labels)
 
-    def restrict_map(g: GradedMap, shift: int) -> GradedMap:
+    def restrict_map(g: GradedMap) -> GradedMap:
+        columns = g.label_table()
         entries = []
-        for k, labs in d_labels.items():
-            for lab in labs:
-                deg, img = g.apply_label(lab)
-                for lab2, c in space.vector_items(deg, img):
-                    if lab2 not in d_space.label_loc:
-                        raise ModelError(
-                            f"operator leaves the (0,*) part at {lab!r} -> {lab2!r}")
-                    entries.append((lab, lab2, c))
-        return GradedMap.from_entries(d_space, d_space, shift, entries)
+        for lab in d_space.all_labels():
+            for lab2, c in columns[lab].items():
+                if lab2 not in d_space.label_loc:
+                    raise ModelError(
+                        f"operator leaves the (0,*) part at {lab!r} -> {lab2!r}")
+                entries.append((lab, lab2, c))
+        return GradedMap.from_entries(d_space, d_space, g.shift, entries)
 
-    del_bar = restrict_map(full.differential(DEL_BAR), 1)
+    del_bar = restrict_map(full.differential(DEL_BAR))
     j = full.maps["J"]
-    conj = inverse_map(j).compose(full.differential(DEL).compose(j))
-    del_bar_j = restrict_map(conj, 1)
+    del_bar_j = restrict_map(inverse_map(j).compose(full.differential(DEL).compose(j)))
 
     triples = []
     for (l1, l2), targets in full.structure.items():
         if l1 in d_space.label_loc and l2 in d_space.label_loc:
             for lt, c in targets.items():
                 if lt not in d_space.label_loc:
-                    raise ModelError("product leaves the (0,*) part")
+                    raise ModelError(
+                        f"product leaves the (0,*) part at {l1!r} * {l2!r} -> {lt!r}")
                 triples.append((l1, l2, lt, c))
     dolbeault = StructuredAlgebra(
         d_space, full.kind,
@@ -534,12 +535,6 @@ class PhiCertificate:
         }
 
 
-def _iterate(op: GradedMap, k: int, v: Vector, times: int) -> Vector:
-    for _ in range(times):
-        v = op.apply(k, v)
-    return v
-
-
 def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
     """Exact bigraded identification of x^p y^q D^(p+q) with F_+^(p,q).
 
@@ -549,6 +544,12 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
     independent of representatives, and the blocks intertwine
     (x del_bar_J, y del_bar) with the (1,0)/(0,1) components of the quotient
     differentials.
+
+    Each block is a sub-matrix of a product of operator blocks.  In degree k,
+    with Q the projection onto F_+ and R the representatives, phi_(p,q) is
+    Q f^p on the rows of the cell (p, q) in F_+^k and the columns of D^k in
+    F^k, and its inverse is e^p R on the rows of D^k and the cell's columns;
+    what either product puts outside its selection must vanish.
     """
     if m.full_model is None:
         raise ModelError("phi requires the full model")
@@ -556,132 +557,76 @@ def phi_isomorphism(m: ConnectionModel) -> PhiCertificate:
         raise PreconditionError("phi requires an autodual model")
     full = m.full_model
     plus = m.plus_quotient
-    ideal = plus.ideal
-    decomp = m.decomposition
-    e_op = full.maps["e"]
-    f_op = full.maps["f"]
+    e_op, f_op, j_op = full.maps["e"], full.maps["f"], m.j_op
     d_space = m.dolbeault.space
     q_space = plus.algebra.space
 
-    # quotient-side block coordinates per bidegree
-    block_labels: dict[tuple, list[str]] = {}
-    for lab, (p, qq) in plus.bidegrees.items():
-        block_labels.setdefault((p, qq), []).append(lab)
-    for cell in block_labels:
-        block_labels[cell].sort(key=lambda l: q_space.label_loc[l][1])
+    # the indices of each bidegree (p, q) inside F_+^(p+q), ascending
+    cells: dict[tuple, list[int]] = {}
+    for lab, cell in plus.bidegrees.items():
+        cells.setdefault(cell, []).append(q_space.label_loc[lab][1])
+    for idx in cells.values():
+        idx.sort()
 
     phi_blocks: dict[tuple, Matrix] = {}
     phi_inv_blocks: dict[tuple, Matrix] = {}
-    identities = True
-    inverse_ok = True
-    spot = True
-
-    top = max(d_space.degrees(), default=0)
+    identities = inverse_ok = spot = True
     for k in d_space.degrees():
-        nk = d_space.dim(k)
-        if nk == 0:
-            continue
-        for p in range(0, k + 1):
-            qq = k - p
-            cell = (p, qq)
-            rows = block_labels.get(cell, [])
+        n, nk = full.space.dim(k), d_space.dim(k)
+        d_idx = [full.space.label_loc[lab][1] for lab in d_space.labels(k)]
+        off_d = [i for i in range(n) if i not in d_idx]
+        q_k, e_k, f_k = plus.qmap.block(k), e_op.block(k), f_op.block(k)
+        f_d = Matrix.identity(n).select(range(n), d_idx)    # f^p on D^k
+        for p in range(k + 1):
+            if p:
+                f_d = f_k * f_d
+            cell = (p, k - p)
+            rows = cells.get(cell, [])
+            others = [i for i in range(q_space.dim(k)) if i not in rows]
             coeff = Scalar((-1) ** p).scale(
-                Fraction(math.factorial(qq), math.factorial(k)))
-            cols = []
-            for lab in d_space.labels(k):
-                _, fv = full.space.basis_vector(lab)
-                w = _iterate(f_op, k, fv, p)
-                cls = plus.qmap.apply(k, w)
-                cols.append(tuple(c * coeff for c in cls))
-            # restrict to the block rows; anything off-block must vanish
-            entries = []
-            for j, cv in enumerate(cols):
-                for lab2, c in q_space.vector_items(k, cv):
-                    if lab2 in rows:
-                        entries.append((rows.index(lab2), j, c))
-                    else:
-                        identities = False
-            mat = phi_blocks[cell] = Matrix.from_entries(len(rows), nk, entries)
+                Fraction(math.factorial(k - p), math.factorial(k)))
+            phi_all = q_k * f_d
+            phi = phi_blocks[cell] = phi_all.select(rows, range(nk)).scale(coeff)
+            identities = identities and phi_all.select(others, range(nk)).is_zero()
 
+            # e^p on the cell's representatives, then on ideal ∩ eigenspace
+            ik = plus.ideal.get(k)
+            eig = m.decomposition.eigenspaces.get((k, k - 2 * p))
+            common = (ik.intersect(eig).vectors()
+                      if ik is not None and ik.dim and eig is not None else [])
+            e_r = Matrix.from_columns(n, [plus.reps[k][i] for i in rows] + common)
+            for _ in range(p):
+                e_r = e_k * e_r
             inv_coeff = Scalar((-1) ** p).scale(Fraction(1, math.factorial(p)))
-            entries = []
-            for j, lab in enumerate(rows):
-                k_idx = q_space.label_loc[lab][1]
-                rep = plus.reps[k][k_idx]
-                u = _iterate(e_op, k, rep, p)
-                for lab2, c in full.space.vector_items(k, u):
-                    if lab2 in d_space.label_loc:
-                        entries.append((d_space.label_loc[lab2][1], j, c * inv_coeff))
-                    else:
-                        inverse_ok = False
-            inv = phi_inv_blocks[cell] = Matrix.from_entries(nk, len(rows), entries)
+            inv = phi_inv_blocks[cell] = e_r.select(d_idx, range(len(rows))).scale(inv_coeff)
+            inverse_ok = inverse_ok and e_r.select(off_d, range(len(rows))).is_zero()
 
+            if cell == (1, 0):
+                # spot check: phi(x * eta) = [J(eta)]
+                qj = q_k * j_op.block(1).select(range(n), d_idx)
+                spot = qj.select(rows, range(nk)) == phi and qj.select(others, range(nk)).is_zero()
             if len(rows) != nk:
                 identities = False
                 continue
-            if not (mat * inv == Matrix.identity(len(rows))
-                    and inv * mat == Matrix.identity(nk)):
-                identities = False
+            identities = identities and (phi * inv == Matrix.identity(nk)
+                                         and inv * phi == Matrix.identity(nk))
 
             # representative independence: e^p kills the ideal at this cell
-            lam = qq - p
-            ik = ideal.get(k)
-            if ik is not None and ik.dim:
-                eig = decomp.eigenspaces.get((k, lam))
-                if eig is not None:
-                    for v in ik.intersect(eig).vectors():
-                        if not vec_is_zero(_iterate(e_op, k, v, p)):
-                            inverse_ok = False
+            inverse_ok = inverse_ok and e_r.select(range(n), range(len(rows), e_r.cols)).is_zero()
 
-    # spot check at (p,q) = (1,0): phi(x * eta) = [J(eta)]
-    j = m.j_op
-    cell = (1, 0)
-    if d_space.dim(1) and cell in phi_blocks:
-        for idx, lab in enumerate(d_space.labels(1)):
-            _, fv = full.space.basis_vector(lab)
-            expected = plus.qmap.apply(1, j.apply(1, fv))
-            rows = block_labels.get(cell, [])
-            got = [ZERO] * q_space.dim(1)
-            for rlab, c in zip(rows, phi_blocks[cell].column(idx)):
-                got[q_space.label_loc[rlab][1]] = c
-            if tuple(got) != tuple(expected):
-                spot = False
-                break
+    # intertwining: phi_(p+1,q) del_bar_J = Del_+ phi_(p,q) and
+    # phi_(p,q+1) del_bar = Delbar_+ phi_(p,q), each quotient differential
+    # restricted to the two cells
+    def intertwines(name: str, op: GradedMap, cell: tuple, nxt: tuple) -> bool:
+        k = cell[0] + cell[1]
+        d_plus = plus.algebra.differential(name).block(k).select(
+            cells.get(nxt, []), cells.get(cell, []))
+        return phi_blocks[nxt] * op.block(k) == d_plus * phi_blocks[cell]
 
-    # intertwining with the quotient differentials, blockwise
-    def quotient_block(name: str, src_cell, dst_cell) -> Matrix:
-        d = plus.algebra.differential(name)
-        src = block_labels.get(src_cell, [])
-        dst = block_labels.get(dst_cell, [])
-        k = src_cell[0] + src_cell[1]
-        return Matrix.from_entries(len(dst), len(src), [
-            (dst.index(lab2), jdx, c)
-            for jdx, lab in enumerate(src)
-            for lab2, c in q_space.vector_items(k + 1, d.apply(k, q_space.basis_vector(lab)[1]))
-            if lab2 in dst])
-
-    inter_h = True
-    inter_v = True
-    for k in d_space.degrees():
-        if d_space.dim(k) == 0 or d_space.dim(k + 1) == 0:
-            continue
-        for p in range(0, k + 1):
-            qq = k - p
-            if (p, qq) not in phi_blocks:
-                continue
-            # horizontal: phi_(p+1,q) o del_bar_J = Del_+ o phi_(p,q)
-            if (p + 1, qq) in phi_blocks:
-                lhs = phi_blocks[(p + 1, qq)] * m.del_bar_j.block(k)
-                rhs = quotient_block(DEL, (p, qq), (p + 1, qq)) * phi_blocks[(p, qq)]
-                if lhs != rhs:
-                    inter_h = False
-            # vertical: phi_(p,q+1) o del_bar = Delbar_+ o phi_(p,q)
-            if (p, qq + 1) in phi_blocks:
-                lhs = phi_blocks[(p, qq + 1)] * m.del_bar.block(k)
-                rhs = quotient_block(DEL_BAR, (p, qq), (p, qq + 1)) * phi_blocks[(p, qq)]
-                if lhs != rhs:
-                    inter_v = False
-
+    inter_h = all(intertwines(DEL, m.del_bar_j, (p, q), (p + 1, q))
+                  for (p, q) in phi_blocks if (p + 1, q) in phi_blocks)
+    inter_v = all(intertwines(DEL_BAR, m.del_bar, (p, q), (p, q + 1))
+                  for (p, q) in phi_blocks if (p, q + 1) in phi_blocks)
     return PhiCertificate(phi_blocks, phi_inv_blocks, identities,
                           inverse_ok, inter_h, inter_v, spot)
 

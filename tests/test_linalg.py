@@ -494,6 +494,25 @@ def test_rref_rank_and_solvability_match_sympy(qq_i, m, data):
     assert (linear_solve(m, target) is not None) == solvable
 
 
+@oracle
+@given(sparse_matrices(), st.data())
+def test_select_matches_sympy_extract(qq_i, m, data):
+    """Matrix.select is DomainMatrix.extract: the entries on the given row
+    and column indices, in their order, repeats allowed; an empty index list
+    gives an empty side."""
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    dm = DomainMatrix([[qq_i(x) for x in row] for row in m.data], (m.rows, m.cols), QQ_I)
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=7)) if m.rows else []
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=7)) if m.cols else []
+    for r, c in ((rows, cols), ([], cols), (rows, []), ([], [])):
+        sub = m.select(r, c)
+        assert (sub.rows, sub.cols) == (len(r), len(c))
+        assert [[qq_i(x) for x in row] for row in sub.data] == dm.extract(r, c).to_list()
+    assert m.select(range(m.rows), range(m.cols)) == m
+
+
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
 def test_kernel_operations_on_empty_shapes(rows, cols):
     m = Matrix(rows, cols, [[] for _ in range(rows)] if cols == 0 else None)
@@ -639,6 +658,20 @@ def test_only_qdolbeault_writes_or_reads_cell_labels():
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
             if name in ("_cell_label", "cell_of_label"):
                 offenders.append(f"{path.name}:{call.lineno}: {ast.unparse(call)}")
+    assert offenders == []
+
+
+def test_phi_and_the_dolbeault_restriction_read_operator_blocks():
+    """phi_isomorphism and connection_model_from_full work on matrices and
+    label tables: neither builds a unit vector or lists a vector's labels."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit" / "qdolbeault.py"
+    banned = ("basis_vector", "unit_vector", "apply_label", "vector_items")
+    offenders = []
+    for scope, call in _calls(ast.parse(src.read_text(), str(src))):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if scope.split(".")[0] in ("phi_isomorphism", "connection_model_from_full") \
+                and name in banned:
+            offenders.append(f"{scope}:{call.lineno}: {ast.unparse(call)}")
     assert offenders == []
 
 

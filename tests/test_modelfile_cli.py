@@ -210,6 +210,38 @@ def test_cli_unreadable_model_file_reported(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().out
 
 
+# a full torus file whose del_bar, or whose product, sends (0,*) labels
+# outside the (0,*) part; the error names the first offending pair or triple
+LEAVES_D = {
+    "operator": (("map del_bar shift 1\n", "map del_bar shift 1\n"
+                  "dzb2|E1_1 -> dz2^dzb2|E1_1 : 1\n"
+                  "dzb1|E1_1 -> dz1^dzb1|E1_1 : 1\n"
+                  "dzb1|E1_1 -> dz1^dz2|E1_1 : 1\n"),
+                 "operator leaves the (0,*) part at 'dzb1|E1_1' -> 'dz1^dz2|E1_1'"),
+    "product": (("dzb1|E1_1 dzb2|E1_1 -> dzb1^dzb2|E1_1 : 1\n",
+                 "dzb1|E1_1 dzb2|E1_1 -> dz1^dzb2|E1_1 : 1\n"),
+                "product leaves the (0,*) part at 'dzb1|E1_1' * 'dzb2|E1_1' -> 'dz1^dzb2|E1_1'"),
+}
+
+
+@pytest.mark.parametrize("part", LEAVES_D)
+def test_cli_reports_a_full_model_that_leaves_the_dolbeault_part(tmp_path, part):
+    (old, new), message = LEAVES_D[part]
+    text = serialize_connection_model(torus_model(1))
+    assert text.count(old) == 1
+    path = tmp_path / "bad.model"
+    path.write_text(text.replace(old, new))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "dgkit.cli", "--format", "json",
+                          "qdolbeault", str(path)], capture_output=True, cwd=tmp_path, env=env)
+    assert run.returncode == 1 and run.stderr == b"", run.stderr.decode()
+    report = json.loads(run.stdout)
+    assert report["passed"] is False
+    assert report["report"] == {"error": message}
+
+
 @pytest.mark.parametrize("where, reason", [("missing/t.model", "No such file"),
                                            (".", "Is a directory")])
 def test_cli_unwritable_generate_output_reported(tmp_path, capsys, where, reason):

@@ -1,18 +1,27 @@
+import dataclasses
+import math
+from fractions import Fraction
+
 import pytest
 
 from dgkit.ddbar import strong_lemma_check
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
+from dgkit.linalg import Matrix, Subspace, vec_is_zero
 from dgkit.models import (
     connection_from_bicomplex,
     dots_squares_model,
     end_tensor,
+    nilpotent_torus_model,
     random_connection_model,
     torus_model,
     zigzag_model,
 )
 from dgkit.qdolbeault import (
+    DEL,
+    DEL_BAR,
     ConnectionModel,
+    PhiCertificate,
     autoduality_check,
     build_quaternionic_complex,
     double_complex_spectral_sequence,
@@ -20,7 +29,7 @@ from dgkit.qdolbeault import (
     phi_isomorphism,
     quaternionic_cohomology_check,
 )
-from dgkit.scalars import ONE
+from dgkit.scalars import ONE, ZERO, Scalar
 
 
 def test_zero_operators_are_autodual():
@@ -213,3 +222,265 @@ def test_extended_interior_on_tensored_model():
     m = connection_from_bicomplex(b)
     q = build_quaternionic_complex(m, extended=True, window=3)
     assert extended_strong_lemma_interior(q).passed
+
+
+# -- phi against the per-label reference ---------------------------------------
+
+
+def _items(space, k, v):
+    return [(lab, c) for lab, c in zip(space.labels(k), v) if not c.is_zero()]
+
+
+def _iterate(op, k, v, times):
+    for _ in range(times):
+        v = op.apply(k, v)
+    return v
+
+
+def ref_phi_isomorphism(m):
+    """The former per-label construction of phi, kept as the reference for
+    the block one: f^p, e^p, J and the quotient differentials are applied to
+    unit vectors, and each entry is placed by its label."""
+    if m.full_model is None:
+        raise ModelError("phi requires the full model")
+    if not m.autoduality.autodual:
+        raise PreconditionError("phi requires an autodual model")
+    full = m.full_model
+    plus = m.plus_quotient
+    ideal = plus.ideal
+    decomp = m.decomposition
+    e_op = full.maps["e"]
+    f_op = full.maps["f"]
+    d_space = m.dolbeault.space
+    q_space = plus.algebra.space
+
+    # quotient-side block coordinates per bidegree
+    block_labels: dict[tuple, list[str]] = {}
+    for lab, (p, qq) in plus.bidegrees.items():
+        block_labels.setdefault((p, qq), []).append(lab)
+    for cell in block_labels:
+        block_labels[cell].sort(key=lambda l: q_space.label_loc[l][1])
+
+    phi_blocks: dict[tuple, Matrix] = {}
+    phi_inv_blocks: dict[tuple, Matrix] = {}
+    identities = True
+    inverse_ok = True
+    spot = True
+
+    for k in d_space.degrees():
+        nk = d_space.dim(k)
+        if nk == 0:
+            continue
+        for p in range(0, k + 1):
+            qq = k - p
+            cell = (p, qq)
+            rows = block_labels.get(cell, [])
+            coeff = Scalar((-1) ** p).scale(
+                Fraction(math.factorial(qq), math.factorial(k)))
+            cols = []
+            for lab in d_space.labels(k):
+                _, fv = full.space.basis_vector(lab)
+                w = _iterate(f_op, k, fv, p)
+                cls = plus.qmap.apply(k, w)
+                cols.append(tuple(c * coeff for c in cls))
+            # restrict to the block rows; anything off-block must vanish
+            entries = []
+            for j, cv in enumerate(cols):
+                for lab2, c in _items(q_space, k, cv):
+                    if lab2 in rows:
+                        entries.append((rows.index(lab2), j, c))
+                    else:
+                        identities = False
+            mat = phi_blocks[cell] = Matrix.from_entries(len(rows), nk, entries)
+
+            inv_coeff = Scalar((-1) ** p).scale(Fraction(1, math.factorial(p)))
+            entries = []
+            for j, lab in enumerate(rows):
+                k_idx = q_space.label_loc[lab][1]
+                rep = plus.reps[k][k_idx]
+                u = _iterate(e_op, k, rep, p)
+                for lab2, c in _items(full.space, k, u):
+                    if lab2 in d_space.label_loc:
+                        entries.append((d_space.label_loc[lab2][1], j, c * inv_coeff))
+                    else:
+                        inverse_ok = False
+            inv = phi_inv_blocks[cell] = Matrix.from_entries(nk, len(rows), entries)
+
+            if len(rows) != nk:
+                identities = False
+                continue
+            if not (mat * inv == Matrix.identity(len(rows))
+                    and inv * mat == Matrix.identity(nk)):
+                identities = False
+
+            # representative independence: e^p kills the ideal at this cell
+            lam = qq - p
+            ik = ideal.get(k)
+            if ik is not None and ik.dim:
+                eig = decomp.eigenspaces.get((k, lam))
+                if eig is not None:
+                    for v in ik.intersect(eig).vectors():
+                        if not vec_is_zero(_iterate(e_op, k, v, p)):
+                            inverse_ok = False
+
+    # spot check at (p,q) = (1,0): phi(x * eta) = [J(eta)]
+    j = m.j_op
+    cell = (1, 0)
+    if d_space.dim(1) and cell in phi_blocks:
+        for idx, lab in enumerate(d_space.labels(1)):
+            _, fv = full.space.basis_vector(lab)
+            expected = plus.qmap.apply(1, j.apply(1, fv))
+            rows = block_labels.get(cell, [])
+            got = [ZERO] * q_space.dim(1)
+            for rlab, c in zip(rows, phi_blocks[cell].column(idx)):
+                got[q_space.label_loc[rlab][1]] = c
+            if tuple(got) != tuple(expected):
+                spot = False
+                break
+
+    # intertwining with the quotient differentials, blockwise
+    def quotient_block(name: str, src_cell, dst_cell) -> Matrix:
+        d = plus.algebra.differential(name)
+        src = block_labels.get(src_cell, [])
+        dst = block_labels.get(dst_cell, [])
+        k = src_cell[0] + src_cell[1]
+        return Matrix.from_entries(len(dst), len(src), [
+            (dst.index(lab2), jdx, c)
+            for jdx, lab in enumerate(src)
+            for lab2, c in _items(q_space, k + 1, d.apply(k, q_space.basis_vector(lab)[1]))
+            if lab2 in dst])
+
+    inter_h = True
+    inter_v = True
+    for k in d_space.degrees():
+        if d_space.dim(k) == 0 or d_space.dim(k + 1) == 0:
+            continue
+        for p in range(0, k + 1):
+            qq = k - p
+            if (p, qq) not in phi_blocks:
+                continue
+            # horizontal: phi_(p+1,q) o del_bar_J = Del_+ o phi_(p,q)
+            if (p + 1, qq) in phi_blocks:
+                lhs = phi_blocks[(p + 1, qq)] * m.del_bar_j.block(k)
+                rhs = quotient_block(DEL, (p, qq), (p + 1, qq)) * phi_blocks[(p, qq)]
+                if lhs != rhs:
+                    inter_h = False
+            # vertical: phi_(p,q+1) o del_bar = Delbar_+ o phi_(p,q)
+            if (p, qq + 1) in phi_blocks:
+                lhs = phi_blocks[(p, qq + 1)] * m.del_bar.block(k)
+                rhs = quotient_block(DEL_BAR, (p, qq), (p, qq + 1)) * phi_blocks[(p, qq)]
+                if lhs != rhs:
+                    inter_v = False
+
+    return PhiCertificate(phi_blocks, phi_inv_blocks, identities,
+                          inverse_ok, inter_h, inter_v, spot)
+
+
+FLAGS = ("identities_hold", "inverse_well_defined", "intertwine_horizontal",
+         "intertwine_vertical", "degree_one_spot_check")
+
+
+def _with_quotient(m, **changes):
+    """m with its cached quotient F_+ replaced field by field."""
+    m.__dict__["plus_quotient"] = dataclasses.replace(m.plus_quotient, **changes)
+    return m
+
+
+def _plus_entry(g, frm, to):
+    """g with ONE added at the entry frm -> to."""
+    return g.add(GradedMap.from_entries(g.source, g.target, g.shift, [(frm, to, ONE)]))
+
+
+def _first(m, cell):
+    """The first quotient label of the bidegree `cell`."""
+    return next(lab for lab in m.plus_quotient.algebra.space.all_labels()
+                if m.plus_quotient.bidegrees.get(lab) == cell)
+
+
+def _quotient_entry(m, name, src_cell, dst_cell):
+    """A quotient differential with an entry from one cell to another."""
+    alg = m.plus_quotient.algebra
+    d = _plus_entry(alg.differential(name), _first(m, src_cell), _first(m, dst_cell))
+    return _with_quotient(m, algebra=alg.with_differentials(dict(alg.differentials, **{name: d})))
+
+
+def _class_off_cell(m):
+    """The projection sends a (0,1)-form to a class of the cell (1,0) too."""
+    qmap = _plus_entry(m.plus_quotient.qmap, m.dolbeault.space.labels(1)[0], _first(m, (1, 0)))
+    return _with_quotient(m, qmap=qmap)
+
+
+def _rep_change(m, change):
+    """The first representative of the cell (0,1), changed."""
+    plus = m.plus_quotient
+    reps = dict(plus.reps)
+    i = plus.algebra.space.label_loc[_first(m, (0, 1))][1]
+    reps[1] = [change(v) if t == i else v for t, v in enumerate(reps[1])]
+    return _with_quotient(m, reps=reps)
+
+
+def _rep_off_d(m):
+    """A representative with a component off D: e^0 of it leaves D."""
+    full = m.full_model.space
+    off = next(full.label_loc[lab][1] for lab in full.labels(1)
+               if lab not in m.dolbeault.space.label_loc)
+    return _rep_change(m, lambda v: tuple(c + ONE if t == off else c for t, c in enumerate(v)))
+
+
+def _full_ideal(m):
+    ideal = dict(m.plus_quotient.ideal)
+    ideal[2] = Subspace.full(m.full_model.space.dim(2))
+    return _with_quotient(m, ideal=ideal)
+
+
+def _with_j(m, change):
+    """m with J changed after its quotient was built from the model's own J."""
+    m.plus_quotient
+    full = m.full_model
+    m.full_model = StructuredAlgebra(full.space, full.kind, full.differentials,
+                                     full.structure, dict(full.maps, J=change(full.maps["J"])))
+    return m
+
+
+def _j_off_cell(m):
+    """J keeps a (0,1)-form: [J eta] gets a component off the cell (1,0)."""
+    lab = m.dolbeault.space.labels(1)[0]
+    return _with_j(m, lambda j: _plus_entry(j, lab, lab))
+
+
+# (flag the input turns False, how the torus_model(1) input is changed)
+CRAFTED = {
+    "rep_scaled": ("identities_hold",
+                   lambda m: _rep_change(m, lambda v: tuple(Scalar(2) * c for c in v))),
+    "class_off_cell": ("identities_hold", _class_off_cell),
+    "ideal_full": ("inverse_well_defined", _full_ideal),
+    "rep_off_d": ("inverse_well_defined", _rep_off_d),
+    "del_entry": ("intertwine_horizontal", lambda m: _quotient_entry(m, DEL, (0, 0), (1, 0))),
+    "del_bar_entry": ("intertwine_vertical",
+                      lambda m: _quotient_entry(m, DEL_BAR, (0, 0), (0, 1))),
+    "j_scaled": ("degree_one_spot_check", lambda m: _with_j(m, lambda j: j.scale(Scalar(2)))),
+    "j_off_cell": ("degree_one_spot_check", _j_off_cell),
+}
+
+
+def _same_certificate(m):
+    got, want = phi_isomorphism(m), ref_phi_isomorphism(m)
+    assert list(got.phi_blocks) == list(want.phi_blocks)
+    assert got.phi_blocks == want.phi_blocks
+    assert got.phi_inv_blocks == want.phi_inv_blocks
+    assert {f: getattr(got, f) for f in FLAGS} == {f: getattr(want, f) for f in FLAGS}
+    return got
+
+
+@pytest.mark.parametrize("make", [lambda: torus_model(1), lambda: torus_model(2),
+                                  lambda: torus_model(3), lambda: nilpotent_torus_model(2)],
+                         ids=["torus1", "torus2", "torus3", "twisted2"])
+def test_phi_blocks_equal_the_per_label_reference(make):
+    assert _same_certificate(make()).certified
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_each_crafted_input_fails_one_flag(name):
+    flag, craft = CRAFTED[name]
+    cert = _same_certificate(craft(torus_model(1)))
+    assert {f: getattr(cert, f) for f in FLAGS} == {f: f != flag for f in FLAGS}
