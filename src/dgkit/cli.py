@@ -151,7 +151,11 @@ def _first_differential(alg) -> str:
 def cmd_validate(args, report: Report):
     parsed = parse_model_file(args.model)
     alg = parsed.algebra
-    names = [args.differential] if args.differential else sorted(alg.differentials)
+    if args.differential:
+        names = [args.differential]
+    else:
+        _first_differential(alg)  # without a differential no check would run
+        names = sorted(alg.differentials)
     for name in names:
         if alg.kind == "associative":
             rep = alg.validate_dg_algebra(name)

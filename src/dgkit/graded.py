@@ -7,9 +7,11 @@ basis pairs, extended bilinearly.  `StructuredAlgebra.mul` and
 constant as Gaussian-integer numerators over one common denominator and as
 its Scalar; a product that sums over two or more rows adds int products and
 reduces each touched entry once, through `scalars.lift` and
-`scalars.gaussian`.  Axioms are verified by full enumeration over basis
-tuples (with sparse early-out), which stays exact and cheap at model
-dimensions.  Every check that compares two sums of structure constants
+`scalars.gaussian`.  Axioms are verified exactly on the basis tuples where
+a side can be non-zero, read off a neighbour index of the structure table
+(for each label, the labels it has a product with on either side) and
+walked in the full walk's order, so the first failing tuple is the full
+walk's.  Every check that compares two sums of structure constants
 builds both sides as sparse {label: coefficient} dicts with one in-place
 accumulator; `algebra_map_witness` is the one check that a map preserves
 products.  The axioms that do not involve a differential (associativity, and
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from dgkit.errors import InternalCheckError, ModelError, PreconditionError
@@ -481,48 +484,69 @@ class StructuredAlgebra:
         report.add(f"{name}^2 = 0", witness is None, witness)
 
     def _leibniz_check(self, report: ValidationReport, d: GradedMap, name: str):
+        """d(l1 l2) = d(l1) l2 + (-1)^deg(l1) l1 d(l2) on the label pairs
+        where a side can be non-zero, in label order: the structure pairs,
+        and the pairs (l1, l2) with a product t*l2 for some t in d(l1) or
+        l1*t for some t in d(l2)."""
         table = d.label_table()
+        right, left = self._neighbours
+        labels = self.space.all_labels()
+        pos = {lab: i for i, lab in enumerate(labels)}
+        pairs = {(pos[a], pos[b]) for a, b in self.structure}
+        for lab, image in table.items():
+            for t in image:
+                pairs.update((pos[lab], pos[l2]) for l2 in right.get(t, ()))
+                pairs.update((pos[l1], pos[lab]) for l1 in left.get(t, ()))
         ok, witness = True, None
-        labels = [(l, self.space.degree_of(l)) for l in self.space.all_labels()]
-        for l1, k1 in labels:
-            d1 = table[l1]
-            for l2, k2 in labels:
-                d2 = table[l2]
-                p12 = self.structure.get((l1, l2))
-                relevant = p12 or any((t, l2) in self.structure for t in d1) \
-                    or any((l1, t) in self.structure for t in d2)
-                if not relevant:
-                    continue
-                # d(l1 * l2) - (d(l1) * l2 + (-1)^k1 l1 * d(l2))
-                lhs: dict[str, Scalar] = {}
-                for lt, c in (p12 or {}).items():
-                    _accumulate(lhs, c, table[lt])
-                rhs = self._times_label({}, ONE, d1, l2, False)
-                sign = ONE if k1 % 2 == 0 else MINUS_ONE
-                self._times_label(rhs, sign, d2, l1, True)
-                diff = _accumulate(lhs, MINUS_ONE, rhs)
-                if diff:
-                    ok = False
-                    witness = {"pair": [l1, l2],
-                               "difference": [[l, str(c)] for l, c in diff.items()]}
-                    break
-            if not ok:
+        for i, j in sorted(pairs):
+            l1, l2 = labels[i], labels[j]
+            # d(l1 * l2) - (d(l1) * l2 + (-1)^k1 l1 * d(l2))
+            lhs: dict[str, Scalar] = {}
+            for lt, c in self.mul_labels(l1, l2).items():
+                _accumulate(lhs, c, table[lt])
+            rhs = self._times_label({}, ONE, table[l1], l2, False)
+            sign = ONE if self.space.degree_of(l1) % 2 == 0 else MINUS_ONE
+            self._times_label(rhs, sign, table[l2], l1, True)
+            diff = _accumulate(lhs, MINUS_ONE, rhs)
+            if diff:
+                ok = False
+                witness = {"pair": [l1, l2],
+                           "difference": [[l, str(c)] for l, c in diff.items()]}
                 break
         report.add(f"Leibniz({name})", ok, witness)
 
     @cached_property
+    def _neighbours(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(right, left): right[x] lists the labels y with a product x*y and
+        left[y] the labels x with one, in the order of `structure`."""
+        right: dict[str, list[str]] = {}
+        left: dict[str, list[str]] = {}
+        for x, y in self.structure:
+            right.setdefault(x, []).append(y)
+            left.setdefault(y, []).append(x)
+        return right, left
+
+    def _live_triples(self, jacobi: bool = False) -> list[tuple[str, str, str]]:
+        """The sorted label triples (a, b, c) where (ab)c or a(bc) can be
+        non-zero, and with jacobi also b(ac): (ab)c needs a product t*c for
+        some t in ab, a(bc) a product a*u for some u in bc.  Every other
+        triple has all these terms zero."""
+        right, left = self._neighbours
+        live = set()
+        for (a, b), ab in self.structure.items():
+            for t in ab:
+                live.update((a, b, c) for c in right.get(t, ()))
+                for x in left.get(t, ()):
+                    live.add((x, a, b))
+                    if jacobi:
+                        live.add((a, x, b))
+        return sorted(live)
+
+    @cached_property
     def _associativity_failure(self) -> Optional[tuple[str, str, str]]:
-        """The first basis triple (a, b, c) with (ab)c != a(bc), or None.  A
-        triple can only violate associativity if one of the two inner
-        products is non-zero, so the walk covers the triples through a
-        structure pair."""
-        labels = self.space.all_labels()
-        candidates = set()
-        for (a, b) in self.structure:
-            for c in labels:
-                candidates.add((a, b, c))
-                candidates.add((c, a, b))
-        for l1, l2, l3 in sorted(candidates):
+        """The first basis triple (a, b, c) with (ab)c != a(bc), or None; only
+        the live triples can fail, and they are walked in sorted order."""
+        for l1, l2, l3 in self._live_triples():
             diff = self._times_label({}, ONE, self.mul_labels(l1, l2), l3, False)
             self._times_label(diff, MINUS_ONE, self.mul_labels(l2, l3), l1, True)
             if diff:
@@ -544,14 +568,7 @@ class StructuredAlgebra:
         """The first triple violating
         [l1,[l2,l3]] = [[l1,l2],l3] + (-1)^(deg l1 deg l2) [l2,[l1,l3]], or None."""
         degree_of = self.space.degree_of
-        labels = self.space.all_labels()
-        candidates = set()
-        for (a, b) in self.structure:
-            for c in labels:
-                candidates.add((c, a, b))   # [l1,[l2,l3]] with (l2,l3) in S
-                candidates.add((a, b, c))   # [[l1,l2],l3]
-                candidates.add((a, c, b))   # [l2,[l1,l3]] with (l1,l3) in S
-        for l1, l2, l3 in sorted(candidates):
+        for l1, l2, l3 in self._live_triples(jacobi=True):
             sign = ONE if (degree_of(l1) * degree_of(l2)) % 2 == 0 else MINUS_ONE
             diff = self._times_label({}, ONE, self.mul_labels(l2, l3), l1, True)
             self._times_label(diff, MINUS_ONE, self.mul_labels(l1, l2), l3, False)
@@ -632,30 +649,35 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
     or None when the shift-0 map f is multiplicative on basis pairs.
 
     f(a * b) pushes the pair's structure constants through the sparse
-    columns of f; f(a) * f(b) applies the structure of tgt to them.  A pair
-    whose degree is empty in tgt is skipped, and so is a pair with no product
-    in src whose f(a) or f(b) is zero: both sides are empty there, so the
-    skips change no verdict and no witness.
+    columns of f; f(a) * f(b) applies the structure of tgt to them.  Only
+    the pairs where a side can be non-zero are walked, in label order: the
+    structure pairs of src whose product f does not kill on every label,
+    and the pairs (a, b) with f(a) and f(b) meeting a structure pair of
+    tgt.  Both sides of every other pair are empty, so the walk finds the
+    first failing pair of the full one.
     """
     columns = f.label_table()
-    for l1 in src.space.all_labels():
-        f1 = columns[l1]
-        k1 = src.space.degree_of(l1)
-        for k2, labels in src.space.components.items():
-            if not tgt.space.dim(k1 + k2):
-                continue
-            for l2 in labels:
-                product = src.mul_labels(l1, l2)
-                if not (product or f1 and columns[l2]):
-                    continue
-                lhs: dict[str, Scalar] = {}
-                for lt, c in product.items():
-                    _accumulate(lhs, c, columns[lt])
-                rhs: dict[str, Scalar] = {}
-                for a, ca in f1.items():
-                    tgt._times_label(rhs, ca, columns[l2], a, True)
-                if lhs != rhs:
-                    return {"pair": [l1, l2]}
+    labels = src.space.all_labels()
+    pos = {lab: i for i, lab in enumerate(labels)}
+    preimage: dict[str, list[int]] = {}
+    for lab, image in columns.items():
+        for t in image:
+            preimage.setdefault(t, []).append(pos[lab])
+    kept = {lab for lab, image in columns.items() if image}
+    pairs = {(pos[a], pos[b]) for (a, b), ab in src.structure.items()
+             if not kept.isdisjoint(ab)}
+    for a, b in tgt.structure:
+        pairs.update(product(preimage.get(a, ()), preimage.get(b, ())))
+    for i, j in sorted(pairs):
+        l1, l2 = labels[i], labels[j]
+        lhs: dict[str, Scalar] = {}
+        for lt, c in src.mul_labels(l1, l2).items():
+            _accumulate(lhs, c, columns[lt])
+        rhs: dict[str, Scalar] = {}
+        for a, ca in columns[l1].items():
+            tgt._times_label(rhs, ca, columns[l2], a, True)
+        if lhs != rhs:
+            return {"pair": [l1, l2]}
     return None
 
 

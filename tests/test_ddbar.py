@@ -26,8 +26,8 @@ from dgkit.graded import (
     cohomology,
 )
 from dgkit.linalg import Matrix
-from dgkit.models import dots_squares_model, end_tensor, zigzag_model
-from dgkit.scalars import ONE
+from dgkit.models import dots_squares_model, end_tensor, torus_model, zigzag_model
+from dgkit.scalars import ONE, Scalar
 from strategies import COEFFS, graded_maps, graded_spaces, random_algebras
 
 
@@ -244,6 +244,29 @@ def test_algebra_map_witness_matches_the_dense_loop(src, data):
     assert algebra_map_witness(src, f, tgt) == ref_dense_algebra_map_witness(f, src, tgt)
 
 
+LAST = ("dz1^dz2^dzb1^dzb2|E1_1", "1|E1_1")
+UNPAIRED = ("dz2^dzb1^dzb2|E1_1", "dzb2|E1_1")  # no product in the torus
+
+
+# the identity is multiplicative on every pair but one: a doubled and a
+# dropped product fail where the source has a product, an added one where
+# only the target has one
+@pytest.mark.parametrize("pair, targets", [
+    (LAST, {"dz1^dz2^dzb1^dzb2|E1_1": Scalar(2)}),
+    (LAST, {}),
+    (UNPAIRED, {"dz1^dz2^dzb1^dzb2|E1_1": ONE}),
+], ids=["doubled", "dropped", "added"])
+def test_algebra_map_witness_finds_a_late_failure_like_the_dense_loop(pair, targets):
+    src = torus_model(1).full_model
+    structure = dict(src.structure)
+    structure[pair] = targets
+    tgt = StructuredAlgebra(src.space, "associative", {}, structure)
+    f = GradedMap.identity(src.space)
+    witness = algebra_map_witness(src, f, tgt)
+    assert witness == ref_dense_algebra_map_witness(f, src, tgt) == {"pair": list(pair)}
+    assert algebra_map_witness(src, f, src) is None
+
+
 def cohomology_of(alg):
     """The cohomology of alg with zero differential: alg itself, relabeled."""
     zero = GradedMap.zero(alg.space, alg.space, 1)
@@ -346,14 +369,26 @@ VERDICT_REPORT_SHA256 = {
         (0, "d9ba2295088be4ed5a7e723091387a7117903d19278d1d8f13616099d6fd360c"),
     ("cohomology", "ds.model"):
         (0, "f26948889f67c49ca6b4ffb135d6f85895dfea64f195024649555a8739fb360b"),
+    # recorded before the axiom checks walked only the tuples with a
+    # non-zero side
+    ("validate", "torus_r1.model"):
+        (0, "93b390f252964bea0507276fff54ec8c2f21256d77e994693b9138bb388a69f2"),
+    ("validate", "torus_r2.model"):
+        (0, "fca8798310e5d3464f8a8b65e196ad905ccd93860fb22bda865deef708be1984"),
+    ("validate", "torus_r3.model"):
+        (0, "5e4511622bbb9dffac9149fb4048d074080f87d30d78769aca7da0b53012c25b"),
+    ("validate", "twisted_r2.model"):
+        (0, "42cf443df9758a6f401a5166303440b0dcbbd52edce015b8d13eb86d6df52e68"),
 }
 
 
 @pytest.fixture(scope="module")
 def verdict_models(cli_run):
-    """cli_run in a directory holding the rank-2 torus, its nilpotent twist
-    and a gl(2)-tensored dots-squares model."""
-    for argv in (("torus", "--rank", "2", "-o", "torus_r2.model"),
+    """cli_run in a directory holding the rank-1 to rank-3 tori, the rank-2
+    nilpotent twist and a gl(2)-tensored dots-squares model."""
+    for argv in (("torus", "--rank", "1", "-o", "torus_r1.model"),
+                 ("torus", "--rank", "2", "-o", "torus_r2.model"),
+                 ("torus", "--rank", "3", "-o", "torus_r3.model"),
                  ("torus", "--rank", "2", "--nilpotent-twist", "-o", "twisted_r2.model"),
                  ("dots-squares", "--dots", "0:1,1:2,2:1", "--squares", "0",
                   "--end-rank", "2", "--seed", "5", "-o", "ds.model")):

@@ -20,7 +20,7 @@ from dgkit.graded import (
 )
 from dgkit.linalg import DimensionMismatch, Matrix, dense_vector, vec_is_zero
 from dgkit.modelfile import serialize_connection_model
-from dgkit.models import torus_model
+from dgkit.models import nilpotent_torus_model, torus_model
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import (COEFFS, FRACTIONS, dense_vectors, dg_algebras, graded_maps, random_algebras,
                         sparse_vectors)
@@ -742,6 +742,90 @@ def test_associativity_is_walked_once_per_algebra(broken_models, square, monkeyp
     # commutator_dgla validates both differentials of the square
     square.commutator_dgla()
     assert len(walked) == 2 and walked[1] is square
+
+
+# -- the live-tuple walks on crafted failures ------------------------------------
+
+
+def scaled(structure, pair, c):
+    """A copy of a structure table with the constants of one pair times c."""
+    out = {p: dict(targets) for p, targets in structure.items()}
+    out[pair] = {lt: c * v for lt, v in out[pair].items()}
+    return out
+
+
+# a dropped constant fails first at a triple that only a(bc), or only (ab)c,
+# reaches
+@pytest.mark.parametrize("pair, c, triple", [
+    (("dz1^dz2^dzb1^dzb2|E1_1", "1|E1_1"), Scalar(2),
+     ["dz1^dz2^dzb1^dzb2|E1_1", "1|E1_1", "1|E1_1"]),
+    (("dzb2|E1_1", "dzb1|E1_1"), Scalar(2), ["dz1^dz2|E1_1", "dzb2|E1_1", "dzb1|E1_1"]),
+    (("dz1^dz2^dzb1^dzb2|E1_1", "1|E1_1"), ZERO, ["dz1^dz2^dzb1|E1_1", "dzb2|E1_1", "1|E1_1"]),
+    (("1|E1_1", "dz1^dz2^dzb1^dzb2|E1_1"), ZERO, ["1|E1_1", "dz1^dz2^dzb1|E1_1", "dzb2|E1_1"]),
+], ids=["last doubled", "largest doubled", "last dropped", "unit times top dropped"])
+def test_associativity_finds_a_late_failure_like_the_full_walk(pair, c, triple):
+    m = torus_model(1).full_model
+    alg = StructuredAlgebra(m.space, "associative", m.differentials,
+                            scaled(m.structure, pair, c))
+    witness = alg.validate_dg_algebra("del").checks[2].witness
+    assert witness == ref_associativity(alg) == {"triple": triple}
+    assert tuple(triple) != alg._live_triples()[0]
+
+
+# the rank-1 torus is graded-commutative, so its bracket is zero; a dropped
+# bracket fails first at a triple that only [l2,[l1,l3]] reaches
+@pytest.mark.parametrize("pair, c, triple", [
+    (("dzb2|E2_2", "dzb1|E2_1"), Scalar(2), ["1|E1_2", "dzb1|E2_1", "dzb2|E2_1"]),
+    (("dzb1|E2_1", "dzb2|E1_1"), ZERO, ["1|E1_2", "dzb1|E2_1", "dzb2|E1_1"]),
+], ids=["doubled", "dropped"])
+def test_jacobi_finds_a_late_failure_like_the_full_walk(pair, c, triple):
+    lie = torus_model(2).full_model.commutator_dgla(validate=False)
+    structure = scaled(scaled(lie.structure, pair, c), pair[::-1], c)
+    broken = StructuredAlgebra(lie.space, "lie", lie.differentials, structure)
+    checks = {check.name: check.witness for check in broken.validate_dgla("del").checks}
+    assert checks["skew-symmetry"] is None
+    assert checks["Jacobi"] == ref_jacobi(broken) == {"triple": triple}
+    assert tuple(triple) != broken._live_triples(jacobi=True)[0]
+
+
+def changed_last_entry(m):
+    """The twisted torus with its last del_bar entry doubled."""
+    entries = m.differentials["del_bar"].entries()
+    frm, to, c = entries[-1]
+    return entries[:-1] + [(frm, to, c * Scalar(2))]
+
+
+# on the flat torus, d(E21) = dz1 E12 fails first at (E11, E21), a pair
+# without a product that only E11 d(E21) reaches, and d(E11) = dz1 E12 at
+# the same pair, which only d(E11) E21 reaches
+@pytest.mark.parametrize("model, entries, pair", [
+    (nilpotent_torus_model, changed_last_entry, ["1|E1_1", "dz1^dz2^dzb2|E2_2"]),
+    (torus_model, lambda m: [("1|E2_1", "dz1|E1_2", ONE)], ["1|E1_1", "1|E2_1"]),
+    (torus_model, lambda m: [("1|E1_1", "dz1|E1_2", ONE)], ["1|E1_1", "1|E2_1"]),
+], ids=["changed entry", "added entry on the right", "added entry on the left"])
+def test_leibniz_finds_a_late_failure_like_the_full_walk(model, entries, pair):
+    m = model(2).full_model
+    d = GradedMap.from_entries(m.space, m.space, 1, entries(m))
+    alg = m.with_differentials({"del_bar": d})
+    witness = alg.validate_dg_algebra("del_bar").checks[1].witness
+    assert witness == ref_leibniz(alg, d)
+    assert witness["pair"] == pair
+
+
+def test_associativity_walks_only_the_live_triples(monkeypatch):
+    """Two products per triple with a non-zero side: 4,096 of the 72,944
+    triples through a structure pair that the full walk visits."""
+    m = torus_model(2).full_model
+    calls = []
+    times_label = StructuredAlgebra._times_label
+
+    def counted(self, *args):
+        calls.append(1)
+        return times_label(self, *args)
+
+    monkeypatch.setattr(StructuredAlgebra, "_times_label", counted)
+    assert m._associativity_failure is None
+    assert len(calls) <= 8192
 
 
 # -- each operator relation formed once -------------------------------------------

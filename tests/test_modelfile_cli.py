@@ -413,3 +413,38 @@ def test_cli_model_without_differential_reported(tmp_path, capsys, command):
     assert run_cli(["--format", "json", command, str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert "no differential" in report["report"]["error"]
+
+
+NO_DIFFERENTIAL = {
+    # (xx)x = yx = x while x(xx) = xy = 0: not associative
+    "associative": "degrees\n0 : one x y\n\nstructure\nx x -> y : 1\ny x -> x : 1\n",
+    # [x, y] = [y, x] = y: not skew-symmetric
+    "lie": "degrees\n0 : x y\n\nstructure\nx y -> y : 1\ny x -> y : 1\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(NO_DIFFERENTIAL))
+def test_cli_validate_refuses_a_model_without_differential(tmp_path, kind):
+    """Without a differential no axiom check runs, so validate refuses the
+    model as bad input, as cohomology and deform do."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "flat.model"
+    path.write_text(f"kind {kind}\n\n{NO_DIFFERENTIAL[kind]}")
+    run = subprocess.run([sys.executable, "-m", "dgkit.cli", "--format", "json", "validate",
+                          str(path)], capture_output=True, cwd=tmp_path, env=env)
+    assert run.returncode == 1, run.stderr.decode()
+    report = json.loads(run.stdout)
+    assert report["passed"] is False
+    assert report["report"] == {"error": "model has no differential (no map with shift 1)"}
+
+
+def test_cli_validate_checks_a_model_with_an_empty_differential(tmp_path, capsys):
+    path = tmp_path / "flat.model"
+    text = NO_DIFFERENTIAL["associative"].replace("\nstructure", "\nmap d shift 1\n\nstructure")
+    path.write_text(f"kind associative\n\n{text}")
+    assert run_cli(["--format", "json", "validate", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["report"]["d"]["checks"]
+    assert checks[-1] == {"name": "associativity", "passed": False,
+                          "witness": {"triple": ["x", "x", "x"]}}
