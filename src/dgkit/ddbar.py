@@ -44,7 +44,7 @@ from dgkit.graded import (
     format_vector,
     induced_map_on_cohomology,
 )
-from dgkit.linalg import Matrix, Subspace, invert, vec_is_zero
+from dgkit.linalg import Matrix, Subspace, vec_is_zero
 
 
 class Bicomplex:
@@ -63,9 +63,6 @@ class Bicomplex:
     @property
     def space(self) -> GradedSpace:
         return self.algebra.space
-
-    def swapped(self) -> "Bicomplex":
-        return Bicomplex(self.algebra, self.d1_name, self.d0_name)
 
     @cached_property
     def d0d1(self) -> GradedMap:
@@ -223,18 +220,11 @@ def ddbar_condition_check(b: Bicomplex) -> DdbarVerdict:
             {"ker_d0": ker0.dim, "ker_d1": ker1.dim,
              "im_d0": im0.dim, "im_d1": im1.dim,
              "im_d0d1": rhs.dim}))
-        if not ok_b and "b" not in witnesses:
-            w = _first_missing_vector(lhs_b, rhs)
-            witnesses["b"] = {"degree": k,
-                              "vector": format_vector(b.space, k, w)}
-        if not ok_bstar and "bstar" not in witnesses:
-            w = _first_missing_vector(lhs_bstar, rhs)
-            witnesses["bstar"] = {"degree": k,
-                                  "vector": format_vector(b.space, k, w)}
-        if not ok_strong and "strong" not in witnesses:
-            w = _first_missing_vector(strong_lhs, rhs)
-            witnesses["strong"] = {"degree": k,
-                                   "vector": format_vector(b.space, k, w)}
+        for key, ok, lhs in (("b", ok_b, lhs_b), ("bstar", ok_bstar, lhs_bstar),
+                             ("strong", ok_strong, strong_lhs)):
+            if not ok and key not in witnesses:
+                w = _first_missing_vector(lhs, rhs)
+                witnesses[key] = {"degree": k, "vector": format_vector(b.space, k, w)}
     return DdbarVerdict(
         anticommute=True, per_degree=tuple(per_degree),
         condition_b=all(d.b for d in per_degree),
@@ -487,38 +477,6 @@ def sum_twist(b: Bicomplex) -> Bicomplex:
     if not check.strong_lemma:
         raise InternalCheckError("sum twist lost the strong lemma")
     return twisted
-
-
-@dataclass
-class SameCohomologyReport:
-    dims_equal: bool
-    dims_d0: dict
-    dims_d1: dict
-    product_tables_agree: bool
-
-    def to_json(self):
-        return {"dims_equal": self.dims_equal,
-                "dims_d0": {str(k): v for k, v in self.dims_d0.items()},
-                "dims_d1": {str(k): v for k, v in self.dims_d1.items()},
-                "product_tables_agree": self.product_tables_agree}
-
-
-def same_cohomology_check(b: Bicomplex) -> SameCohomologyReport:
-    """dim H_{d0} = dim H_{d1} degreewise and the zig-zag identification
-    preserves the induced product."""
-    zig = formality_zigzag(b)
-    dims0 = zig.h_d0.dims()
-    dims1 = zig.h_d1.dims()
-    dims_equal = dims0 == dims1
-    # transport H_{d0}(A) -> H_{d0}(A1) -> H_{d1}(A) through the certificates
-    transport = {}
-    for k in dims0:
-        inv = invert(zig.iota_certificate.matrices[k])
-        if inv is None:
-            return SameCohomologyReport(dims_equal, dims0, dims1, False)
-        transport[k] = zig.rho_certificate.matrices[k] * inv
-    product_ok = _preserves_product(transport, zig.h_d0, zig.h_d1)
-    return SameCohomologyReport(dims_equal, dims0, dims1, product_ok)
 
 
 @dataclass

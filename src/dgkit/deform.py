@@ -241,7 +241,6 @@ class MCReport:
 
 @dataclass
 class TangentObstruction:
-    tangent_dims: dict
     h1_dim: int
     h2_dim: int
     obstruction: Callable
@@ -281,7 +280,7 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
         if solvable != vec_is_zero(h.project(2, rhs)):
             agree = False
     checks.add("obstruction class vanishes iff the order-2 lift solves", agree)
-    return TangentObstruction(h.dims(), h.dim(1), h.dim(2), obstruction, checks)
+    return TangentObstruction(h.dim(1), h.dim(2), obstruction, checks)
 
 
 # ---------------------------------------------------------------------------

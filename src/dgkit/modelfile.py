@@ -22,6 +22,8 @@ One file holds one graded space with its maps and structure constants::
 Sections start with a keyword line (kind, degrees, map, structure, sl2, J);
 blank lines and '#' comments are skipped.  Scalars use the exact grammar of
 dgkit.scalars.  Reserved map names: del_bar, del_bar_J, del, e, f, h, J.
+Each map name is declared once; the sl2 and J lines name declared shift-0
+maps, which then also serve as e, f, h and J.
 Serialization is canonical: parsing a serialized model and serializing it
 again reproduces the same bytes.
 """
@@ -59,8 +61,6 @@ class ParseError(ValueError):
 @dataclass
 class ParsedModel:
     algebra: StructuredAlgebra
-    sl2_names: Optional[tuple] = None
-    j_name: Optional[str] = None
 
     def is_connection(self) -> bool:
         d = self.algebra.differentials
@@ -102,8 +102,8 @@ def parse_model(text: str) -> ParsedModel:
     degrees: dict[int, list[str]] = {}
     maps_raw: list[tuple] = []          # (name, shift, [(frm, to, Scalar)])
     structure_raw: list[tuple] = []     # (l1, l2, lt, Scalar)
-    sl2_names = None
-    j_name = None
+    declared: dict[str, int] = {}       # map name -> line that declares it
+    aliases: list[tuple] = []           # (line, keyword, [(alias, map name)])
     scalars: dict[str, Scalar] = {}
 
     section = None
@@ -130,6 +130,10 @@ def parse_model(text: str) -> ParsedModel:
                 shift = int(tokens[3])
             except ValueError:
                 raise ParseError(f"bad shift {tokens[3]!r}", line_no)
+            if tokens[1] in declared:
+                raise ParseError(f"map {tokens[1]!r} is already declared at line "
+                                 f"{declared[tokens[1]]}", line_no)
+            declared[tokens[1]] = line_no
             current_map = (tokens[1], shift, [])
             maps_raw.append(current_map)
             section = "map"
@@ -140,13 +144,13 @@ def parse_model(text: str) -> ParsedModel:
         if head == "sl2":
             if len(tokens) != 4:
                 raise ParseError("sl2 line is: sl2 E_NAME F_NAME H_NAME", line_no)
-            sl2_names = (tokens[1], tokens[2], tokens[3])
+            aliases.append((line_no, "sl2", list(zip(("e", "f", "h"), tokens[1:]))))
             section = None
             continue
         if head == "J":
             if len(tokens) != 2:
                 raise ParseError("J line is: J MAP_NAME", line_no)
-            j_name = tokens[1]
+            aliases.append((line_no, "J", [("J", tokens[1])]))
             section = None
             continue
 
@@ -198,21 +202,22 @@ def parse_model(text: str) -> ParsedModel:
             differentials[name] = gmap
         else:
             maps[name] = gmap
-    if sl2_names:
-        for want, have in zip(("e", "f", "h"), sl2_names):
-            if have not in maps:
-                raise ModelError(f"sl2 declares {have!r} but no such shift-0 map")
-            if have != want:
-                maps[want] = maps[have]
-    if j_name:
-        if j_name not in maps:
-            raise ModelError(f"J declares {j_name!r} but no such shift-0 map")
-        if j_name != "J":
-            maps["J"] = maps[j_name]
+    # an sl2 or J line makes its named maps e, f, h or J, each name once
+    for line_no, keyword, pairs in aliases:
+        for alias, name in pairs:
+            if name not in maps:
+                raise ModelError(f"{keyword} declares {name!r} but no such shift-0 map")
+            if alias == name:
+                continue
+            if alias in declared:
+                raise ParseError(f"{keyword} names map {name!r} as {alias!r}, but map "
+                                 f"{alias!r} is declared at line {declared[alias]}", line_no)
+            declared[alias] = line_no
+            maps[alias] = maps[name]
     algebra = StructuredAlgebra(
         space, kind, differentials,
         StructuredAlgebra.structure_from_triples(structure_raw), maps)
-    return ParsedModel(algebra, sl2_names, j_name)
+    return ParsedModel(algebra)
 
 
 def parse_model_file(path: str) -> ParsedModel:
@@ -224,9 +229,7 @@ def parse_model_file(path: str) -> ParsedModel:
     return parse_model(text)
 
 
-def serialize_model(algebra: StructuredAlgebra,
-                    sl2_names: Optional[tuple] = None,
-                    j_name: Optional[str] = None) -> str:
+def serialize_model(algebra: StructuredAlgebra) -> str:
     out = [f"kind {algebra.kind}", ""]
     out.append("degrees")
     for k in algebra.space.degrees():
@@ -259,14 +262,10 @@ def serialize_model(algebra: StructuredAlgebra,
             out.append(f"{l1} {l2} -> {lt} : {c}")
         out.append("")
 
-    if sl2_names is None and all(n in algebra.maps for n in ("e", "f", "h")):
-        sl2_names = ("e", "f", "h")
-    if j_name is None and "J" in algebra.maps:
-        j_name = "J"
-    if sl2_names:
-        out.append("sl2 " + " ".join(sl2_names))
-    if j_name:
-        out.append(f"J {j_name}")
+    if all(n in algebra.maps for n in ("e", "f", "h")):
+        out.append("sl2 e f h")
+    if "J" in algebra.maps:
+        out.append("J J")
     return "\n".join(out).rstrip("\n") + "\n"
 
 

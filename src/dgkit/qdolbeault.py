@@ -420,7 +420,6 @@ def quaternionic_cohomology_check(q: QuaternionicComplex) -> FactorizationReport
 class SpectralPages:
     e1_dims: dict                   # (p, q) -> dim
     e2_dims: dict
-    induced: dict                   # (p, q) -> Matrix (E1 horizontal map)
     degenerate_at_e1: bool
     e1_equals_e2: bool
     e1_ne_e2_witness: Optional[tuple]
@@ -498,7 +497,7 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         by_degree[p + qq] = by_degree.get(p + qq, 0) + v
     degenerate_e2 = all(by_degree.get(k, 0) == total_dims.get(k, 0)
                         for k in set(by_degree) | set(total_dims))
-    return SpectralPages(e1_dims, e2_dims, induced, degenerate_e1,
+    return SpectralPages(e1_dims, e2_dims, degenerate_e1,
                          witness is None, witness, degenerate_e2, total_dims)
 
 

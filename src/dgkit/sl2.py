@@ -23,7 +23,6 @@ from dgkit.graded import (
     ValidationReport,
     algebra_map_witness,
     chain_map_failure,
-    format_vector,
 )
 from dgkit.linalg import Matrix, Subspace, Vector, dense_vector, kernel_of, vec_is_zero
 from dgkit.scalars import ONE, Scalar
@@ -179,6 +178,21 @@ def _full(space: GradedSpace, ideal: dict[int, Subspace], k: int) -> bool:
     return n == 0 or (k in ideal and ideal[k].dim == n)
 
 
+def _escape(space: GradedSpace, ideal: dict[int, Subspace], op: GradedMap,
+            k: int) -> Optional[Vector]:
+    """The first basis vector of the ideal's degree-k part that op maps out
+    of the ideal, or None.  A target degree the space lacks or the ideal
+    fills cannot be left, so it is not walked."""
+    tgt = k + op.shift
+    if _full(space, ideal, tgt):
+        return None
+    for v in ideal[k].vectors():
+        img = op.apply(k, v)
+        if not vec_is_zero(img) and (tgt not in ideal or not ideal[tgt].contains(img)):
+            return v
+    return None
+
+
 def _units_by_degree(space: GradedSpace) -> list[tuple[int, list[tuple[str, tuple]]]]:
     """Per degree, each basis label and its one-entry sparse vector, in the
     order of `space.all_labels()`."""
@@ -290,14 +304,14 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
                   decomp: Optional[IsotypicDecomposition] = None) -> QuotientResult:
     """Quotient of the algebra by a graded two-sided differential-stable ideal.
 
-    Rejects (ModelError, with witness) if the ideal is not two-sided or not
-    stable under every named differential.  When an sl(2) decomposition is
+    Rejects (ModelError, naming the witness or its degree) if the ideal is
+    not two-sided or not stable under every named differential or h.  When an sl(2) decomposition is
     supplied, representatives are chosen inside h-eigenspaces so the quotient
     inherits the bigrading (p, q) = ((k - lam)/2, (k + lam)/2).
 
-    The stability checks under the differentials, e, f and h skip an ideal
-    degree whose target degree the space lacks or the ideal fills: no image
-    can leave the ideal there, so no verdict or witness changes.
+    The stability checks under the differentials, e, f and h walk each ideal
+    degree once per operator (`_escape`), skipping one whose target degree
+    the space lacks or the ideal fills: no image can leave the ideal there.
     """
     space = algebra.space
     checks = ValidationReport()
@@ -307,28 +321,11 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     if witness is not None:
         raise ModelError(f"not a two-sided ideal: {witness}")
 
-    # differential stability; a target degree the ideal fills cannot fail
     for name, d in algebra.differentials.items():
-        ok, witness = True, None
-        for k, sub in ideal.items():
-            if _full(space, ideal, k + 1):
-                continue
-            for v in sub.vectors():
-                img = d.apply(k, v)
-                if vec_is_zero(img):
-                    continue
-                tgt = ideal.get(k + 1)
-                if tgt is None or not tgt.contains(img):
-                    ok = False
-                    witness = {"differential": name, "degree": k,
-                               "vector": format_vector(space, k, v)}
-                    break
-            if not ok:
-                break
-        checks.add(f"ideal stable under {name}", ok, witness)
-        if not ok:
-            raise ModelError(f"ideal not stable under differential {name!r}: "
-                             f"degree {witness['degree']}")
+        bad = next((k for k in ideal if _escape(space, ideal, d, k) is not None), None)
+        if bad is not None:
+            raise ModelError(f"ideal not stable under differential {name!r}: degree {bad}")
+        checks.add(f"ideal stable under {name}", True)
 
     h = algebra.maps.get("h")
     # a decomposition of this very h already holds its eigenspaces
@@ -346,9 +343,7 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
             spectrum = {lam: eig for (kk, lam), eig in stored.items() if kk == k}
         # h is diagonalizable: an h-stable ideal is the sum of its parts in
         # the eigenspaces, so the complement splits along them as well
-        ik = ideal.get(k, Subspace.zero(n))
-        if not _full(space, ideal, k) and not all(ik.contains(h.apply(k, v))
-                                                  for v in ik.vectors()):
+        if k in ideal and _escape(space, ideal, h, k) is not None:
             raise ModelError(
                 f"ideal is not h-stable at degree {k}; bigraded quotient "
                 f"unavailable")
@@ -373,13 +368,12 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
 
     q_maps = {}
     if h is not None:
-        # sl(2) operators descend when the ideal is stable; build and verify
+        # sl(2) operators descend when the ideal is stable, as h is by now
         for name in ("e", "f", "h"):
             op = algebra.maps.get(name)
             if op is None:
                 continue
-            stable = all(sub.contains(op.apply(k, v)) for k, sub in ideal.items()
-                         if not _full(space, ideal, k) for v in sub.vectors())
+            stable = op is h or all(_escape(space, ideal, op, k) is None for k in ideal)
             checks.add(f"ideal stable under {name}", stable)
             if stable:
                 q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))

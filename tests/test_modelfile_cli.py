@@ -189,6 +189,57 @@ def test_cli_unknown_subcommand_usage_error(capsys):
     capsys.readouterr()
 
 
+# one name given to two maps: a second header, or an sl2/J line that names
+# another map as a declared e, f, h or J; each is refused at its line
+TWO_MAPS_ONE_NAME = {
+    "repeated header": ("0 : x\n1 : y\n\nmap d shift 1\nx -> y : 1\n\nmap d shift 1\n",
+                        "line 10: map 'd' is already declared at line 7"),
+    "alias collision": ("0 : x y\n\nmap d shift 1\n\nmap e shift 0\ny -> x : 1\n\n"
+                        "map up shift 0\n\nmap down shift 0\n\nmap cartan shift 0\n\n"
+                        "sl2 up down cartan\n",
+                        "line 17: sl2 names map 'up' as 'e', but map 'e' is declared at line 8"),
+}
+
+
+@pytest.mark.parametrize("case", TWO_MAPS_ONE_NAME)
+def test_cli_refuses_a_map_name_given_twice(tmp_path, capsys, case):
+    body, message = TWO_MAPS_ONE_NAME[case]
+    text = f"kind associative\n\ndegrees\n{body}"
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+    path = tmp_path / "twice.model"
+    path.write_text(text)
+    for command in ("cohomology", "sl2"):
+        assert run_cli(["--format", "json", command, str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["report"] == {"error": message}
+
+
+def test_sl2_and_j_lines_alias_declared_maps(tmp_path, capsys):
+    """A file whose sl2 and J lines name other maps reads as e, f, h, J equal
+    to those maps, round-trips canonically and gives the same sl2 report."""
+    plain = serialize_connection_model(torus_model(1))
+    renames = {"map e ": "map up ", "map f ": "map down ", "map h ": "map cartan ",
+               "map J ": "map jay ", "sl2 e f h": "sl2 up down cartan", "J J": "J jay"}
+    aliased = plain
+    for old, new in renames.items():
+        assert aliased.count(old) == 1
+        aliased = aliased.replace(old, new)
+    maps = parse_model(aliased).algebra.maps
+    for alias, name in (("e", "up"), ("f", "down"), ("h", "cartan"), ("J", "jay")):
+        assert maps[alias] is maps[name]
+        assert maps[alias] == parse_model(plain).algebra.maps[alias]
+    text = serialize_model(parse_model(aliased).algebra)
+    assert serialize_model(parse_model(text).algebra) == text
+
+    reports = []
+    for name, body in (("plain", plain), ("aliased", aliased)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "torus.model").write_text(body)
+        assert run_cli(["--format", "json", "sl2", f"{tmp_path / name}/torus.model"]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert reports[0] == reports[1]
+
+
 def test_cli_parse_error_reported(tmp_path, capsys):
     path = tmp_path / "broken.model"
     path.write_text("kind associative\n\ndegrees\n0 : x\n\nmap d shift 1\nx -> x : 1/0\n")

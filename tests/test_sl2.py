@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkit.errors import ModelError
+from dgkit.errors import InternalCheckError, ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, algebra_map_witness
 from dgkit.linalg import Matrix, Subspace, vec_is_zero
 from dgkit.models import nilpotent_torus_model, torus_model
-from dgkit.scalars import ONE, Scalar
+from dgkit.scalars import ONE, ZERO, Scalar
 from test_ddbar import ref_dense_algebra_map_witness
 from strategies import (
     COEFFS,
@@ -556,6 +556,24 @@ def test_stability_loops_skip_only_filled_target_degrees():
     assert plus_quotient(alg, {0: zero, 1: full, 2: full}).dims() == {0: 1}
     with pytest.raises(ModelError, match="not stable under differential 'd': degree 1"):
         plus_quotient(alg, {0: zero, 1: full, 2: zero})
+
+    # one walk per operator serves the d, h and e/f/h checks; x, y have
+    # h-weights 1, -1 with e y = x, f x = y, and d x = z
+    space = GradedSpace({0: ["u"], 1: ["x", "y"], 2: ["z"]})
+    d = GradedMap.from_entries(space, space, 1, [("x", "z", ONE)])
+    sl2 = {"e": [("y", "x", ONE)], "f": [("x", "y", ONE)],
+           "h": [("x", "x", ONE), ("y", "y", -ONE)]}
+    alg = StructuredAlgebra(space, "associative", {"d": d}, {}, {
+        name: GradedMap.from_entries(space, space, 0, entries)
+        for name, entries in sl2.items()})
+    # x + y: d-stable once z is in, but h(x + y) = x - y leaves
+    with pytest.raises(ModelError) as err:
+        plus_quotient(alg, {1: Subspace.from_vectors(2, [[ONE, ONE]]), 2: full})
+    assert str(err.value) == "ideal is not h-stable at degree 1; bigraded quotient unavailable"
+    # y: d- and h-stable, but e y = x leaves
+    with pytest.raises(InternalCheckError) as err:
+        plus_quotient(alg, {1: Subspace.from_vectors(2, [[ZERO, ONE]])})
+    assert str(err.value) == "quotient certificates failed: ideal stable under e"
 
 
 def test_plus_quotient_forms_no_dense_product_on_the_rank_2_torus(monkeypatch):
