@@ -1,4 +1,5 @@
-"""Dense exact linear algebra over Q(i): matrices, echelon forms, subspaces.
+"""Exact linear algebra over Q(i) on sparse rows: matrices, echelon forms,
+subspaces.
 
 Subspaces are canonical: the basis is the reduced row echelon form of any
 spanning set, so equality of subspaces is literal equality of matrices.
@@ -6,10 +7,14 @@ Vectors are tuples of Scalars; matrices act on column vectors.  A sparse
 vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests and
 `Complement.project_sparse` projects without expanding it.
 
-A Matrix stores its entries as row-major lists; that layout is private to
-this module.  Other modules build matrices through `Matrix.from_columns`
-and `Matrix.from_entries` and read them through `apply`, `column`, `row`,
-`select` and `entries`, so the storage can change here alone.
+A Matrix stores one {column: Scalar} dict per row that holds only the
+non-zero entries: no zero is ever stored, and an entry that cancels is
+deleted, so equal matrices have equal rows and every kernel walks only the
+non-zeros.  A Matrix is never changed once built, so matrices may share row
+dicts.  That layout is private to this module.  Other modules build
+matrices through `Matrix.from_columns` and `Matrix.from_entries` and read
+them through `apply`, `column`, `row`, `select` and `entries`; `data` is a
+read-only view, a fresh dense row-major copy of the entries.
 """
 
 from __future__ import annotations
@@ -60,26 +65,68 @@ def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero() for a in u)
 
 
+def _dense(row: dict, n: int) -> list:
+    out = [ZERO] * n
+    for j, a in row.items():
+        out[j] = a
+    return out
+
+
+def _add_multiple(row: dict, f: Scalar, other: dict) -> None:
+    """row += f * other in place, over other's support; an entry that
+    cancels is deleted."""
+    for j, b in other.items():
+        x = f * b
+        s = row.get(j)
+        if s is None:
+            row[j] = x
+        else:
+            s = s + x
+            if s.is_zero():
+                del row[j]
+            else:
+                row[j] = s
+
+
+def _transpose(rows: list, n: int) -> list:
+    """The n columns of the matrix with the given sparse rows, as sparse rows."""
+    out: list = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[j][i] = a
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
 class Matrix:
-    """Dense rows x cols matrix of Scalars, row-major."""
+    """rows x cols matrix of Scalars, one {column: non-zero Scalar} per row."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows: int, cols: int, data: Optional[list] = None):
+        if data is not None and (len(data) != rows or any(len(r) != cols for r in data)):
+            raise DimensionMismatch("entry count does not match rows x cols")
         self.rows = rows
         self.cols = cols
-        if data is None:
-            data = [[ZERO] * cols for _ in range(rows)]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise DimensionMismatch("entry count does not match rows x cols")
-        self.data = data
+        self._nz = [{} for _ in range(rows)] if data is None else [sparse_vector(r) for r in data]
+
+    @staticmethod
+    def _of(rows: int, cols: int, nz: list) -> "Matrix":
+        """The matrix with the given sparse rows, which hold no zero."""
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m._nz = rows, cols, nz
+        return m
+
+    @property
+    def data(self) -> list:
+        """A fresh dense row-major copy of the entries."""
+        return [_dense(row, self.cols) for row in self._nz]
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         if rows:
             cols = len(rows[0])
         elif cols is None:
@@ -92,159 +139,156 @@ class Matrix:
         columns = list(columns)
         if any(len(c) != rows for c in columns):
             raise DimensionMismatch("column length differs from row count")
-        return Matrix(rows, len(columns), [[c[i] for c in columns] for i in range(rows)])
+        return Matrix._of(rows, len(columns), _transpose(map(sparse_vector, columns), rows))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
         """The rows x cols matrix summing each (i, j, c) into entry (i, j)."""
-        m = Matrix(rows, cols)
+        nz: list = [{} for _ in range(rows)]
         for i, j, c in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(f"entry ({i}, {j}) outside {rows}x{cols}")
-            m.data[i][j] = m.data[i][j] + c
-        return m
+            row = nz[i]
+            row[j] = row[j] + c if j in row else c
+        return Matrix._of(rows, cols, [{j: c for j, c in row.items() if not c.is_zero()}
+                                       for row in nz])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return Matrix._of(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
+        return Matrix._of(rows, cols, [{} for _ in range(rows)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return self.rows == other.rows and self.cols == other.cols and self._nz == other._nz
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._nz)))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
+        return not any(self._nz)
+
+    def _plus(self, other: "Matrix", f: Scalar) -> "Matrix":
+        """self + f * other."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix sum shape mismatch")
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            row = dict(r1)
+            _add_multiple(row, f, r2)
+            out.append(row)
+        return Matrix._of(self.rows, self.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
+        return self._plus(other, -ONE)
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[c * a for a in row] for row in self.data])
+        if c.is_zero():
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._of(self.rows, self.cols,
+                          [{j: c * a for j, a in row.items()} for row in self._nz])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        out = Matrix(self.rows, other.cols)
-        other_nonzeros = [sparse_vector(row).items() for row in other.data]
-        for row, out_row in zip(self.data, out.data):
-            for a, b_nonzeros in zip(row, other_nonzeros):
-                if a.is_zero():
-                    continue
-                for j, b in b_nonzeros:
-                    out_row[j] = out_row[j] + a * b
-        return out
+        out = []
+        for row in self._nz:
+            acc: dict = {}
+            for k, a in row.items():
+                _add_multiple(acc, a, other._nz[k])
+            out.append(acc)
+        return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match matrix columns")
-        v_nonzeros = sparse_vector(v).items()
         out = []
-        for row in self.data:
+        for row in self._nz:
             acc = ZERO
-            for j, x in v_nonzeros:
-                a = row[j]
-                if not a.is_zero():
+            for j, a in row.items():
+                x = v[j]
+                if not x.is_zero():
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row.get(j, ZERO) for row in self._nz)
 
     def row(self, i: int) -> Vector:
-        return tuple(self.data[i])
+        return tuple(_dense(self._nz[i], self.cols))
 
     def select(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The sub-matrix on the given row and column indices, in their order."""
-        return Matrix(len(rows), len(cols), [[self.data[i][j] for j in cols] for i in rows])
+        where: dict = {}
+        for p, j in enumerate(cols):
+            where.setdefault(j, []).append(p)
+        out = []
+        for i in rows:
+            new = {}
+            for j, a in self._nz[i].items():
+                for p in where.get(j, ()):
+                    new[p] = a
+            out.append(new)
+        return Matrix._of(len(rows), len(cols), out)
 
     def entries(self) -> list[tuple[int, int, Scalar]]:
         """The non-zero entries (i, j, c), column by column."""
-        return [(i, j, row[j]) for j in range(self.cols)
-                for i, row in enumerate(self.data) if not row[j].is_zero()]
+        return [(i, j, c) for j, col in enumerate(_transpose(self._nz, self.cols))
+                for i, c in col.items()]
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(
-            self.rows,
-            self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-        )
+        k = self.cols
+        return Matrix._of(self.rows, k + other.cols, [
+            {**r1, **{j + k: a for j, a in r2.items()}} for r1, r2 in zip(self._nz, other._nz)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, [row[:] for row in self.data] + [row[:] for row in other.data])
+        return Matrix._of(self.rows + other.rows, self.cols, self._nz + other._nz)
 
     def rref(self) -> tuple["Matrix", list]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        """Reduced row echelon form and the list of pivot columns.
+
+        The form is unique, so the rows are reduced one at a time against
+        the reduced rows kept so far, found by their pivot columns.  What is
+        left of a row, if anything, is scaled to lead with 1 and cleared
+        from the kept rows that hold its leading column.  Every update walks
+        one row's support; the kept rows are private copies."""
+        kept: dict = {}  # pivot column -> reduced row
+        for row in self._nz:
+            v = dict(row)
+            # a kept row is zero at every other pivot, so one pass clears them
+            for p in [j for j in v if j in kept]:
+                _add_multiple(v, -v[p], kept[p])
+            if not v:
                 continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            # Rows at or below r are zero left of c, so only the pivot row's
-            # non-zero entries from c on take part; the rows are private copies.
-            prow = m[r]
-            inv = prow[c].inverse()
-            support = [j for j in range(c, self.cols) if not prow[j].is_zero()]
-            for j in support:
-                prow[j] = inv * prow[j]
-            for i, row in enumerate(m):
-                f = row[c]
-                if i == r or f.is_zero():
-                    continue
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(self.rows, self.cols, m), pivots
+            c = min(v)
+            inv = v[c].inverse()
+            v = {j: inv * a for j, a in v.items()}
+            for b in kept.values():
+                f = b.get(c)
+                if f is not None:
+                    _add_multiple(b, -f, v)
+            kept[c] = v
+        pivots = sorted(kept)
+        rows = [kept[p] for p in pivots] + [{} for _ in range(self.rows - len(pivots))]
+        return Matrix._of(self.rows, self.cols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.data)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -255,7 +299,7 @@ class Subspace:
     """Subspace of F^n in canonical form: RREF basis rows, no zero rows.
 
     `pivots` holds each basis row's pivot column.  The rows' non-zero
-    (column, entry) pairs are built on first use and kept.
+    (column, entry) pairs in column order are built on first use and kept.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_sparse_rows")
@@ -268,19 +312,24 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+        rows = []
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
+            rows.append(sparse_vector(v))
+        return Subspace._span(ambient_dim, rows)
+
+    @staticmethod
+    def _span(n: int, rows: list) -> "Subspace":
+        """The span of the given sparse rows of length n."""
         if not rows:
-            return Subspace.zero(ambient_dim)
-        red, pivots = Matrix.from_rows(rows, ambient_dim).rref()
-        kept = [red.data[i][:] for i in range(len(pivots))]
-        return Subspace(ambient_dim, Matrix(len(kept), ambient_dim, kept), pivots)
+            return Subspace.zero(n)
+        red, pivots = Matrix._of(len(rows), n, rows).rref()
+        return Subspace(n, Matrix._of(len(pivots), n, red._nz[:len(pivots)]), pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(0, ambient_dim), ())
+        return Subspace(ambient_dim, Matrix.zero(0, ambient_dim), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -296,7 +345,7 @@ class Subspace:
     def sparse_rows(self) -> list:
         """Each basis row as its non-zero (column, entry) pairs."""
         if self._sparse_rows is None:
-            self._sparse_rows = [list(sparse_vector(row).items()) for row in self.basis.data]
+            self._sparse_rows = [sorted(row.items()) for row in self.basis._nz]
         return self._sparse_rows
 
     def _check(self, other: "Subspace"):
@@ -322,42 +371,32 @@ class Subspace:
         In RREF every other row is zero at a row's pivot, so the row's
         coefficient is the vector's own entry there."""
         residual = dict(v)
-        for p, row in zip(self.pivots, self.sparse_rows()):
+        for p, row in zip(self.pivots, self.basis._nz):
             c = residual.get(p)
-            if c is None or c.is_zero():
-                continue
-            for j, b in row:
-                residual[j] = residual.get(j, ZERO) - c * b
+            if c is not None and not c.is_zero():
+                _add_multiple(residual, -c, row)
         return all(x.is_zero() for x in residual.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_sparse(dict(row)) for row in other.sparse_rows())
+        return all(self.contains_sparse(row) for row in other.basis._nz)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(self.ambient_dim, self.vectors() + other.vectors())
+        return Subspace._span(self.ambient_dim, self.basis._nz + other.basis._nz)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelon of [[U|U],[W|0]]; rows with zero left half
         carry an intersection basis in the right half."""
         self._check(other)
         n = self.ambient_dim
-        rows = []
-        for v in self.vectors():
-            rows.append(list(v) + list(v))
-        for v in other.vectors():
-            rows.append(list(v) + [ZERO] * n)
+        rows = [{**row, **{j + n: a for j, a in row.items()}} for row in self.basis._nz]
+        rows += other.basis._nz
         if not rows:
             return Subspace.zero(n)
-        red, _ = Matrix.from_rows(rows, 2 * n).rref()
-        out = []
-        for i in range(red.rows):
-            left = red.data[i][:n]
-            right = red.data[i][n:]
-            if all(x.is_zero() for x in left) and not all(x.is_zero() for x in right):
-                out.append(tuple(right))
-        return Subspace.from_vectors(n, out)
+        red, _ = Matrix._of(len(rows), 2 * n, rows).rref()
+        return Subspace._span(n, [{j - n: a for j, a in row.items()}
+                                  for row in red._nz if row and min(row) >= n])
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
@@ -368,17 +407,16 @@ class Subspace:
 
 
 def _kernel_from_rref(red: Matrix, pivots: list, cols: int) -> Subspace:
-    """Kernel of the matrix whose first `cols` columns reduce to `red`."""
+    """Kernel of the matrix whose first `cols` columns reduce to `red`: one
+    vector per free column f, with 1 at f and -red[r][f] at each pivot."""
     pivot_set = set(pivots)
-    free = [j for j in range(cols) if j not in pivot_set]
-    kernel_vectors = []
-    for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red.data[r][f]
-        kernel_vectors.append(tuple(v))
-    return Subspace.from_vectors(cols, kernel_vectors)
+    kernel = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
+    for p, row in zip(pivots, red._nz):
+        for j, a in row.items():
+            v = kernel.get(j)
+            if v is not None:
+                v[p] = -a
+    return Subspace._span(cols, list(kernel.values()))
 
 
 def kernel_of(m: Matrix) -> Subspace:
@@ -389,7 +427,7 @@ def kernel_of(m: Matrix) -> Subspace:
 
 def image_of(m: Matrix) -> Subspace:
     """Column span of m, a subspace of F^rows."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    return Subspace._span(m.rows, _transpose(m._nz, m.cols))
 
 
 def nullspace_and_image(m: Matrix) -> tuple[Subspace, Subspace]:
@@ -404,29 +442,30 @@ def linear_solve(m: Matrix, target: Vector) -> Optional[tuple[Vector, Subspace]]
     """
     if len(target) != m.rows:
         raise DimensionMismatch("target length differs from row count")
-    aug = m.hstack(Matrix(m.rows, 1, [[t] for t in target]))
-    red, pivots = aug.rref()
-    if m.cols in pivots:
+    k = m.cols
+    red, pivots = Matrix._of(m.rows, k + 1, [
+        row if t.is_zero() else {**row, k: t} for row, t in zip(m._nz, target)]).rref()
+    if k in pivots:
         return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.data[r][m.cols]
+    x = [ZERO] * k
+    for p, row in zip(pivots, red._nz):
+        x[p] = row.get(k, ZERO)
     # The left m.cols columns of red are rref(m), with the same pivots.
-    return tuple(x), _kernel_from_rref(red, pivots, m.cols)
+    return tuple(x), _kernel_from_rref(red, pivots, k)
 
 
 def solve_batch(m: Matrix, targets: Matrix) -> Optional[Matrix]:
     """Solve m X = targets for all columns at once; None if any fails."""
     if targets.rows != m.rows:
         raise DimensionMismatch("target rows differ from matrix rows")
-    aug = m.hstack(targets)
-    red, pivots = aug.rref()
-    if any(p >= m.cols for p in pivots):
+    k = m.cols
+    red, pivots = m.hstack(targets).rref()
+    if any(p >= k for p in pivots):
         return None
-    out = Matrix(m.cols, targets.cols)
-    for r, p in enumerate(pivots):
-        out.data[p] = red.data[r][m.cols:]
-    return out
+    out: list = [{} for _ in range(k)]
+    for p, row in zip(pivots, red._nz):
+        out[p] = {j - k: a for j, a in row.items() if j >= k}
+    return Matrix._of(k, targets.cols, out)
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
@@ -468,17 +507,19 @@ class Complement:
         outer = list(outer)
         if any(len(v) != n for v in outer):
             raise DimensionMismatch("vector length differs from ambient dimension")
-        left = inner.vectors() + outer
-        red, pivots = Matrix(n, len(left) + n, [
-            [v[i] for v in left] + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)]).rref()
+        left = inner.basis._nz + [sparse_vector(v) for v in outer]
+        width = len(left)
+        rows = _transpose(left, n)
+        for i, row in enumerate(rows):
+            row[width + i] = ONE
+        red, pivots = Matrix._of(n, width + n, rows).rref()
         a = inner.dim
-        self.taken = [p - a for p in pivots if a <= p < len(left)]  # indices into outer
+        self.taken = [p - a for p in pivots if a <= p < width]  # indices into outer
         self.vectors = [outer[i] for i in self.taken]
         # rows a.. of E: complement coordinates, then rows vanishing on B
-        self._rows = Matrix(n - a, n, [red.data[i][len(left):] for i in range(a, n)])
-        self._columns = [[(i, row[j]) for i, row in enumerate(self._rows.data)
-                          if not row[j].is_zero()] for j in range(n)]
+        kept = [{j - width: x for j, x in row.items() if j >= width} for row in red._nz[a:]]
+        self._rows = Matrix._of(n - a, n, kept)
+        self._columns = _transpose(kept, n)
 
     def projection(self) -> Optional[Matrix]:
         """The matrix of `project` on all of F^n, or None when inner and
@@ -494,7 +535,7 @@ class Complement:
         for v in vectors:
             acc: dict = {}
             for j, x in v.items():
-                for i, e in self._columns[j]:
+                for i, e in self._columns[j].items():
                     acc[i] = acc.get(i, ZERO) + e * x
             coords = {}
             for i in sorted(acc):

@@ -193,6 +193,12 @@ def _escape(space: GradedSpace, ideal: dict[int, Subspace], op: GradedMap,
     return None
 
 
+def _unstable_degree(space: GradedSpace, ideal: dict[int, Subspace],
+                     op: GradedMap) -> Optional[int]:
+    """The first ideal degree that op maps out of the ideal, or None."""
+    return next((k for k in ideal if _escape(space, ideal, op, k) is not None), None)
+
+
 def _units_by_degree(space: GradedSpace) -> list[tuple[int, list[tuple[str, tuple]]]]:
     """Per degree, each basis label and its one-entry sparse vector, in the
     order of `space.all_labels()`."""
@@ -305,9 +311,10 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
     """Quotient of the algebra by a graded two-sided differential-stable ideal.
 
     Rejects (ModelError, naming the witness or its degree) if the ideal is
-    not two-sided or not stable under every named differential or h.  When an sl(2) decomposition is
-    supplied, representatives are chosen inside h-eigenspaces so the quotient
-    inherits the bigrading (p, q) = ((k - lam)/2, (k + lam)/2).
+    not two-sided or not stable under every named differential, h, e and f.
+    When an sl(2) decomposition is supplied, representatives are chosen
+    inside h-eigenspaces so the quotient inherits the bigrading
+    (p, q) = ((k - lam)/2, (k + lam)/2).
 
     The stability checks under the differentials, e, f and h walk each ideal
     degree once per operator (`_escape`), skipping one whose target degree
@@ -322,7 +329,7 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
         raise ModelError(f"not a two-sided ideal: {witness}")
 
     for name, d in algebra.differentials.items():
-        bad = next((k for k in ideal if _escape(space, ideal, d, k) is not None), None)
+        bad = _unstable_degree(space, ideal, d)
         if bad is not None:
             raise ModelError(f"ideal not stable under differential {name!r}: degree {bad}")
         checks.add(f"ideal stable under {name}", True)
@@ -373,10 +380,11 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
             op = algebra.maps.get(name)
             if op is None:
                 continue
-            stable = op is h or all(_escape(space, ideal, op, k) is None for k in ideal)
-            checks.add(f"ideal stable under {name}", stable)
-            if stable:
-                q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))
+            bad = None if op is h else _unstable_degree(space, ideal, op)
+            if bad is not None:
+                raise ModelError(f"ideal not stable under {name}: degree {bad}")
+            checks.add(f"ideal stable under {name}", True)
+            q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))
 
     q_algebra = StructuredAlgebra(q_space, algebra.kind, q_diffs, quotient.structure(), q_maps)
 

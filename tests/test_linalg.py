@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgkit.cli import main
+from dgkit.graded import GradedMap, GradedSpace
 from dgkit.linalg import (
     Complement,
     DimensionMismatch,
@@ -387,6 +391,90 @@ def test_apply_and_product_match_dense_reference(m, data):
     assert (m * other).data == ref_mul(m, other)
 
 
+def assert_matrix(got, rows):
+    """got holds exactly the dense rows, and equals and hashes as the matrix
+    built from them."""
+    want = Matrix(got.rows, got.cols, rows)
+    assert got.data == rows
+    assert got == want and hash(got) == hash(want)
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_every_matrix_kernel_matches_its_dense_loop(m, data):
+    """Each Matrix operation against the dense loop over all rows x cols
+    entries that it replaced; each matrix result must also equal and hash
+    as the matrix built from the dense rows.  apply and entries are checked
+    in the tests above and below."""
+    d = m.data
+    other = data.draw(sparse_matrices(rows=m.rows, cols=m.cols))
+    e = other.data
+    assert_matrix(m + other, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(d, e)])
+    assert_matrix(m - other, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(d, e)])
+    c = data.draw(st.one_of(st.just(ZERO), nonzero_entries))
+    assert_matrix(m.scale(c), [[c * x for x in row] for row in d])
+    assert_matrix(m.hstack(other), [r1 + r2 for r1, r2 in zip(d, e)])
+    assert_matrix(m.vstack(other), d + e)
+    rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=7)) if m.rows else []
+    cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=7)) if m.cols else []
+    assert_matrix(m.select(rows, cols), [[d[i][j] for j in cols] for i in rows])
+    factor = data.draw(sparse_matrices(rows=m.cols))
+    assert_matrix(m * factor, ref_mul(m, factor))
+    assert_matrix(m.rref()[0], ref_rref(m)[0])
+    assert [m.column(j) for j in range(m.cols)] == [tuple(row[j] for row in d)
+                                                    for j in range(m.cols)]
+    assert [m.row(i) for i in range(m.rows)] == [tuple(row) for row in d]
+    assert m.is_zero() == all(x.is_zero() for row in d for x in row)
+    assert (m == other) == (d == e)
+    columns = [m.column(j) for j in range(m.cols)]
+    assert_matrix(Matrix.from_columns(m.rows, columns), ref_from_columns(m.rows, columns).data)
+    assert_matrix(Matrix.from_entries(m.rows, m.cols, m.entries() + other.entries()),
+                  ref_from_entries(m.rows, m.cols, m.entries() + other.entries()).data)
+    n = m.rows
+    assert_matrix(Matrix.identity(n), [[ONE if i == j else ZERO for j in range(n)]
+                                       for i in range(n)])
+    assert_matrix(Matrix.zero(m.rows, m.cols), [[ZERO] * m.cols for _ in range(m.rows)])
+
+
+@oracle
+@given(sparse_matrices())
+def test_cancelled_entries_leave_no_trace(m):
+    """A sum, difference or entry list that cancels is the zero matrix: it
+    equals Matrix.zero, hashes as it, has no entries, and a GradedMap keeps
+    no block for it."""
+    zero = Matrix.zero(m.rows, m.cols)
+    entries = m.entries()
+    cancelled = (m + m.scale(-ONE), m - m,
+                 Matrix.from_entries(m.rows, m.cols, entries + [(i, j, -c) for i, j, c in entries]))
+    source = GradedSpace({0: [f"s{j}" for j in range(m.cols)]})
+    target = GradedSpace({0: [f"t{i}" for i in range(m.rows)]})
+    for got in cancelled:
+        assert got == zero and hash(got) == hash(zero)
+        assert got.is_zero() and got.entries() == []
+        assert GradedMap(source, target, 0, {0: got}).blocks == {}
+    # one cancelled entry among others is dropped, not stored as zero
+    if entries:
+        i, j, c = entries[0]
+        assert Matrix.from_entries(m.rows, m.cols, entries + [(i, j, -c)]) == \
+            Matrix.from_entries(m.rows, m.cols, entries[1:])
+
+
+@oracle
+@given(sparse_matrices())
+def test_data_is_a_fresh_dense_copy(m):
+    """`data` reads the rows densely; writing into it leaves m unchanged."""
+    before = m.entries()
+    data = m.data
+    assert data == [list(m.row(i)) for i in range(m.rows)]
+    for row in data:
+        row[:] = [ONE] * (len(row) + 1)
+    data.append([ONE])
+    assert m.entries() == before
+    assert m.data == [list(m.row(i)) for i in range(m.rows)]
+    with pytest.raises(AttributeError):
+        m.data = data
+
+
 @oracle
 @given(sparse_matrices(), st.data())
 def test_linear_solve_matches_dense_reference(m, data):
@@ -470,12 +558,15 @@ def qq_i():
     return convert
 
 
-def sympy_rref(m, qq_i):
+def sympy_matrix(m, qq_i):
     from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
 
-    dm = DomainMatrix([[qq_i(x) for x in row] for row in m.data], (m.rows, m.cols), QQ_I)
-    red, pivots = dm.rref()
+    return DomainMatrix([[qq_i(x) for x in row] for row in m.data], (m.rows, m.cols), QQ_I)
+
+
+def sympy_rref(m, qq_i):
+    red, pivots = sympy_matrix(m, qq_i).rref()
     return red.to_list(), list(pivots)
 
 
@@ -496,14 +587,28 @@ def test_rref_rank_and_solvability_match_sympy(qq_i, m, data):
 
 @oracle
 @given(sparse_matrices(), st.data())
+def test_product_apply_and_sum_match_sympy(qq_i, m, data):
+    """Matrix.__mul__, apply and + against DomainMatrix over QQ<I>."""
+    def as_sympy(a):
+        return [[qq_i(x) for x in row] for row in a.data]
+
+    dm = sympy_matrix(m, qq_i)
+    factor = data.draw(sparse_matrices(rows=m.cols))
+    assert as_sympy(m * factor) == (dm * sympy_matrix(factor, qq_i)).to_list()
+    v = data.draw(sparse_vectors(m.cols))
+    column = Matrix.from_columns(m.cols, [v])
+    assert [[qq_i(x)] for x in m.apply(v)] == (dm * sympy_matrix(column, qq_i)).to_list()
+    other = data.draw(sparse_matrices(rows=m.rows, cols=m.cols))
+    assert as_sympy(m + other) == (dm + sympy_matrix(other, qq_i)).to_list()
+
+
+@oracle
+@given(sparse_matrices(), st.data())
 def test_select_matches_sympy_extract(qq_i, m, data):
     """Matrix.select is DomainMatrix.extract: the entries on the given row
     and column indices, in their order, repeats allowed; an empty index list
     gives an empty side."""
-    from sympy import QQ_I
-    from sympy.polys.matrices import DomainMatrix
-
-    dm = DomainMatrix([[qq_i(x) for x in row] for row in m.data], (m.rows, m.cols), QQ_I)
+    dm = sympy_matrix(m, qq_i)
     rows = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=7)) if m.rows else []
     cols = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=7)) if m.cols else []
     for r, c in ((rows, cols), ([], cols), (rows, []), ([], [])):
@@ -532,22 +637,24 @@ def test_kernel_operations_on_empty_shapes(rows, cols):
 # -- matrix builders ------------------------------------------------------------
 #
 # The reference loops are the hand-written fills that the other modules used
-# before `from_columns`, `from_entries` and `entries` existed.
+# before `from_columns`, `from_entries` and `entries` existed.  They fill
+# their own dense lists: `Matrix.data` is a fresh copy, so a write through it
+# would be lost.
 
 
 def ref_from_columns(rows, columns):
-    m = Matrix(rows, len(columns))
+    data = [[ZERO] * len(columns) for _ in range(rows)]
     for j, col in enumerate(columns):
         for i, c in enumerate(col):
-            m.data[i][j] = c
-    return m
+            data[i][j] = c
+    return Matrix(rows, len(columns), data)
 
 
 def ref_from_entries(rows, cols, entries):
-    m = Matrix.zero(rows, cols)
+    data = [[ZERO] * cols for _ in range(rows)]
     for i, j, c in entries:
-        m.data[i][j] = m.data[i][j] + c
-    return m
+        data[i][j] = data[i][j] + c
+    return Matrix(rows, cols, data)
 
 
 def ref_entries(m):
@@ -614,6 +721,34 @@ def test_matrix_layout_stays_private():
             if isinstance(node, ast.Attribute) and node.attr == "data":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# Matrix.rref calls and their total rows x cols cells for `--format json`
+# reports on `generate torus --rank 2`, recorded before matrices went sparse
+TORUS_R2_ELIMINATIONS = {
+    ("qdolbeault", "--phi"): (121, 25376),
+    ("dgms", "--d0", "del", "--d1", "del_bar"): (128, 43232),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TORUS_R2_ELIMINATIONS), ids=" ".join)
+def test_every_torus_elimination_goes_through_rref(tmp_path, monkeypatch, command):
+    """A count, not a timing: an elimination routed around Matrix.rref, or
+    one more or fewer, changes the count."""
+    counts = [0, 0]
+    rref = Matrix.rref
+
+    def counted(m):
+        counts[0] += 1
+        counts[1] += m.rows * m.cols
+        return rref(m)
+
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "torus", "--rank", "2", "-o", "torus_r2.model"]) == 0
+        monkeypatch.setattr(Matrix, "rref", counted)
+        assert main(["--format", "json", *command, "torus_r2.model"]) == 0
+    assert tuple(counts) == TORUS_R2_ELIMINATIONS[command]
 
 
 def _calls(tree, scope=()):

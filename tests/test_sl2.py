@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgkit.errors import InternalCheckError, ModelError
+from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, algebra_map_witness
 from dgkit.linalg import Matrix, Subspace, vec_is_zero
 from dgkit.models import nilpotent_torus_model, torus_model
@@ -570,10 +570,13 @@ def test_stability_loops_skip_only_filled_target_degrees():
     with pytest.raises(ModelError) as err:
         plus_quotient(alg, {1: Subspace.from_vectors(2, [[ONE, ONE]]), 2: full})
     assert str(err.value) == "ideal is not h-stable at degree 1; bigraded quotient unavailable"
-    # y: d- and h-stable, but e y = x leaves
-    with pytest.raises(InternalCheckError) as err:
+    # y: d- and h-stable, but e y = x leaves; x: f x = y leaves
+    with pytest.raises(ModelError) as err:
         plus_quotient(alg, {1: Subspace.from_vectors(2, [[ZERO, ONE]])})
-    assert str(err.value) == "quotient certificates failed: ideal stable under e"
+    assert str(err.value) == "ideal not stable under e: degree 1"
+    with pytest.raises(ModelError) as err:
+        plus_quotient(alg, {1: Subspace.from_vectors(2, [[ONE, ZERO]]), 2: full})
+    assert str(err.value) == "ideal not stable under f: degree 1"
 
 
 def test_plus_quotient_forms_no_dense_product_on_the_rank_2_torus(monkeypatch):
