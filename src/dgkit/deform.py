@@ -3,12 +3,20 @@
 One `Series` type carries everything that lives over B: coefficient p is
 the coefficient of t^p, p = 0..N-1, and is either a vector (an element of
 L ⊗ B; elements of L ⊗ m have a zero t^0 coefficient) or a graded map (a
-B-linear operator).  Brackets and compositions are the truncated product
-`Series.times`, and a graded map acts coefficientwise through
-`Series.apply` (differentials, the evaluations pi_x / pi_y of the
+B-linear operator).  Brackets and compositions are one truncated product:
+`Series.product_at` builds the t^p coefficient when asked for, and
+`Series.times` takes every order of it.  A graded map acts coefficientwise
+through `Series.apply` (differentials, the evaluations pi_x / pi_y of the
 quaternionic complex, its y-section, the embedding of D into F);
-everything is evaluated order by order with exact rationals, so
-nilpotency makes every series finite.
+everything is evaluated with exact rationals, so nilpotency makes every
+series finite.
+
+Maurer-Cartan verdicts are decided one power of t at a time, as the
+equation is solved order by order: `mc_check` and the mixed equation of
+`qa_mc_split` stop at the first order whose residual is non-zero, and a
+report builds its residual series only when it is read.  The multiplication
+operators of the rebuilt connection are read off the algebra's product
+table by `graded.left_multiplication`.
 
 The gauge action is
 
@@ -25,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from dgkit.ddbar import FormalityZigzag
@@ -101,6 +110,11 @@ class Series:
         zero = GradedMap.zero(g.source, g.target, g.shift)
         return Series(g.shift, [g] + [zero] * ring.top_power)
 
+    @staticmethod
+    def from_orders(degree: int, order: int, at: Callable[[int], object]) -> "Series":
+        """The series whose t^p coefficient is at(p), p = 0..order-1."""
+        return Series(degree, [at(p) for p in range(order)])
+
     def is_zero(self) -> bool:
         return all(_is_zero(c) for c in self.coeffs)
 
@@ -115,22 +129,29 @@ class Series:
         """g applied coefficientwise to a vector series."""
         return Series(self.degree + g.shift, [g.apply(self.degree, c) for c in self.coeffs])
 
-    def times(self, other: "Series", mul: Callable, zero) -> "Series":
-        """The product truncated at t^N: coefficient p is the sum of
+    def product_at(self, other: "Series", mul: Callable, zero) -> Callable[[int], object]:
+        """p -> the t^p coefficient of the product: the sum of
         mul(self_i, other_j) over i + j = p, or `zero` when no pair with
-        both coefficients non-zero reaches t^p."""
-        n = len(self.coeffs)
-        out = [zero] * n
-        right = [(j, b) for j, b in enumerate(other.coeffs) if not _is_zero(b)]
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in right:
-                if i + j < n:
-                    p = mul(a, b)
-                    # the first contribution to t^(i+j) replaces the shared zero
-                    out[i + j] = p if out[i + j] is zero else _add(out[i + j], p)
-        return Series(self.degree + other.degree, out)
+        both coefficients non-zero reaches t^p.  Each order is built only
+        when asked for, so a caller can stop at the first one it rejects."""
+        left = [(i, a) for i, a in enumerate(self.coeffs) if not _is_zero(a)]
+        right = {j: b for j, b in enumerate(other.coeffs) if not _is_zero(b)}
+
+        def at(p: int):
+            out = zero
+            for i, a in left:
+                b = right.get(p - i)
+                if b is not None:
+                    q = mul(a, b)
+                    # the first contribution replaces the shared zero
+                    out = q if out is zero else _add(out, q)
+            return out
+        return at
+
+    def times(self, other: "Series", mul: Callable, zero) -> "Series":
+        """The product truncated at t^N, every order of `product_at`."""
+        return Series.from_orders(self.degree + other.degree, len(self.coeffs),
+                                  self.product_at(other, mul, zero))
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -170,19 +191,24 @@ class DeformationContext:
     def zero(self, degree: int) -> Series:
         return Series.zero(degree, self.dim(degree), self.ring)
 
-    def d_series(self, u: Series) -> Series:
-        return u.apply(self.d)
+    def bracket_at(self, u: Series, v: Series) -> Callable[[int], Vector]:
+        """p -> the t^p coefficient of [u, v], built when asked for."""
+        k1, k2 = u.degree, v.degree
+        return u.product_at(v, lambda a, b: self.dgla.mul(k1, a, k2, b),
+                            zero_vector(self.dim(k1 + k2)))
 
     def bracket_series(self, u: Series, v: Series) -> Series:
-        k1, k2 = u.degree, v.degree
-        return u.times(v, lambda a, b: self.dgla.mul(k1, a, k2, b),
-                       zero_vector(self.dim(k1 + k2)))
+        return Series.from_orders(u.degree + v.degree, len(u.coeffs), self.bracket_at(u, v))
 
     # -- Maurer-Cartan ---------------------------------------------------
 
     def mc_check(self, x: Series, mode: str = "classical") -> "MCReport":
-        """The residual d x + 1/2 [x, x], order by order; the strong mode
-        asks d x = 0 and [x, x] = 0 separately."""
+        """Decide d x + 1/2 [x, x] = 0 one power of t at a time: the walk
+        stops at the first non-zero r_p = d x_p + 1/2 sum_{i+j=p} [x_i, x_j].
+        The strong mode asks d x_p = 0 and the bracket sum = 0 separately;
+        it walks past its own first failure only while r_p still vanishes,
+        so the classical verdict is exact in both modes.  The residual
+        series is finished only when the report's reader asks for it."""
         if x.degree != 1:
             raise ModelError("coefficient degree mismatch: expected degree 1")
         if not vec_is_zero(x.coeffs[0]):
@@ -190,18 +216,30 @@ class DeformationContext:
                              "the t^0 coefficient must vanish")
         if mode not in ("classical", "strong"):
             raise ModelError(f"unknown mode {mode!r}")
-        dx = self.d_series(x)
-        br = self.bracket_series(x, x)
-        residual = dx.add(br.scale(Fraction(1, 2)))
-        classical_ok = residual.is_zero()
-        strong_ok = None
-        if mode == "strong":
-            strong_ok = dx.is_zero() and br.is_zero()
-            if strong_ok and not classical_ok:
-                raise InternalCheckError("strong solution fails the classical equation")
+        coeffs = tuple(x.coeffs)
+        bracket = self.bracket_at(x, x)
+        half = Scalar(Fraction(1, 2))
+
+        def terms(p: int) -> tuple[Vector, Vector, Vector]:
+            dx_p, br_p = self.d.apply(1, coeffs[p]), bracket(p)
+            return dx_p, br_p, vec_add(dx_p, vec_scale(half, br_p))
+
+        walked = []  # r_0, r_1, ... up to the first non-zero one
+        strong_ok = True if mode == "strong" else None
+        for p in range(len(coeffs)):
+            dx_p, br_p, r_p = terms(p)
+            walked.append(r_p)
+            if strong_ok and not (vec_is_zero(dx_p) and vec_is_zero(br_p)):
+                strong_ok = False
+            if not vec_is_zero(r_p):
+                break
+        classical_ok = vec_is_zero(walked[-1])
+        if strong_ok and not classical_ok:
+            raise InternalCheckError("strong solution fails the classical equation")
         passed = classical_ok if mode == "classical" else strong_ok
-        return MCReport(mode, passed, classical_ok, strong_ok, residual,
-                        self.dgla.space)
+        return MCReport(mode, passed, classical_ok, strong_ok, self.dgla.space,
+                        lambda p: walked[p] if p < len(walked) else terms(p)[2],
+                        len(coeffs))
 
     # -- gauge action ------------------------------------------------------
 
@@ -212,7 +250,7 @@ class DeformationContext:
         if not vec_is_zero(a.coeffs[0]):
             raise ModelError("gauge elements live in L ⊗ m: "
                              "the t^0 coefficient must vanish")
-        u = self.bracket_series(a, x).add(self.d_series(a).scale(Fraction(-1)))
+        u = self.bracket_series(a, x).add(a.apply(self.d).scale(Fraction(-1)))
         return x.add(exp_sum(u, lambda term: self.bracket_series(a, term), 1))
 
 
@@ -222,8 +260,13 @@ class MCReport:
     passed: bool
     classical: bool
     strong: Optional[bool]
-    residual: Series
     space: GradedSpace
+    residual_at: Callable[[int], Vector]  # p -> t^p coefficient of d x + 1/2 [x, x]
+    order: int
+
+    @cached_property
+    def residual(self) -> Series:
+        return Series.from_orders(2, self.order, self.residual_at)
 
     def residual_table(self):
         return {f"t^{p}": format_vector(self.space, self.residual.degree, c)
@@ -359,7 +402,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
         ok = True
         for k in range(2, ring.order):
             # the t^k coefficient of [x, x] only involves x_1 .. x_(k-1)
-            rhs = vec_scale(half, ctx.bracket_series(x, x).coeffs[k])
+            rhs = vec_scale(half, ctx.bracket_at(x, x)(k))
             sol = linear_solve(sys_matrix, rhs)
             if sol is None:
                 ok = False
@@ -413,16 +456,20 @@ def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) ->
 
     full MC in the total complex must equal: xi2 MC for del_bar, xi1 MC for
     del_bar_J, and the mixed bracket condition
-    del_bar_J(xi2) + del_bar(xi1) + [xi1, xi2] = 0, order by order.
+    del_bar_J(xi2) + del_bar(xi1) + [xi1, xi2] = 0.  Each of the four is
+    decided one power of t at a time and stops at its first non-zero order.
     """
     _, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
     ctx_y, ctx_x = _side_contexts(q, ring)
     xi2_ok = ctx_y.mc_check(xi2).passed
     xi1_ok = ctx_x.mc_check(xi1).passed
 
-    mixed = ctx_x.d_series(xi2).add(ctx_y.d_series(xi1)).add(
-        ctx_y.bracket_series(xi1, xi2))
-    mixed_ok = mixed.is_zero()
+    bracket = ctx_y.bracket_at(xi1, xi2)
+
+    def mixed(p: int) -> Vector:
+        dx = vec_add(ctx_x.d.apply(1, xi2.coeffs[p]), ctx_y.d.apply(1, xi1.coeffs[p]))
+        return vec_add(dx, bracket(p))
+    mixed_ok = all(vec_is_zero(mixed(p)) for p in range(ring.order))
 
     equivalent = full_ok == (xi2_ok and xi1_ok and mixed_ok)
     if not equivalent:

@@ -895,8 +895,19 @@ def adjoint_operator(algebra: StructuredAlgebra, degree: int, v: Vector) -> Grad
 
 
 def left_multiplication(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
-    """The operator u -> v * u on the whole algebra."""
-    return _operator(algebra, degree, lambda k, u: algebra.mul(degree, v, k, u))
+    """The operator u -> v * u on the whole algebra, read off the product
+    table: for each non-zero v_i and each constant c of basis vector i
+    times basis vector j of degree k, v_i * c lands in column j of the
+    degree-k block."""
+    space = algebra.space
+    support = [(i, a) for i, a in enumerate(v) if not a.is_zero()]
+    blocks = {}
+    for (k1, k), (_, rows) in algebra._products.items():
+        if k1 == degree:
+            entries = [(idx, j, a * c) for i, a in support
+                       for j, targets in rows.get(i, {}).items() for idx, _, _, c in targets]
+            blocks[k] = Matrix.from_entries(space.dim(degree + k), space.dim(k), entries)
+    return GradedMap(space, space, degree, blocks)
 
 
 def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,

@@ -19,6 +19,7 @@ read-only view, a fresh dense row-major copy of the entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from dgkit.scalars import ONE, ZERO, Scalar
@@ -387,16 +388,18 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelon of [[U|U],[W|0]]; rows with zero left half
-        carry an intersection basis in the right half."""
+        carry an intersection basis in the right half.  Those rows close
+        the RREF, so their right halves are already one, pivots shifted by n."""
         self._check(other)
         n = self.ambient_dim
         rows = [{**row, **{j + n: a for j, a in row.items()}} for row in self.basis._nz]
         rows += other.basis._nz
         if not rows:
             return Subspace.zero(n)
-        red, _ = Matrix._of(len(rows), 2 * n, rows).rref()
-        return Subspace._span(n, [{j - n: a for j, a in row.items()}
-                                  for row in red._nz if row and min(row) >= n])
+        red, pivots = Matrix._of(len(rows), 2 * n, rows).rref()
+        first = bisect_left(pivots, n)
+        right = [{j - n: a for j, a in row.items()} for row in red._nz[first:len(pivots)]]
+        return Subspace(n, Matrix._of(len(right), n, right), [p - n for p in pivots[first:]])
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from dgkit.deform import (
     tangent_and_obstruction,
 )
 from dgkit.errors import ModelError, PreconditionError
-from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
+from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, format_vector
 from dgkit.linalg import (
     Matrix,
     invert,
@@ -44,7 +45,7 @@ from dgkit.models import (
     nilpotent_torus_model,
     torus_model,
 )
-from dgkit.qdolbeault import DEL_BAR, ConnectionModel, build_quaternionic_complex
+from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, build_quaternionic_complex
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import dg_algebras, graded_maps, random_algebras, sparse_vectors
 
@@ -225,6 +226,164 @@ def test_coefficient_degree_rejected():
     ctx = DeformationContext(cone_dgla(), "d0", TruncatedRing(3))
     with pytest.raises(Exception):
         ctx.mc_check(ctx.zero(0))
+
+
+# -- order-by-order verdicts against the all-orders formula ---------------------
+
+
+def first_nonzero(*series):
+    """The first power of t at which one of the series has a non-zero
+    coefficient, or None."""
+    return next((p for p, cs in enumerate(zip(*(u.coeffs for u in series)))
+                 if not all(vec_is_zero(c) for c in cs)), None)
+
+
+def ref_mc_check(ctx, x, mode):
+    """The former mc_check, which built every order of d x and [x, x] before
+    deciding: (passed, classical, strong, residual, first failing order)."""
+    dx = Series(2, [ctx.d.apply(1, c) for c in x.coeffs])
+    br = ref_bracket_series(ctx.dgla, x, x)
+    residual = ref_add(dx, ref_scale(br, Fraction(1, 2)))
+    classical = residual.is_zero()
+    if mode == "classical":
+        return classical, classical, None, residual, first_nonzero(residual)
+    strong = dx.is_zero() and br.is_zero()
+    return strong, classical, strong, residual, first_nonzero(dx, br)
+
+
+def mc_elements(ctx):
+    """Degree-1 elements of L ⊗ m: zero, seeded random ones, and ones built
+    from basis vectors to pass, or to fail first at t^1 (d x_1 != 0), t^2 or
+    t^3, where the DGLA has them.  The last one, where it exists, solves
+    d x_2 = -1/2 [x_1, x_1] != 0: only the strong mode fails at t^2."""
+    dgla, d, space = ctx.dgla, ctx.d, ctx.dgla.space
+    labels = space.labels(1)
+    basis = [space.basis_vector(lab)[1] for lab in labels]
+    closed = [v for v in basis if vec_is_zero(d.apply(1, v))]
+    sums = closed + [vec_add(a, b) for a, b in combinations(closed, 2)]
+
+    def sq(v):
+        return dgla.mul(1, v, 1, v)
+
+    rnd = random.Random(7)
+    out = [ctx.zero(1)]
+    out += [random_series(space, 1, ctx.ring, rnd, support) for support in (None, labels[:4])]
+    candidates = [
+        [series_from(ctx, 1, v, v, v) for v in closed if vec_is_zero(sq(v))],
+        [series_from(ctx, 1, v) for v in basis if not vec_is_zero(d.apply(1, v))],
+        [series_from(ctx, 1, v) for v in sums if not vec_is_zero(sq(v))],
+        [series_from(ctx, 1, a, b) for a in closed for b in closed
+         if vec_is_zero(sq(a)) and not vec_is_zero(dgla.mul(1, a, 1, b))],
+        [series_from(ctx, 1, v, sol[0]) for v in sums if not vec_is_zero(sq(v))
+         for sol in [linear_solve(d.block(1), vec_scale(Scalar(Fraction(-1, 2)), sq(v)))]
+         if sol is not None],
+    ]
+    return out + [found[0] for found in candidates if found]
+
+
+MC_DGLAS = {
+    "cone": (cone_dgla, "d0"),
+    "cone_plus_square": (cone_plus_square, "d0"),
+    "torus_r2": (lambda: build_quaternionic_complex(torus_model(2)).dgla, "total"),
+    "nilpotent_torus_r2": (lambda: build_quaternionic_complex(nilpotent_torus_model(2)).dgla,
+                           "total"),
+}
+
+# (mode, first failing order) that the elements of each DGLA reach; None passes
+MC_FIRST_FAILURES = {
+    "cone": {(m, p) for m in ("classical", "strong") for p in (None, 2)},
+    "cone_plus_square": {(m, p) for m in ("classical", "strong") for p in (None, 1, 2)},
+    "torus_r2": {(m, p) for m in ("classical", "strong") for p in (None, 2, 3)},
+    "nilpotent_torus_r2": {(m, p) for m in ("classical", "strong") for p in (None, 1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_DGLAS))
+def test_mc_verdicts_match_the_all_orders_formula(name):
+    build, d_name = MC_DGLAS[name]
+    ctx = DeformationContext(build(), d_name, TruncatedRing(5))
+    space = ctx.dgla.space
+    reached = set()
+    for x in mc_elements(ctx):
+        for mode in ("classical", "strong"):
+            passed, classical, strong, residual, fails_at = ref_mc_check(ctx, x, mode)
+            rep = ctx.mc_check(x, mode)
+            assert (rep.passed, rep.classical, rep.strong) == (passed, classical, strong)
+            assert rep.residual == residual
+            assert rep.residual_table() == {f"t^{p}": format_vector(space, 2, c)
+                                            for p, c in enumerate(residual.coeffs)
+                                            if not vec_is_zero(c)}
+            reached.add((mode, fails_at))
+    assert reached >= MC_FIRST_FAILURES[name]
+
+
+def test_a_strong_failure_with_a_classical_solution_walks_on():
+    """x_1 = a + b and d x_2 = -1/2 [x_1, x_1]: the strong verdict fails at
+    t^2, where the classical residual still vanishes, so the walk goes on and
+    finds the classical failure that d x_3 != 0 puts at t^3."""
+    ctx = DeformationContext(MC_DGLAS["nilpotent_torus_r2"][0](), "total", TruncatedRing(5))
+    x = mc_elements(ctx)[-1]
+    assert not vec_is_zero(x.coeffs[2])
+    rep = ctx.mc_check(x, "strong")
+    assert (rep.passed, rep.classical, rep.strong) == (False, True, False)
+    assert rep.residual_table() == {}
+    c = next(v for v in mc_elements(ctx) if not vec_is_zero(ctx.d.apply(1, v.coeffs[1])))
+    x.coeffs[3] = c.coeffs[1]
+    rep = ctx.mc_check(x, "strong")
+    assert (rep.passed, rep.classical, rep.strong) == (False, False, False)
+    assert next(iter(rep.residual_table())) == "t^3"
+
+
+def test_mc_check_stops_at_the_first_failing_order(monkeypatch):
+    """The verdict reads [x, x] at t^2 only; the residual's later orders are
+    built when the report's reader asks for them."""
+    dgla = cone_dgla()
+    ctx = DeformationContext(dgla, "d0", TruncatedRing(5))
+    _, u1 = dgla.space.basis_vector("u1")
+    x = series_from(ctx, 1, u1, u1, u1, u1)
+    calls = []
+    mul = StructuredAlgebra.mul
+    monkeypatch.setattr(StructuredAlgebra, "mul",
+                        lambda self, *args: calls.append(args) or mul(self, *args))
+    for mode in ("classical", "strong"):
+        calls.clear()
+        rep = ctx.mc_check(x, mode)
+        assert not rep.passed and len(calls) == 1
+        assert list(rep.residual_table()) == ["t^2", "t^3", "t^4"]
+        # t^3 adds [x_1, x_2] and [x_2, x_1]; t^4 three more pairs
+        assert len(calls) == 1 + 2 + 3
+
+
+def test_probe_draws_fail_where_pinned_and_split_like_the_full_series():
+    """The split samples of `deform torus_r2.model --order 5 --samples 10
+    --seed k`, k = 0..19, are the first ten draws of random.Random(k).  The
+    probe's report keeps only counts, so this pins the first failing order of
+    (full, xi2, xi1, mixed) over those 200 samples, and checks each sample's
+    four verdicts against the all-orders formulas."""
+    q = build_quaternionic_complex(torus_model(2))
+    ring = TruncatedRing(5)
+    full = DeformationContext(q.dgla, "total", ring)
+    dolb = q.model.dolbeault_dgla
+    ctx_y = DeformationContext(dolb, DEL_BAR, ring)
+    ctx_x = DeformationContext(dolb, DEL_BAR_J, ring)
+    pi_x, pi_y = q.evaluations
+    first = Counter()
+    for seed in range(20):
+        rnd = random.Random(seed)
+        for _ in range(10):
+            x = random_series(q.space, 1, ring, rnd)
+            xi1, xi2 = x.apply(pi_x), x.apply(pi_y)
+            mixed = ref_add(ref_add(xi2.apply(ctx_x.d), xi1.apply(ctx_y.d)),
+                            ref_bracket_series(dolb, xi1, xi2))
+            orders = (ref_mc_check(full, x, "classical")[4],
+                      ref_mc_check(ctx_y, xi2, "classical")[4],
+                      ref_mc_check(ctx_x, xi1, "classical")[4],
+                      first_nonzero(mixed))
+            rep = qa_mc_split(q, x, ring)
+            assert (rep.full, rep.xi2_mc, rep.xi1_mc, rep.mixed_zero) == \
+                tuple(p is None for p in orders)
+            first[orders] += 1
+    assert first == {(2, 2, 2, 2): 195, (2, 3, 2, 2): 3, (2, 2, 3, 2): 2}
 
 
 # -- gauge action ---------------------------------------------------------------

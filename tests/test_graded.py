@@ -15,12 +15,14 @@ from dgkit.graded import (
     StructuredAlgebra,
     cohomology,
     format_vector,
+    _operator,
     induced_map_on_cohomology,
+    left_multiplication,
     nonzero_image_witness,
 )
 from dgkit.linalg import DimensionMismatch, Matrix, dense_vector, vec_is_zero
 from dgkit.modelfile import serialize_connection_model
-from dgkit.models import nilpotent_torus_model, torus_model
+from dgkit.models import nilpotent_torus_model, random_connection_model, torus_model
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import (COEFFS, FRACTIONS, dense_vectors, dg_algebras, graded_maps, random_algebras,
                         sparse_vectors)
@@ -898,3 +900,35 @@ def test_qdolbeault_phi_checks_autoduality_once(cli_run, monkeypatch):
     monkeypatch.setattr(qdolbeault, "autoduality_check", counted)
     assert cli_run("--format", "json", "qdolbeault", "--phi", "torus_r1.model")[0] == 0
     assert len(calls) == 1
+
+
+# -- left multiplication read off the product table ----------------------------
+
+
+def ref_left_multiplication(alg, degree, v):
+    """The former route: one mul call per basis vector, column by column."""
+    return _operator(alg, degree, lambda k, u: alg.mul(degree, v, k, u))
+
+
+def check_left_multiplication(alg, data):
+    for degree in alg.space.degrees() + [3]:
+        v = data.draw(mixed_vectors(alg.space.dim(degree)))
+        got = left_multiplication(alg, degree, v)
+        assert got == ref_left_multiplication(alg, degree, v)
+        assert (got.source, got.target, got.shift) == (alg.space, alg.space, degree)
+
+
+@pytest.mark.parametrize("model", [
+    torus_model(2), nilpotent_torus_model(2),
+    *(random_connection_model(seed)[0] for seed in range(4)),
+], ids=["torus_r2", "nilpotent_torus_r2", *(f"random{seed}" for seed in range(4))])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_left_multiplication_matches_the_per_column_route(model, data):
+    check_left_multiplication(model.dolbeault, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_algebras(coeffs=MIXED), st.data())
+def test_left_multiplication_over_fractional_constants_matches_the_per_column_route(alg, data):
+    check_left_multiplication(alg, data)

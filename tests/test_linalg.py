@@ -724,10 +724,10 @@ def test_matrix_layout_stays_private():
 
 
 # Matrix.rref calls and their total rows x cols cells for `--format json`
-# reports on `generate torus --rank 2`, recorded before matrices went sparse
+# reports on `generate torus --rank 2`; Subspace.intersect eliminates once
 TORUS_R2_ELIMINATIONS = {
-    ("qdolbeault", "--phi"): (121, 25376),
-    ("dgms", "--d0", "del", "--d1", "del_bar"): (128, 43232),
+    ("qdolbeault", "--phi"): (111, 24320),
+    ("dgms", "--d0", "del", "--d1", "del_bar"): (118, 40992),
 }
 
 
@@ -882,3 +882,36 @@ def test_complement_takes_each_candidate_outside_the_span_so_far(m, data):
     assert comp.taken == taken
     v = data.draw(sparse_vectors(n))
     assert comp.project([v]) == ref_project(inner, comp.vectors, [v])
+
+
+def ref_intersect(u, w):
+    """The former Subspace.intersect: the Zassenhaus echelon of [[U|U],[W|0]],
+    then the span of the right halves of its rows with zero left half, which
+    eliminates those rows a second time."""
+    n = u.ambient_dim
+    rows = [row + row for row in u.vectors()] + [row + zero_vector(n) for row in w.vectors()]
+    if not rows:
+        return Subspace.zero(n)
+    red, _ = Matrix.from_rows(rows, cols=2 * n).rref()
+    return Subspace.from_vectors(n, [row[n:] for row in red.data
+                                     if all(x.is_zero() for x in row[:n])
+                                     and not all(x.is_zero() for x in row[n:])])
+
+
+@oracle
+@given(sparse_matrices(), st.data())
+def test_intersect_matches_the_second_elimination(m, data):
+    """W mixes combinations of U's rows with free sparse vectors, so the
+    intersection is often neither zero nor all of U."""
+    n = m.cols
+    u = Subspace.from_vectors(n, m.data)
+    vectors = [combination(data.draw, u.vectors(), n)
+               for _ in range(data.draw(st.integers(0, 3)))]
+    vectors += [data.draw(sparse_vectors(n)) for _ in range(data.draw(st.integers(0, 3)))]
+    w = Subspace.from_vectors(n, vectors)
+    for a, b in ((u, w), (w, u)):
+        got = a.intersect(b)
+        want = ref_intersect(a, b)
+        assert got == want
+        assert got.pivots == want.pivots
+        assert got.sparse_rows() == want.sparse_rows()
