@@ -53,7 +53,6 @@ from dgkit.linalg import (
     Subspace,
     Vector,
     linear_solve,
-    unit_vector,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -307,18 +306,17 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
     d = dgla.differential(d_name)
     reps = Matrix.from_columns(dgla.space.dim(1), h.reps.get(1, []))
 
-    def half_square(xi: Vector) -> Vector:
-        """-1/2 [r, r] for the representative r of the class xi."""
-        r = reps.apply(xi)
+    def half_square(r: Vector) -> Vector:
+        """-1/2 [r, r] for a degree-1 vector r."""
         return vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
 
     def obstruction(xi: Vector) -> Vector:
-        return h.project(2, half_square(xi))
+        return h.project(2, half_square(reps.apply(xi)))
 
     checks = ValidationReport()
     agree = True
-    for i in range(h.dim(1)):
-        rhs = half_square(unit_vector(h.dim(1), i))
+    for r in h.reps.get(1, []):
+        rhs = half_square(r)
         solvable = linear_solve(d.block(1), rhs) is not None
         if solvable != vec_is_zero(h.project(2, rhs)):
             agree = False

@@ -12,11 +12,14 @@ a side can be non-zero, read off a neighbour index of the structure table
 (for each label, the labels it has a product with on either side) and
 walked in the full walk's order, so the first failing tuple is the full
 walk's.  Every check that compares two sums of structure constants
-builds both sides as sparse {label: coefficient} dicts with one in-place
-accumulator; `algebra_map_witness` is the one check that a map preserves
-products.  The axioms that do not involve a differential (associativity, and
-skew-symmetry, Jacobi and the char-0 identities of a bracket) are walked once
-per algebra; the first failing labels are cached.
+builds both sides as sparse {label: coefficient} dicts through
+`linalg.add_multiple`, the one sparse accumulator, whose key order fixes
+the order of a witness's labels; `algebra_map_witness` is the one check
+that a map preserves products.  `left_multiplication` and
+`adjoint_operator` are read off the product table by one builder.  The
+axioms that do not involve a differential (associativity, and skew-symmetry,
+Jacobi and the char-0 identities of a bracket) are walked once per algebra;
+the first failing labels are cached.
 
 A graded map keeps only its non-zero blocks, in degree order, and forms
 each derived object once: `GradedMap.kernel(k)`, `GradedMap.image(k)` and
@@ -49,6 +52,7 @@ from dgkit.linalg import (
     Matrix,
     Subspace,
     Vector,
+    add_multiple,
     dense_vector,
     image_of,
     kernel_of,
@@ -279,20 +283,6 @@ class ValidationReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def _accumulate(out: dict, c: Scalar, s: dict) -> dict:
-    """out += c * s in place, dropping entries that cancel; returns out.
-
-    A cancelled entry that comes back is re-inserted at the end, so the
-    order of the keys records the order of the additions."""
-    for key, v in s.items():
-        acc = out.get(key, ZERO) + c * v
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
 def nonzero_image_witness(f: GradedMap) -> Optional[dict]:
     """{"label", "image"} of the first source basis label that f does not
     kill, or None when f is zero."""
@@ -383,7 +373,7 @@ class StructuredAlgebra:
         sparse {label: coefficient} vector s; returns out."""
         for lt, cs in s.items():
             pair = (label, lt) if label_first else (lt, label)
-            _accumulate(out, c * cs, self.structure.get(pair, {}))
+            add_multiple(out, c * cs, self.structure.get(pair, {}))
         return out
 
     @cached_property
@@ -503,11 +493,11 @@ class StructuredAlgebra:
             # d(l1 * l2) - (d(l1) * l2 + (-1)^k1 l1 * d(l2))
             lhs: dict[str, Scalar] = {}
             for lt, c in self.mul_labels(l1, l2).items():
-                _accumulate(lhs, c, table[lt])
+                add_multiple(lhs, c, table[lt])
             rhs = self._times_label({}, ONE, table[l1], l2, False)
             sign = ONE if self.space.degree_of(l1) % 2 == 0 else MINUS_ONE
             self._times_label(rhs, sign, table[l2], l1, True)
-            diff = _accumulate(lhs, MINUS_ONE, rhs)
+            diff = add_multiple(lhs, MINUS_ONE, rhs)
             if diff:
                 ok = False
                 witness = {"pair": [l1, l2],
@@ -559,7 +549,7 @@ class StructuredAlgebra:
         degree_of = self.space.degree_of
         for (l1, l2) in sorted(set(self.structure) | {(b, a) for (a, b) in self.structure}):
             koszul = ONE if (degree_of(l1) * degree_of(l2)) % 2 == 0 else MINUS_ONE
-            if _accumulate(dict(self.mul_labels(l1, l2)), koszul, self.mul_labels(l2, l1)):
+            if add_multiple(dict(self.mul_labels(l1, l2)), koszul, self.mul_labels(l2, l1)):
                 return l1, l2
         return None
 
@@ -636,7 +626,7 @@ class StructuredAlgebra:
             k1 = self.space.degree_of(l1)
             k2 = self.space.degree_of(l2)
             sign = MINUS_ONE if (k1 * k2) % 2 == 0 else ONE
-            br = _accumulate(dict(self.mul_labels(l1, l2)), sign, self.mul_labels(l2, l1))
+            br = add_multiple(dict(self.mul_labels(l1, l2)), sign, self.mul_labels(l2, l1))
             if br:
                 structure[(l1, l2)] = br
         return StructuredAlgebra(self.space, "lie", self.differentials,
@@ -672,7 +662,7 @@ def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,
         l1, l2 = labels[i], labels[j]
         lhs: dict[str, Scalar] = {}
         for lt, c in src.mul_labels(l1, l2).items():
-            _accumulate(lhs, c, columns[lt])
+            add_multiple(lhs, c, columns[lt])
         rhs: dict[str, Scalar] = {}
         for a, ca in columns[l1].items():
             tgt._times_label(rhs, ca, columns[l2], a, True)
@@ -853,7 +843,7 @@ class CohomologyPresentation(Subquotient):
                 # [r1 * r2] per (k2, index of r2), projected at first use
                 classes: dict[tuple[int, int], dict] = {}
                 for b in boundaries:
-                    shifted = _accumulate(dict(r1), ONE, dict(b)).items()
+                    shifted = add_multiple(dict(r1), ONE, dict(b)).items()
                     for k2, reps2 in self._sparse.items():
                         k = k1 + k2
                         if k not in self._open:
@@ -872,42 +862,38 @@ def cohomology(algebra: StructuredAlgebra, d_name: str) -> CohomologyPresentatio
     return CohomologyPresentation(algebra, d_name)
 
 
-def _operator(algebra: StructuredAlgebra, degree: int,
-              image: Callable[[int, Vector], Vector]) -> GradedMap:
-    """The degree-shift operator sending each basis vector u of degree k to
-    image(k, u)."""
+def _table_operator(algebra: StructuredAlgebra, degree: int, v: Vector,
+                    adjoint: bool) -> GradedMap:
+    """The operator u -> v * u, and with adjoint also minus
+    (-1)^(deg v * deg u) u * v, read off the product table: for each
+    non-zero v_i and each constant c of basis vector i times basis vector j
+    of degree k, v_i * c lands in column j of the degree-k block, and for
+    each constant c of j times i, -(-1)^(degree * k) c * v_i does."""
     space = algebra.space
-    blocks = {}
-    for k in space.degrees():
-        rows = space.dim(k + degree)
-        if rows:
-            blocks[k] = Matrix.from_columns(rows, [image(k, space.basis_vector(lab)[1])
-                                                   for lab in space.labels(k)])
-    return GradedMap(space, space, degree, blocks)
+    support = {i: a for i, a in enumerate(v) if not a.is_zero()}
+    entries: dict[int, list] = {}
+    for (k1, k2), (_, rows) in algebra._products.items():
+        if k1 == degree:
+            entries.setdefault(k2, []).extend(
+                (idx, j, a * c) for i, a in support.items()
+                for j, targets in rows.get(i, {}).items() for idx, _, _, c in targets)
+        if adjoint and k2 == degree:
+            sign = MINUS_ONE if (degree * k1) % 2 == 0 else ONE
+            entries.setdefault(k1, []).extend(
+                (idx, j, sign * c * support[i]) for j, row in rows.items()
+                for i, targets in row.items() if i in support for idx, _, _, c in targets)
+    return GradedMap(space, space, degree, {
+        k: Matrix.from_entries(space.dim(degree + k), space.dim(k), e) for k, e in entries.items()})
 
 
 def adjoint_operator(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
     """The graded commutator u -> v*u - (-1)^(deg v * deg u) u*v."""
-    def image(k: int, u: Vector) -> Vector:
-        sign = MINUS_ONE if (degree * k) % 2 == 0 else ONE
-        return vec_add(algebra.mul(degree, v, k, u), vec_scale(sign, algebra.mul(k, u, degree, v)))
-    return _operator(algebra, degree, image)
+    return _table_operator(algebra, degree, v, True)
 
 
 def left_multiplication(algebra: StructuredAlgebra, degree: int, v: Vector) -> GradedMap:
-    """The operator u -> v * u on the whole algebra, read off the product
-    table: for each non-zero v_i and each constant c of basis vector i
-    times basis vector j of degree k, v_i * c lands in column j of the
-    degree-k block."""
-    space = algebra.space
-    support = [(i, a) for i, a in enumerate(v) if not a.is_zero()]
-    blocks = {}
-    for (k1, k), (_, rows) in algebra._products.items():
-        if k1 == degree:
-            entries = [(idx, j, a * c) for i, a in support
-                       for j, targets in rows.get(i, {}).items() for idx, _, _, c in targets]
-            blocks[k] = Matrix.from_entries(space.dim(degree + k), space.dim(k), entries)
-    return GradedMap(space, space, degree, blocks)
+    """The operator u -> v * u on the whole algebra."""
+    return _table_operator(algebra, degree, v, False)
 
 
 def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,

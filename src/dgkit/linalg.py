@@ -15,6 +15,10 @@ dicts.  That layout is private to this module.  Other modules build
 matrices through `Matrix.from_columns` and `Matrix.from_entries` and read
 them through `apply`, `column`, `row`, `select` and `entries`; `data` is a
 read-only view, a fresh dense row-major copy of the entries.
+
+`add_multiple` (out += c * s on {key: Scalar} dicts) is the one sparse
+accumulator; its key order, where a cancelled key that comes back moves to
+the end, fixes the order of the label-keyed witnesses of `dgkit.graded`.
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ def _dense(row: dict, n: int) -> list:
     return out
 
 
-def _add_multiple(row: dict, f: Scalar, other: dict) -> None:
-    """row += f * other in place, over other's support; an entry that
-    cancels is deleted."""
+def add_multiple(row: dict, f: Scalar, other: dict) -> dict:
+    """row += f * other in place, for f and other's entries non-zero; returns
+    row.  An entry that cancels is deleted, and one that comes back is
+    re-inserted at the end, so the key order records the order of additions."""
     for j, b in other.items():
         x = f * b
         s = row.get(j)
@@ -87,6 +92,7 @@ def _add_multiple(row: dict, f: Scalar, other: dict) -> None:
                 del row[j]
             else:
                 row[j] = s
+    return row
 
 
 def _transpose(rows: list, n: int) -> list:
@@ -177,12 +183,8 @@ class Matrix:
         """self + f * other."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix sum shape mismatch")
-        out = []
-        for r1, r2 in zip(self._nz, other._nz):
-            row = dict(r1)
-            _add_multiple(row, f, r2)
-            out.append(row)
-        return Matrix._of(self.rows, self.cols, out)
+        return Matrix._of(self.rows, self.cols,
+                          [add_multiple(dict(r1), f, r2) for r1, r2 in zip(self._nz, other._nz)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, ONE)
@@ -203,7 +205,7 @@ class Matrix:
         for row in self._nz:
             acc: dict = {}
             for k, a in row.items():
-                _add_multiple(acc, a, other._nz[k])
+                add_multiple(acc, a, other._nz[k])
             out.append(acc)
         return Matrix._of(self.rows, other.cols, out)
 
@@ -270,7 +272,7 @@ class Matrix:
             v = dict(row)
             # a kept row is zero at every other pivot, so one pass clears them
             for p in [j for j in v if j in kept]:
-                _add_multiple(v, -v[p], kept[p])
+                add_multiple(v, -v[p], kept[p])
             if not v:
                 continue
             c = min(v)
@@ -279,7 +281,7 @@ class Matrix:
             for b in kept.values():
                 f = b.get(c)
                 if f is not None:
-                    _add_multiple(b, -f, v)
+                    add_multiple(b, -f, v)
             kept[c] = v
         pivots = sorted(kept)
         rows = [kept[p] for p in pivots] + [{} for _ in range(self.rows - len(pivots))]
@@ -375,7 +377,7 @@ class Subspace:
         for p, row in zip(self.pivots, self.basis._nz):
             c = residual.get(p)
             if c is not None and not c.is_zero():
-                _add_multiple(residual, -c, row)
+                add_multiple(residual, -c, row)
         return all(x.is_zero() for x in residual.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:

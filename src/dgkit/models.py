@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 from dgkit.ddbar import Bicomplex
 from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, adjoint_operator
+from dgkit.linalg import add_multiple
 from dgkit.qdolbeault import (
     DEL,
     DEL_BAR,
@@ -31,7 +32,7 @@ from dgkit.qdolbeault import (
     ConnectionModel,
     connection_model_from_full,
 )
-from dgkit.scalars import ONE, ZERO, Scalar
+from dgkit.scalars import ONE, Scalar
 from dgkit.sl2 import Sl2Module
 
 GENS = ("dz1", "dz2", "dzb1", "dzb2")
@@ -82,10 +83,8 @@ def _derivation_on_monomial(action: dict, mono: tuple) -> dict[tuple, Scalar]:
         merged, sign = _sort_sign(replaced)
         if merged is None:
             continue
-        total = c.scale(Fraction(sign))
-        acc = out.get(merged, ZERO) + total
-        out[merged] = acc
-    return {m: c for m, c in out.items() if not c.is_zero()}
+        add_multiple(out, c.scale(Fraction(sign)), {merged: ONE})
+    return out
 
 
 def _j_on_monomial(mono: tuple) -> tuple[tuple, Scalar]:
@@ -329,7 +328,8 @@ def connection_from_bicomplex(b: Bicomplex) -> ConnectionModel:
 
 
 def random_connection_model(seed: int, corrupt: bool = False) -> tuple[ConnectionModel, bool]:
-    """Seeded random dots/squares/zigzags connection model.
+    """Seeded random dots/squares/zigzags connection model whose D carries
+    no product: it is built without a unit, so its structure table is empty.
 
     With corrupt=True, three fresh chained basis vectors are appended whose
     arrows force one of the three autoduality relations to fail; which

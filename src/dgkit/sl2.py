@@ -10,7 +10,6 @@ element is ever materialized.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -199,11 +198,28 @@ def _unstable_degree(space: GradedSpace, ideal: dict[int, Subspace],
     return next((k for k in ideal if _escape(space, ideal, op, k) is not None), None)
 
 
-def _units_by_degree(space: GradedSpace) -> list[tuple[int, list[tuple[str, tuple]]]]:
-    """Per degree, each basis label and its one-entry sparse vector, in the
-    order of `space.all_labels()`."""
-    return [(k, [(lab, ((i, ONE),)) for i, lab in enumerate(space.labels(k))])
-            for k in space.degrees()]
+def _leaving_products(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
+                      rows: Iterable[tuple[int, Iterable]]):
+    """For each ideal row v of degree k, given by its non-zero (index,
+    coefficient) pairs, the products label * v and then v * label with
+    every basis label, in label order, that leave the ideal as it stands
+    when each product is due: yields (k, label, degree, {index: coefficient}).
+    A product whose degree the space lacks or the ideal fills cannot leave
+    it, so it is not formed."""
+    space = algebra.space
+    # per degree, each (label, its one-entry sparse vector, label first?)
+    factors = [(kl, [(lab, ((i, ONE),), first) for i, lab in enumerate(space.labels(kl))
+                     for first in (True, False)]) for kl in space.degrees()]
+    for k, v in rows:
+        for kl, products in factors:
+            deg = k + kl
+            for lab, unit, label_first in products:
+                if _full(space, ideal, deg):
+                    break
+                prod = (algebra.label_product(kl, unit, k, v) if label_first
+                        else algebra.label_product(k, v, kl, unit))
+                if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
+                    yield k, lab, deg, prod
 
 
 def low_weight_ideal(algebra: StructuredAlgebra,
@@ -211,11 +227,9 @@ def low_weight_ideal(algebra: StructuredAlgebra,
     """Smallest two-sided graded ideal containing, in each degree k, every
     isotypic component of weight strictly less than k.
 
-    Closure is computed by iterating products with all basis elements to a
-    fixed point; monotone, so it terminates within total_dim steps.  A
-    product whose degree the space lacks or the ideal already fills, judged
-    when the product is due, is not formed: it lies in the ideal, so the
-    ideal grows by the same vectors in the same order.
+    Closure adds every product with a basis label that leaves the ideal
+    (`_leaving_products`) until none does; monotone, so it terminates
+    within total_dim rounds.
     """
     space = algebra.space
     ideal = {k: Subspace.zero(space.dim(k)) for k in space.degrees()}
@@ -230,26 +244,16 @@ def low_weight_ideal(algebra: StructuredAlgebra,
             ideal[k] = Subspace.from_vectors(space.dim(k), gens)
             frontier.extend((k, row) for row in ideal[k].sparse_rows())
 
-    units = _units_by_degree(space)
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > space.total_dim() + 1:
             raise InternalCheckError("ideal closure failed to stabilize")
         new_frontier: list[tuple[int, Iterable]] = []
-        for kv, v in frontier:
-            for kl, labelled in units:
-                deg = kv + kl
-                for (_, unit), label_first in itertools.product(labelled, (True, False)):
-                    if _full(space, ideal, deg):
-                        break
-                    prod = (algebra.label_product(kl, unit, kv, v) if label_first
-                            else algebra.label_product(kv, v, kl, unit))
-                    if prod and not ideal[deg].contains_sparse(prod):
-                        n = space.dim(deg)
-                        ideal[deg] = ideal[deg].add(
-                            Subspace.from_vectors(n, [dense_vector(n, prod)]))
-                        new_frontier.append((deg, prod.items()))
+        for _, _, deg, prod in _leaving_products(algebra, ideal, frontier):
+            n = space.dim(deg)
+            ideal[deg] = ideal[deg].add(Subspace.from_vectors(n, [dense_vector(n, prod)]))
+            new_frontier.append((deg, prod.items()))
         frontier = new_frontier
     return ideal
 
@@ -287,23 +291,11 @@ class QuotientResult:
 def two_sided_witness(algebra: StructuredAlgebra,
                       ideal: dict[int, Subspace]) -> Optional[dict]:
     """The first {"degree", "label"} such that a basis label times an ideal
-    basis row of that degree, on either side, leaves the ideal; None when the
-    ideal is two-sided.  Products whose degree the space lacks or the ideal
-    fills are not formed: they cannot leave it, so the witness is the same."""
-    space = algebra.space
-    units = _units_by_degree(space)
-    for k, sub in ideal.items():
-        for v in sub.sparse_rows():
-            for kl, labelled in units:
-                deg = k + kl
-                if _full(space, ideal, deg):
-                    continue
-                for lab, unit in labelled:
-                    for prod in (algebra.label_product(kl, unit, k, v),
-                                 algebra.label_product(k, v, kl, unit)):
-                        if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
-                            return {"degree": k, "label": lab}
-    return None
+    basis row of that degree, on either side, leaves the ideal (the first
+    of `_leaving_products`); None when the ideal is two-sided."""
+    rows = ((k, v) for k, sub in ideal.items() for v in sub.sparse_rows())
+    hit = next(_leaving_products(algebra, ideal, rows), None)
+    return hit and {"degree": hit[0], "label": hit[1]}
 
 
 def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],

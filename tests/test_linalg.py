@@ -16,6 +16,7 @@ from dgkit.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    add_multiple,
     coordinates_in_basis,
     image_of,
     kernel_of,
@@ -820,6 +821,72 @@ def test_no_module_imports_another_modules_private_names():
                 offenders.extend(f"{path.name}:{node.lineno}: {alias.name}"
                                  for alias in node.names if alias.name.startswith("_"))
     assert offenders == []
+
+
+def _imported_names(tree):
+    """(name, line) for each name a module binds by an import, except
+    `from __future__` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a dgkit module imports is read somewhere in that module;
+    the re-exports of __init__.py are exempt."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        offenders.extend(f"{path.name}:{line}: {name}"
+                         for name, line in _imported_names(tree) if name not in used)
+    assert offenders == []
+
+
+# -- the one sparse accumulator --------------------------------------------------
+
+
+NONZERO = (ONE, -ONE, Scalar(0, 1), Scalar(2), Scalar(1, -1))
+ACCUMULATOR_STEPS = st.sampled_from((st.integers(0, 4), st.sampled_from("abcd"))).flatmap(
+    lambda keys: st.lists(st.tuples(st.sampled_from(NONZERO),
+                                    st.dictionaries(keys, st.sampled_from(NONZERO), max_size=4)),
+                          max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACCUMULATOR_STEPS)
+def test_add_multiple_matches_a_plain_reference(steps):
+    """Against running sums: equal values, no stored zero, and the keys in
+    the order in which each last turned non-zero, so keys keep their first
+    insertion order and a key that cancels and comes back moves to the end."""
+    row: dict = {}
+    running: dict = {}
+    born: dict = {}  # key -> the addition at which its running sum last left zero
+    t = 0
+    for f, other in steps:
+        for key, b in other.items():
+            before = running.get(key, ZERO)
+            running[key] = before + f * b
+            if before.is_zero() and not running[key].is_zero():
+                born[key] = t
+            t += 1
+        assert add_multiple(row, f, other) is row
+        want = {key: c for key, c in running.items() if not c.is_zero()}
+        assert row == want
+        assert not any(c.is_zero() for c in row.values())
+        assert list(row) == sorted(want, key=born.__getitem__)
+
+
+def test_add_multiple_moves_a_key_that_comes_back_to_the_end():
+    row = {"a": ONE, "b": ONE}
+    assert list(add_multiple(row, -ONE, {"a": ONE})) == ["b"]
+    assert list(add_multiple(row, Scalar(2), {"a": ONE, "b": ONE})) == ["b", "a"]
+    assert row == {"b": Scalar(3), "a": Scalar(2)}
 
 
 # -- the complement-and-projection primitive against the per-call references --

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from dgkit.ddbar import strong_lemma_check
@@ -5,6 +7,7 @@ from dgkit.errors import ModelError
 from dgkit.models import (
     dots_squares_model,
     end_tensor,
+    nilpotent_torus_model,
     random_connection_model,
     torus_model,
     zigzag_model,
@@ -128,3 +131,17 @@ def test_nilpotent_twisted_torus():
 
     with pytest.raises(ModelError):
         nilpotent_torus_model(1)
+
+
+# sha256 of serialize_connection_model(nilpotent_torus_model(r)), recorded
+# before its twist operator was read off the product table
+NILPOTENT_TORUS_SHA256 = {
+    2: "6ee305ea9c684eccbabd60fb5802bf1d611a3474b908ea5edd0a8531c1b95be5",
+    3: "14fe721efeea5e1ac234ab94e83e00cfd962ae91e3bafc8e5b102ee3cc002a1f",
+}
+
+
+@pytest.mark.parametrize("r", sorted(NILPOTENT_TORUS_SHA256))
+def test_nilpotent_torus_model_file_is_pinned(r):
+    text = serialize_connection_model(nilpotent_torus_model(r))
+    assert hashlib.sha256(text.encode()).hexdigest() == NILPOTENT_TORUS_SHA256[r]
