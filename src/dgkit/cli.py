@@ -34,7 +34,7 @@ from dgkit.ddbar import (
 )
 from dgkit.deform import (
     DeformationContext,
-    TruncatedRing,
+    Series,
     connection_correspondence,
     first_order_dictionary,
     qa_mc_split,
@@ -223,7 +223,7 @@ def cmd_qdolbeault(args, report: Report):
     if not auto.autodual:
         return
     if args.extended:
-        q = build_quaternionic_complex(model, extended=True, window=args.window)
+        q = build_quaternionic_complex(model, window=args.window)
         interior = extended_strong_lemma_interior(q)
         report.put("window", list(q.window))
         report.put("extended_interior_strong_lemma", interior.to_json(),
@@ -253,25 +253,24 @@ def cmd_spectral(args, report: Report):
 
 def cmd_deform(args, report: Report):
     parsed = parse_model_file(args.model)
-    ring = TruncatedRing(args.order)
     rnd = random.Random(args.seed)
     if parsed.is_connection() or parsed.is_full():
         model = parsed.to_connection_model()
         q = build_quaternionic_complex(model)
         splits = 0
         for _ in range(args.samples):
-            elt = random_series(q.space, 1, ring, rnd)
-            rep = qa_mc_split(q, elt, ring)
+            elt = random_series(q.space, 1, args.order, rnd)
+            rep = qa_mc_split(q, elt)
             splits += 1 if rep.equivalent else 0
         report.put("split_equivalence", {"samples": args.samples, "agree": splits},
                    asserted=splits == args.samples)
 
-        ctx = DeformationContext(q.dgla, "total", ring)
-        x = ctx.zero(1)
+        ctx = DeformationContext(q.dgla, "total")
+        x = Series.zero(1, q.space.dim(1), args.order)
         preserved = 0
         element = None
         for _ in range(args.samples):
-            a = random_series(q.space, 0, ring, rnd)
+            a = random_series(q.space, 0, args.order, rnd)
             x = ctx.gauge_transform(a, x)
             if ctx.mc_check(x).passed:
                 preserved += 1
@@ -282,8 +281,8 @@ def cmd_deform(args, report: Report):
 
         has_j = model.full_model is not None and "J" in model.full_model.maps
         if element is not None and has_j:
-            gauge = random_series(model.dolbeault.space, 0, ring, rnd)
-            corr = connection_correspondence(model, q, element, ring, gauge=gauge)
+            gauge = random_series(model.dolbeault.space, 0, args.order, rnd)
+            corr = connection_correspondence(model, q, element, gauge=gauge)
             ok = corr.relations_over_b.passed and corr.reduces_to_base and (
                 corr.gauge_conjugation is not False)
             report.put("correspondence", corr.to_json(), asserted=ok)

@@ -3,13 +3,14 @@
 One `Series` type carries everything that lives over B: coefficient p is
 the coefficient of t^p, p = 0..N-1, and is either a vector (an element of
 L ⊗ B; elements of L ⊗ m have a zero t^0 coefficient) or a graded map (a
-B-linear operator).  Brackets and compositions are one truncated product:
-`Series.product_at` builds the t^p coefficient when asked for, and
-`Series.times` takes every order of it.  A graded map acts coefficientwise
-through `Series.apply` (differentials, the evaluations pi_x / pi_y of the
-quaternionic complex, its y-section, the embedding of D into F);
-everything is evaluated with exact rationals, so nilpotency makes every
-series finite.
+B-linear operator).  The series fixes B: N is its number of coefficients,
+and sums and products refuse series of different orders.  Brackets and
+compositions are one truncated product: `Series.product_at` builds the t^p
+coefficient when asked for, and `Series.times` takes every order of it.  A
+graded map acts coefficientwise through `Series.apply` (differentials, the
+evaluations pi_x / pi_y of the quaternionic complex, its y-section, the
+embedding of D into F); everything is evaluated with exact rationals, so
+nilpotency makes every series finite.
 
 Maurer-Cartan verdicts are decided one power of t at a time, as the
 equation is solved order by order: `mc_check` and the mixed equation of
@@ -62,21 +63,6 @@ from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, QuaternionicCo
 from dgkit.scalars import ONE, ZERO, Scalar, gaussian
 
 
-@dataclass(frozen=True)
-class TruncatedRing:
-    """B = F[t]/(t^N); the maximal ideal is (t), so m^N = 0."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 2:
-            raise ModelError("truncated ring needs order >= 2")
-
-    @property
-    def top_power(self) -> int:
-        return self.order - 1
-
-
 # A coefficient is a vector (a tuple of Scalars) or a GradedMap.
 
 def _is_zero(c) -> bool:
@@ -93,21 +79,24 @@ def _scale(c: Scalar, a):
 
 class Series:
     """Homogeneous element of L^degree ⊗ B, or a B-linear operator of shift
-    `degree`: coeffs[p] is the coefficient of t^p for p = 0..N-1."""
+    `degree`: coeffs[p] is the coefficient of t^p for p = 0..N-1.  The
+    series fixes B = F[t]/(t^N): N = len(coeffs)."""
 
     def __init__(self, degree: int, coeffs: Sequence):
         self.degree = degree
         self.coeffs = list(coeffs)
 
     @staticmethod
-    def zero(degree: int, dim: int, ring: TruncatedRing) -> "Series":
-        return Series(degree, [zero_vector(dim)] * ring.order)
+    def zero(degree: int, dim: int, order: int) -> "Series":
+        if order < 2:
+            raise ModelError("truncated ring needs order >= 2")
+        return Series(degree, [zero_vector(dim)] * order)
 
     @staticmethod
-    def constant(g: GradedMap, ring: TruncatedRing) -> "Series":
-        """The operator g ⊗ 1 over B."""
+    def constant(g: GradedMap, order: int) -> "Series":
+        """The operator g ⊗ 1 over F[t]/(t^order)."""
         zero = GradedMap.zero(g.source, g.target, g.shift)
-        return Series(g.shift, [g] + [zero] * ring.top_power)
+        return Series(g.shift, [g] + [zero] * (order - 1))
 
     @staticmethod
     def from_orders(degree: int, order: int, at: Callable[[int], object]) -> "Series":
@@ -117,7 +106,12 @@ class Series:
     def is_zero(self) -> bool:
         return all(_is_zero(c) for c in self.coeffs)
 
+    def _same_ring(self, other: "Series") -> None:
+        if len(self.coeffs) != len(other.coeffs):
+            raise ModelError(f"series orders differ: {len(self.coeffs)} and {len(other.coeffs)}")
+
     def add(self, other: "Series") -> "Series":
+        self._same_ring(other)
         return Series(self.degree, [_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, q: Fraction) -> "Series":
@@ -133,6 +127,7 @@ class Series:
         mul(self_i, other_j) over i + j = p, or `zero` when no pair with
         both coefficients non-zero reaches t^p.  Each order is built only
         when asked for, so a caller can stop at the first one it rejects."""
+        self._same_ring(other)
         left = [(i, a) for i, a in enumerate(self.coeffs) if not _is_zero(a)]
         right = {j: b for j, b in enumerate(other.coeffs) if not _is_zero(b)}
 
@@ -174,21 +169,17 @@ def exp_sum(term: Series, step: Callable[[Series], Series], first: int) -> Serie
 
 
 class DeformationContext:
-    """A DGLA, a named differential, and a truncated coefficient ring."""
+    """A DGLA and a named differential; the series it is given fix B."""
 
-    def __init__(self, dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing):
+    def __init__(self, dgla: StructuredAlgebra, d_name: str):
         if dgla.kind != "lie":
             raise PreconditionError("deformation theory runs over a DGLA")
         self.dgla = dgla
         self.d_name = d_name
         self.d = dgla.differential(d_name)
-        self.ring = ring
 
     def dim(self, degree: int) -> int:
         return self.dgla.space.dim(degree)
-
-    def zero(self, degree: int) -> Series:
-        return Series.zero(degree, self.dim(degree), self.ring)
 
     def bracket_at(self, u: Series, v: Series) -> Callable[[int], Vector]:
         """p -> the t^p coefficient of [u, v], built when asked for."""
@@ -393,12 +384,11 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
             unsolvable = linear_solve(d0.block(1), rhs) is None
             results.append(QuadraticitySample(xi, True, None, unsolvable, unsolvable))
             continue
-        ring = TruncatedRing(k_max)
-        ctx = DeformationContext(dgla, b.d0_name, ring)
-        x = ctx.zero(1)
+        ctx = DeformationContext(dgla, b.d0_name)
+        x = Series.zero(1, n1, k_max)
         x.coeffs[1] = rep
         ok = True
-        for k in range(2, ring.order):
+        for k in range(2, k_max):
             # the t^k coefficient of [x, x] only involves x_1 .. x_(k-1)
             rhs = vec_scale(half, ctx.bracket_at(x, x)(k))
             sol = linear_solve(sys_matrix, rhs)
@@ -419,20 +409,20 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
 # quaternionic splits and evaluations
 
 
-def _total_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing):
+def _total_mc_split(q: QuaternionicComplex, element: Series):
     """The context of the total complex, whether `element` is Maurer-Cartan
     there, and the element's Dolbeault split (xi1, xi2) = (pi_x, pi_y)(element);
     the extended complex has no evaluations and is refused."""
     pi_x, pi_y = q.evaluations
-    full_ctx = DeformationContext(q.dgla, "total", ring)
+    full_ctx = DeformationContext(q.dgla, "total")
     passed = full_ctx.mc_check(element).passed
     return full_ctx, passed, element.apply(pi_x), element.apply(pi_y)
 
 
-def _side_contexts(q: QuaternionicComplex, ring: TruncatedRing):
+def _side_contexts(q: QuaternionicComplex):
     """The contexts of the y-side (D, del_bar) and the x-side (D, del_bar_J)."""
     dolb = q.model.dolbeault_dgla
-    return DeformationContext(dolb, DEL_BAR, ring), DeformationContext(dolb, DEL_BAR_J, ring)
+    return DeformationContext(dolb, DEL_BAR), DeformationContext(dolb, DEL_BAR_J)
 
 
 @dataclass
@@ -449,7 +439,7 @@ class SplitReport:
                 "full_equals_conjunction": self.equivalent}
 
 
-def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) -> SplitReport:
+def qa_mc_split(q: QuaternionicComplex, element: Series) -> SplitReport:
     """The x^2 / y^2 / xy components of the Maurer-Cartan equation.
 
     full MC in the total complex must equal: xi2 MC for del_bar, xi1 MC for
@@ -457,8 +447,8 @@ def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) ->
     del_bar_J(xi2) + del_bar(xi1) + [xi1, xi2] = 0.  Each of the four is
     decided one power of t at a time and stops at its first non-zero order.
     """
-    _, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
-    ctx_y, ctx_x = _side_contexts(q, ring)
+    _, full_ok, xi1, xi2 = _total_mc_split(q, element)
+    ctx_y, ctx_x = _side_contexts(q)
     xi2_ok = ctx_y.mc_check(xi2).passed
     xi1_ok = ctx_x.mc_check(xi1).passed
 
@@ -467,7 +457,7 @@ def qa_mc_split(q: QuaternionicComplex, element: Series, ring: TruncatedRing) ->
     def mixed(p: int) -> Vector:
         dx = vec_add(ctx_x.d.apply(1, xi2.coeffs[p]), ctx_y.d.apply(1, xi1.coeffs[p]))
         return vec_add(dx, bracket(p))
-    mixed_ok = all(vec_is_zero(mixed(p)) for p in range(ring.order))
+    mixed_ok = all(vec_is_zero(mixed(p)) for p in range(len(element.coeffs)))
 
     equivalent = full_ok == (xi2_ok and xi1_ok and mixed_ok)
     if not equivalent:
@@ -495,7 +485,6 @@ class EvaluationReport:
 
 
 def evaluation_functors(q: QuaternionicComplex, element: Series,
-                        ring: TruncatedRing,
                         lifts: Sequence[Series] = (),
                         certified: bool = False) -> EvaluationReport:
     """Evaluation images of an MC element, y-lifts, and the tangent map.
@@ -505,10 +494,10 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
     The tangent map (pi_y, pi_x)* is checked to be a bijection
     H^1(total) -> H^1(del_bar) x H^1(del_bar_J) when `certified` is set.
     """
-    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
+    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element)
     if not full_ok:
         raise PreconditionError("element fails the Maurer-Cartan equation")
-    ctx_y, ctx_x = _side_contexts(q, ring)
+    ctx_y, ctx_x = _side_contexts(q)
     pi_x_ok = ctx_x.mc_check(xi1).passed
     pi_y_ok = ctx_y.mc_check(xi2).passed
 
@@ -557,11 +546,11 @@ def multiplication_series(algebra: StructuredAlgebra, s: Series) -> Series:
                              if not vec_is_zero(c) else zero for c in s.coeffs])
 
 
-def exp_series(s: Series, ring: TruncatedRing) -> Series:
+def exp_series(s: Series) -> Series:
     """exp of an operator series with vanishing order-0 part."""
     if not s.coeffs[0].is_zero():
         raise ModelError("exp_series needs a nilpotent (order >= 1) input")
-    ident = Series.constant(GradedMap.identity(s.coeffs[0].source), ring)
+    ident = Series.constant(GradedMap.identity(s.coeffs[0].source), len(s.coeffs))
     return exp_sum(ident, lambda term: _compose(term, s), 0)
 
 
@@ -595,7 +584,7 @@ def curvature_has_weight_zero(full: StructuredAlgebra, theta: Series) -> bool:
 
 
 def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
-                              element: Series, ring: TruncatedRing,
+                              element: Series,
                               gauge: Optional[Series] = None) -> CorrespondenceReport:
     """Rebuild the deformed operator pair from an MC element of the total
     complex and certify it behaves like a deformed autodual connection.
@@ -617,14 +606,15 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
     if m.full_model is None or "J" not in m.full_model.maps:
         raise ModelError("connection correspondence requires the J data "
                          "of a full model")
-    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element, ring)
+    full_ctx, full_ok, xi1, xi2 = _total_mc_split(q, element)
     if not full_ok:
         raise PreconditionError("element fails the Maurer-Cartan equation")
     dolb = m.dolbeault
+    order = len(element.coeffs)
 
     def deformed_pair(x1: Series, x2: Series) -> tuple[Series, Series]:
-        dbar = Series.constant(m.del_bar, ring).add(multiplication_series(dolb, x2))
-        dbar_j = Series.constant(m.del_bar_j, ring).add(multiplication_series(dolb, x1))
+        dbar = Series.constant(m.del_bar, order).add(multiplication_series(dolb, x2))
+        dbar_j = Series.constant(m.del_bar_j, order).add(multiplication_series(dolb, x1))
         return dbar_j, dbar
 
     def differ(a: Series, b: Series) -> bool:
@@ -646,9 +636,9 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
         if not full_ctx.mc_check(gauged).passed:
             raise InternalCheckError("gauge transform left the MC set")
         new_j, new_b = deformed_pair(*(gauged.apply(pi) for pi in q.evaluations))
-        g_op = exp_series(multiplication_series(dolb, gauge), ring)
-        g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1))), ring)
-        if differ(_compose(g_op, g_inv), Series.constant(GradedMap.identity(dolb.space), ring)):
+        g_op = exp_series(multiplication_series(dolb, gauge))
+        g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1))))
+        if differ(_compose(g_op, g_inv), Series.constant(GradedMap.identity(dolb.space), order)):
             raise InternalCheckError("exp series is not invertible")
         gauge_ok = not (differ(_compose(new_b, g_op), _compose(g_op, dbar_b))
                         or differ(_compose(new_j, g_op), _compose(g_op, dbar_j_b)))
@@ -740,19 +730,20 @@ def random_vector(space, degree: int, rnd: random.Random,
     return tuple(out)
 
 
-def random_series(space, degree: int, ring: TruncatedRing, rnd: random.Random,
+def random_series(space, degree: int, order: int, rnd: random.Random,
                   support: Optional[Sequence[str]] = None) -> Series:
-    """A seeded element of L^degree ⊗ m: random coefficients at t^1..t^(N-1)."""
-    return Series(degree, [zero_vector(space.dim(degree))]
-                  + [random_vector(space, degree, rnd, support) for _ in range(ring.top_power)])
+    """A seeded element of L^degree ⊗ m: random coefficients at t^1..t^(order-1)."""
+    x = Series.zero(degree, space.dim(degree), order)
+    x.coeffs[1:] = [random_vector(space, degree, rnd, support) for _ in range(1, order)]
+    return x
 
 
-def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing,
+def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, order: int,
                       count: int, seed: int,
                       support: Optional[Sequence[str]] = None) -> list[Series]:
     """Seeded strong solutions: random closed degree-1 series from a support
     whose pairwise brackets vanish; each sample is verified before returning."""
-    ctx = DeformationContext(dgla, d_name, ring)
+    ctx = DeformationContext(dgla, d_name)
     ker = ctx.d.kernel(1)
     space = dgla.space
     if support is not None:
@@ -766,8 +757,8 @@ def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, ring: TruncatedRing,
     attempts = 0
     while len(out) < count and attempts < 50 * count:
         attempts += 1
-        x = ctx.zero(1)
-        for p in range(1, ring.order):
+        x = Series.zero(1, space.dim(1), order)
+        for p in range(1, order):
             x.coeffs[p] = combine.apply(tuple(Scalar(rnd.randint(-2, 2)) for _ in basis))
         if ctx.mc_check(x, "strong").passed:
             out.append(x)

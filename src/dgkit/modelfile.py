@@ -43,9 +43,6 @@ from dgkit.qdolbeault import (
 )
 from dgkit.scalars import Scalar, ScalarParseError
 
-KEYWORDS = ("kind", "degrees", "map", "structure", "sl2", "J")
-RESERVED_SHIFT0 = ("e", "f", "h", "J")
-
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None,

@@ -230,23 +230,19 @@ def _cell_label(p: int, q: int, dlabel: str) -> str:
 class QuaternionicComplex:
     """Total complex of the bigraded components x^p y^q D^(p+q).
 
-    Standard variant: p, q >= 0.  Extended variant: p, q range over a
-    window of integers (negative powers of the central variables allowed);
-    the extended variant carries no product (assertions there are made on
-    the vector-space level and only at interior bidegrees).
+    Standard variant: p, q >= 0.  An int `window` w selects the extended
+    variant, where p and q range over -w..w and which carries no product:
+    its assertions are made on the vector-space level and only at interior
+    bidegrees, at distance >= 1 (the margin) from the window boundary.
     """
 
-    def __init__(self, model: ConnectionModel, extended: bool = False,
-                 window: Optional[tuple] = None, allow_non_autodual: bool = False):
+    def __init__(self, model: ConnectionModel, window: Optional[int] = None,
+                 allow_non_autodual: bool = False):
         self.model = model
-        self.extended = extended
+        self.extended = window is not None
         d_space = model.dolbeault.space
-        if extended:
-            if window is None:
-                raise ModelError("extended variant requires a window")
-            if isinstance(window, int):
-                window = (-window, window, -window, window)
-            self.window = window
+        if self.extended:
+            self.window = (-window, window, -window, window)
         else:
             top = max(d_space.degrees(), default=0)
             self.window = (0, top, 0, top)
@@ -294,7 +290,7 @@ class QuaternionicComplex:
         self.total = self.horizontal.add(self.vertical)
 
         structure = {}
-        if not extended and model.dolbeault.structure:
+        if not self.extended and model.dolbeault.structure:
             triples = []
             for (l1, l2), targets in model.dolbeault.structure.items():
                 k1 = d_space.degree_of(l1)
@@ -356,15 +352,14 @@ class QuaternionicComplex:
     def bicomplex(self) -> Bicomplex:
         return Bicomplex(self.algebra, "x_del_bar_J", "y_del_bar")
 
-    def interior_cell(self, p: int, q: int, margin: int = 1) -> bool:
+    def interior_cell(self, p: int, q: int) -> bool:
         pmin, pmax, qmin, qmax = self.window
-        return (pmin + margin <= p <= pmax - margin
-                and qmin + margin <= q <= qmax - margin)
+        return pmin < p < pmax and qmin < q < qmax
 
 
-def build_quaternionic_complex(m: ConnectionModel, extended: bool = False,
-                               window=None, allow_non_autodual: bool = False) -> QuaternionicComplex:
-    return QuaternionicComplex(m, extended, window, allow_non_autodual)
+def build_quaternionic_complex(m: ConnectionModel, window: Optional[int] = None,
+                               allow_non_autodual: bool = False) -> QuaternionicComplex:
+    return QuaternionicComplex(m, window, allow_non_autodual)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +641,11 @@ class ExtendedLemmaReport:
                 "passed": self.passed}
 
 
-def extended_strong_lemma_interior(q: QuaternionicComplex, margin: int = 1) -> ExtendedLemmaReport:
+def extended_strong_lemma_interior(q: QuaternionicComplex) -> ExtendedLemmaReport:
     """Strong-lemma identity on the windowed extended complex, asserted only
-    for vectors supported on interior cells (both indices at distance >=
-    margin from the window boundary); truncation artifacts live on the
-    boundary cells and are excluded."""
+    for vectors supported on interior cells (both indices at distance >= 1
+    from the window boundary); truncation artifacts live on the boundary
+    cells and are excluded."""
     if not q.extended:
         raise PreconditionError("interior check applies to the extended variant")
     b = q.bicomplex
@@ -663,7 +658,7 @@ def extended_strong_lemma_interior(q: QuaternionicComplex, margin: int = 1) -> E
             rhs_ok = False
         interior = Subspace.from_vectors(q.space.dim(k), [
             q.space.basis_vector(lab)[1] for lab in q.space.labels(k)
-            if q.interior_cell(*q.cell_of_label(lab)[:2], margin=margin)])
+            if q.interior_cell(*q.cell_of_label(lab)[:2])])
         per_degree[k] = rhs.contains_subspace(lhs.intersect(interior))
     return ExtendedLemmaReport(per_degree, rhs_ok,
                                rhs_ok and all(per_degree.values()))

@@ -17,7 +17,6 @@ from dgkit.ddbar import (
 from dgkit.deform import (
     DeformationContext,
     Series,
-    TruncatedRing,
     connection_correspondence,
     evaluation_functors,
     qa_mc_split,
@@ -206,7 +205,6 @@ def test_criterion_08_phi_certificates():
 
 
 def test_criterion_09_mc_split_equivalence():
-    ring = TruncatedRing(3)
     total = 0
     models = [
         build_quaternionic_complex(torus_model(2)),
@@ -216,8 +214,8 @@ def test_criterion_09_mc_split_equivalence():
     for qi, q in enumerate(models):
         rnd = random.Random(600 + qi)
         for _ in range(100):
-            elt = random_series(q.space, 1, ring, rnd)
-            rep = qa_mc_split(q, elt, ring)
+            elt = random_series(q.space, 1, 3, rnd)
+            rep = qa_mc_split(q, elt)
             assert rep.equivalent  # qa_mc_split raises on any discrepancy
             total += 1
     announce(9, total == 200,
@@ -226,13 +224,13 @@ def test_criterion_09_mc_split_equivalence():
 
 
 def test_criterion_10_evaluation_and_lift():
-    ring = TruncatedRing(3)
+    order = 3
     # 20 seeded kernel-MC elements across two models
     m_torus = torus_model(2)
     q_torus = build_quaternionic_complex(m_torus)
     lie = m_torus.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    torus_lifts = strong_mc_samples(lie, DEL_BAR, ring, 12, seed=71, support=corner)
+    torus_lifts = strong_mc_samples(lie, DEL_BAR, order, 12, seed=71, support=corner)
 
     b = end_tensor(dots_squares_model({0: 1, 1: 1, 2: 1}, [0], seed=72), 2)
     m_sq = connection_from_bicomplex(b)
@@ -248,7 +246,7 @@ def test_criterion_10_evaluation_and_lift():
     sq_lifts = []
     while len(sq_lifts) < 8:
         coeffs = []
-        for _ in range(ring.top_power):
+        for _ in range(order - 1):
             v = zero_vector(space.dim(1))
             for bv in corner_joint.vectors():
                 c = rnd.randint(-2, 2)
@@ -259,8 +257,8 @@ def test_criterion_10_evaluation_and_lift():
 
     lifted = 0
     for q, m, lifts in ((q_torus, m_torus, torus_lifts), (q_sq, m_sq, sq_lifts)):
-        zero_elt = Series.zero(1, q.space.dim(1), ring)
-        rep = evaluation_functors(q, zero_elt, ring, lifts=lifts, certified=True)
+        zero_elt = Series.zero(1, q.space.dim(1), order)
+        rep = evaluation_functors(q, zero_elt, lifts=lifts, certified=True)
         assert all(rep.lift_checks)
         assert rep.tangent_doubles and rep.tangent_bijection
         lifted += len(lifts)
@@ -274,28 +272,28 @@ def test_criterion_11_gauge_contract():
     # flat model: gauge must equal the exponential adjoint action entrywise
     m = torus_model(2)
     lie = m.dolbeault.commutator_dgla(validate=False)
-    ring = TruncatedRing(4)
-    ctx = DeformationContext(lie, DEL_BAR, ring)
+    order = 4
+    ctx = DeformationContext(lie, DEL_BAR)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    xs = strong_mc_samples(lie, DEL_BAR, ring, 10, seed=81, support=corner)
+    xs = strong_mc_samples(lie, DEL_BAR, order, 10, seed=81, support=corner)
     rnd = random.Random(82)
     for x in xs:
         for _ in range(5):
-            a = random_series(lie.space, 0, ring, rnd)
+            a = random_series(lie.space, 0, order, rnd)
             out = ctx.gauge_transform(a, x)
             assert ctx.mc_check(out).passed
             assert out == exp_adjoint(ctx, a, x)
             pairs += 1
     # nonzero differential: preservation on gauge orbits of strong solutions
     dgla = cone_plus_square()
-    ctx2 = DeformationContext(dgla, "d0", ring)
+    ctx2 = DeformationContext(dgla, "d0")
     _, u2 = dgla.space.basis_vector("u2")
     zero = zero_vector(dgla.space.dim(1))
-    base = Series(1, [zero, u2] + [zero] * (ring.top_power - 1))
+    base = Series(1, [zero, u2] + [zero] * (order - 2))
     x = base
     rnd2 = random.Random(83)
     for _ in range(50):
-        a = random_series(dgla.space, 0, ring, rnd2)
+        a = random_series(dgla.space, 0, order, rnd2)
         x = ctx2.gauge_transform(a, x)
         assert ctx2.mc_check(x).passed
         pairs += 1
@@ -305,15 +303,15 @@ def test_criterion_11_gauge_contract():
 
 
 def test_criterion_12_connection_correspondence():
-    ring = TruncatedRing(3)
+    order = 3
     m = torus_model(2)
     q = build_quaternionic_complex(m)
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    samples = strong_mc_samples(lie, DEL_BAR, ring, 40, seed=91, support=corner)
+    samples = strong_mc_samples(lie, DEL_BAR, order, 40, seed=91, support=corner)
     rnd = random.Random(92)
     qa_lie = q.algebra.commutator_dgla(validate=False)
-    qa_ctx = DeformationContext(qa_lie, "total", ring)
+    qa_ctx = DeformationContext(qa_lie, "total")
     x_section, y_section = q.sections
     done = 0
     for i in range(20):
@@ -322,9 +320,9 @@ def test_criterion_12_connection_correspondence():
         if i % 2 == 1:
             # also exercise non-corner inputs via a seeded gauge twist
             elt = qa_ctx.gauge_transform(
-                random_series(q.space, 0, ring, rnd), elt)
-        gauge = random_series(m.dolbeault.space, 0, ring, rnd)
-        rep = connection_correspondence(m, q, elt, ring, gauge=gauge)
+                random_series(q.space, 0, order, rnd), elt)
+        gauge = random_series(m.dolbeault.space, 0, order, rnd)
+        rep = connection_correspondence(m, q, elt, gauge=gauge)
         assert rep.relations_over_b.passed
         assert rep.reduces_to_base
         assert rep.gauge_conjugation is True

@@ -14,7 +14,6 @@ from dgkit.ddbar import Bicomplex, formality_zigzag
 from dgkit.deform import (
     DeformationContext,
     Series,
-    TruncatedRing,
     connection_correspondence,
     curvature_has_weight_zero,
     evaluation_functors,
@@ -72,11 +71,11 @@ def cone_plus_square():
                                  [("u1", "u1", "w", Scalar(2))]))
 
 
-def series_from(ctx, degree, *vectors):
+def series_from(ctx, order, degree, *vectors):
     """The element of L ⊗ m with the given coefficients at t^1, t^2, ..."""
     dim = ctx.dim(degree)
     coeffs = [zero_vector(dim)] + [v if v is not None else zero_vector(dim) for v in vectors]
-    while len(coeffs) < ctx.ring.order:
+    while len(coeffs) < order:
         coeffs.append(zero_vector(dim))
     return Series(degree, coeffs)
 
@@ -147,7 +146,7 @@ def ref_gauge_transform(ctx, a, x):
         result = ref_add(result, ref_scale(term, Fraction(1, factorial)))
         term = ref_bracket_series(ctx.dgla, a, term)
         n += 1
-        if n > ctx.ring.top_power:
+        if n > len(x.coeffs) - 1:
             break
     return result
 
@@ -163,21 +162,21 @@ def exp_adjoint(ctx, a, x):
         term = ref_bracket_series(ctx.dgla, a, term)
         n += 1
         factorial *= n
-        if all(vec_is_zero(c) for c in term.coeffs) or n > ctx.ring.top_power:
+        if all(vec_is_zero(c) for c in term.coeffs) or n > len(x.coeffs) - 1:
             break
         result = ref_add(result, ref_scale(term, Fraction(1, factorial)))
     return result
 
 
-def ref_exp_series(s, ring):
+def ref_exp_series(s):
     """The former exp_series loop: sum s^n / n! of a nilpotent operator series."""
     space = s.coeffs[0].source
     ident = Series(0, [GradedMap.identity(space)]
-                   + [GradedMap.zero(space, space, 0)] * ring.top_power)
+                   + [GradedMap.zero(space, space, 0)] * (len(s.coeffs) - 1))
     out = ident
     term = ident
     factorial = 1
-    for n in range(1, ring.order):
+    for n in range(1, len(s.coeffs)):
         term = ref_compose(term, s)
         factorial *= n
         if all(m.is_zero() for m in term.coeffs):
@@ -190,8 +189,8 @@ def ref_exp_series(s, ring):
 
 
 def test_zero_element_is_mc_both_modes():
-    ctx = DeformationContext(cone_dgla(), "d0", TruncatedRing(4))
-    x = ctx.zero(1)
+    ctx = DeformationContext(cone_dgla(), "d0")
+    x = Series.zero(1, ctx.dim(1), 4)
     assert ctx.mc_check(x, "classical").passed
     assert ctx.mc_check(x, "strong").passed
 
@@ -200,10 +199,10 @@ def test_abelian_everything_is_mc():
     space = GradedSpace({1: ["p", "q"], 2: ["r"]})
     zero = GradedMap.zero(space, space, 1)
     abelian = StructuredAlgebra(space, "lie", {"d": zero}, {})
-    ctx = DeformationContext(abelian, "d", TruncatedRing(4))
+    ctx = DeformationContext(abelian, "d")
     rnd = random.Random(0)
     for _ in range(10):
-        x = random_series(space, 1, ctx.ring, rnd)
+        x = random_series(space, 1, 4, rnd)
         assert ctx.mc_check(x, "classical").passed
         assert ctx.mc_check(x, "strong").passed
 
@@ -211,9 +210,9 @@ def test_abelian_everything_is_mc():
 def test_strong_failure_shows_quadratic_residual():
     # closed x1 with [x1, x1] != 0: residual is [x1,x1] t^2 / 2 classically
     dgla = cone_dgla()
-    ctx = DeformationContext(dgla, "d0", TruncatedRing(3))
+    ctx = DeformationContext(dgla, "d0")
     _, u1 = dgla.space.basis_vector("u1")
-    x = series_from(ctx, 1, u1)
+    x = series_from(ctx, 3, 1, u1)
     rep = ctx.mc_check(x, "strong")
     assert not rep.passed and rep.strong is False
     classical = ctx.mc_check(x, "classical")
@@ -223,9 +222,9 @@ def test_strong_failure_shows_quadratic_residual():
 
 
 def test_coefficient_degree_rejected():
-    ctx = DeformationContext(cone_dgla(), "d0", TruncatedRing(3))
+    ctx = DeformationContext(cone_dgla(), "d0")
     with pytest.raises(Exception):
-        ctx.mc_check(ctx.zero(0))
+        ctx.mc_check(Series.zero(0, ctx.dim(0), 3))
 
 
 # -- order-by-order verdicts against the all-orders formula ---------------------
@@ -251,7 +250,7 @@ def ref_mc_check(ctx, x, mode):
     return strong, classical, strong, residual, first_nonzero(dx, br)
 
 
-def mc_elements(ctx):
+def mc_elements(ctx, order):
     """Degree-1 elements of L ⊗ m: zero, seeded random ones, and ones built
     from basis vectors to pass, or to fail first at t^1 (d x_1 != 0), t^2 or
     t^3, where the DGLA has them.  The last one, where it exists, solves
@@ -266,15 +265,15 @@ def mc_elements(ctx):
         return dgla.mul(1, v, 1, v)
 
     rnd = random.Random(7)
-    out = [ctx.zero(1)]
-    out += [random_series(space, 1, ctx.ring, rnd, support) for support in (None, labels[:4])]
+    out = [Series.zero(1, ctx.dim(1), order)]
+    out += [random_series(space, 1, order, rnd, support) for support in (None, labels[:4])]
     candidates = [
-        [series_from(ctx, 1, v, v, v) for v in closed if vec_is_zero(sq(v))],
-        [series_from(ctx, 1, v) for v in basis if not vec_is_zero(d.apply(1, v))],
-        [series_from(ctx, 1, v) for v in sums if not vec_is_zero(sq(v))],
-        [series_from(ctx, 1, a, b) for a in closed for b in closed
+        [series_from(ctx, order, 1, v, v, v) for v in closed if vec_is_zero(sq(v))],
+        [series_from(ctx, order, 1, v) for v in basis if not vec_is_zero(d.apply(1, v))],
+        [series_from(ctx, order, 1, v) for v in sums if not vec_is_zero(sq(v))],
+        [series_from(ctx, order, 1, a, b) for a in closed for b in closed
          if vec_is_zero(sq(a)) and not vec_is_zero(dgla.mul(1, a, 1, b))],
-        [series_from(ctx, 1, v, sol[0]) for v in sums if not vec_is_zero(sq(v))
+        [series_from(ctx, order, 1, v, sol[0]) for v in sums if not vec_is_zero(sq(v))
          for sol in [linear_solve(d.block(1), vec_scale(Scalar(Fraction(-1, 2)), sq(v)))]
          if sol is not None],
     ]
@@ -301,10 +300,10 @@ MC_FIRST_FAILURES = {
 @pytest.mark.parametrize("name", sorted(MC_DGLAS))
 def test_mc_verdicts_match_the_all_orders_formula(name):
     build, d_name = MC_DGLAS[name]
-    ctx = DeformationContext(build(), d_name, TruncatedRing(5))
+    ctx = DeformationContext(build(), d_name)
     space = ctx.dgla.space
     reached = set()
-    for x in mc_elements(ctx):
+    for x in mc_elements(ctx, 5):
         for mode in ("classical", "strong"):
             passed, classical, strong, residual, fails_at = ref_mc_check(ctx, x, mode)
             rep = ctx.mc_check(x, mode)
@@ -321,13 +320,13 @@ def test_a_strong_failure_with_a_classical_solution_walks_on():
     """x_1 = a + b and d x_2 = -1/2 [x_1, x_1]: the strong verdict fails at
     t^2, where the classical residual still vanishes, so the walk goes on and
     finds the classical failure that d x_3 != 0 puts at t^3."""
-    ctx = DeformationContext(MC_DGLAS["nilpotent_torus_r2"][0](), "total", TruncatedRing(5))
-    x = mc_elements(ctx)[-1]
+    ctx = DeformationContext(MC_DGLAS["nilpotent_torus_r2"][0](), "total")
+    x = mc_elements(ctx, 5)[-1]
     assert not vec_is_zero(x.coeffs[2])
     rep = ctx.mc_check(x, "strong")
     assert (rep.passed, rep.classical, rep.strong) == (False, True, False)
     assert rep.residual_table() == {}
-    c = next(v for v in mc_elements(ctx) if not vec_is_zero(ctx.d.apply(1, v.coeffs[1])))
+    c = next(v for v in mc_elements(ctx, 5) if not vec_is_zero(ctx.d.apply(1, v.coeffs[1])))
     x.coeffs[3] = c.coeffs[1]
     rep = ctx.mc_check(x, "strong")
     assert (rep.passed, rep.classical, rep.strong) == (False, False, False)
@@ -338,9 +337,9 @@ def test_mc_check_stops_at_the_first_failing_order(monkeypatch):
     """The verdict reads [x, x] at t^2 only; the residual's later orders are
     built when the report's reader asks for them."""
     dgla = cone_dgla()
-    ctx = DeformationContext(dgla, "d0", TruncatedRing(5))
+    ctx = DeformationContext(dgla, "d0")
     _, u1 = dgla.space.basis_vector("u1")
-    x = series_from(ctx, 1, u1, u1, u1, u1)
+    x = series_from(ctx, 5, 1, u1, u1, u1, u1)
     calls = []
     mul = StructuredAlgebra.mul
     monkeypatch.setattr(StructuredAlgebra, "mul",
@@ -361,17 +360,16 @@ def test_probe_draws_fail_where_pinned_and_split_like_the_full_series():
     (full, xi2, xi1, mixed) over those 200 samples, and checks each sample's
     four verdicts against the all-orders formulas."""
     q = build_quaternionic_complex(torus_model(2))
-    ring = TruncatedRing(5)
-    full = DeformationContext(q.dgla, "total", ring)
+    full = DeformationContext(q.dgla, "total")
     dolb = q.model.dolbeault_dgla
-    ctx_y = DeformationContext(dolb, DEL_BAR, ring)
-    ctx_x = DeformationContext(dolb, DEL_BAR_J, ring)
+    ctx_y = DeformationContext(dolb, DEL_BAR)
+    ctx_x = DeformationContext(dolb, DEL_BAR_J)
     pi_x, pi_y = q.evaluations
     first = Counter()
     for seed in range(20):
         rnd = random.Random(seed)
         for _ in range(10):
-            x = random_series(q.space, 1, ring, rnd)
+            x = random_series(q.space, 1, 5, rnd)
             xi1, xi2 = x.apply(pi_x), x.apply(pi_y)
             mixed = ref_add(ref_add(xi2.apply(ctx_x.d), xi1.apply(ctx_y.d)),
                             ref_bracket_series(dolb, xi1, xi2))
@@ -379,7 +377,7 @@ def test_probe_draws_fail_where_pinned_and_split_like_the_full_series():
                       ref_mc_check(ctx_y, xi2, "classical")[4],
                       ref_mc_check(ctx_x, xi1, "classical")[4],
                       first_nonzero(mixed))
-            rep = qa_mc_split(q, x, ring)
+            rep = qa_mc_split(q, x)
             assert (rep.full, rep.xi2_mc, rep.xi1_mc, rep.mixed_zero) == \
                 tuple(p is None for p in orders)
             first[orders] += 1
@@ -391,31 +389,30 @@ def test_probe_draws_fail_where_pinned_and_split_like_the_full_series():
 
 def test_gauge_identity_element():
     dgla = cone_plus_square()
-    ctx = DeformationContext(dgla, "d0", TruncatedRing(4))
+    ctx = DeformationContext(dgla, "d0")
     rnd = random.Random(1)
-    x = random_series(dgla.space, 1, ctx.ring, rnd)
-    assert ctx.gauge_transform(ctx.zero(0), x) == x
+    x = random_series(dgla.space, 1, 4, rnd)
+    assert ctx.gauge_transform(Series.zero(0, ctx.dim(0), 4), x) == x
 
 
 def test_gauge_of_zero_with_zero_differential_is_zero():
     dgla = cone_dgla()
-    ctx = DeformationContext(dgla, "d0", TruncatedRing(4))
-    a = series_from(ctx, 0)
-    assert ctx.gauge_transform(a, ctx.zero(1)).is_zero()
+    ctx = DeformationContext(dgla, "d0")
+    a = series_from(ctx, 4, 0)
+    assert ctx.gauge_transform(a, Series.zero(1, ctx.dim(1), 4)).is_zero()
 
 
 def test_gauge_of_zero_series_expansion():
     # a * 0 = -(d a1) t - 1/2 [a1, d a1] t^2 + O(t^3)
     b = end_tensor(dots_squares_model({0: 1}, [0], seed=8), 2)
     lie = b.algebra.commutator_dgla(validate=False)
-    ring = TruncatedRing(3)
-    ctx = DeformationContext(lie, "d0", ring)
+    ctx = DeformationContext(lie, "d0")
     space = lie.space
     _, one12 = space.basis_vector("one|E1_2")
     _, a021 = space.basis_vector("s0a|E2_1")
     a1 = vec_add(one12, a021)
-    a = series_from(ctx, 0, a1)
-    got = ctx.gauge_transform(a, ctx.zero(1))
+    a = series_from(ctx, 3, 0, a1)
+    got = ctx.gauge_transform(a, Series.zero(1, ctx.dim(1), 3))
     da1 = ctx.d.apply(0, a1)
     expected1 = vec_scale(Scalar(-1), da1)
     expected2 = vec_scale(Scalar(Fraction(-1, 2)), lie.mul(0, a1, 1, da1))
@@ -428,25 +425,23 @@ def test_gauge_of_zero_series_expansion():
 def test_gauge_matches_exponential_adjoint_when_flat():
     m = torus_model(2)
     lie = m.dolbeault.commutator_dgla(validate=False)
-    ring = TruncatedRing(4)
-    ctx = DeformationContext(lie, DEL_BAR, ring)
+    ctx = DeformationContext(lie, DEL_BAR)
     rnd = random.Random(5)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    for x in strong_mc_samples(lie, DEL_BAR, ring, 3, seed=2, support=corner):
-        a = random_series(lie.space, 0, ring, rnd)
+    for x in strong_mc_samples(lie, DEL_BAR, 4, 3, seed=2, support=corner):
+        a = random_series(lie.space, 0, 4, rnd)
         assert ctx.gauge_transform(a, x) == exp_adjoint(ctx, a, x)
 
 
 def test_gauge_preserves_mc():
     dgla = cone_plus_square()
-    ring = TruncatedRing(4)
-    ctx = DeformationContext(dgla, "d0", ring)
+    ctx = DeformationContext(dgla, "d0")
     rnd = random.Random(3)
     _, u2 = dgla.space.basis_vector("u2")
-    x = series_from(ctx, 1, u2)  # [u2, u2] = 0, d0 u2 = 0: strong solution
+    x = series_from(ctx, 4, 1, u2)  # [u2, u2] = 0, d0 u2 = 0: strong solution
     assert ctx.mc_check(x).passed
     for _ in range(10):
-        a = random_series(dgla.space, 0, ring, rnd)
+        a = random_series(dgla.space, 0, 4, rnd)
         x2 = ctx.gauge_transform(a, x)
         assert ctx.mc_check(x2).passed
 
@@ -524,9 +519,8 @@ def test_quadraticity_requires_certificate():
 
 def test_split_zero_element():
     q = build_quaternionic_complex(torus_model(1))
-    ring = TruncatedRing(3)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    rep = qa_mc_split(q, elt, ring)
+    elt = Series.zero(1, q.space.dim(1), 3)
+    rep = qa_mc_split(q, elt)
     assert rep.full and rep.xi1_mc and rep.xi2_mc and rep.mixed_zero
 
 
@@ -534,32 +528,43 @@ def test_split_equivalence_random_draws():
     b = end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=3), 2)
     mq = connection_from_bicomplex(b)
     q = build_quaternionic_complex(mq)
-    ring = TruncatedRing(3)
     rnd = random.Random(7)
     for _ in range(20):
-        elt = random_series(q.space, 1, ring, rnd)
-        rep = qa_mc_split(q, elt, ring)
+        elt = random_series(q.space, 1, 3, rnd)
+        rep = qa_mc_split(q, elt)
         assert rep.equivalent
+
+
+def test_split_walks_every_order_of_the_series():
+    """x = t^2 (x xi1 + y xi2) with xi1 = dzb1|E1_2 and xi2 = dzb2|E2_1 over
+    F[t]/(t^5): each side is Maurer-Cartan, and the mixed bracket [xi1, xi2]
+    first appears at t^4, so every check must walk all five orders."""
+    q = build_quaternionic_complex(torus_model(2))
+    t2 = vec_add(q.space.basis_vector("x1y0:dzb1|E1_2")[1],
+                 q.space.basis_vector("x0y1:dzb2|E2_1")[1])
+    x = Series.zero(1, q.space.dim(1), 5)
+    x.coeffs[2] = t2
+    rep = qa_mc_split(q, x)
+    assert (rep.full, rep.xi1_mc, rep.xi2_mc, rep.mixed_zero, rep.equivalent) == \
+        (False, True, True, False, True)
 
 
 def test_split_rejects_wrong_support():
     q = build_quaternionic_complex(torus_model(1))
-    ring = TruncatedRing(3)
     coeff = [ZERO] * q.space.dim(2)
     coeff[0] = ONE
-    bad = Series(2, [zero_vector(q.space.dim(2))] + [tuple(coeff)] * ring.top_power)
+    bad = Series(2, [zero_vector(q.space.dim(2))] + [tuple(coeff)] * 2)
     with pytest.raises(Exception):
-        qa_mc_split(q, bad, ring)
+        qa_mc_split(q, bad)
 
 
 def test_split_and_evaluations_refuse_the_extended_complex():
     m = torus_model(1)
-    q = build_quaternionic_complex(m, extended=True, window=2)
-    ring = TruncatedRing(3)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    for probe in (lambda: qa_mc_split(q, elt, ring),
-                  lambda: evaluation_functors(q, elt, ring),
-                  lambda: connection_correspondence(m, q, elt, ring)):
+    q = build_quaternionic_complex(m, window=2)
+    elt = Series.zero(1, q.space.dim(1), 3)
+    for probe in (lambda: qa_mc_split(q, elt),
+                  lambda: evaluation_functors(q, elt),
+                  lambda: connection_correspondence(m, q, elt)):
         with pytest.raises(PreconditionError, match="standard complex"):
             probe()
 
@@ -637,16 +642,15 @@ SPLIT_JOIN_MODELS = [
 def test_split_and_join_match_the_label_walks(index):
     m = SPLIT_JOIN_MODELS[index]()
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(4)
     rnd = random.Random(40 + index)
     d_space = m.dolbeault.space
     for _ in range(6):
-        elt = random_series(q.space, 1, ring, rnd)
+        elt = random_series(q.space, 1, 4, rnd)
         xi1, xi2 = split(q, elt)
         assert (xi1, xi2) == ref_split(q, elt)
         assert join(q, xi1, xi2) == ref_join(q, xi1, xi2) == elt
-        b1 = random_series(d_space, 1, ring, rnd)
-        b2 = random_series(d_space, 1, ring, rnd)
+        b1 = random_series(d_space, 1, 4, rnd)
+        b2 = random_series(d_space, 1, 4, rnd)
         assert join(q, b1, b2) == ref_join(q, b1, b2)
         assert split(q, join(q, b1, b2)) == (b1, b2)
 
@@ -674,7 +678,7 @@ def test_evaluations_and_sections_match_the_cell_labels(index):
 def test_cell_table_matches_the_written_labels():
     m = torus_model(1)
     for q in (build_quaternionic_complex(m),
-              build_quaternionic_complex(m, extended=True, window=2)):
+              build_quaternionic_complex(m, window=2)):
         assert all(q.cell_of_label(lab) == ref_cell(lab) for lab in q.space.all_labels())
     # the window (-2, 2) reaches negative powers
     assert q.cell_of_label(q.space.labels(0)[0])[:2] == (-2, 2)
@@ -696,14 +700,13 @@ SPLIT_AND_LIFT_SHA256 = {
 def test_splits_and_y_lifts_are_pinned(name, build, seeds):
     m = build(2)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(4)
     rnd = random.Random(seeds[0])
     splits = []
     for _ in range(4):
-        splits += split(q, random_series(q.space, 1, ring, rnd))
+        splits += split(q, random_series(q.space, 1, 4, rnd))
     lie = m.dolbeault_dgla
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    lifts = strong_mc_samples(lie, DEL_BAR, ring, 3, seed=seeds[1], support=corner)
+    lifts = strong_mc_samples(lie, DEL_BAR, 4, 3, seed=seeds[1], support=corner)
     ys = [b.apply(q.sections[1]) for b in lifts]
 
     def digest(series):
@@ -719,9 +722,8 @@ def test_splits_and_y_lifts_are_pinned(name, build, seeds):
 def test_evaluation_zero_element_and_tangent_dims():
     m = torus_model(1)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    rep = evaluation_functors(q, elt, ring, certified=True)
+    elt = Series.zero(1, q.space.dim(1), 3)
+    rep = evaluation_functors(q, elt, certified=True)
     assert rep.pi_x_mc and rep.pi_y_mc
     assert rep.tangent_dim_q == 4 and rep.tangent_dim_base == 2
     assert rep.tangent_doubles and rep.tangent_bijection
@@ -730,12 +732,11 @@ def test_evaluation_zero_element_and_tangent_dims():
 def test_y_lift_of_kernel_mc_elements():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    lifts = strong_mc_samples(lie, DEL_BAR, ring, 4, seed=9, support=corner)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    rep = evaluation_functors(q, elt, ring, lifts=lifts, certified=True)
+    lifts = strong_mc_samples(lie, DEL_BAR, 3, 4, seed=9, support=corner)
+    elt = Series.zero(1, q.space.dim(1), 3)
+    rep = evaluation_functors(q, elt, lifts=lifts, certified=True)
     assert all(rep.lift_checks)
     # pi_y returns b, pi_x returns 0 on a pure y-lift
     y_elt = lifts[0].apply(q.sections[1])
@@ -750,7 +751,6 @@ def test_y_lift_of_a_non_strong_kernel_element():
     m = nilpotent_torus_model(2)
     q = build_quaternionic_complex(m)
     lie = m.dolbeault_dgla
-    ring = TruncatedRing(3)
     kernel_j = m.del_bar_j.kernel(1).vectors()
     system = Matrix.from_columns(lie.space.dim(2), [m.del_bar.apply(1, v) for v in kernel_j])
     joint = m.del_bar.kernel(1).intersect(m.del_bar_j.kernel(1)).vectors()
@@ -762,9 +762,9 @@ def test_y_lift_of_a_non_strong_kernel_element():
             break
     b2 = Matrix.from_columns(lie.space.dim(1), kernel_j).apply(sol[0])
     b = Series(1, [zero_vector(lie.space.dim(1)), b1, b2])
-    zero = Series.zero(1, q.space.dim(1), ring)
-    assert evaluation_functors(q, zero, ring, lifts=[b]).lift_checks == [True]
-    full = DeformationContext(q.dgla, "total", ring)
+    zero = Series.zero(1, q.space.dim(1), 3)
+    assert evaluation_functors(q, zero, lifts=[b]).lift_checks == [True]
+    full = DeformationContext(q.dgla, "total")
     x_section, y_section = q.sections
     assert full.mc_check(b.apply(y_section)).passed
     assert not full.mc_check(b.apply(x_section)).passed
@@ -774,15 +774,13 @@ def test_evaluation_rejects_non_mc():
     b = end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=3), 2)
     mq = connection_from_bicomplex(b)
     q = build_quaternionic_complex(mq)
-    ring = TruncatedRing(3)
     rnd = random.Random(13)
     for _ in range(20):
-        elt = random_series(q.space, 1, ring, rnd)
-        full = DeformationContext(q.algebra.commutator_dgla(validate=False),
-                                  "total", ring)
+        elt = random_series(q.space, 1, 3, rnd)
+        full = DeformationContext(q.algebra.commutator_dgla(validate=False), "total")
         if not full.mc_check(elt).passed:
             with pytest.raises(PreconditionError):
-                evaluation_functors(q, elt, ring)
+                evaluation_functors(q, elt)
             break
     else:
         pytest.skip("all random draws were MC (unexpected)")
@@ -792,9 +790,8 @@ def test_tangent_bijection_on_certified_end_model():
     b = end_tensor(dots_squares_model({0: 1, 1: 1, 2: 1}, [0], seed=5), 2)
     mq = connection_from_bicomplex(b)
     q = build_quaternionic_complex(mq)
-    ring = TruncatedRing(2)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    rep = evaluation_functors(q, elt, ring, certified=True)
+    elt = Series.zero(1, q.space.dim(1), 2)
+    rep = evaluation_functors(q, elt, certified=True)
     assert rep.tangent_doubles and rep.tangent_bijection
 
 
@@ -804,9 +801,8 @@ def test_tangent_bijection_on_certified_end_model():
 def test_correspondence_zero_element():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
-    elt = Series.zero(1, q.space.dim(1), ring)
-    rep = connection_correspondence(m, q, elt, ring)
+    elt = Series.zero(1, q.space.dim(1), 3)
+    rep = connection_correspondence(m, q, elt)
     assert rep.relations_over_b.passed and rep.reduces_to_base
     assert rep.curvature_oracle is True and rep.oracle_agrees
 
@@ -814,45 +810,42 @@ def test_correspondence_zero_element():
 def test_correspondence_y_lift_is_autodual_over_b():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    b_elt = strong_mc_samples(lie, DEL_BAR, ring, 1, seed=21, support=corner)[0]
+    b_elt = strong_mc_samples(lie, DEL_BAR, 3, 1, seed=21, support=corner)[0]
     y_elt = b_elt.apply(q.sections[1])
-    rep = connection_correspondence(m, q, y_elt, ring)
+    rep = connection_correspondence(m, q, y_elt)
     assert rep.relations_over_b.passed
 
 
 def test_correspondence_gauge_conjugation():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    xi1, xi2 = strong_mc_samples(lie, DEL_BAR, ring, 2, seed=22, support=corner)
+    xi1, xi2 = strong_mc_samples(lie, DEL_BAR, 3, 2, seed=22, support=corner)
     elt = join(q, xi1, xi2)
     rnd = random.Random(23)
-    gauge = random_series(m.dolbeault.space, 0, ring, rnd)
-    rep = connection_correspondence(m, q, elt, ring, gauge=gauge)
+    gauge = random_series(m.dolbeault.space, 0, 3, rnd)
+    rep = connection_correspondence(m, q, elt, gauge=gauge)
     assert rep.gauge_conjugation is True
     assert rep.oracle_agrees
 
 
-def full_model_theta(full, ring, *labels):
+def full_model_theta(full, order, *labels):
     """The degree-1 series whose t^1 coefficient is the sum of the labels."""
     space = full.space
     t1 = zero_vector(space.dim(1))
     for lab in labels:
         t1 = vec_add(t1, space.basis_vector(lab)[1])
     return Series(1, [zero_vector(space.dim(1)), t1] + [zero_vector(space.dim(1))]
-                  * (ring.order - 2))
+                  * (order - 2))
 
 
 def test_curvature_oracle_reads_false_off_weight_zero():
     # theta ^ theta = dz1 dz2 (E1_1 - E2_2) at t^2, of h-weight -2
     full = torus_model(2).full_model
-    ring = TruncatedRing(3)
-    theta = full_model_theta(full, ring, "dz1|E1_2", "dz2|E2_1")
+    theta = full_model_theta(full, 3, "dz1|E1_2", "dz2|E2_1")
     square = full.mul(1, theta.coeffs[1], 1, theta.coeffs[1])
     assert not vec_is_zero(square)
     assert not vec_is_zero(full.maps["h"].apply(2, square))
@@ -862,7 +855,7 @@ def test_curvature_oracle_reads_false_off_weight_zero():
 
 def test_curvature_oracle_reads_true_on_a_square_zero_theta():
     full = torus_model(2).full_model
-    theta = full_model_theta(full, TruncatedRing(3), "dz1|E1_1")
+    theta = full_model_theta(full, 3, "dz1|E1_1")
     assert curvature_has_weight_zero(full, theta) is True
 
 
@@ -876,22 +869,44 @@ def test_correspondence_requires_j_data():
     b = end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=3), 2)
     m = connection_from_bicomplex(b)
     q = build_quaternionic_complex(m)
-    ring = TruncatedRing(3)
-    elt = Series.zero(1, q.space.dim(1), ring)
+    elt = Series.zero(1, q.space.dim(1), 3)
     with pytest.raises(ModelError):
-        connection_correspondence(m, q, elt, ring)
+        connection_correspondence(m, q, elt)
 
 
 def test_constant_terms_are_refused():
     # MC and gauge elements live in L ⊗ m; a gauge element with a t^0 term
     # would make the gauge series infinite
-    ctx = DeformationContext(cone_plus_square(), "d0", TruncatedRing(3))
+    ctx = DeformationContext(cone_plus_square(), "d0")
     _, u2 = ctx.dgla.space.basis_vector("u2")
     _, a0 = ctx.dgla.space.basis_vector("a0")
+    x0, a = Series.zero(1, ctx.dim(1), 3), Series.zero(0, ctx.dim(0), 3)
     with pytest.raises(ModelError):
-        ctx.mc_check(Series(1, [u2] + ctx.zero(1).coeffs[1:]))
+        ctx.mc_check(Series(1, [u2] + x0.coeffs[1:]))
     with pytest.raises(ModelError):
-        ctx.gauge_transform(Series(0, [a0] + ctx.zero(0).coeffs[1:]), ctx.zero(1))
+        ctx.gauge_transform(Series(0, [a0] + a.coeffs[1:]), x0)
+
+
+def test_series_of_different_orders_are_refused():
+    """The series fixes its ring: a sum, product or gauge action of series of
+    orders 5 and 3 is refused, not truncated to order 3."""
+    dgla = cone_plus_square()
+    ctx = DeformationContext(dgla, "d0")
+    rnd = random.Random(11)
+    x5, x3 = (random_series(dgla.space, 1, order, rnd) for order in (5, 3))
+    a3 = random_series(dgla.space, 0, 3, rnd)
+    for refused in (lambda: x5.add(x3), lambda: x3.add(x5),
+                    lambda: x5.times(x3, lambda u, v: dgla.mul(1, u, 1, v),
+                                     zero_vector(dgla.space.dim(2))),
+                    lambda: ctx.bracket_series(a3, x5),
+                    lambda: ctx.gauge_transform(a3, x5)):
+        with pytest.raises(ModelError, match="series orders differ"):
+            refused()
+
+
+def test_zero_series_needs_order_two():
+    with pytest.raises(ModelError, match="order >= 2"):
+        Series.zero(1, 4, 1)
 
 
 # -- one series type: Series.times and exp_sum against the former loops -----------
@@ -912,7 +927,7 @@ def m_series(draw, space, degree, order):
 @series_oracle
 @given(dg_algebras("lie"), st.integers(2, 5), st.data())
 def test_bracket_series_matches_the_former_loop(lie, order, data):
-    ctx = DeformationContext(lie, "d", TruncatedRing(order))
+    ctx = DeformationContext(lie, "d")
     k1, k2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     u = m_series(data.draw, lie.space, k1, order)
     v = m_series(data.draw, lie.space, k2, order)
@@ -933,8 +948,7 @@ def test_composition_matches_the_former_loop(alg, order, data):
 @series_oracle
 @given(dg_algebras("lie"), st.integers(2, 5), st.data())
 def test_exponentials_match_the_former_loops(lie, order, data):
-    ring = TruncatedRing(order)
-    ctx = DeformationContext(lie, "d", ring)
+    ctx = DeformationContext(lie, "d")
     a = m_series(data.draw, lie.space, 0, order)
     x = m_series(data.draw, lie.space, 1, order)
     assert ctx.gauge_transform(a, x) == ref_gauge_transform(ctx, a, x)
@@ -942,7 +956,7 @@ def test_exponentials_match_the_former_loops(lie, order, data):
     space = lie.space
     s = Series(0, [GradedMap.zero(space, space, 0)]
                + [data.draw(graded_maps(space, space)) for _ in range(order - 1)])
-    assert exp_series(s, ring) == ref_exp_series(s, ring)
+    assert exp_series(s) == ref_exp_series(s)
 
 
 # -- pinned deform reports ----------------------------------------------------------
@@ -1025,14 +1039,13 @@ SEEDED_SAMPLES_SHA256 = "f0546c9ca236ca95bd23422716ac4a8127f95e2d4f8d17b63153817
 def test_seeded_samples_are_pinned():
     m = torus_model(2)
     lie = m.dolbeault.commutator_dgla(validate=False)
-    ring = TruncatedRing(4)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    xs = strong_mc_samples(lie, DEL_BAR, ring, 5, seed=3, support=corner)
-    xs += strong_mc_samples(cone_plus_square(), "d0", ring, 4, seed=4)
+    xs = strong_mc_samples(lie, DEL_BAR, 4, 5, seed=3, support=corner)
+    xs += strong_mc_samples(cone_plus_square(), "d0", 4, 4, seed=4)
     rnd = random.Random(7)
     q = build_quaternionic_complex(m)
-    xs += [random_series(q.space, 1, ring, rnd) for _ in range(3)]
-    xs += [random_series(m.dolbeault.space, 0, ring, rnd)]
+    xs += [random_series(q.space, 1, 4, rnd) for _ in range(3)]
+    xs += [random_series(m.dolbeault.space, 0, 4, rnd)]
     assert all(vec_is_zero(x.coeffs[0]) for x in xs)
     text = repr([[tuple(str(c) for c in v) for v in x.coeffs[1:]] for x in xs])
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_SAMPLES_SHA256

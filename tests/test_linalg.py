@@ -848,6 +848,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert offenders == []
 
 
+def test_every_module_constant_is_read_somewhere():
+    """Every module-level UPPER_CASE name a dgkit module assigns is read,
+    as a name or an attribute, somewhere in src/, tests/ or perfbench/."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in (p for top in ("src", "tests", "perfbench") for p in (root / top).rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    offenders = []
+    for path in sorted((root / "src" / "dgkit").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            offenders.extend(f"{path.name}:{node.lineno}: {t.id}" for t in targets
+                             if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+                             and t.id not in read)
+    assert offenders == []
+
+
 # -- the one sparse accumulator --------------------------------------------------
 
 

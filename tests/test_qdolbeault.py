@@ -93,11 +93,6 @@ def test_d_squared_iff_autodual_over_seeds():
         assert q.total_squares_to_zero() == expected == autoduality_check(m).autodual
 
 
-def test_extended_variant_requires_window():
-    with pytest.raises(ModelError):
-        build_quaternionic_complex(torus_model(1), extended=True)
-
-
 def test_product_inherited_with_central_tags():
     q = build_quaternionic_complex(torus_model(1))
     alg = q.algebra
@@ -183,11 +178,13 @@ def test_phi_requires_full_model():
 
 def test_extended_interior_strong_lemma_on_squares():
     m = connection_from_bicomplex(dots_squares_model({0: 1}, [0], seed=2, unit=False))
-    q = build_quaternionic_complex(m, extended=True, window=4)
+    q = build_quaternionic_complex(m, window=4)
     rep = extended_strong_lemma_interior(q)
     assert rep.passed
-    # with no margin the truncation artifacts are visible
-    assert not extended_strong_lemma_interior(q, margin=0).passed
+    # uncut to the interior, the truncation artifacts are visible
+    b = q.bicomplex
+    assert not all(b.d0d1.image(k).contains_subspace(b.strong_lhs(k))
+                   for k in q.space.degrees())
 
 
 def test_interior_check_rejects_standard_build():
@@ -220,7 +217,7 @@ def test_evaluation_maps_are_dgla_morphisms():
 def test_extended_interior_on_tensored_model():
     b = end_tensor(dots_squares_model({0: 1}, [0], seed=7, unit=False), 2)
     m = connection_from_bicomplex(b)
-    q = build_quaternionic_complex(m, extended=True, window=3)
+    q = build_quaternionic_complex(m, window=3)
     assert extended_strong_lemma_interior(q).passed
 
 
