@@ -25,7 +25,7 @@ The gauge action is
 
 which preserves classical Maurer-Cartan solutions and reduces to the
 exponential adjoint action exp(ad_a) when the differential vanishes.  It
-and the operator exponential are both sums of `exp_sum`.
+and the e^s - 1 of exp(L_s) = id + L_(e^s - 1) are both sums of `exp_sum`.
 """
 
 from __future__ import annotations
@@ -175,7 +175,6 @@ class DeformationContext:
         if dgla.kind != "lie":
             raise PreconditionError("deformation theory runs over a DGLA")
         self.dgla = dgla
-        self.d_name = d_name
         self.d = dgla.differential(d_name)
 
     def dim(self, degree: int) -> int:
@@ -546,12 +545,15 @@ def multiplication_series(algebra: StructuredAlgebra, s: Series) -> Series:
                              if not vec_is_zero(c) else zero for c in s.coeffs])
 
 
-def exp_series(s: Series) -> Series:
-    """exp of an operator series with vanishing order-0 part."""
-    if not s.coeffs[0].is_zero():
-        raise ModelError("exp_series needs a nilpotent (order >= 1) input")
-    ident = Series.constant(GradedMap.identity(s.coeffs[0].source), len(s.coeffs))
-    return exp_sum(ident, lambda term: _compose(term, s), 0)
+def exp_multiplication(algebra: StructuredAlgebra, s: Series) -> Series:
+    """exp(L_s) = id + L_(e^s - 1) for s in algebra^0 ⊗ m, with e^s - 1 summed
+    in the algebra; this needs it associative (L_s o L_u = L_(su))."""
+    if s.degree != 0 or not vec_is_zero(s.coeffs[0]):
+        raise ModelError("exp_multiplication needs a degree-0 series with zero t^0 coefficient")
+    ident = Series.constant(GradedMap.identity(algebra.space), len(s.coeffs))
+    zero = zero_vector(algebra.space.dim(0))
+    e = exp_sum(s, lambda term: s.times(term, lambda a, b: algebra.mul(0, a, 0, b), zero), 1)
+    return ident.add(multiplication_series(algebra, e))
 
 
 @dataclass
@@ -591,8 +593,9 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
 
     (i) the three relations hold over B for the deformed pair,
     (ii) reduction mod the maximal ideal returns the base pair,
-    (iii) gauge-transforming the element conjugates the pair by exp of the
-          multiplication operator of the gauge series,
+    (iii) gauge-transforming the element conjugates the pair by exp(L_s) =
+          id + L_(e^s - 1) for the gauge series s, which needs D associative;
+          on a D that is not, a failed g o g^-1 = id is reported as bad input,
     and, when the base operators vanish, an independent curvature oracle:
     theta ^ theta has weight zero under the ambient sl(2)-action.  Where D
     is closed under the product, as on the generated models, the oracle's
@@ -617,9 +620,6 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
         dbar_j = Series.constant(m.del_bar_j, order).add(multiplication_series(dolb, x1))
         return dbar_j, dbar
 
-    def differ(a: Series, b: Series) -> bool:
-        return not a.add(b.scale(Fraction(-1))).is_zero()
-
     dbar_j_b, dbar_b = deformed_pair(xi1, xi2)
 
     relations = ValidationReport()
@@ -636,19 +636,19 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
         if not full_ctx.mc_check(gauged).passed:
             raise InternalCheckError("gauge transform left the MC set")
         new_j, new_b = deformed_pair(*(gauged.apply(pi) for pi in q.evaluations))
-        g_op = exp_series(multiplication_series(dolb, gauge))
-        g_inv = exp_series(multiplication_series(dolb, gauge.scale(Fraction(-1))))
-        if differ(_compose(g_op, g_inv), Series.constant(GradedMap.identity(dolb.space), order)):
+        g_op = exp_multiplication(dolb, gauge)
+        g_inv = exp_multiplication(dolb, gauge.scale(Fraction(-1)))
+        if _compose(g_op, g_inv) != Series.constant(GradedMap.identity(dolb.space), order):
+            if dolb._associativity_failure:
+                raise ModelError(f"D is not associative at {dolb._associativity_failure}")
             raise InternalCheckError("exp series is not invertible")
-        gauge_ok = not (differ(_compose(new_b, g_op), _compose(g_op, dbar_b))
-                        or differ(_compose(new_j, g_op), _compose(g_op, dbar_j_b)))
+        gauge_ok = (_compose(new_b, g_op) == _compose(g_op, dbar_b)
+                    and _compose(new_j, g_op) == _compose(g_op, dbar_j_b))
 
     oracle = None
     agrees = None
     full = m.full_model
-    if (full is not None
-            and full.differential(DEL_BAR).is_zero()
-            and full.differential("del").is_zero()):
+    if full.differential(DEL_BAR).is_zero() and full.differential("del").is_zero():
         # D sits in F under its own labels
         embed = GradedMap.from_entries(dolb.space, full.space, 0,
                                        [(lab, lab, ONE) for lab in dolb.space.all_labels()])

@@ -17,9 +17,10 @@ from dgkit.deform import (
     connection_correspondence,
     curvature_has_weight_zero,
     evaluation_functors,
-    exp_series,
+    exp_multiplication,
     exp_sum,
     first_order_dictionary,
+    multiplication_series,
     qa_mc_split,
     quadraticity_probe,
     random_series,
@@ -42,6 +43,7 @@ from dgkit.models import (
     dots_squares_model,
     end_tensor,
     nilpotent_torus_model,
+    random_connection_model,
     torus_model,
 )
 from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, build_quaternionic_complex
@@ -953,36 +955,93 @@ def test_exponentials_match_the_former_loops(lie, order, data):
     x = m_series(data.draw, lie.space, 1, order)
     assert ctx.gauge_transform(a, x) == ref_gauge_transform(ctx, a, x)
     assert exp_sum(x, lambda term: ctx.bracket_series(a, term), 0) == exp_adjoint(ctx, a, x)
-    space = lie.space
-    s = Series(0, [GradedMap.zero(space, space, 0)]
-               + [data.draw(graded_maps(space, space)) for _ in range(order - 1)])
-    assert exp_series(s) == ref_exp_series(s)
+
+
+# L_s o L_u = L_(su) needs an associative algebra, so the exponential of a
+# multiplication operator is checked on the Dolbeault algebras of the
+# generated models, not on the strategies' random_algebras, which are not
+# associative
+DOLBEAULT_MODELS = {
+    "torus_r1": lambda: torus_model(1),
+    "torus_r2": lambda: torus_model(2),
+    "nilpotent_torus_r2": lambda: nilpotent_torus_model(2),
+    **{f"random_connection_seed{seed}": (lambda seed=seed: random_connection_model(seed)[0])
+       for seed in (0, 4, 9)},
+}
+
+
+@pytest.mark.parametrize("name", list(DOLBEAULT_MODELS))
+def test_exp_multiplication_matches_the_operator_series_loop(name):
+    """id + L_(e^s - 1), summed in D, is the sum of the composed powers of
+    the operator series L_s."""
+    dolb = DOLBEAULT_MODELS[name]().dolbeault
+    assert dolb._associativity_failure is None
+    rnd = random.Random(61)
+    for order in range(2, 6):
+        for _ in range(3):
+            s = random_series(dolb.space, 0, order, rnd)
+            assert exp_multiplication(dolb, s) == ref_exp_series(multiplication_series(dolb, s))
+
+
+def test_exp_multiplication_refuses_a_t0_term_and_a_nonzero_degree():
+    """A t^0 term would make e^s - 1 an infinite sum: with the unit of D as
+    s, every power s^n is the unit."""
+    dolb = torus_model(1).dolbeault
+    _, unit = dolb.space.basis_vector(dolb.space.labels(0)[0])
+    assert dolb.mul(0, unit, 0, unit) == unit
+    s = random_series(dolb.space, 0, 3, random.Random(62))
+    for refused in (Series(0, [unit] + s.coeffs[1:]),
+                    random_series(dolb.space, 1, 3, random.Random(63))):
+        with pytest.raises(ModelError, match="degree-0 series with zero t\\^0 coefficient"):
+            exp_multiplication(dolb, refused)
+
+
+@pytest.mark.parametrize("name", list(DOLBEAULT_MODELS))
+def test_total_degree_zero_is_dolbeault_degree_zero(name):
+    """connection_correspondence gauges the total complex by a series of D^0:
+    degree 0 of the total complex is x^0 y^0 ⊗ D^0, label for label in D's
+    order, so a D^0 vector is a total degree-0 vector as it stands."""
+    m = DOLBEAULT_MODELS[name]()
+    q = build_quaternionic_complex(m)
+    assert q.space.labels(0) == ["x0y0:" + lab for lab in m.dolbeault.space.labels(0)]
 
 
 # -- pinned deform reports ----------------------------------------------------------
 
 # sha256 of the `--format json` reports, run in the directory of the model files;
-# recorded before the vector and operator series types were merged
+# recorded before the vector and operator series types were merged, and the
+# twisted torus ones (where d != 0, so the gauge element is non-trivial)
+# before the gauge exponential was summed in the algebra
 DEFORM_REPORT_SHA256 = {
     ("torus_r2.model", "--order", "5", "--samples", "10", "--seed", "0"):
         "c8637ea211195614626c3a2935059c34c54ac1b3b8517128c25f6243311344c7",
     ("torus_r2.model", "--order", "5", "--samples", "10", "--seed", "1"):
         "1b36ff38d9cc93ce9501a3803646c831db8cc622648f47a8064e14fa6ec6fe16",
     ("ds.model",): "5d4f971564afff7b8fbe50b23d0f31b7516cf110ffb053637eb1755f127d8620",
+    ("twisted_r2.model", "--order", "4", "--samples", "4", "--seed", "0"):
+        "5f9864f1de37cee0015e93a07e1065e537756cd12d5498754d22d3f553338260",
+    ("twisted_r2.model", "--order", "4", "--samples", "4", "--seed", "1"):
+        "d2e8f49111f4de2b0cf0089f71ca877d30bced7365a114890cd2c906bb366511",
+    ("twisted_r2.model", "--order", "4", "--samples", "4", "--seed", "2"):
+        "1ad10d637d59b9191e5d066ff420a2fce9503513f9b6713baeeec27f0efee4e4",
 }
 
 
 @pytest.fixture(scope="module")
 def deform_models(cli_run):
-    """cli_run in a directory holding the rank-2 torus and a dots-squares model."""
+    """cli_run in a directory holding the rank-2 torus, its nilpotent twist
+    and a dots-squares model."""
     assert cli_run("generate", "torus", "--rank", "2", "-o", "torus_r2.model")[0] == 0
+    assert cli_run("generate", "torus", "--rank", "2", "--nilpotent-twist",
+                   "-o", "twisted_r2.model")[0] == 0
     assert cli_run("generate", "dots-squares", "--dots", "0:1,1:2,2:1", "--squares", "0",
                    "--end-rank", "2", "--seed", "5", "-o", "ds.model")[0] == 0
     return cli_run
 
 
 @pytest.mark.parametrize("argv", list(DEFORM_REPORT_SHA256),
-                         ids=["torus_r2-seed0", "torus_r2-seed1", "dots_squares"])
+                         ids=["torus_r2-seed0", "torus_r2-seed1", "dots_squares",
+                              "twisted_r2-seed0", "twisted_r2-seed1", "twisted_r2-seed2"])
 def test_deform_reports_are_pinned(deform_models, argv):
     code, out = deform_models("--format", "json", "deform", *argv)
     assert code == 0
@@ -1004,6 +1063,22 @@ def test_first_order_dictionary_is_not_asserted_without_the_strong_lemma(deform_
         "quotient_dim": 6, "strong_first_order_dim": 6}
     code, out = deform_models("--format", "json", "spectral", "twisted_r2.model")
     assert json.loads(out)["report"]["strong_lemma_certified"] is False
+
+
+def test_a_non_associative_dolbeault_algebra_is_bad_input(deform_models):
+    """exp(L_s) = id + L_(e^s - 1) needs D associative: on the twisted torus
+    with one product constant of D^0 doubled, the failed g o g^-1 = id check
+    names a non-associative triple as a model error, not as a broken
+    certificate."""
+    workdir = deform_models.workdir
+    text = (workdir / "twisted_r2.model").read_text()
+    line = "1|E1_2 1|E2_1 -> 1|E1_1 : 1\n"
+    assert text.count(line) == 1
+    (workdir / "twisted_bad.model").write_text(text.replace(line, line.replace(": 1", ": 2")))
+    code, out = deform_models("--format", "json", "deform", "twisted_bad.model",
+                              "--order", "4", "--samples", "4", "--seed", "1")
+    assert code == 1
+    assert json.loads(out)["report"]["error"].startswith("D is not associative")
 
 
 def test_first_order_dictionary_failure_on_a_certified_pair_is_internal(
