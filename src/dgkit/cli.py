@@ -39,6 +39,7 @@ from dgkit.deform import (
     first_order_dictionary,
     qa_mc_split,
     random_series,
+    require_associative,
     tangent_and_obstruction,
 )
 from dgkit.errors import InternalCheckError, ModelError, PreconditionError
@@ -126,10 +127,17 @@ def _emit(report: Report, fmt: str) -> int:
 
 
 def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
+    """The bicomplex (d0, d1) of a model file.  A model that lacks one of them
+    falls back to its (del_bar_J, del_bar) pair only when the pair is the
+    default ("d0", "d1"), whether typed or not; for any other pair the
+    missing differential is bad input, named with its flag."""
     parsed = parse_model_file(path)
     diffs = parsed.algebra.differentials
     if d0 in diffs and d1 in diffs:
         return Bicomplex(parsed.algebra, d0, d1)
+    if (d0, d1) != ("d0", "d1"):
+        flag, name = ("--d0", d0) if d0 not in diffs else ("--d1", d1)
+        raise ModelError(f"model has no differential {name!r} ({flag})")
     if parsed.is_connection():
         return Bicomplex(parsed.algebra, DEL_BAR_J, DEL_BAR)
     if parsed.is_full():
@@ -256,6 +264,7 @@ def cmd_deform(args, report: Report):
     rnd = random.Random(args.seed)
     if parsed.is_connection() or parsed.is_full():
         model = parsed.to_connection_model()
+        require_associative(model.dolbeault)
         q = build_quaternionic_complex(model)
         splits = 0
         for _ in range(args.samples):
@@ -266,7 +275,7 @@ def cmd_deform(args, report: Report):
                    asserted=splits == args.samples)
 
         ctx = DeformationContext(q.dgla, "total")
-        x = Series.zero(1, q.space.dim(1), args.order)
+        x = Series.zero(1, args.order)
         preserved = 0
         element = None
         for _ in range(args.samples):

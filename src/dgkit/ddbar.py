@@ -44,7 +44,8 @@ from dgkit.graded import (
     format_vector,
     induced_map_on_cohomology,
 )
-from dgkit.linalg import Matrix, Subspace, vec_is_zero
+from dgkit.linalg import Matrix, Subspace
+from dgkit.scalars import ZERO
 
 
 class Bicomplex:
@@ -290,9 +291,10 @@ def induced_differential_triviality(b: Bicomplex) -> InducedDifferentialReport:
         for k, m in h.blocks(d).items():
             for i in range(m.cols):
                 cls = m.column(i)
-                if not vec_is_zero(cls):
+                if cls:
                     witnesses[key] = {"degree": k, "class_index": i,
-                                      "image_class": [str(c) for c in cls]}
+                                      "image_class": [str(cls.get(j, ZERO))
+                                                      for j in range(m.rows)]}
                     return False
         return True
 
@@ -419,7 +421,7 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     h_alg = h_d1.as_algebra(b.d0_name)
 
     projection = GradedMap(a1_space, h_d1.space, 0, {
-        k: Matrix.from_columns(h_d1.dim(k), h_d1.project_many(k, basis))
+        k: Matrix.from_columns(h_d1.dim(k), h_d1.project(k, basis))
         for k, basis in ker_d1.reps.items() if basis})
 
     checks = ValidationReport()

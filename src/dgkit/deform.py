@@ -49,32 +49,25 @@ from dgkit.graded import (
     induced_map_on_cohomology,
     left_multiplication,
 )
-from dgkit.linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    linear_solve,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
-)
+from dgkit.linalg import Matrix, Subspace, Vector, add_multiple, linear_solve
 from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, QuaternionicComplex
 from dgkit.scalars import ONE, ZERO, Scalar, gaussian
 
 
-# A coefficient is a vector (a tuple of Scalars) or a GradedMap.
+# A coefficient is a vector (a linalg.Vector dict, shared and never changed)
+# or a GradedMap.
 
 def _is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, GradedMap) else vec_is_zero(c)
+    return c.is_zero() if isinstance(c, GradedMap) else not c
 
 
 def _add(a, b):
-    return a.add(b) if isinstance(a, GradedMap) else vec_add(a, b)
+    return a.add(b) if isinstance(a, GradedMap) else add_multiple(dict(a), ONE, b)
 
 
 def _scale(c: Scalar, a):
-    return a.scale(c) if isinstance(a, GradedMap) else vec_scale(c, a)
+    """c * a for a non-zero c."""
+    return a.scale(c) if isinstance(a, GradedMap) else {i: c * x for i, x in a.items()}
 
 
 class Series:
@@ -87,10 +80,10 @@ class Series:
         self.coeffs = list(coeffs)
 
     @staticmethod
-    def zero(degree: int, dim: int, order: int) -> "Series":
+    def zero(degree: int, order: int) -> "Series":
         if order < 2:
             raise ModelError("truncated ring needs order >= 2")
-        return Series(degree, [zero_vector(dim)] * order)
+        return Series(degree, [{}] * order)
 
     @staticmethod
     def constant(g: GradedMap, order: int) -> "Series":
@@ -177,14 +170,10 @@ class DeformationContext:
         self.dgla = dgla
         self.d = dgla.differential(d_name)
 
-    def dim(self, degree: int) -> int:
-        return self.dgla.space.dim(degree)
-
     def bracket_at(self, u: Series, v: Series) -> Callable[[int], Vector]:
         """p -> the t^p coefficient of [u, v], built when asked for."""
         k1, k2 = u.degree, v.degree
-        return u.product_at(v, lambda a, b: self.dgla.mul(k1, a, k2, b),
-                            zero_vector(self.dim(k1 + k2)))
+        return u.product_at(v, lambda a, b: self.dgla.mul(k1, a, k2, b), {})
 
     def bracket_series(self, u: Series, v: Series) -> Series:
         return Series.from_orders(u.degree + v.degree, len(u.coeffs), self.bracket_at(u, v))
@@ -200,7 +189,7 @@ class DeformationContext:
         series is finished only when the report's reader asks for it."""
         if x.degree != 1:
             raise ModelError("coefficient degree mismatch: expected degree 1")
-        if not vec_is_zero(x.coeffs[0]):
+        if x.coeffs[0]:
             raise ModelError("Maurer-Cartan elements live in L ⊗ m: "
                              "the t^0 coefficient must vanish")
         if mode not in ("classical", "strong"):
@@ -211,18 +200,18 @@ class DeformationContext:
 
         def terms(p: int) -> tuple[Vector, Vector, Vector]:
             dx_p, br_p = self.d.apply(1, coeffs[p]), bracket(p)
-            return dx_p, br_p, vec_add(dx_p, vec_scale(half, br_p))
+            return dx_p, br_p, add_multiple(dict(dx_p), half, br_p)
 
         walked = []  # r_0, r_1, ... up to the first non-zero one
         strong_ok = True if mode == "strong" else None
         for p in range(len(coeffs)):
             dx_p, br_p, r_p = terms(p)
             walked.append(r_p)
-            if strong_ok and not (vec_is_zero(dx_p) and vec_is_zero(br_p)):
+            if strong_ok and (dx_p or br_p):
                 strong_ok = False
-            if not vec_is_zero(r_p):
+            if r_p:
                 break
-        classical_ok = vec_is_zero(walked[-1])
+        classical_ok = not walked[-1]
         if strong_ok and not classical_ok:
             raise InternalCheckError("strong solution fails the classical equation")
         passed = classical_ok if mode == "classical" else strong_ok
@@ -236,7 +225,7 @@ class DeformationContext:
         """a * x = x + sum ad_a^n/(n+1)! ([a,x] - da)."""
         if a.degree != 0 or x.degree != 1:
             raise ModelError("gauge elements have degree 0, MC elements degree 1")
-        if not vec_is_zero(a.coeffs[0]):
+        if a.coeffs[0]:
             raise ModelError("gauge elements live in L ⊗ m: "
                              "the t^0 coefficient must vanish")
         u = self.bracket_series(a, x).add(a.apply(self.d).scale(Fraction(-1)))
@@ -259,7 +248,7 @@ class MCReport:
 
     def residual_table(self):
         return {f"t^{p}": format_vector(self.space, self.residual.degree, c)
-                for p, c in enumerate(self.residual.coeffs) if not vec_is_zero(c)}
+                for p, c in enumerate(self.residual.coeffs) if c}
 
     def to_json(self):
         return {"mode": self.mode, "passed": self.passed,
@@ -298,17 +287,17 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
 
     def half_square(r: Vector) -> Vector:
         """-1/2 [r, r] for a degree-1 vector r."""
-        return vec_scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
+        return _scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
 
     def obstruction(xi: Vector) -> Vector:
-        return h.project(2, half_square(reps.apply(xi)))
+        return h.project(2, [half_square(reps.apply(xi))])[0]
 
     checks = ValidationReport()
     agree = True
     for r in h.reps.get(1, []):
         rhs = half_square(r)
         solvable = linear_solve(d.block(1), rhs) is not None
-        if solvable != vec_is_zero(h.project(2, rhs)):
+        if solvable != (not h.project(2, [rhs])[0]):
             agree = False
     checks.add("obstruction class vanishes iff the order-2 lift solves", agree)
     return TangentObstruction(h.dim(1), h.dim(2), obstruction, checks)
@@ -321,13 +310,14 @@ def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObst
 @dataclass
 class QuadraticitySample:
     xi: Vector
+    dim: int  # of H^1, so that "class" lists every coordinate of xi
     cone_obstructed: bool
     lifted_to: Optional[int]
     order3_unsolvable: Optional[bool]
     passed: bool
 
     def to_json(self):
-        return {"class": [str(c) for c in self.xi],
+        return {"class": [str(self.xi.get(i, ZERO)) for i in range(self.dim)],
                 "cone_obstructed": self.cone_obstructed,
                 "lifted_to": self.lifted_to,
                 "order3_unsolvable": self.order3_unsolvable,
@@ -377,19 +367,18 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     for xi in samples:
         rep = reps.apply(xi)
         sq = h_alg.mul(1, xi, 1, xi)
-        obstructed = not vec_is_zero(sq)
-        if obstructed:
-            rhs = vec_scale(half, dgla.mul(1, rep, 1, rep))
+        if sq:
+            rhs = _scale(half, dgla.mul(1, rep, 1, rep))
             unsolvable = linear_solve(d0.block(1), rhs) is None
-            results.append(QuadraticitySample(xi, True, None, unsolvable, unsolvable))
+            results.append(QuadraticitySample(xi, h.dim(1), True, None, unsolvable, unsolvable))
             continue
         ctx = DeformationContext(dgla, b.d0_name)
-        x = Series.zero(1, n1, k_max)
+        x = Series.zero(1, k_max)
         x.coeffs[1] = rep
         ok = True
         for k in range(2, k_max):
             # the t^k coefficient of [x, x] only involves x_1 .. x_(k-1)
-            rhs = vec_scale(half, ctx.bracket_at(x, x)(k))
+            rhs = _scale(half, ctx.bracket_at(x, x)(k))
             sol = linear_solve(sys_matrix, rhs)
             if sol is None:
                 ok = False
@@ -400,7 +389,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
             if not ctx.mc_check(x).passed:
                 raise InternalCheckError("constructed lift fails Maurer-Cartan")
             lifted = k_max
-        results.append(QuadraticitySample(xi, False, lifted, None, ok))
+        results.append(QuadraticitySample(xi, h.dim(1), False, lifted, None, ok))
     return QuadraticityReport(results, all(s.passed for s in results))
 
 
@@ -454,9 +443,9 @@ def qa_mc_split(q: QuaternionicComplex, element: Series) -> SplitReport:
     bracket = ctx_y.bracket_at(xi1, xi2)
 
     def mixed(p: int) -> Vector:
-        dx = vec_add(ctx_x.d.apply(1, xi2.coeffs[p]), ctx_y.d.apply(1, xi1.coeffs[p]))
-        return vec_add(dx, bracket(p))
-    mixed_ok = all(vec_is_zero(mixed(p)) for p in range(len(element.coeffs)))
+        dx = add_multiple(ctx_x.d.apply(1, xi2.coeffs[p]), ONE, ctx_y.d.apply(1, xi1.coeffs[p]))
+        return add_multiple(dx, ONE, bracket(p))
+    mixed_ok = all(not mixed(p) for p in range(len(element.coeffs)))
 
     equivalent = full_ok == (xi2_ok and xi1_ok and mixed_ok)
     if not equivalent:
@@ -542,17 +531,24 @@ def multiplication_series(algebra: StructuredAlgebra, s: Series) -> Series:
     """The operator of left multiplication by s, coefficient by coefficient."""
     zero = GradedMap.zero(algebra.space, algebra.space, s.degree)
     return Series(s.degree, [left_multiplication(algebra, s.degree, c)
-                             if not vec_is_zero(c) else zero for c in s.coeffs])
+                             if c else zero for c in s.coeffs])
+
+
+def require_associative(dolbeault: StructuredAlgebra) -> None:
+    """Refuse, as bad input, a Dolbeault algebra D that is not associative,
+    naming its first failing basis triple: the gauge exponential needs it."""
+    bad = dolbeault._associativity_failure
+    if bad:
+        raise ModelError(f"D is not associative at {bad}")
 
 
 def exp_multiplication(algebra: StructuredAlgebra, s: Series) -> Series:
     """exp(L_s) = id + L_(e^s - 1) for s in algebra^0 ⊗ m, with e^s - 1 summed
     in the algebra; this needs it associative (L_s o L_u = L_(su))."""
-    if s.degree != 0 or not vec_is_zero(s.coeffs[0]):
+    if s.degree != 0 or s.coeffs[0]:
         raise ModelError("exp_multiplication needs a degree-0 series with zero t^0 coefficient")
     ident = Series.constant(GradedMap.identity(algebra.space), len(s.coeffs))
-    zero = zero_vector(algebra.space.dim(0))
-    e = exp_sum(s, lambda term: s.times(term, lambda a, b: algebra.mul(0, a, 0, b), zero), 1)
+    e = exp_sum(s, lambda term: s.times(term, lambda a, b: algebra.mul(0, a, 0, b), {}), 1)
     return ident.add(multiplication_series(algebra, e))
 
 
@@ -579,9 +575,8 @@ def curvature_has_weight_zero(full: StructuredAlgebra, theta: Series) -> bool:
     under the product, the verdict does not depend on J: theta ^ theta
     vanishes exactly when the three operator relations hold, and has h-weight
     2 otherwise."""
-    curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v),
-                            zero_vector(full.space.dim(2)))
-    return all(vec_is_zero(full.maps[op_name].apply(2, r_k))
+    curvature = theta.times(theta, lambda u, v: full.mul(1, u, 1, v), {})
+    return all(not full.maps[op_name].apply(2, r_k)
                for r_k in curvature.coeffs for op_name in ("e", "f", "h"))
 
 
@@ -639,8 +634,7 @@ def connection_correspondence(m: ConnectionModel, q: QuaternionicComplex,
         g_op = exp_multiplication(dolb, gauge)
         g_inv = exp_multiplication(dolb, gauge.scale(Fraction(-1)))
         if _compose(g_op, g_inv) != Series.constant(GradedMap.identity(dolb.space), order):
-            if dolb._associativity_failure:
-                raise ModelError(f"D is not associative at {dolb._associativity_failure}")
+            require_associative(dolb)
             raise InternalCheckError("exp series is not invertible")
         gauge_ok = (_compose(new_b, g_op) == _compose(g_op, dbar_b)
                     and _compose(new_j, g_op) == _compose(g_op, dbar_j_b))
@@ -695,7 +689,7 @@ def first_order_dictionary(m: ConnectionModel) -> FirstOrderDictionary:
         [m.del_bar_j.apply(0, v) for v in gauge0.vectors()])
     h = cohomology(dolb, DEL_BAR_J)
     quotient_dim = k_joint.dim - gauge_dirs.dim
-    classes = h.project_many(1, k_joint.vectors()) if k_joint.dim else []
+    classes = h.project(1, k_joint.vectors()) if k_joint.dim else []
     span = Subspace.from_vectors(h.dim(1), classes) if classes else Subspace.zero(h.dim(1))
     surjective = span.dim == h.dim(1)
     # gauge directions always land inside the fixed part (both operators
@@ -716,7 +710,7 @@ def first_order_dictionary(m: ConnectionModel) -> FirstOrderDictionary:
 
 def random_vector(space, degree: int, rnd: random.Random,
                   support: Optional[Sequence[str]] = None) -> Vector:
-    out = [ZERO] * space.dim(degree)
+    out = {}
     labels = support if support is not None else space.labels(degree)
     for lab in labels:
         k, i = space.label_loc[lab]
@@ -727,13 +721,13 @@ def random_vector(space, degree: int, rnd: random.Random,
             den = rnd.choice([1, 2])
             im = rnd.randint(-1, 1) if rnd.random() < 0.25 else 0
             out[i] = gaussian(num, im * den, den)
-    return tuple(out)
+    return out
 
 
 def random_series(space, degree: int, order: int, rnd: random.Random,
                   support: Optional[Sequence[str]] = None) -> Series:
     """A seeded element of L^degree ⊗ m: random coefficients at t^1..t^(order-1)."""
-    x = Series.zero(degree, space.dim(degree), order)
+    x = Series.zero(degree, order)
     x.coeffs[1:] = [random_vector(space, degree, rnd, support) for _ in range(1, order)]
     return x
 
@@ -757,9 +751,10 @@ def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, order: int,
     attempts = 0
     while len(out) < count and attempts < 50 * count:
         attempts += 1
-        x = Series.zero(1, space.dim(1), order)
+        x = Series.zero(1, order)
         for p in range(1, order):
-            x.coeffs[p] = combine.apply(tuple(Scalar(rnd.randint(-2, 2)) for _ in basis))
+            draws = [rnd.randint(-2, 2) for _ in basis]
+            x.coeffs[p] = combine.apply({i: Scalar(c) for i, c in enumerate(draws) if c})
         if ctx.mc_check(x, "strong").passed:
             out.append(x)
     if len(out) < count:

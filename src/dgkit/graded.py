@@ -1,17 +1,17 @@
 """Graded vector spaces, graded maps, and structured (DG/DGLA) algebras.
 
-Bases are labeled; a vector in degree k is a tuple of Scalars indexed by the
-degree-k labels.  Products and brackets are sparse structure constants on
-basis pairs, extended bilinearly.  `StructuredAlgebra.mul` and
-`label_product` read one index-keyed table that holds, per degree pair, each
-constant as Gaussian-integer numerators over one common denominator and as
-its Scalar; a product that sums over two or more rows adds int products and
-reduces each touched entry once, through `scalars.lift` and
-`scalars.gaussian`.  Axioms are verified exactly on the basis tuples where
-a side can be non-zero, read off a neighbour index of the structure table
-(for each label, the labels it has a product with on either side) and
-walked in the full walk's order, so the first failing tuple is the full
-walk's.  Every check that compares two sums of structure constants
+Bases are labeled; a vector in degree k is a `linalg.Vector`, the
+{index: Scalar} dict of its non-zero entries, indexed by the degree-k
+labels.  Products and brackets are sparse structure constants on basis
+pairs, extended bilinearly.  `StructuredAlgebra.mul` reads one index-keyed
+table that holds, per degree pair, each constant as Gaussian-integer
+numerators over one common denominator and as its Scalar; a product that
+sums over two or more rows adds int products and reduces each touched entry
+once, through `scalars.lift` and `scalars.gaussian`.  Axioms are verified
+exactly on the basis tuples where a side can be non-zero, read off a
+neighbour index of the structure table (for each label, the labels it has a
+product with on either side) and walked in the full walk's order, so the
+first failing tuple is the full walk's.  Every check that compares two sums of structure constants
 builds both sides as sparse {label: coefficient} dicts through
 `linalg.add_multiple`, the one sparse accumulator, whose key order fixes
 the order of a witness's labels; `algebra_map_witness` is the one check
@@ -53,15 +53,9 @@ from dgkit.linalg import (
     Subspace,
     Vector,
     add_multiple,
-    dense_vector,
+    check_vector,
     image_of,
     kernel_of,
-    sparse_vector,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
 )
 from dgkit.scalars import ONE, ZERO, Scalar, gaussian, lift
 
@@ -101,7 +95,7 @@ class GradedSpace:
 
     def basis_vector(self, label: str) -> tuple[int, Vector]:
         k, i = self.label_loc[label]
-        return k, unit_vector(self.dim(k), i)
+        return k, {i: ONE}
 
     def __eq__(self, other):
         if not isinstance(other, GradedSpace):
@@ -114,8 +108,10 @@ class GradedSpace:
 
 
 def format_vector(space: GradedSpace, k: int, v: Vector) -> list[list[str]]:
-    """Labeled coefficient list, the witness format used in reports."""
-    return [[lab, str(c)] for lab, c in zip(space.labels(k), v) if not c.is_zero()]
+    """Labeled coefficient list in label order, the witness format used in
+    reports."""
+    labels = space.labels(k)
+    return [[labels[i], str(v[i])] for i in sorted(v)]
 
 
 class GradedMap:
@@ -190,11 +186,14 @@ class GradedMap:
         return self._images[k]
 
     def apply(self, k: int, v: Vector) -> Vector:
-        """The image of v of degree k; a degree without a block maps v to
-        zero, and a vector of the wrong length raises DimensionMismatch."""
-        if k not in self.blocks and len(v) == self.source.dim(k):
-            return zero_vector(self.target.dim(k + self.shift))
-        return self.block(k).apply(v)
+        """The image of v of degree k, a new vector; a degree without a block
+        maps v to zero, and an index outside degree k raises
+        DimensionMismatch."""
+        m = self.blocks.get(k)
+        if m is None:
+            check_vector(v, self.source.dim(k))
+            return {}
+        return m.apply(v)
 
     def label_table(self) -> dict[str, dict[str, Scalar]]:
         """Sparse label -> (label -> coefficient) view of the map."""
@@ -289,7 +288,7 @@ def nonzero_image_witness(f: GradedMap) -> Optional[dict]:
     for k, m in f.blocks.items():
         for i, lab in enumerate(f.source.labels(k)):
             img = m.column(i)
-            if not vec_is_zero(img):
+            if img:
                 return {"label": lab, "image": format_vector(f.target, k + f.shift, img)}
     return None
 
@@ -304,15 +303,17 @@ class StructuredAlgebra:
     """Graded space with named shift-1 differentials and a product/bracket.
 
     kind is "associative" (structure = product) or "lie" (structure =
-    bracket).  Structure constants map label pairs to sparse vectors.
-    ``mul`` and ``label_product`` read them through one index-keyed table,
+    bracket).  Structure constants map label pairs to sparse {label:
+    Scalar} dicts.  ``mul`` and ``bracket`` take and return vectors, the
+    {index: Scalar} dicts of their non-zero entries, raise DimensionMismatch
+    on an index outside an operand's degree, and never change an operand.  ``mul`` reads the constants through one index-keyed table,
     built from ``structure`` on first use: per degree pair, each constant as
     integer numerators over one common denominator s, next to its Scalar.
-    ``mul`` lifts the non-zero operand entries to numerators over their
-    common denominators, accumulates in ints and reduces each touched entry
-    once, over the product of the denominators; a product that meets one
-    row of the table, and ``label_product``, on sparse operands, multiply
-    Scalars.  ``structure`` is not changed after construction.
+    It lifts the operand entries to numerators over their common
+    denominators, accumulates in ints and reduces each touched entry once,
+    over the product of the denominators; a product in which an operand
+    meets one row of the table or has one entry, a basis label among them,
+    multiplies Scalars.  ``structure`` is not changed after construction.
     """
 
     def __init__(self, space: GradedSpace, kind: str = "associative",
@@ -398,45 +399,40 @@ class StructuredAlgebra:
             table[degrees] = s, rows
         return table
 
-    def label_product(self, k1: int, u: Iterable[tuple[int, Scalar]], k2: int,
-                      v: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
-        """u * v for u of degree k1 and v of degree k2, each given by its
-        non-zero (index, coefficient) pairs; a basis label is the one pair
-        (index, ONE).  v is read once per row of the table that u meets.
-
-        The result is the sparse {index: coefficient} of the product in
-        degree k1 + k2, with cancelled entries dropped.
-        """
-        rows = self._products.get((k1, k2), _NO_PRODUCTS)[1]
-        out: dict[int, Scalar] = {}
-        for i, a in u:
-            row = rows.get(i)
-            if row:
-                for j, b in v:
-                    targets = row.get(j)
-                    if targets:
-                        c = a * b
-                        for idx, _, _, ct in targets:
-                            out[idx] = out.get(idx, ZERO) + c * ct
-        return {idx: c for idx, c in out.items() if not c.is_zero()}
-
     def mul(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
-        """Bilinear extension of the structure constants; result in degree k1+k2.
+        """Bilinear extension of the structure constants: v1 * v2 for v1 of
+        degree k1 and v2 of degree k2, a new vector of degree k1 + k2.
 
         When v1 meets two or more rows of the table and v2 has two or more
-        non-zero entries, the products are summed as Gaussian-integer
-        numerators and each touched entry is reduced once, over the product
-        of the denominators.  Otherwise the Scalar short-cuts on the +-1
-        entries of such sparse operands are cheaper than lifting them, and
-        the product is ``label_product``."""
+        entries, the product is `_lifted_product`.  Otherwise the Scalar
+        short-cuts on the +-1 entries of such sparse operands are cheaper
+        than lifting them: v2 is read once per row of the table that v1
+        meets."""
+        check_vector(v1, self.space.dim(k1))
+        check_vector(v2, self.space.dim(k2))
         s, rows = self._products.get((k1, k2), _NO_PRODUCTS)
-        u = [(i, v1[i]) for i in rows if not v1[i].is_zero()]
-        v = sparse_vector(v2).items()
-        n = self.space.dim(k1 + k2)
-        if len(u) < 2 or len(v) < 2:
-            return dense_vector(n, self.label_product(k1, u, k2, v))
+        u = [(i, a) for i, a in v1.items() if i in rows]
+        if len(u) >= 2 and len(v2) >= 2:
+            return self._lifted_product(s, rows, u, v2, self.space.dim(k1 + k2))
+        out: dict[int, Scalar] = {}
+        for i, a in u:
+            row = rows[i]
+            for j, b in v2.items():
+                targets = row.get(j)
+                if targets:
+                    c = a * b
+                    for idx, _, _, ct in targets:
+                        out[idx] = out.get(idx, ZERO) + c * ct
+        return {idx: c for idx, c in out.items() if not c.is_zero()}
+
+    @staticmethod
+    def _lifted_product(s: int, rows: dict, u: list, v2: Vector, n: int) -> Vector:
+        """The product of the (index, Scalar) entries u and the vector v2
+        through one table of `_products`, its numerators summed as Gaussian
+        integers in two int lists of the target dimension n and each touched
+        entry reduced once, over the product of the denominators."""
         d1, nums1 = lift(u)
-        d2, nums2 = lift(v)
+        d2, nums2 = lift(v2.items())
         re, im = [0] * n, [0] * n
         for i, (a1, b1) in nums1.items():
             for j, targets in rows[i].items():
@@ -447,16 +443,14 @@ class StructuredAlgebra:
                         re[idx] += p * cr - q * ci
                         im[idx] += p * ci + q * cr
         d = d1 * d2 * s
-        return tuple(gaussian(a, b, d) if a or b else ZERO for a, b in zip(re, im))
+        return {idx: gaussian(a, b, d) for idx, (a, b) in enumerate(zip(re, im)) if a or b}
 
     def bracket(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
         """The bracket: structure itself for lie kind, graded commutator else."""
         if self.kind == "lie":
             return self.mul(k1, v1, k2, v2)
-        left = self.mul(k1, v1, k2, v2)
-        right = self.mul(k2, v2, k1, v1)
         sign = MINUS_ONE if (k1 * k2) % 2 == 0 else ONE
-        return vec_add(left, vec_scale(sign, right))
+        return add_multiple(self.mul(k1, v1, k2, v2), sign, self.mul(k2, v2, k1, v1))
 
     def differential(self, name: str) -> GradedMap:
         if name not in self.differentials:
@@ -692,12 +686,12 @@ class Subquotient:
     inner[k] and the vectors picked before it (`taken[k]` holds their
     indices into outer[k]).  They are labelled f"{prefix}{k}_{i}" in
     `space`, and the complement projects onto them along inner[k].  Products
-    and maps descend through the representatives, kept also as sparse
-    {index: Scalar} views: products go through `label_product` and every
-    class through `Complement.project_sparse`.  Projecting a vector outside
-    inner + span(outer) raises escape(k).  Cohomology is the case (im d,
-    ker d), a sub-algebra the case (0, basis), and the quotient by an ideal
-    I the case (I, a spanning set).
+    and maps descend through the representatives: products go through
+    `StructuredAlgebra.mul` and every class through `project`, which gives
+    a vector's class as its coordinates in the representatives.  Projecting
+    a vector outside inner + span(outer) raises escape(k).  Cohomology is
+    the case (im d, ker d), a sub-algebra the case (0, basis), and the
+    quotient by an ideal I the case (I, a spanning set).
     """
 
     def __init__(self, algebra: StructuredAlgebra, inner: dict[int, Subspace],
@@ -711,7 +705,6 @@ class Subquotient:
         self._complements = {k: Complement(sub, outer.get(k, []))
                              for k, sub in self.inner.items()}
         self.reps = {k: comp.vectors for k, comp in self._complements.items()}
-        self._sparse = {k: [sparse_vector(r) for r in reps] for k, reps in self.reps.items()}
         # the degrees not wholly in inner: only there can a class be non-zero
         # or a vector escape
         self._open = {k for k, sub in self.inner.items() if sub.dim < space.dim(k)}
@@ -726,25 +719,18 @@ class Subquotient:
     def dim(self, k: int) -> int:
         return len(self.reps.get(k, ()))
 
-    def _classes(self, k: int, vectors: Iterable[dict],
-                 escape: Optional[Callable[[int], Exception]] = None) -> list[dict]:
-        """The non-zero class coordinates {t: Scalar} of sparse vectors of
-        degree k; outside `_open` every class is 0 and nothing escapes."""
+    def project(self, k: int, vectors: Iterable[Vector],
+                escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
+        """The class of each vector of degree k, as its coordinates in the
+        representatives; a vector outside inner + span(outer) raises
+        escape(k), by default the subquotient's own.  Outside `_open` every
+        class is 0 and nothing escapes, so nothing is projected."""
         if k not in self._open:
             return [{} for _ in vectors]
-        coords = self._complements[k].project_sparse(vectors)
+        coords = self._complements[k].project(vectors)
         if coords is None:
             raise (escape or self.escape)(k)
         return coords
-
-    def project(self, k: int, v: Vector) -> Vector:
-        """Coordinates of v's class in the representative basis."""
-        return self.project_many(k, [v])[0]
-
-    def project_many(self, k: int, vectors: Sequence[Vector],
-                     escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
-        return [dense_vector(self.dim(k), c)
-                for c in self._classes(k, [sparse_vector(v) for v in vectors], escape)]
 
     def structure(self, escape: Optional[Callable[[int], Exception]] = None) -> dict:
         """Structure constants on the representatives: each product of two
@@ -752,16 +738,16 @@ class Subquotient:
         degree that lies wholly in inner has no coordinates and nothing
         escapes to it, so its products are not formed."""
         if self._structure is None:
-            product, labels = self.algebra.label_product, self.space.labels
-            reps = [(k, v) for k, v in self._sparse.items() if v]
+            product, labels = self.algebra.mul, self.space.labels
+            reps = [(k, v) for k, v in self.reps.items() if v]
             triples = []
             for k1, reps1 in reps:
                 for k2, reps2 in reps:
                     k = k1 + k2
                     if k not in self._open:
                         continue
-                    classes = iter(self._classes(k, [product(k1, r1.items(), k2, r2.items())
-                                                     for r1 in reps1 for r2 in reps2], escape))
+                    classes = iter(self.project(k, [product(k1, r1, k2, r2)
+                                                    for r1 in reps1 for r2 in reps2], escape))
                     for i in range(len(reps1)):
                         for j in range(len(reps2)):
                             for t, c in next(classes).items():
@@ -778,7 +764,7 @@ class Subquotient:
         source = self if source is None else source
         return {k: Matrix.from_columns(
                     self.dim(k + op.shift),
-                    self.project_many(k + op.shift, [op.apply(k, r) for r in reps], escape))
+                    self.project(k + op.shift, [op.apply(k, r) for r in reps], escape))
                 for k, reps in source.reps.items() if reps}
 
     def projection(self) -> Optional[GradedMap]:
@@ -836,23 +822,22 @@ class CohomologyPresentation(Subquotient):
         [r1 * r2] for a boundary b, or None.  A degree k1 + k2 that lies
         wholly in im d is skipped: every class there is 0 and every vector
         closed, so the skip changes no verdict and no witness."""
-        product = self.algebra.label_product
-        for k1, reps1 in self._sparse.items():
-            boundaries = self.inner[k1].sparse_rows()
+        product = self.algebra.mul
+        for k1, reps1 in self.reps.items():
+            boundaries = self.inner[k1].vectors()
             for r1 in reps1:
                 # [r1 * r2] per (k2, index of r2), projected at first use
                 classes: dict[tuple[int, int], dict] = {}
                 for b in boundaries:
-                    shifted = add_multiple(dict(r1), ONE, dict(b)).items()
-                    for k2, reps2 in self._sparse.items():
+                    shifted = add_multiple(dict(r1), ONE, b)
+                    for k2, reps2 in self.reps.items():
                         k = k1 + k2
                         if k not in self._open:
                             continue
                         for j, r2 in enumerate(reps2):
                             if (k2, j) not in classes:
-                                classes[(k2, j)] = self._classes(
-                                    k, [product(k1, r1.items(), k2, r2.items())])[0]
-                            shifted_class = self._classes(k, [product(k1, shifted, k2, r2.items())])[0]
+                                classes[(k2, j)] = self.project(k, [product(k1, r1, k2, r2)])[0]
+                            shifted_class = self.project(k, [product(k1, shifted, k2, r2)])[0]
                             if shifted_class != classes[(k2, j)]:
                                 return k1, k2
         return None
@@ -870,18 +855,18 @@ def _table_operator(algebra: StructuredAlgebra, degree: int, v: Vector,
     of degree k, v_i * c lands in column j of the degree-k block, and for
     each constant c of j times i, -(-1)^(degree * k) c * v_i does."""
     space = algebra.space
-    support = {i: a for i, a in enumerate(v) if not a.is_zero()}
+    check_vector(v, space.dim(degree))
     entries: dict[int, list] = {}
     for (k1, k2), (_, rows) in algebra._products.items():
         if k1 == degree:
             entries.setdefault(k2, []).extend(
-                (idx, j, a * c) for i, a in support.items()
+                (idx, j, a * c) for i, a in v.items()
                 for j, targets in rows.get(i, {}).items() for idx, _, _, c in targets)
         if adjoint and k2 == degree:
             sign = MINUS_ONE if (degree * k1) % 2 == 0 else ONE
             entries.setdefault(k1, []).extend(
-                (idx, j, sign * c * support[i]) for j, row in rows.items()
-                for i, targets in row.items() if i in support for idx, _, _, c in targets)
+                (idx, j, sign * c * v[i]) for j, row in rows.items()
+                for i, targets in row.items() if i in v for idx, _, _, c in targets)
     return GradedMap(space, space, degree, {
         k: Matrix.from_entries(space.dim(degree + k), space.dim(k), e) for k, e in entries.items()})
 

@@ -3,18 +3,21 @@ subspaces.
 
 Subspaces are canonical: the basis is the reduced row echelon form of any
 spanning set, so equality of subspaces is literal equality of matrices.
-Vectors are tuples of Scalars; matrices act on column vectors.  A sparse
-vector is a {index: Scalar} dict, which `Subspace.contains_sparse` tests and
-`Complement.project_sparse` projects without expanding it.
 
-A Matrix stores one {column: Scalar} dict per row that holds only the
-non-zero entries: no zero is ever stored, and an entry that cancels is
-deleted, so equal matrices have equal rows and every kernel walks only the
-non-zeros.  A Matrix is never changed once built, so matrices may share row
-dicts.  That layout is private to this module.  Other modules build
-matrices through `Matrix.from_columns` and `Matrix.from_entries` and read
-them through `apply`, `column`, `row`, `select` and `entries`; `data` is a
-read-only view, a fresh dense row-major copy of the entries.
+A vector of F^n is a {index: Scalar} dict of its non-zero entries: no zero
+is ever stored, so the zero vector is {} and `not v` tests it.  Every entry
+point that takes a vector of F^n raises DimensionMismatch on an index
+outside range(n) (`check_vector`).  A vector may be shared (a Series, a
+Matrix and a Subspace hand out theirs), so every kernel accumulates only
+into a dict it built itself and never changes an operand.  Matrices act on
+column vectors.
+
+A Matrix stores one {column: Scalar} dict per row in the same form.  A
+Matrix is never changed once built, so matrices may share row dicts.  That
+layout is private to this module.  Other modules build matrices through
+`Matrix.from_columns` and `Matrix.from_entries` and read them through
+`apply`, `column`, `select` and `entries`; `data` is a read-only
+view, a fresh dense row-major copy of the entries.
 
 `add_multiple` (out += c * s on {key: Scalar} dicts) is the one sparse
 accumulator; its key order, where a cancelled key that comes back moves to
@@ -33,41 +36,19 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient spaces."""
 
 
-Vector = tuple  # tuple[Scalar, ...]
+Vector = dict  # {index: non-zero Scalar}
 
 
-# ---------------------------------------------------------------------------
-# vector helpers
+def check_vector(v: Vector, n: int) -> Vector:
+    """v, after checking that every index of it lies in range(n)."""
+    if v and (min(v) < 0 or max(v) >= n):
+        raise DimensionMismatch(f"vector index outside range({n})")
+    return v
 
 
-def zero_vector(n: int) -> Vector:
-    return tuple(ZERO for _ in range(n))
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def dense_vector(n: int, entries: dict) -> Vector:
-    """The length-n vector with the given {index: Scalar} entries."""
-    return tuple(entries.get(i, ZERO) for i in range(n))
-
-
-def sparse_vector(u: Sequence[Scalar]) -> dict:
-    """The non-zero {index: Scalar} entries of u; dense_vector inverts it."""
-    return {j: a for j, a in enumerate(u) if not a.is_zero()}
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero() for a in u)
+def _nonzero(row: Sequence[Scalar]) -> dict:
+    """The non-zero {column: Scalar} entries of a dense row."""
+    return {j: a for j, a in enumerate(row) if not a.is_zero()}
 
 
 def _dense(row: dict, n: int) -> list:
@@ -117,7 +98,7 @@ class Matrix:
             raise DimensionMismatch("entry count does not match rows x cols")
         self.rows = rows
         self.cols = cols
-        self._nz = [{} for _ in range(rows)] if data is None else [sparse_vector(r) for r in data]
+        self._nz = [{} for _ in range(rows)] if data is None else [_nonzero(r) for r in data]
 
     @staticmethod
     def _of(rows: int, cols: int, nz: list) -> "Matrix":
@@ -141,12 +122,10 @@ class Matrix:
         return Matrix(len(rows), cols, rows)
 
     @staticmethod
-    def from_columns(rows: int, columns: Iterable[Sequence[Scalar]]) -> "Matrix":
-        """The rows x len(columns) matrix with the given columns."""
-        columns = list(columns)
-        if any(len(c) != rows for c in columns):
-            raise DimensionMismatch("column length differs from row count")
-        return Matrix._of(rows, len(columns), _transpose(map(sparse_vector, columns), rows))
+    def from_columns(rows: int, columns: Iterable[Vector]) -> "Matrix":
+        """The rows x len(columns) matrix with the given columns of F^rows."""
+        columns = [check_vector(c, rows) for c in columns]
+        return Matrix._of(rows, len(columns), _transpose(columns, rows))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
@@ -210,23 +189,22 @@ class Matrix:
         return Matrix._of(self.rows, other.cols, out)
 
     def apply(self, v: Vector) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match matrix columns")
-        out = []
-        for row in self._nz:
-            acc = ZERO
-            for j, a in row.items():
-                x = v[j]
-                if not x.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        """self * v, a new vector of F^rows, for v in F^cols."""
+        check_vector(v, self.cols)
+        out = {}
+        if v:
+            for i, row in enumerate(self._nz):
+                acc = None
+                for j, a in row.items():
+                    x = v.get(j)
+                    if x is not None:
+                        acc = a * x if acc is None else acc + a * x
+                if acc is not None and not acc.is_zero():
+                    out[i] = acc
+        return out
 
     def column(self, j: int) -> Vector:
-        return tuple(row.get(j, ZERO) for row in self._nz)
-
-    def row(self, i: int) -> Vector:
-        return tuple(_dense(self._nz[i], self.cols))
+        return {i: row[j] for i, row in enumerate(self._nz) if j in row}
 
     def select(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The sub-matrix on the given row and column indices, in their order."""
@@ -291,7 +269,7 @@ class Matrix:
         return len(self.rref()[1])
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
+        body = "; ".join(" ".join(map(str, row)) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -301,26 +279,19 @@ class Matrix:
 class Subspace:
     """Subspace of F^n in canonical form: RREF basis rows, no zero rows.
 
-    `pivots` holds each basis row's pivot column.  The rows' non-zero
-    (column, entry) pairs in column order are built on first use and kept.
+    `pivots` holds each basis row's pivot column.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_sparse_rows")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = tuple(pivots)
-        self._sparse_rows = None
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
-        rows = []
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length differs from ambient dimension")
-            rows.append(sparse_vector(v))
-        return Subspace._span(ambient_dim, rows)
+        return Subspace._span(ambient_dim, [check_vector(v, ambient_dim) for v in vectors])
 
     @staticmethod
     def _span(n: int, rows: list) -> "Subspace":
@@ -342,14 +313,9 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def vectors(self) -> list:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
-
-    def sparse_rows(self) -> list:
-        """Each basis row as its non-zero (column, entry) pairs."""
-        if self._sparse_rows is None:
-            self._sparse_rows = [sorted(row.items()) for row in self.basis._nz]
-        return self._sparse_rows
+    def vectors(self) -> list[Vector]:
+        """The basis rows, shared with the subspace."""
+        return list(self.basis._nz)
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -364,25 +330,18 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
     def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        return self.contains_sparse(sparse_vector(v))
-
-    def contains_sparse(self, v: dict) -> bool:
-        """Whether the vector with entries {column: Scalar} lies in the span.
-
-        In RREF every other row is zero at a row's pivot, so the row's
-        coefficient is the vector's own entry there."""
-        residual = dict(v)
+        """Whether v lies in the span.  In RREF every other row is zero at a
+        row's pivot, so the row's coefficient is v's own entry there."""
+        residual = dict(check_vector(v, self.ambient_dim))
         for p, row in zip(self.pivots, self.basis._nz):
             c = residual.get(p)
-            if c is not None and not c.is_zero():
+            if c is not None:
                 add_multiple(residual, -c, row)
-        return all(x.is_zero() for x in residual.values())
+        return not residual
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_sparse(row) for row in other.basis._nz)
+        return all(self.contains(row) for row in other.basis._nz)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -445,18 +404,15 @@ def linear_solve(m: Matrix, target: Vector) -> Optional[tuple[Vector, Subspace]]
 
     Returns None when the target is not in the image (no solution).
     """
-    if len(target) != m.rows:
-        raise DimensionMismatch("target length differs from row count")
+    check_vector(target, m.rows)
     k = m.cols
     red, pivots = Matrix._of(m.rows, k + 1, [
-        row if t.is_zero() else {**row, k: t} for row, t in zip(m._nz, target)]).rref()
+        {**row, k: target[i]} if i in target else row for i, row in enumerate(m._nz)]).rref()
     if k in pivots:
         return None
-    x = [ZERO] * k
-    for p, row in zip(pivots, red._nz):
-        x[p] = row.get(k, ZERO)
+    x = {p: row[k] for p, row in zip(pivots, red._nz) if k in row}
     # The left m.cols columns of red are rref(m), with the same pivots.
-    return tuple(x), _kernel_from_rref(red, pivots, k)
+    return x, _kernel_from_rref(red, pivots, k)
 
 
 def solve_batch(m: Matrix, targets: Matrix) -> Optional[Matrix]:
@@ -483,12 +439,14 @@ def invert(m: Matrix) -> Optional[Matrix]:
 def coordinates_in_basis(basis_vectors: Sequence[Vector], vectors: Sequence[Vector]) -> Optional[list]:
     """Express each vector in the given independent spanning set.
 
-    Returns a list of coefficient tuples, or None if some vector is outside
-    the span.  One echelon pass solves the whole batch.
+    Returns a list of coefficient vectors, or None if some vector is outside
+    the span.  One echelon pass solves the whole batch, in the coordinates up
+    to the largest index in use: a row that is zero throughout changes no
+    solution.
     """
     if not vectors:
         return []
-    n = len(vectors[0])
+    n = 1 + max((j for v in (*basis_vectors, *vectors) for j in v), default=-1)
     sol = solve_batch(Matrix.from_columns(n, basis_vectors), Matrix.from_columns(n, vectors))
     if sol is None:
         return None
@@ -502,17 +460,15 @@ class Complement:
     the columns [inner basis | outer | identity] picks them as pivot columns
     and leaves in the identity block an invertible E with E B = [I; 0] for
     B = [inner basis | vectors]; the rows of E from inner.dim on are kept,
-    and also as their sparse columns, so a projection only applies the
-    columns on the support of a vector."""
+    and also as their columns, so a projection only applies the columns on
+    the support of a vector."""
 
     __slots__ = ("taken", "vectors", "_rows", "_columns")
 
     def __init__(self, inner: Subspace, outer: Sequence[Vector]):
         n = inner.ambient_dim
-        outer = list(outer)
-        if any(len(v) != n for v in outer):
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        left = inner.basis._nz + [sparse_vector(v) for v in outer]
+        outer = [check_vector(v, n) for v in outer]
+        left = inner.basis._nz + outer
         width = len(left)
         rows = _transpose(left, n)
         for i, row in enumerate(rows):
@@ -531,15 +487,15 @@ class Complement:
         self.vectors do not span F^n."""
         return self._rows if self._rows.rows == len(self.vectors) else None
 
-    def project_sparse(self, vectors: Iterable[dict]) -> Optional[list[dict]]:
-        """The non-zero complement coordinates {t: Scalar}, in ascending t, of
-        each sparse vector {index: Scalar} in the basis [inner basis |
-        self.vectors], or None if some vector is outside their span."""
-        m = len(self.vectors)
+    def project(self, vectors: Iterable[Vector]) -> Optional[list[Vector]]:
+        """The complement coordinates, in ascending index, of each vector in
+        the basis [inner basis | self.vectors], or None if some vector is
+        outside their span."""
+        n, m = len(self._columns), len(self.vectors)
         out = []
         for v in vectors:
             acc: dict = {}
-            for j, x in v.items():
+            for j, x in check_vector(v, n).items():
                 for i, e in self._columns[j].items():
                     acc[i] = acc.get(i, ZERO) + e * x
             coords = {}
@@ -550,10 +506,3 @@ class Complement:
                     coords[i] = acc[i]
             out.append(coords)
         return out
-
-    def project(self, vectors: Sequence[Vector]) -> Optional[list]:
-        """`project_sparse` of dense vectors, with dense coordinates."""
-        if any(len(v) != len(self._columns) for v in vectors):
-            raise DimensionMismatch("vector length does not match matrix columns")
-        coords = self.project_sparse(sparse_vector(v) for v in vectors)
-        return None if coords is None else [dense_vector(len(self.vectors), c) for c in coords]

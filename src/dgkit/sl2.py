@@ -23,7 +23,7 @@ from dgkit.graded import (
     algebra_map_witness,
     chain_map_failure,
 )
-from dgkit.linalg import Matrix, Subspace, Vector, dense_vector, kernel_of, vec_is_zero
+from dgkit.linalg import Matrix, Subspace, Vector, kernel_of
 from dgkit.scalars import ONE, Scalar
 
 
@@ -187,7 +187,7 @@ def _escape(space: GradedSpace, ideal: dict[int, Subspace], op: GradedMap,
         return None
     for v in ideal[k].vectors():
         img = op.apply(k, v)
-        if not vec_is_zero(img) and (tgt not in ideal or not ideal[tgt].contains(img)):
+        if img and (tgt not in ideal or not ideal[tgt].contains(img)):
             return v
     return None
 
@@ -199,16 +199,15 @@ def _unstable_degree(space: GradedSpace, ideal: dict[int, Subspace],
 
 
 def _leaving_products(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
-                      rows: Iterable[tuple[int, Iterable]]):
-    """For each ideal row v of degree k, given by its non-zero (index,
-    coefficient) pairs, the products label * v and then v * label with
-    every basis label, in label order, that leave the ideal as it stands
-    when each product is due: yields (k, label, degree, {index: coefficient}).
-    A product whose degree the space lacks or the ideal fills cannot leave
-    it, so it is not formed."""
+                      rows: Iterable[tuple[int, Vector]]):
+    """For each ideal row v of degree k, the products label * v and then
+    v * label with every basis label, in label order, that leave the ideal
+    as it stands when each product is due: yields (k, label, degree,
+    product).  A product whose degree the space lacks or the ideal fills
+    cannot leave it, so it is not formed."""
     space = algebra.space
-    # per degree, each (label, its one-entry sparse vector, label first?)
-    factors = [(kl, [(lab, ((i, ONE),), first) for i, lab in enumerate(space.labels(kl))
+    # per degree, each (label, its basis vector, label first?)
+    factors = [(kl, [(lab, {i: ONE}, first) for i, lab in enumerate(space.labels(kl))
                      for first in (True, False)]) for kl in space.degrees()]
     for k, v in rows:
         for kl, products in factors:
@@ -216,9 +215,8 @@ def _leaving_products(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
             for lab, unit, label_first in products:
                 if _full(space, ideal, deg):
                     break
-                prod = (algebra.label_product(kl, unit, k, v) if label_first
-                        else algebra.label_product(k, v, kl, unit))
-                if prod and (deg not in ideal or not ideal[deg].contains_sparse(prod)):
+                prod = algebra.mul(kl, unit, k, v) if label_first else algebra.mul(k, v, kl, unit)
+                if prod and (deg not in ideal or not ideal[deg].contains(prod)):
                     yield k, lab, deg, prod
 
 
@@ -233,8 +231,7 @@ def low_weight_ideal(algebra: StructuredAlgebra,
     """
     space = algebra.space
     ideal = {k: Subspace.zero(space.dim(k)) for k in space.degrees()}
-    # frontier vectors are kept as their non-zero (index, coefficient) pairs
-    frontier: list[tuple[int, Iterable]] = []
+    frontier: list[tuple[int, Vector]] = []
     for k in space.degrees():
         gens = []
         for w in decomp.weights(k):
@@ -242,18 +239,17 @@ def low_weight_ideal(algebra: StructuredAlgebra,
                 gens.extend(decomp.isotypic_vectors(k, w))
         if gens:
             ideal[k] = Subspace.from_vectors(space.dim(k), gens)
-            frontier.extend((k, row) for row in ideal[k].sparse_rows())
+            frontier.extend((k, row) for row in ideal[k].vectors())
 
     rounds = 0
     while frontier:
         rounds += 1
         if rounds > space.total_dim() + 1:
             raise InternalCheckError("ideal closure failed to stabilize")
-        new_frontier: list[tuple[int, Iterable]] = []
+        new_frontier: list[tuple[int, Vector]] = []
         for _, _, deg, prod in _leaving_products(algebra, ideal, frontier):
-            n = space.dim(deg)
-            ideal[deg] = ideal[deg].add(Subspace.from_vectors(n, [dense_vector(n, prod)]))
-            new_frontier.append((deg, prod.items()))
+            ideal[deg] = ideal[deg].add(Subspace.from_vectors(space.dim(deg), [prod]))
+            new_frontier.append((deg, prod))
         frontier = new_frontier
     return ideal
 
@@ -293,7 +289,7 @@ def two_sided_witness(algebra: StructuredAlgebra,
     """The first {"degree", "label"} such that a basis label times an ideal
     basis row of that degree, on either side, leaves the ideal (the first
     of `_leaving_products`); None when the ideal is two-sided."""
-    rows = ((k, v) for k, sub in ideal.items() for v in sub.sparse_rows())
+    rows = ((k, v) for k, sub in ideal.items() for v in sub.vectors())
     hit = next(_leaving_products(algebra, ideal, rows), None)
     return hit and {"degree": hit[0], "label": hit[1]}
 

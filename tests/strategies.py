@@ -1,4 +1,7 @@
-"""Hypothesis strategies shared by the graded-algebra, sl(2) and deformation tests."""
+"""Hypothesis strategies shared by the graded-algebra, sl(2) and deformation
+tests, and the conversions between a vector (the {index: Scalar} dict of its
+non-zero entries) and its dense entries, which the dense reference oracles
+of the tests work on."""
 
 from fractions import Fraction
 
@@ -13,6 +16,33 @@ COEFFS = (ONE, -ONE, Scalar(0, 1), Scalar(2), Scalar(1, -1))
 FRACTIONS = (Scalar(Fraction(1, 2)), Scalar(Fraction(-2, 3)),
              Scalar(Fraction(1, 3), Fraction(1, 4)), Scalar(Fraction(3, 4), Fraction(-1, 6)))
 DEGREES = range(3)
+
+
+def vec(*xs):
+    """The vector with the dense entries xs (Scalars, ints or Fractions)."""
+    return sparse([x if isinstance(x, Scalar) else Scalar(x) for x in xs])
+
+
+def sparse(v):
+    """The vector of a dense sequence of Scalars."""
+    return {i: x for i, x in enumerate(v) if not x.is_zero()}
+
+
+def vsum(u, v):
+    """u + v, on their dense entries."""
+    n = 1 + max((*u, *v), default=-1)
+    return sparse([a + b for a, b in zip(dense(u, n), dense(v, n))])
+
+
+def vscale(c, u):
+    """c * u, entry by entry."""
+    return {} if c.is_zero() else {i: c * x for i, x in u.items()}
+
+
+def dense(v, n):
+    """The n dense entries of the vector v."""
+    assert all(0 <= i < n for i in v)
+    return tuple(v.get(i, ZERO) for i in range(n))
 
 
 @st.composite
@@ -57,13 +87,23 @@ def dg_algebras(draw, kind="associative"):
 
 @st.composite
 def sparse_vectors(draw, n, coeffs=COEFFS):
-    return tuple(draw(st.sampled_from((ZERO, ZERO) + coeffs)) for _ in range(n))
+    """Vectors of F^n, each entry zero with probability about 2/7."""
+    return sparse([draw(st.sampled_from((ZERO, ZERO) + coeffs)) for _ in range(n)])
 
 
 @st.composite
 def dense_vectors(draw, n, coeffs=COEFFS):
-    """Vectors with every entry non-zero."""
-    return tuple(draw(st.sampled_from(coeffs)) for _ in range(n))
+    """Vectors of F^n with every entry non-zero."""
+    return sparse([draw(st.sampled_from(coeffs)) for _ in range(n)])
+
+
+def vectors(n):
+    """Vectors of F^n of every shape: zero, one entry, some entries or all,
+    over integral and fractional Gaussian coefficients."""
+    mixed = COEFFS + FRACTIONS
+    one_entry = (st.tuples(st.integers(0, n - 1), st.sampled_from(mixed)).map(lambda ic: dict([ic]))
+                 if n else st.just({}))
+    return st.one_of(st.just({}), one_entry, sparse_vectors(n, mixed), dense_vectors(n, mixed))
 
 
 @st.composite

@@ -29,15 +29,7 @@ from dgkit.deform import (
 )
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra, format_vector
-from dgkit.linalg import (
-    Matrix,
-    invert,
-    linear_solve,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
-)
+from dgkit.linalg import Matrix, invert, linear_solve
 from dgkit.models import (
     connection_from_bicomplex,
     dots_squares_model,
@@ -48,7 +40,17 @@ from dgkit.models import (
 )
 from dgkit.qdolbeault import DEL_BAR, DEL_BAR_J, ConnectionModel, build_quaternionic_complex
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import dg_algebras, graded_maps, random_algebras, sparse_vectors
+from strategies import (
+    dense,
+    dg_algebras,
+    graded_maps,
+    random_algebras,
+    sparse,
+    sparse_vectors,
+    vec,
+    vscale,
+    vsum,
+)
 
 
 def cone_dgla():
@@ -75,10 +77,9 @@ def cone_plus_square():
 
 def series_from(ctx, order, degree, *vectors):
     """The element of L ⊗ m with the given coefficients at t^1, t^2, ..."""
-    dim = ctx.dim(degree)
-    coeffs = [zero_vector(dim)] + [v if v is not None else zero_vector(dim) for v in vectors]
+    coeffs = [{}] + [v if v is not None else {} for v in vectors]
     while len(coeffs) < order:
-        coeffs.append(zero_vector(dim))
+        coeffs.append({})
     return Series(degree, coeffs)
 
 
@@ -91,7 +92,7 @@ def series_from(ctx, order, degree, *vectors):
 
 def ref_add(u, v):
     """The former Series.add and OpSeries.add."""
-    add = GradedMap.add if isinstance(u.coeffs[0], GradedMap) else vec_add
+    add = GradedMap.add if isinstance(u.coeffs[0], GradedMap) else vsum
     return Series(u.degree, [add(a, b) for a, b in zip(u.coeffs, v.coeffs)])
 
 
@@ -100,23 +101,23 @@ def ref_scale(u, q):
     c = Scalar(q)
     if isinstance(u.coeffs[0], GradedMap):
         return Series(u.degree, [m.scale(c) for m in u.coeffs])
-    return Series(u.degree, [vec_scale(c, v) for v in u.coeffs])
+    return Series(u.degree, [vscale(c, v) for v in u.coeffs])
 
 
 def ref_bracket_series(dgla, u, v):
     """The former bracket_series loop, over the coefficients at t^1..t^(N-1)."""
     degree = u.degree + v.degree
     n = len(u.coeffs) - 1
-    out = [zero_vector(dgla.space.dim(degree)) for _ in range(n)]
+    out = [{} for _ in range(n)]
     for i, ci in enumerate(u.coeffs[1:], start=1):
-        if vec_is_zero(ci):
+        if not ci:
             continue
         for j, cj in enumerate(v.coeffs[1:], start=1):
-            if i + j > n or vec_is_zero(cj):
+            if i + j > n or not cj:
                 continue
-            out[i + j - 1] = vec_add(out[i + j - 1],
+            out[i + j - 1] = vsum(out[i + j - 1],
                                      dgla.mul(u.degree, ci, v.degree, cj))
-    return Series(degree, [zero_vector(dgla.space.dim(degree))] + out)
+    return Series(degree, [{}] + out)
 
 
 def ref_compose(a, b):
@@ -143,7 +144,7 @@ def ref_gauge_transform(ctx, a, x):
     term = u
     n = 0
     factorial = 1
-    while not all(vec_is_zero(c) for c in term.coeffs):
+    while any(term.coeffs):
         factorial *= (n + 1)
         result = ref_add(result, ref_scale(term, Fraction(1, factorial)))
         term = ref_bracket_series(ctx.dgla, a, term)
@@ -164,7 +165,7 @@ def exp_adjoint(ctx, a, x):
         term = ref_bracket_series(ctx.dgla, a, term)
         n += 1
         factorial *= n
-        if all(vec_is_zero(c) for c in term.coeffs) or n > len(x.coeffs) - 1:
+        if not any(term.coeffs) or n > len(x.coeffs) - 1:
             break
         result = ref_add(result, ref_scale(term, Fraction(1, factorial)))
     return result
@@ -192,7 +193,7 @@ def ref_exp_series(s):
 
 def test_zero_element_is_mc_both_modes():
     ctx = DeformationContext(cone_dgla(), "d0")
-    x = Series.zero(1, ctx.dim(1), 4)
+    x = Series.zero(1, 4)
     assert ctx.mc_check(x, "classical").passed
     assert ctx.mc_check(x, "strong").passed
 
@@ -226,7 +227,7 @@ def test_strong_failure_shows_quadratic_residual():
 def test_coefficient_degree_rejected():
     ctx = DeformationContext(cone_dgla(), "d0")
     with pytest.raises(Exception):
-        ctx.mc_check(Series.zero(0, ctx.dim(0), 3))
+        ctx.mc_check(Series.zero(0, 3))
 
 
 # -- order-by-order verdicts against the all-orders formula ---------------------
@@ -236,7 +237,7 @@ def first_nonzero(*series):
     """The first power of t at which one of the series has a non-zero
     coefficient, or None."""
     return next((p for p, cs in enumerate(zip(*(u.coeffs for u in series)))
-                 if not all(vec_is_zero(c) for c in cs)), None)
+                 if any(cs)), None)
 
 
 def ref_mc_check(ctx, x, mode):
@@ -260,23 +261,23 @@ def mc_elements(ctx, order):
     dgla, d, space = ctx.dgla, ctx.d, ctx.dgla.space
     labels = space.labels(1)
     basis = [space.basis_vector(lab)[1] for lab in labels]
-    closed = [v for v in basis if vec_is_zero(d.apply(1, v))]
-    sums = closed + [vec_add(a, b) for a, b in combinations(closed, 2)]
+    closed = [v for v in basis if not d.apply(1, v)]
+    sums = closed + [vsum(a, b) for a, b in combinations(closed, 2)]
 
     def sq(v):
         return dgla.mul(1, v, 1, v)
 
     rnd = random.Random(7)
-    out = [Series.zero(1, ctx.dim(1), order)]
+    out = [Series.zero(1, order)]
     out += [random_series(space, 1, order, rnd, support) for support in (None, labels[:4])]
     candidates = [
-        [series_from(ctx, order, 1, v, v, v) for v in closed if vec_is_zero(sq(v))],
-        [series_from(ctx, order, 1, v) for v in basis if not vec_is_zero(d.apply(1, v))],
-        [series_from(ctx, order, 1, v) for v in sums if not vec_is_zero(sq(v))],
+        [series_from(ctx, order, 1, v, v, v) for v in closed if not sq(v)],
+        [series_from(ctx, order, 1, v) for v in basis if d.apply(1, v)],
+        [series_from(ctx, order, 1, v) for v in sums if sq(v)],
         [series_from(ctx, order, 1, a, b) for a in closed for b in closed
-         if vec_is_zero(sq(a)) and not vec_is_zero(dgla.mul(1, a, 1, b))],
-        [series_from(ctx, order, 1, v, sol[0]) for v in sums if not vec_is_zero(sq(v))
-         for sol in [linear_solve(d.block(1), vec_scale(Scalar(Fraction(-1, 2)), sq(v)))]
+         if not sq(a) and dgla.mul(1, a, 1, b)],
+        [series_from(ctx, order, 1, v, sol[0]) for v in sums if sq(v)
+         for sol in [linear_solve(d.block(1), vscale(Scalar(Fraction(-1, 2)), sq(v)))]
          if sol is not None],
     ]
     return out + [found[0] for found in candidates if found]
@@ -313,7 +314,7 @@ def test_mc_verdicts_match_the_all_orders_formula(name):
             assert rep.residual == residual
             assert rep.residual_table() == {f"t^{p}": format_vector(space, 2, c)
                                             for p, c in enumerate(residual.coeffs)
-                                            if not vec_is_zero(c)}
+                                            if c}
             reached.add((mode, fails_at))
     assert reached >= MC_FIRST_FAILURES[name]
 
@@ -324,11 +325,11 @@ def test_a_strong_failure_with_a_classical_solution_walks_on():
     finds the classical failure that d x_3 != 0 puts at t^3."""
     ctx = DeformationContext(MC_DGLAS["nilpotent_torus_r2"][0](), "total")
     x = mc_elements(ctx, 5)[-1]
-    assert not vec_is_zero(x.coeffs[2])
+    assert x.coeffs[2]
     rep = ctx.mc_check(x, "strong")
     assert (rep.passed, rep.classical, rep.strong) == (False, True, False)
     assert rep.residual_table() == {}
-    c = next(v for v in mc_elements(ctx, 5) if not vec_is_zero(ctx.d.apply(1, v.coeffs[1])))
+    c = next(v for v in mc_elements(ctx, 5) if ctx.d.apply(1, v.coeffs[1]))
     x.coeffs[3] = c.coeffs[1]
     rep = ctx.mc_check(x, "strong")
     assert (rep.passed, rep.classical, rep.strong) == (False, False, False)
@@ -394,14 +395,14 @@ def test_gauge_identity_element():
     ctx = DeformationContext(dgla, "d0")
     rnd = random.Random(1)
     x = random_series(dgla.space, 1, 4, rnd)
-    assert ctx.gauge_transform(Series.zero(0, ctx.dim(0), 4), x) == x
+    assert ctx.gauge_transform(Series.zero(0, 4), x) == x
 
 
 def test_gauge_of_zero_with_zero_differential_is_zero():
     dgla = cone_dgla()
     ctx = DeformationContext(dgla, "d0")
     a = series_from(ctx, 4, 0)
-    assert ctx.gauge_transform(a, Series.zero(1, ctx.dim(1), 4)).is_zero()
+    assert ctx.gauge_transform(a, Series.zero(1, 4)).is_zero()
 
 
 def test_gauge_of_zero_series_expansion():
@@ -412,14 +413,14 @@ def test_gauge_of_zero_series_expansion():
     space = lie.space
     _, one12 = space.basis_vector("one|E1_2")
     _, a021 = space.basis_vector("s0a|E2_1")
-    a1 = vec_add(one12, a021)
+    a1 = vsum(one12, a021)
     a = series_from(ctx, 3, 0, a1)
-    got = ctx.gauge_transform(a, Series.zero(1, ctx.dim(1), 3))
+    got = ctx.gauge_transform(a, Series.zero(1, 3))
     da1 = ctx.d.apply(0, a1)
-    expected1 = vec_scale(Scalar(-1), da1)
-    expected2 = vec_scale(Scalar(Fraction(-1, 2)), lie.mul(0, a1, 1, da1))
-    assert not vec_is_zero(expected2)  # the example is non-degenerate
-    assert vec_is_zero(got.coeffs[0])
+    expected1 = vscale(Scalar(-1), da1)
+    expected2 = vscale(Scalar(Fraction(-1, 2)), lie.mul(0, a1, 1, da1))
+    assert expected2  # the example is non-degenerate
+    assert not got.coeffs[0]
     assert got.coeffs[1] == expected1
     assert got.coeffs[2] == expected2
 
@@ -457,15 +458,15 @@ def test_abelian_obstruction_vanishes():
     abelian = StructuredAlgebra(space, "lie", {"d": zero}, {})
     tan = tangent_and_obstruction(abelian, "d")
     assert tan.h1_dim == 1
-    assert vec_is_zero(tan.obstruction((ONE,)))
+    assert not tan.obstruction(vec(1))
     assert tan.cross_check.passed
 
 
 def test_cone_obstruction_is_half_square():
     tan = tangent_and_obstruction(cone_dgla(), "d0")
-    got = tan.obstruction((ONE, ZERO))       # class u1: -1/2 [u1,u1] = -w
-    assert got == (Scalar(-1),)
-    assert vec_is_zero(tan.obstruction((ZERO, ONE)))
+    got = tan.obstruction(vec(1, 0))       # class u1: -1/2 [u1,u1] = -w
+    assert got == vec(-1)
+    assert not tan.obstruction(vec(0, 1))
     assert tan.cross_check.passed
 
 
@@ -478,10 +479,10 @@ def test_obstruction_transports_along_the_zigzag():
     # transport H_{d0}(L) -> H_{d0}(ker d1) -> H_{d1}(L)
     t1 = zig.rho_certificate.matrices[1] * invert(zig.iota_certificate.matrices[1])
     t2 = zig.rho_certificate.matrices[2] * invert(zig.iota_certificate.matrices[2])
-    for xi in [(ONE, ZERO), (ZERO, ONE), (ONE, ONE)]:
+    for xi in [vec(1, 0), vec(0, 1), vec(1, 1)]:
         ob_l = tan.obstruction(xi)
         eta = t1.apply(xi)
-        ob_h = vec_scale(Scalar(Fraction(-1, 2)), h_alg.mul(1, eta, 1, eta))
+        ob_h = vscale(Scalar(Fraction(-1, 2)), h_alg.mul(1, eta, 1, eta))
         assert t2.apply(ob_l) == ob_h
 
 
@@ -491,10 +492,10 @@ def test_obstruction_transports_along_the_zigzag():
 def test_quadraticity_cone_model():
     dgla = cone_dgla()
     cert = formality_zigzag(Bicomplex(dgla, "d0", "d1"))
-    samples = [(ZERO, ONE), (ONE, ZERO), (ONE, ONE)]
+    samples = [vec(0, 1), vec(1, 0), vec(1, 1)]
     rep = quadraticity_probe(cert, samples, k_max=6)
     assert rep.passed
-    flat = {tuple(str(c) for c in s.xi): s for s in rep.samples}
+    flat = {tuple(s.to_json()["class"]): s for s in rep.samples}
     assert flat[("0", "1")].lifted_to == 6
     assert flat[("1", "0")].order3_unsolvable is True
 
@@ -506,7 +507,7 @@ def test_quadraticity_with_nontrivial_differential():
     samples = []
     rnd = random.Random(4)
     for _ in range(6):
-        samples.append(tuple(Scalar(rnd.randint(-2, 2)) for _ in range(h1)))
+        samples.append(vec(*(rnd.randint(-2, 2) for _ in range(h1))))
     rep = quadraticity_probe(cert, samples, k_max=5)
     assert rep.passed
 
@@ -521,7 +522,7 @@ def test_quadraticity_requires_certificate():
 
 def test_split_zero_element():
     q = build_quaternionic_complex(torus_model(1))
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     rep = qa_mc_split(q, elt)
     assert rep.full and rep.xi1_mc and rep.xi2_mc and rep.mixed_zero
 
@@ -542,9 +543,9 @@ def test_split_walks_every_order_of_the_series():
     F[t]/(t^5): each side is Maurer-Cartan, and the mixed bracket [xi1, xi2]
     first appears at t^4, so every check must walk all five orders."""
     q = build_quaternionic_complex(torus_model(2))
-    t2 = vec_add(q.space.basis_vector("x1y0:dzb1|E1_2")[1],
-                 q.space.basis_vector("x0y1:dzb2|E2_1")[1])
-    x = Series.zero(1, q.space.dim(1), 5)
+    t2 = vsum(q.space.basis_vector("x1y0:dzb1|E1_2")[1],
+              q.space.basis_vector("x0y1:dzb2|E2_1")[1])
+    x = Series.zero(1, 5)
     x.coeffs[2] = t2
     rep = qa_mc_split(q, x)
     assert (rep.full, rep.xi1_mc, rep.xi2_mc, rep.mixed_zero, rep.equivalent) == \
@@ -553,9 +554,7 @@ def test_split_walks_every_order_of_the_series():
 
 def test_split_rejects_wrong_support():
     q = build_quaternionic_complex(torus_model(1))
-    coeff = [ZERO] * q.space.dim(2)
-    coeff[0] = ONE
-    bad = Series(2, [zero_vector(q.space.dim(2))] + [tuple(coeff)] * 2)
+    bad = Series(2, [{}] + [{0: ONE}] * 2)
     with pytest.raises(Exception):
         qa_mc_split(q, bad)
 
@@ -563,7 +562,7 @@ def test_split_rejects_wrong_support():
 def test_split_and_evaluations_refuse_the_extended_complex():
     m = torus_model(1)
     q = build_quaternionic_complex(m, window=2)
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     for probe in (lambda: qa_mc_split(q, elt),
                   lambda: evaluation_functors(q, elt),
                   lambda: connection_correspondence(m, q, elt)):
@@ -590,9 +589,7 @@ def ref_split(q, element):
     for coeff in element.coeffs:
         v1 = [ZERO] * n1
         v2 = [ZERO] * n1
-        for idx, c in enumerate(coeff):
-            if c.is_zero():
-                continue
+        for idx, c in coeff.items():
             p, qq, dlabel = ref_cell(labels[idx])
             pos = d_space.label_loc[dlabel][1]
             if (p, qq) == (1, 0):
@@ -601,8 +598,8 @@ def ref_split(q, element):
                 v2[pos] = v2[pos] + c
             else:
                 raise ModelError("element not supported in bidegrees (1,0)+(0,1)")
-        xi1.append(tuple(v1))
-        xi2.append(tuple(v2))
+        xi1.append(sparse(v1))
+        xi2.append(sparse(v2))
     return Series(1, xi1), Series(1, xi2)
 
 
@@ -617,10 +614,10 @@ def ref_join(q, xi1, xi2):
             p, qq, dlabel = ref_cell(lab)
             pos = d_space.label_loc[dlabel][1]
             if (p, qq) == (1, 0):
-                v[idx] = c1[pos]
+                v[idx] = c1.get(pos, ZERO)
             elif (p, qq) == (0, 1):
-                v[idx] = c2[pos]
-        coeffs.append(tuple(v))
+                v[idx] = c2.get(pos, ZERO)
+        coeffs.append(sparse(v))
     return Series(1, coeffs)
 
 
@@ -711,11 +708,12 @@ def test_splits_and_y_lifts_are_pinned(name, build, seeds):
     lifts = strong_mc_samples(lie, DEL_BAR, 4, 3, seed=seeds[1], support=corner)
     ys = [b.apply(q.sections[1]) for b in lifts]
 
-    def digest(series):
-        text = repr([[tuple(str(c) for c in v) for v in s.coeffs] for s in series])
+    def digest(series, n):
+        text = repr([[tuple(str(c) for c in dense(v, n)) for v in s.coeffs] for s in series])
         return hashlib.sha256(text.encode()).hexdigest()
 
-    assert (digest(splits), digest(ys)) == SPLIT_AND_LIFT_SHA256[name]
+    assert (digest(splits, m.dolbeault.space.dim(1)), digest(ys, q.space.dim(1))) == \
+        SPLIT_AND_LIFT_SHA256[name]
 
 
 # -- evaluations and lifts ---------------------------------------------------------
@@ -724,7 +722,7 @@ def test_splits_and_y_lifts_are_pinned(name, build, seeds):
 def test_evaluation_zero_element_and_tangent_dims():
     m = torus_model(1)
     q = build_quaternionic_complex(m)
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     rep = evaluation_functors(q, elt, certified=True)
     assert rep.pi_x_mc and rep.pi_y_mc
     assert rep.tangent_dim_q == 4 and rep.tangent_dim_base == 2
@@ -737,7 +735,7 @@ def test_y_lift_of_kernel_mc_elements():
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
     lifts = strong_mc_samples(lie, DEL_BAR, 3, 4, seed=9, support=corner)
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     rep = evaluation_functors(q, elt, lifts=lifts, certified=True)
     assert all(rep.lift_checks)
     # pi_y returns b, pi_x returns 0 on a pure y-lift
@@ -757,14 +755,14 @@ def test_y_lift_of_a_non_strong_kernel_element():
     system = Matrix.from_columns(lie.space.dim(2), [m.del_bar.apply(1, v) for v in kernel_j])
     joint = m.del_bar.kernel(1).intersect(m.del_bar_j.kernel(1)).vectors()
     for u, v in combinations(joint, 2):
-        b1 = vec_add(u, v)
-        rhs = vec_scale(Scalar(Fraction(-1, 2)), lie.mul(1, b1, 1, b1))
+        b1 = vsum(u, v)
+        rhs = vscale(Scalar(Fraction(-1, 2)), lie.mul(1, b1, 1, b1))
         sol = linear_solve(system, rhs)
-        if not vec_is_zero(rhs) and sol is not None:
+        if rhs and sol is not None:
             break
     b2 = Matrix.from_columns(lie.space.dim(1), kernel_j).apply(sol[0])
-    b = Series(1, [zero_vector(lie.space.dim(1)), b1, b2])
-    zero = Series.zero(1, q.space.dim(1), 3)
+    b = Series(1, [{}, b1, b2])
+    zero = Series.zero(1, 3)
     assert evaluation_functors(q, zero, lifts=[b]).lift_checks == [True]
     full = DeformationContext(q.dgla, "total")
     x_section, y_section = q.sections
@@ -792,7 +790,7 @@ def test_tangent_bijection_on_certified_end_model():
     b = end_tensor(dots_squares_model({0: 1, 1: 1, 2: 1}, [0], seed=5), 2)
     mq = connection_from_bicomplex(b)
     q = build_quaternionic_complex(mq)
-    elt = Series.zero(1, q.space.dim(1), 2)
+    elt = Series.zero(1, 2)
     rep = evaluation_functors(q, elt, certified=True)
     assert rep.tangent_doubles and rep.tangent_bijection
 
@@ -803,7 +801,7 @@ def test_tangent_bijection_on_certified_end_model():
 def test_correspondence_zero_element():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     rep = connection_correspondence(m, q, elt)
     assert rep.relations_over_b.passed and rep.reduces_to_base
     assert rep.curvature_oracle is True and rep.oracle_agrees
@@ -837,11 +835,10 @@ def test_correspondence_gauge_conjugation():
 def full_model_theta(full, order, *labels):
     """The degree-1 series whose t^1 coefficient is the sum of the labels."""
     space = full.space
-    t1 = zero_vector(space.dim(1))
+    t1 = {}
     for lab in labels:
-        t1 = vec_add(t1, space.basis_vector(lab)[1])
-    return Series(1, [zero_vector(space.dim(1)), t1] + [zero_vector(space.dim(1))]
-                  * (order - 2))
+        t1 = vsum(t1, space.basis_vector(lab)[1])
+    return Series(1, [{}, t1] + [{}] * (order - 2))
 
 
 def test_curvature_oracle_reads_false_off_weight_zero():
@@ -849,9 +846,9 @@ def test_curvature_oracle_reads_false_off_weight_zero():
     full = torus_model(2).full_model
     theta = full_model_theta(full, 3, "dz1|E1_2", "dz2|E2_1")
     square = full.mul(1, theta.coeffs[1], 1, theta.coeffs[1])
-    assert not vec_is_zero(square)
-    assert not vec_is_zero(full.maps["h"].apply(2, square))
-    assert not vec_is_zero(full.maps["e"].apply(2, square))
+    assert square
+    assert full.maps["h"].apply(2, square)
+    assert full.maps["e"].apply(2, square)
     assert curvature_has_weight_zero(full, theta) is False
 
 
@@ -871,7 +868,7 @@ def test_correspondence_requires_j_data():
     b = end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=3), 2)
     m = connection_from_bicomplex(b)
     q = build_quaternionic_complex(m)
-    elt = Series.zero(1, q.space.dim(1), 3)
+    elt = Series.zero(1, 3)
     with pytest.raises(ModelError):
         connection_correspondence(m, q, elt)
 
@@ -882,7 +879,7 @@ def test_constant_terms_are_refused():
     ctx = DeformationContext(cone_plus_square(), "d0")
     _, u2 = ctx.dgla.space.basis_vector("u2")
     _, a0 = ctx.dgla.space.basis_vector("a0")
-    x0, a = Series.zero(1, ctx.dim(1), 3), Series.zero(0, ctx.dim(0), 3)
+    x0, a = Series.zero(1, 3), Series.zero(0, 3)
     with pytest.raises(ModelError):
         ctx.mc_check(Series(1, [u2] + x0.coeffs[1:]))
     with pytest.raises(ModelError):
@@ -898,8 +895,7 @@ def test_series_of_different_orders_are_refused():
     x5, x3 = (random_series(dgla.space, 1, order, rnd) for order in (5, 3))
     a3 = random_series(dgla.space, 0, 3, rnd)
     for refused in (lambda: x5.add(x3), lambda: x3.add(x5),
-                    lambda: x5.times(x3, lambda u, v: dgla.mul(1, u, 1, v),
-                                     zero_vector(dgla.space.dim(2))),
+                    lambda: x5.times(x3, lambda u, v: dgla.mul(1, u, 1, v), {}),
                     lambda: ctx.bracket_series(a3, x5),
                     lambda: ctx.gauge_transform(a3, x5)):
         with pytest.raises(ModelError, match="series orders differ"):
@@ -908,7 +904,7 @@ def test_series_of_different_orders_are_refused():
 
 def test_zero_series_needs_order_two():
     with pytest.raises(ModelError, match="order >= 2"):
-        Series.zero(1, 4, 1)
+        Series.zero(1, 1)
 
 
 # -- one series type: Series.times and exp_sum against the former loops -----------
@@ -919,8 +915,7 @@ series_oracle = settings(max_examples=60, deadline=None)
 def m_series(draw, space, degree, order):
     """A random element of L^degree ⊗ m over F[t]/(t^order)."""
     n = space.dim(degree)
-    return Series(degree, [zero_vector(n)]
-                  + [draw(sparse_vectors(n)) for _ in range(order - 1)])
+    return Series(degree, [{}] + [draw(sparse_vectors(n)) for _ in range(order - 1)])
 
 
 # the loops compared here need no Lie axioms, so the brackets are random
@@ -1065,20 +1060,23 @@ def test_first_order_dictionary_is_not_asserted_without_the_strong_lemma(deform_
     assert json.loads(out)["report"]["strong_lemma_certified"] is False
 
 
-def test_a_non_associative_dolbeault_algebra_is_bad_input(deform_models):
-    """exp(L_s) = id + L_(e^s - 1) needs D associative: on the twisted torus
-    with one product constant of D^0 doubled, the failed g o g^-1 = id check
-    names a non-associative triple as a model error, not as a broken
-    certificate."""
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_a_non_associative_dolbeault_algebra_is_bad_input(deform_models, seed):
+    """exp(L_s) = id + L_(e^s - 1) needs D associative: the twisted torus
+    with one product constant of D^0 doubled is refused before any probe
+    runs, naming a non-associative triple as a model error.  Without that
+    check, seed 0 reported gauge_conjugation_identity false and seed 1 hit
+    the failed g o g^-1 = id check."""
     workdir = deform_models.workdir
     text = (workdir / "twisted_r2.model").read_text()
     line = "1|E1_2 1|E2_1 -> 1|E1_1 : 1\n"
     assert text.count(line) == 1
     (workdir / "twisted_bad.model").write_text(text.replace(line, line.replace(": 1", ": 2")))
     code, out = deform_models("--format", "json", "deform", "twisted_bad.model",
-                              "--order", "4", "--samples", "4", "--seed", "1")
+                              "--order", "4", "--samples", "4", "--seed", seed)
     assert code == 1
-    assert json.loads(out)["report"]["error"].startswith("D is not associative")
+    assert json.loads(out)["report"] == {
+        "error": "D is not associative at ('1|E1_2', '1|E2_1', '1|E1_2')"}
 
 
 def test_first_order_dictionary_failure_on_a_certified_pair_is_internal(
@@ -1115,12 +1113,16 @@ def test_seeded_samples_are_pinned():
     m = torus_model(2)
     lie = m.dolbeault.commutator_dgla(validate=False)
     corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
+    cone = cone_plus_square()
     xs = strong_mc_samples(lie, DEL_BAR, 4, 5, seed=3, support=corner)
-    xs += strong_mc_samples(cone_plus_square(), "d0", 4, 4, seed=4)
+    xs += strong_mc_samples(cone, "d0", 4, 4, seed=4)
     rnd = random.Random(7)
     q = build_quaternionic_complex(m)
     xs += [random_series(q.space, 1, 4, rnd) for _ in range(3)]
     xs += [random_series(m.dolbeault.space, 0, 4, rnd)]
-    assert all(vec_is_zero(x.coeffs[0]) for x in xs)
-    text = repr([[tuple(str(c) for c in v) for v in x.coeffs[1:]] for x in xs])
+    assert not any(x.coeffs[0] for x in xs)
+    dims = [lie.space.dim(1)] * 5 + [cone.space.dim(1)] * 4 + [q.space.dim(1)] * 3 \
+        + [m.dolbeault.space.dim(0)]
+    text = repr([[tuple(str(c) for c in dense(v, n)) for v in x.coeffs[1:]]
+                 for x, n in zip(xs, dims)])
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_SAMPLES_SHA256

@@ -20,13 +20,13 @@ from dgkit.graded import (
     left_multiplication,
     nonzero_image_witness,
 )
-from dgkit.linalg import DimensionMismatch, Matrix, dense_vector, vec_add, vec_is_zero, vec_scale
+from dgkit.linalg import DimensionMismatch, Matrix
 from dgkit.modelfile import serialize_connection_model
 from dgkit.models import (connection_from_bicomplex, dots_squares_model, end_tensor,
                           nilpotent_torus_model, torus_model)
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import (COEFFS, FRACTIONS, dense_vectors, dg_algebras, graded_maps, random_algebras,
-                        sparse_vectors)
+                        sparse, sparse_vectors, vec, vscale, vsum)
 
 
 
@@ -157,7 +157,7 @@ def test_product_of_classes_is_class_of_product(exterior2):
     k1, v1 = exterior2.space.basis_vector("g1")
     k2, v2 = exterior2.space.basis_vector("g2")
     prod = exterior2.mul(k1, v1, k2, v2)
-    assert h.project(2, prod) == (ONE,)
+    assert h.project(2, [prod]) == [vec(1)]
 
 
 def test_induced_map_on_cohomology_functorial(square):
@@ -209,13 +209,13 @@ def test_well_definedness_failure_names_the_degree_pair():
 
 def reference_mul(alg, k1, v1, k2, v2):
     """The former StructuredAlgebra.mul: the bilinear extension of the
-    structure constants, looked up by label pair."""
+    structure constants, looked up by label pair, into a dense list."""
     k = k1 + k2
     out = [ZERO] * alg.space.dim(k)
     labels1 = alg.space.labels(k1)
     labels2 = alg.space.labels(k2)
-    nz1 = [(labels1[i], c) for i, c in enumerate(v1) if not c.is_zero()]
-    nz2 = [(labels2[j], c) for j, c in enumerate(v2) if not c.is_zero()]
+    nz1 = [(labels1[i], c) for i, c in v1.items()]
+    nz2 = [(labels2[j], c) for j, c in v2.items()]
     loc = alg.space.label_loc
     for l1, c1 in nz1:
         for l2, c2 in nz2:
@@ -226,19 +226,16 @@ def reference_mul(alg, k1, v1, k2, v2):
             for lt, ct in targets.items():
                 idx = loc[lt][1]
                 out[idx] = out[idx] + c * ct
-    return tuple(out)
+    return sparse(out)
 
 
-def label_times(alg, label, k, items, label_first):
-    """label * v (label_first) or v * label through label_product, the
-    label as its one-entry sparse vector."""
-    kl, i = alg.space.label_loc[label]
-    unit = [(i, ONE)]
-    return (alg.label_product(kl, unit, k, items) if label_first
-            else alg.label_product(k, items, kl, unit))
+def label_times(alg, label, k, v, label_first):
+    """label * v (label_first) or v * label, the label as its basis vector."""
+    kl, unit = alg.space.basis_vector(label)
+    return alg.mul(kl, unit, k, v) if label_first else alg.mul(k, v, kl, unit)
 
 
-def test_label_product_drops_cancelled_entries():
+def test_products_drop_cancelled_entries():
     # a*x = t and a*y = -t, so a*(x + y) = 0 on both sides
     space = GradedSpace({0: ["x", "y"], 1: ["a", "t"]})
     triples = [("a", "x", "t", ONE), ("a", "y", "t", -ONE),
@@ -246,8 +243,24 @@ def test_label_product_drops_cancelled_entries():
     alg = StructuredAlgebra(space, "associative", {},
                             StructuredAlgebra.structure_from_triples(triples))
     for label_first in (True, False):
-        assert label_times(alg, "a", 0, [(0, ONE), (1, ONE)], label_first) == {}
-        assert label_times(alg, "a", 0, [(1, Scalar(2))], label_first) == {1: Scalar(-2)}
+        assert label_times(alg, "a", 0, vec(1, 1), label_first) == {}
+        assert label_times(alg, "a", 0, vec(0, 2), label_first) == {1: Scalar(-2)}
+
+
+def assert_products_match_the_reference(alg, k1, v1, k2, v2):
+    """v1 * v2, and every label times v2 on either side, against the
+    former label-keyed loop; no product stores a zero."""
+    space = alg.space
+    got = alg.mul(k1, v1, k2, v2)
+    assert got == reference_mul(alg, k1, v1, k2, v2)
+    assert all(not c.is_zero() for c in got.values())
+    for label in space.all_labels():
+        kl, unit = space.basis_vector(label)
+        for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
+                                  (False, reference_mul(alg, k2, v2, kl, unit))):
+            got = label_times(alg, label, k2, v2, label_first)
+            assert got == want
+            assert all(not c.is_zero() for c in got.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,24 +272,7 @@ def test_products_match_the_reference(alg, data):
     k2 = data.draw(st.sampled_from(degrees))
     v1 = data.draw(sparse_vectors(space.dim(k1)))
     v2 = data.draw(sparse_vectors(space.dim(k2)))
-    want = reference_mul(alg, k1, v1, k2, v2)
-    assert alg.mul(k1, v1, k2, v2) == want
-    # two sparse operands
-    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
-    sparse = alg.label_product(k1, [(i, c) for i, c in enumerate(v1) if not c.is_zero()], k2, items)
-    assert all(not c.is_zero() for c in sparse.values())
-    assert dense_vector(space.dim(k1 + k2), sparse) == want
-    if not space.degrees():
-        return
-    label = data.draw(st.sampled_from(space.all_labels()))
-    kl = space.degree_of(label)
-    unit = space.basis_vector(label)[1]
-    m = space.dim(k2 + kl)
-    for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
-                              (False, reference_mul(alg, k2, v2, kl, unit))):
-        sparse = label_times(alg, label, k2, items, label_first)
-        assert all(not c.is_zero() for c in sparse.values())
-        assert dense_vector(m, sparse) == want
+    assert_products_match_the_reference(alg, k1, v1, k2, v2)
 
 
 MIXED = COEFFS + FRACTIONS
@@ -286,9 +282,8 @@ def one_entry_vectors(n):
     """Vectors with one non-zero entry, so that a dense v1 times one of them
     meets several rows but a single v2 entry."""
     if not n:
-        return st.just(())
-    return st.tuples(st.integers(0, n - 1), st.sampled_from(MIXED)).map(
-        lambda ic: tuple(ic[1] if k == ic[0] else ZERO for k in range(n)))
+        return st.just({})
+    return st.tuples(st.integers(0, n - 1), st.sampled_from(MIXED)).map(lambda ic: {ic[0]: ic[1]})
 
 
 def mixed_vectors(n):
@@ -303,23 +298,7 @@ def test_products_over_mixed_denominators_match_the_reference(alg, data):
     k2 = data.draw(st.sampled_from(space.degrees() + [3]))
     v1 = data.draw(mixed_vectors(space.dim(k1)))
     v2 = data.draw(mixed_vectors(space.dim(k2)))
-    want = reference_mul(alg, k1, v1, k2, v2)
-    assert alg.mul(k1, v1, k2, v2) == want
-    # two sparse operands, both possibly with several entries over mixed denominators
-    items = [(i, c) for i, c in enumerate(v2) if not c.is_zero()]
-    sparse = alg.label_product(k1, [(i, c) for i, c in enumerate(v1) if not c.is_zero()], k2, items)
-    assert all(not c.is_zero() for c in sparse.values())
-    assert dense_vector(space.dim(k1 + k2), sparse) == want
-    if not space.degrees():
-        return
-    label = data.draw(st.sampled_from(space.all_labels()))
-    kl = space.degree_of(label)
-    unit = space.basis_vector(label)[1]
-    for label_first, want in ((True, reference_mul(alg, kl, unit, k2, v2)),
-                              (False, reference_mul(alg, k2, v2, kl, unit))):
-        sparse = label_times(alg, label, k2, items, label_first)
-        assert all(not c.is_zero() for c in sparse.values())
-        assert dense_vector(space.dim(k2 + kl), sparse) == want
+    assert_products_match_the_reference(alg, k1, v1, k2, v2)
 
 
 def test_fractional_products_are_reduced_once_and_cancel_to_zero():
@@ -331,29 +310,46 @@ def test_fractional_products_are_reduced_once_and_cancel_to_zero():
         ("x", "y", "t", Scalar(q(1, 3))), ("y", "x", "t", Scalar(q(-1, 3)))]))
     # v = 2/3 x + 5/6 i y: v*v = 4/9 x*x = 2/9 t + 1/3 u, as the x*y and y*x
     # terms cancel
-    v = (Scalar(q(2, 3)), Scalar(0, q(5, 6)))
-    assert alg.mul(1, v, 1, v) == (Scalar(q(2, 9)), Scalar(q(1, 3)))
+    v = vec(q(2, 3), Scalar(0, q(5, 6)))
+    assert alg.mul(1, v, 1, v) == vec(q(2, 9), q(1, 3))
     assert alg.mul(1, v, 1, v) == reference_mul(alg, 1, v, 1, v)
-    assert alg.mul(1, (Scalar(q(2, 3)), ZERO), 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
+    assert alg.mul(1, vec(q(2, 3)), 1, vec(0, q(1, 2))) == vec(q(1, 9))
     # v meets the rows of x and y, the second operand is one entry: v * 1/2 y = 1/9 t
-    assert alg.mul(1, v, 1, (ZERO, Scalar(q(1, 2)))) == (Scalar(q(1, 9)), ZERO)
-    assert alg.mul(2, (ONE, ONE), 1, v) == ()
+    assert alg.mul(1, v, 1, vec(0, q(1, 2))) == vec(q(1, 9))
+    assert alg.mul(2, vec(1, 1), 1, v) == {}
     # 3/2 y * x = -1/2 t; x * (1/3 x + 1/2 y) = 1/6 t + 1/4 u + 1/6 t
-    assert label_times(alg, "x", 1, [(1, Scalar(q(3, 2)))], False) == {0: Scalar(q(-1, 2))}
-    assert label_times(alg, "x", 1, [(0, Scalar(q(1, 3))), (1, Scalar(q(1, 2)))], True) \
-        == {0: Scalar(q(1, 3)), 1: Scalar(q(1, 4))}
-    assert label_times(alg, "y", 1, [(0, Scalar(3))], True) == {0: Scalar(-1)}
+    assert label_times(alg, "x", 1, vec(0, q(3, 2)), False) == vec(q(-1, 2))
+    assert label_times(alg, "x", 1, vec(q(1, 3), q(1, 2)), True) == vec(q(1, 3), q(1, 4))
+    assert label_times(alg, "y", 1, vec(3), True) == vec(-1)
     # (3x + y)(x + 3y) = 3 x*x + 9 x*y + y*x = (3/2 + 3 - 1/3) t + 9/4 u
-    assert alg.mul(1, (Scalar(3), ONE), 1, (ONE, Scalar(3))) == (Scalar(q(25, 6)), Scalar(q(9, 4)))
+    assert alg.mul(1, vec(3, 1), 1, vec(1, 3)) == vec(q(25, 6), q(9, 4))
 
 
 def test_apply_skips_missing_blocks_but_checks_the_length():
     space = GradedSpace({0: ["x"], 1: ["y", "z"]})
     f = GradedMap.from_entries(space, space, 1, [])
-    assert f.apply(0, (ONE,)) == (ZERO, ZERO)
-    assert f.apply(1, (ONE, ONE)) == ()
+    assert f.apply(0, vec(1)) == {}
+    assert f.apply(1, vec(1, 1)) == {}
     with pytest.raises(DimensionMismatch):
-        f.apply(0, (ONE, ONE))
+        f.apply(0, vec(1, 1))
+
+
+def test_products_and_table_operators_check_the_indices():
+    """An index outside its degree is refused on either operand, also where
+    the table has no row for it, instead of being dropped."""
+    space = GradedSpace({0: ["x"], 1: ["y", "z"]})
+    alg = StructuredAlgebra(space, "associative", {},
+                            StructuredAlgebra.structure_from_triples([("x", "y", "z", ONE)]))
+    assert alg.mul(0, vec(1), 1, vec(1)) == vec(0, 1)
+    for args in ((0, {1: ONE}, 1, vec(1)), (0, vec(1), 1, {2: ONE}),
+                 (0, {0: ONE, 1: ONE}, 1, vec(1, 1)), (0, vec(1), 1, {-1: ONE})):
+        for product in (alg.mul, alg.bracket):
+            with pytest.raises(DimensionMismatch):
+                product(*args)
+    for operator in (left_multiplication, adjoint_operator):
+        assert operator(alg, 0, vec(1)).apply(1, vec(1)) == vec(0, 1)
+        with pytest.raises(DimensionMismatch):
+            operator(alg, 0, {1: ONE})
 
 
 # -- pinned reports on broken models --------------------------------------------
@@ -550,7 +546,7 @@ def ref_nonzero_image(op):
     if bad is None:
         return None
     lab = next(l for l in space.labels(bad)
-               if not vec_is_zero(op.apply(bad, space.basis_vector(l)[1])))
+               if (op.apply(bad, space.basis_vector(l)[1])))
     img = op.apply(bad, space.basis_vector(lab)[1])
     return {"label": lab, "image": format_vector(op.target, bad + op.shift, img)}
 
@@ -928,7 +924,7 @@ def ref_adjoint_operator(alg, degree, v):
     """v*u - (-1)^(|v||u|) u*v, with two mul calls per basis vector u."""
     def image(k, u):
         sign = Scalar(-1) if (degree * k) % 2 == 0 else ONE
-        return vec_add(alg.mul(degree, v, k, u), vec_scale(sign, alg.mul(k, u, degree, v)))
+        return vsum(alg.mul(degree, v, k, u), vscale(sign, alg.mul(k, u, degree, v)))
     return column_operator(alg, degree, image)
 
 

@@ -330,6 +330,38 @@ def test_cli_reads_torus_files_without_flags(tmp_path, capsys, command):
         assert report["zigzag"]["certified"] is True
 
 
+@pytest.mark.parametrize("command", ["dgms", "formality"])
+@pytest.mark.parametrize("flags, missing", [
+    (("--d0", "del", "--d1", "nope"), "'nope' (--d1)"),
+    (("--d0", "nope", "--d1", "del_bar"), "'nope' (--d0)"),
+    (("--d0", "nope"), "'nope' (--d0)"),
+    (("--d1", "del_bar"), "'d0' (--d0)"),
+])
+def test_cli_a_named_differential_the_model_lacks_is_bad_input(tmp_path, capsys, command,
+                                                              flags, missing):
+    """Only the default pair (d0, d1) falls back to (del_bar_J, del_bar): a
+    missing differential of any other pair is a model error naming it and
+    its flag, not a report on another pair."""
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    assert run_cli(["--format", "json", command, str(torus), *flags]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"] == {"error": f"model has no differential {missing}"}
+
+
+@pytest.mark.parametrize("command", ["dgms", "formality"])
+def test_cli_the_default_pair_falls_back_when_typed(tmp_path, capsys, command):
+    """The fallback reads the pair's names, so typing the defaults is the
+    same as giving no flag."""
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    reports = []
+    for flags in ((), ("--d0", "d0", "--d1", "d1")):
+        assert run_cli(["--format", "json", command, str(torus), *flags]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert reports[0] == reports[1]
+
+
 def test_cli_formality_fails_on_zigzag(tmp_path, capsys):
     from dgkit.models import zigzag_model
     zz = tmp_path / "zz.model"
