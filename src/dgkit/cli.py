@@ -58,8 +58,6 @@ from dgkit.models import (
     zigzag_model,
 )
 from dgkit.qdolbeault import (
-    DEL_BAR,
-    DEL_BAR_J,
     build_quaternionic_complex,
     double_complex_spectral_sequence,
     extended_strong_lemma_interior,
@@ -128,9 +126,10 @@ def _emit(report: Report, fmt: str) -> int:
 
 def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
     """The bicomplex (d0, d1) of a model file.  A model that lacks one of them
-    falls back to its (del_bar_J, del_bar) pair only when the pair is the
-    default ("d0", "d1"), whether typed or not; for any other pair the
-    missing differential is bad input, named with its flag."""
+    falls back to the (del_bar_J, del_bar) pair of its connection model (of
+    the Dolbeault part, for a full model) only when the pair is the default
+    ("d0", "d1"), whether typed or not; for any other pair the missing
+    differential is bad input, named with its flag."""
     parsed = parse_model_file(path)
     diffs = parsed.algebra.differentials
     if d0 in diffs and d1 in diffs:
@@ -138,12 +137,10 @@ def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
     if (d0, d1) != ("d0", "d1"):
         flag, name = ("--d0", d0) if d0 not in diffs else ("--d1", d1)
         raise ModelError(f"model has no differential {name!r} ({flag})")
-    if parsed.is_connection():
-        return Bicomplex(parsed.algebra, DEL_BAR_J, DEL_BAR)
-    if parsed.is_full():
-        return parsed.to_connection_model().bicomplex
-    raise ModelError(f"model has no differential pair ({d0}, {d1}) and no "
-                     f"(del_bar_J, del_bar)")
+    if not (parsed.is_connection() or parsed.is_full()):
+        raise ModelError(f"model has no differential pair ({d0}, {d1}) and no "
+                         f"(del_bar_J, del_bar)")
+    return parsed.to_connection_model().bicomplex
 
 
 def _first_differential(alg) -> str:
@@ -305,9 +302,14 @@ def cmd_deform(args, report: Report):
                 "first-order dictionary is not a bijection on a certified model")
         report.put("first_order_dictionary", fo.to_json(), asserted=fo.bijection or None)
     else:
+        # an algebra that fails its DG or DGLA axioms is refused, not probed
         alg = parsed.algebra
-        if alg.kind != "lie":
-            alg = alg.commutator_dgla(validate=False)
+        if alg.kind == "lie":
+            failed = [f for name in alg.differentials for f in alg.validate_dgla(name).failures()]
+            if failed:
+                raise ModelError(f"model is not a DGLA: {failed[0].name}")
+        else:
+            alg = alg.commutator_dgla()
         name = _first_differential(alg)
         tan = tangent_and_obstruction(alg, name)
         report.put("tangent_obstruction", tan.to_json(),

@@ -28,9 +28,10 @@ differential (the axiom checks, cohomology, the strong lemma, its twist)
 shares them.  A map is zero exactly when it has no blocks, and the first
 failing degree of a relation is its first block.
 `Subquotient` is span(outer) modulo inner, degree by degree, with one
-`linalg.Complement` per degree; cohomology (`CohomologyPresentation`), the
-ker(d1) sub-algebra and image subcomplexes of `dgkit.ddbar` and the sl(2)
-quotient of `dgkit.sl2` are its cases, and its `structure` and `blocks`
+`linalg.Complement` per degree, the one place a Complement is built;
+cohomology (`CohomologyPresentation`), the ker(d1) sub-algebra and image
+subcomplexes of `dgkit.ddbar`, the sl(2) quotient of `dgkit.sl2` and the E1
+page of `dgkit.qdolbeault` are its cases, and its `structure` and `blocks`
 are the one product loop and the one induced-map loop.
 
 Sign conventions (Koszul throughout):

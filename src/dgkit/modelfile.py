@@ -33,13 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from dgkit.ddbar import Bicomplex
 from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
 from dgkit.qdolbeault import (
     DEL_BAR,
     DEL_BAR_J,
     ConnectionModel,
+    connection_from_bicomplex,
     connection_model_from_full,
+    full_model_gap,
 )
 from dgkit.scalars import Scalar, ScalarParseError
 
@@ -64,22 +67,17 @@ class ParsedModel:
         return DEL_BAR in d and DEL_BAR_J in d
 
     def is_full(self) -> bool:
-        m = self.algebra.maps
-        d = self.algebra.differentials
-        return all(n in m for n in ("e", "f", "h", "J")) and "del" in d and DEL_BAR in d
+        return full_model_gap(self.algebra) is None
 
     def to_connection_model(self) -> ConnectionModel:
         if self.is_full():
             return connection_model_from_full(self.algebra)
         if self.is_connection():
             return ConnectionModel(self.algebra)
-        # generic bicomplex files feed the connection machinery with
-        # d0 as del_bar_J and d1 as del_bar
-        diffs = dict(self.algebra.differentials)
+        # a generic bicomplex file is read as the connection of its (d0, d1)
+        diffs = self.algebra.differentials
         if "d0" in diffs and "d1" in diffs:
-            diffs[DEL_BAR_J] = diffs.pop("d0")
-            diffs[DEL_BAR] = diffs.pop("d1")
-            return ConnectionModel(self.algebra.with_differentials(diffs))
+            return connection_from_bicomplex(Bicomplex(self.algebra))
         raise ModelError("model carries neither (del_bar, del_bar_J) nor "
                          "(d0, d1) nor full data")
 

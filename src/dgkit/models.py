@@ -28,8 +28,8 @@ from dgkit.linalg import add_multiple
 from dgkit.qdolbeault import (
     DEL,
     DEL_BAR,
-    DEL_BAR_J,
     ConnectionModel,
+    connection_from_bicomplex,
     connection_model_from_full,
 )
 from dgkit.scalars import ONE, Scalar
@@ -314,17 +314,7 @@ def end_tensor(obj, r: int):
 
 
 # ---------------------------------------------------------------------------
-# connection models from bicomplexes, plus seeded corruption
-
-
-def connection_from_bicomplex(b: Bicomplex) -> ConnectionModel:
-    """Use d0 as del_bar_J and d1 as del_bar."""
-    diffs = dict(b.algebra.differentials)
-    diffs[DEL_BAR_J] = b.d0
-    diffs[DEL_BAR] = b.d1
-    for name in (b.d0_name, b.d1_name):
-        diffs.pop(name, None)
-    return ConnectionModel(b.algebra.with_differentials(diffs))
+# seeded random connection models, plus corruption
 
 
 def random_connection_model(seed: int, corrupt: bool = False) -> tuple[ConnectionModel, bool]:
@@ -365,10 +355,10 @@ def random_connection_model(seed: int, corrupt: bool = False) -> tuple[Connectio
         d1_entries += [(fresh[1], fresh[2], c2)]
     algebra = StructuredAlgebra(
         big, "associative",
-        {DEL_BAR_J: GradedMap.from_entries(big, big, 1, d0_entries),
-         DEL_BAR: GradedMap.from_entries(big, big, 1, d1_entries)},
+        {"d0": GradedMap.from_entries(big, big, 1, d0_entries),
+         "d1": GradedMap.from_entries(big, big, 1, d1_entries)},
         {})
-    model = ConnectionModel(algebra)
+    model = connection_from_bicomplex(Bicomplex(algebra))
     if model.autoduality.autodual:
         raise ModelError("corruption failed to break autoduality")
     return model, False

@@ -11,7 +11,10 @@ a square-zero total differential.  The complex keeps one table from its
 basis labels to their cells (p, q, D-label); its differentials, the
 evaluations pi_x (x = 1, y = 0) and pi_y (x = 0, y = 1) onto D and their
 sections D -> x^k D, y^k D are read from it, and no other module writes or
-reads a cell label.
+reads a cell label.  Its spectral pages are read off two subquotients of D,
+H(D, del_bar) and ker del_bar, and are defined for the standard complex
+only.  `connection_from_bicomplex` is the one place a bicomplex (d0, d1)
+becomes a connection model, with d0 as del_bar_J and d1 as del_bar.
 
 When the model also carries the ambient algebra F (all form types) with an
 sl(2)-action e/f/h, a multiplicative J, and the two components del/del_bar
@@ -36,11 +39,12 @@ from dgkit.graded import (
     GradedMap,
     GradedSpace,
     StructuredAlgebra,
+    Subquotient,
     ValidationReport,
     cohomology,
     nonzero_image_witness,
 )
-from dgkit.linalg import Complement, Matrix, Subspace, invert
+from dgkit.linalg import Matrix, Subspace, invert
 from dgkit.scalars import ONE, Scalar
 from dgkit.sl2 import (
     IsotypicDecomposition,
@@ -135,18 +139,33 @@ class ConnectionModel:
         return plus_quotient(self.full_model, low_weight_ideal(self.full_model, decomp), decomp)
 
 
+def connection_from_bicomplex(b: Bicomplex) -> ConnectionModel:
+    """The connection model of a bicomplex: d0 is del_bar_J and d1 is
+    del_bar.  Every bicomplex read as a connection goes through here."""
+    diffs = dict(b.algebra.differentials)
+    diffs[DEL_BAR_J] = b.d0
+    diffs[DEL_BAR] = b.d1
+    for name in (b.d0_name, b.d1_name):
+        diffs.pop(name, None)
+    return ConnectionModel(b.algebra.with_differentials(diffs))
+
+
+def full_model_gap(algebra: StructuredAlgebra) -> Optional[str]:
+    """Why algebra is not a full model: the first of the maps e, f, h, J and
+    the differentials del, del_bar it lacks; None when it has them all."""
+    gaps = [f"map {n!r}" for n in ("e", "f", "h", "J") if n not in algebra.maps]
+    gaps += [f"differential {n!r}" for n in (DEL, DEL_BAR) if n not in algebra.differentials]
+    return f"full model lacks {gaps[0]}" if gaps else None
+
+
 def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
     """Derive the Dolbeault part of a full model from its h-grading.
 
     The (0,k) part of degree k is spanned by basis labels that are exact
     h-eigenvectors of eigenvalue k.
     """
-    for name in ("e", "f", "h", "J"):
-        if name not in full.maps:
-            raise ModelError(f"full model lacks map {name!r}")
-    for name in (DEL, DEL_BAR):
-        if name not in full.differentials:
-            raise ModelError(f"full model lacks differential {name!r}")
+    if (gap := full_model_gap(full)) is not None:
+        raise ModelError(gap)
     h_columns = full.maps["h"].label_table()
     space = full.space
     d_labels: dict[int, list[str]] = {}
@@ -436,54 +455,40 @@ class SpectralPages:
 
 def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
     """E1 = vertical cohomology with induced horizontal maps; E2 = its
-    cohomology; degeneration at E2 is detected against the total complex."""
+    cohomology; degeneration at E2 is detected against the total complex.
+
+    On the standard complex a cell (p, q) of degree k has a cell above it
+    exactly when k + 1 is a degree of D, and one below it exactly when q >= 1
+    and k - 1 is.  So E1 is H^k(D, del_bar) where q >= 1 and ker del_bar in
+    D^k where q = 0, and x del_bar_J keeps q: the E1 differentials are the
+    blocks del_bar_J induces on these two subquotients of D, one rank per
+    subquotient and degree.  E1 = E2 exactly when they all vanish."""
+    if q.extended:
+        raise PreconditionError("spectral pages apply to the standard complex")
     if not q.total_squares_to_zero():
         raise PreconditionError("total differential does not square to zero")
-    d_space = q.model.dolbeault.space
-    dbar = q.model.del_bar
-    dbar_j = q.model.del_bar_j
-    cells = set(q.cells)
+    d = q.model.dolbeault
+    rows = (Subquotient(d, {}, {k: q.model.del_bar.kernel(k).vectors()     # q = 0
+                                for k in d.space.degrees()}, "z"),
+            cohomology(d, DEL_BAR))                                         # q >= 1
+    read = {(min(qq, 1), p + qq) for (p, qq) in q.cells}   # the ranks a cell reads
+    ranks = []
+    for row, sq in enumerate(rows):
+        blocks = sq.blocks(q.model.del_bar_j, escape=lambda k: InternalCheckError(
+            "induced map image not vertical-closed"))
+        for k, m in blocks.items():
+            if k + 1 in blocks and not (blocks[k + 1] * m).is_zero():
+                raise InternalCheckError("induced E1 differential does not square to zero")
+        ranks.append({k: m.rank() for k, m in blocks.items()
+                      if (row, k) in read and not m.is_zero()})
 
-    complements: dict[tuple, Complement] = {}
     e1_dims: dict[tuple, int] = {}
-    for (p, qq) in q.cells:
-        k = p + qq
-        n = d_space.dim(k)
-        ker = dbar.kernel(k) if (p, qq + 1) in cells else Subspace.full(n)
-        im = dbar.image(k) if (p, qq - 1) in cells else Subspace.zero(n)
-        complements[(p, qq)] = Complement(im, ker.vectors())
-        e1_dims[(p, qq)] = len(complements[(p, qq)].vectors)
-
-    induced: dict[tuple, Matrix] = {}
-    for (p, qq) in q.cells:
-        tgt = (p + 1, qq)
-        if tgt not in cells:
-            continue
-        k = p + qq
-        src_reps = complements[(p, qq)].vectors
-        if not src_reps:
-            continue
-        coords = complements[tgt].project([dbar_j.apply(k, r) for r in src_reps])
-        if coords is None:
-            raise InternalCheckError("induced map image not vertical-closed")
-        induced[(p, qq)] = Matrix.from_columns(e1_dims[tgt], coords)
-
-    # sanity: the induced horizontal differential squares to zero
-    for (p, qq), m in induced.items():
-        nxt = induced.get((p + 1, qq))
-        if nxt is not None and not (nxt * m).is_zero():
-            raise InternalCheckError("induced E1 differential does not square to zero")
-
     e2_dims: dict[tuple, int] = {}
     for (p, qq) in q.cells:
-        n = e1_dims[(p, qq)]
-        out = induced.get((p, qq))
-        rank_out = out.rank() if out is not None else 0
-        inc = induced.get((p - 1, qq))
-        rank_in = inc.rank() if inc is not None else 0
-        e2_dims[(p, qq)] = n - rank_out - rank_in
-
-    degenerate_e1 = all(m.is_zero() for m in induced.values())
+        k, row = p + qq, min(qq, 1)
+        e1_dims[(p, qq)] = rows[row].dim(k)
+        e2_dims[(p, qq)] = (e1_dims[(p, qq)] - ranks[row].get(k, 0)
+                            - (ranks[row].get(k - 1, 0) if p else 0))
     witness = next(((p, qq) for (p, qq) in sorted(e2_dims)
                     if e2_dims[(p, qq)] != e1_dims[(p, qq)]), None)
     total_dims = q.total_cohomology_dims()
@@ -492,7 +497,7 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         by_degree[p + qq] = by_degree.get(p + qq, 0) + v
     degenerate_e2 = all(by_degree.get(k, 0) == total_dims.get(k, 0)
                         for k in set(by_degree) | set(total_dims))
-    return SpectralPages(e1_dims, e2_dims, degenerate_e1,
+    return SpectralPages(e1_dims, e2_dims, witness is None,
                          witness is None, witness, degenerate_e2, total_dims)
 
 

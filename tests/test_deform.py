@@ -1079,6 +1079,60 @@ def test_a_non_associative_dolbeault_algebra_is_bad_input(deform_models, seed):
         "error": "D is not associative at ('1|E1_2', '1|E2_1', '1|E1_2')"}
 
 
+# a degree-0 bracket with [a, b] = c and [b, c] = a, skew and a Lie algebra;
+# BAD_LIE_BRACKET adds [a, c] = a, which keeps it skew but breaks Jacobi
+LIE_MODEL = """kind lie
+
+degrees
+0 : a b c
+
+map d shift 1
+
+structure
+a b -> c : 1
+b a -> c : -1
+b c -> a : 1
+c b -> a : -1
+"""
+BAD_LIE_BRACKET = "a c -> a : 1\nc a -> a : -1\n"
+
+# (model file, the checks `validate` fails, the error `deform` reports)
+AXIOM_FAILURES = {
+    "leibniz": ("ds_plain.model", "w0_0 s0a -> s0a : 1\n",
+                {"Leibniz(d0)", "Leibniz(d1)", "associativity"},
+                "commutator_dgla on unvalidated input: Leibniz(d0)"),
+    "associativity": ("ds_plain.model", "w0_0 w0_0 -> w0_0 : 1\nw0_0 s0a -> w0_0 : 1\n",
+                      {"associativity"},
+                      "commutator_dgla on unvalidated input: associativity"),
+    "jacobi": ("lie.model", BAD_LIE_BRACKET, {"Jacobi"}, "model is not a DGLA: Jacobi"),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_FAILURES))
+def test_deform_refuses_an_algebra_that_fails_its_axioms(deform_models, name):
+    """The tangent/obstruction probe needs a DG algebra (or a DGLA): a file
+    that `validate` fails is bad input, exit 1, not a passed probe.  Before
+    this check, all three files reported passed and exit 0."""
+    workdir = deform_models.workdir
+    assert deform_models("generate", "dots-squares", "--dots", "0:1,1:2,2:1",
+                         "--squares", "0", "-o", "ds_plain.model")[0] == 0
+    (workdir / "lie.model").write_text(LIE_MODEL)
+    base, extra, failing, error = AXIOM_FAILURES[name]
+    # the file without the extra constants is valid and is probed
+    assert deform_models("--format", "json", "validate", base)[0] == 0
+    code, out = deform_models("--format", "json", "deform", base)
+    assert code == 0 and "tangent_obstruction" in json.loads(out)["report"]
+    bad = f"bad_{name}.model"
+    (workdir / bad).write_text((workdir / base).read_text() + extra)
+    code, out = deform_models("--format", "json", "validate", bad)
+    assert code == 1
+    assert {check["name"] for rep in json.loads(out)["report"].values()
+            for check in rep["checks"] if not check["passed"]} == failing
+    code, out = deform_models("--format", "json", "deform", bad)
+    assert code == 1
+    assert json.loads(out)["report"] == {"error": error}
+
+
 def test_first_order_dictionary_failure_on_a_certified_pair_is_internal(
         deform_models, monkeypatch, capsys):
     import dgkit.cli as cli

@@ -727,6 +727,43 @@ def test_matrix_layout_stays_private():
     assert offenders == []
 
 
+def _module_trees(*skip):
+    src = Path(__file__).resolve().parents[1] / "src" / "dgkit"
+    return [(path.name, ast.parse(path.read_text(), str(path)))
+            for path in sorted(src.glob("*.py")) if path.name not in skip]
+
+
+def test_only_subquotient_builds_a_complement():
+    """graded.Subquotient owns how representatives are picked and how a
+    vector is projected: no other module calls linalg.Complement."""
+    offenders = [f"{name}:{node.lineno}"
+                 for name, tree in _module_trees("graded.py") for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and "Complement" in (
+                     getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert offenders == []
+
+
+def test_only_qdolbeault_names_a_connection_pair():
+    """qdolbeault.connection_from_bicomplex is the one place a differential
+    is stored under del_bar_J or del_bar from another pair: no other module
+    assigns to a DEL_BAR_J or DEL_BAR key, or builds a dict keyed DEL_BAR_J."""
+    names = {"DEL_BAR", "DEL_BAR_J", "del_bar", "del_bar_J"}
+
+    def key(node):
+        return getattr(node, "id", getattr(node, "value", None))
+
+    offenders = []
+    for name, tree in _module_trees("qdolbeault.py"):
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if any(isinstance(t, ast.Subscript) and key(t.slice) in names for t in targets):
+                offenders.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Dict) and any(key(k) in ("DEL_BAR_J", "del_bar_J")
+                                                  for k in node.keys):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []
+
+
 # Matrix.rref calls and their total rows x cols cells for `--format json`
 # reports on `generate torus --rank 2`; Subspace.intersect eliminates once
 TORUS_R2_ELIMINATIONS = {

@@ -3,11 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgkit.ddbar import strong_lemma_check
-from dgkit.errors import ModelError, PreconditionError
+from dgkit.errors import InternalCheckError, ModelError, PreconditionError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
-from dgkit.linalg import Matrix, Subspace, add_multiple
+from dgkit.linalg import Complement, Matrix, Subspace, add_multiple
 from dgkit.models import (
     connection_from_bicomplex,
     dots_squares_model,
@@ -22,6 +24,7 @@ from dgkit.qdolbeault import (
     DEL_BAR,
     ConnectionModel,
     PhiCertificate,
+    SpectralPages,
     autoduality_check,
     build_quaternionic_complex,
     double_complex_spectral_sequence,
@@ -480,3 +483,84 @@ def test_each_crafted_input_fails_one_flag(name):
     flag, craft = CRAFTED[name]
     cert = _same_certificate(craft(torus_model(1)))
     assert {f: getattr(cert, f) for f in FLAGS} == {f: f != flag for f in FLAGS}
+
+
+# -- spectral pages against the per-cell reference -------------------------------
+
+
+def ref_spectral_pages(q):
+    """The former per-cell construction of the pages, kept as the reference
+    for the two subquotients: each cell gets its own complement of the image
+    from the cell below in the kernel towards the cell above, and each
+    horizontal map its own induced matrix and ranks."""
+    if not q.total_squares_to_zero():
+        raise PreconditionError("total differential does not square to zero")
+    d_space = q.model.dolbeault.space
+    dbar, dbar_j = q.model.del_bar, q.model.del_bar_j
+    cells = set(q.cells)
+    complements, e1_dims = {}, {}
+    for (p, qq) in q.cells:
+        k = p + qq
+        n = d_space.dim(k)
+        ker = dbar.kernel(k) if (p, qq + 1) in cells else Subspace.full(n)
+        im = dbar.image(k) if (p, qq - 1) in cells else Subspace.zero(n)
+        complements[(p, qq)] = Complement(im, ker.vectors())
+        e1_dims[(p, qq)] = len(complements[(p, qq)].vectors)
+    induced = {}
+    for (p, qq) in q.cells:
+        tgt = (p + 1, qq)
+        src_reps = complements[(p, qq)].vectors
+        if tgt not in cells or not src_reps:
+            continue
+        coords = complements[tgt].project([dbar_j.apply(p + qq, r) for r in src_reps])
+        if coords is None:
+            raise InternalCheckError("induced map image not vertical-closed")
+        induced[(p, qq)] = Matrix.from_columns(e1_dims[tgt], coords)
+    for (p, qq), m in induced.items():
+        nxt = induced.get((p + 1, qq))
+        if nxt is not None and not (nxt * m).is_zero():
+            raise InternalCheckError("induced E1 differential does not square to zero")
+    e2_dims = {}
+    for cell in q.cells:
+        out, inc = induced.get(cell), induced.get((cell[0] - 1, cell[1]))
+        e2_dims[cell] = (e1_dims[cell] - (out.rank() if out is not None else 0)
+                         - (inc.rank() if inc is not None else 0))
+    witness = next((c for c in sorted(e2_dims) if e2_dims[c] != e1_dims[c]), None)
+    total_dims = q.total_cohomology_dims()
+    by_degree = {}
+    for (p, qq), v in e2_dims.items():
+        by_degree[p + qq] = by_degree.get(p + qq, 0) + v
+    return SpectralPages(e1_dims, e2_dims, all(m.is_zero() for m in induced.values()),
+                         witness is None, witness,
+                         all(by_degree.get(k, 0) == total_dims.get(k, 0)
+                             for k in set(by_degree) | set(total_dims)),
+                         total_dims)
+
+
+def _same_pages(m):
+    q = build_quaternionic_complex(m)
+    got = double_complex_spectral_sequence(q)
+    assert dataclasses.asdict(got) == dataclasses.asdict(ref_spectral_pages(q))
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_spectral_pages_equal_the_per_cell_reference(seed):
+    m, autodual = random_connection_model(seed)
+    assert autodual
+    _same_pages(m)
+
+
+@pytest.mark.parametrize("make", [lambda: torus_model(1), lambda: torus_model(2),
+                                  lambda: nilpotent_torus_model(2),
+                                  lambda: nilpotent_torus_model(3)],
+                         ids=["torus1", "torus2", "twisted2", "twisted3"])
+def test_torus_spectral_pages_equal_the_per_cell_reference(make):
+    assert _same_pages(make()).degenerate_at_e2
+
+
+def test_spectral_pages_refuse_an_extended_complex():
+    m = connection_from_bicomplex(dots_squares_model({0: 1}, [0], seed=2, unit=False))
+    with pytest.raises(PreconditionError, match="standard complex"):
+        double_complex_spectral_sequence(build_quaternionic_complex(m, window=2))
