@@ -150,6 +150,13 @@ def _first_differential(alg) -> str:
     return sorted(alg.differentials)[0]
 
 
+def _axiom_checks(alg):
+    """The axiom checks of the algebra's kind, and what they certify."""
+    if alg.kind == "associative":
+        return alg.validate_dg_algebra, "a DG algebra"
+    return alg.validate_dgla, "a DGLA"
+
+
 # -- subcommand implementations ----------------------------------------------
 
 
@@ -161,11 +168,9 @@ def cmd_validate(args, report: Report):
     else:
         _first_differential(alg)  # without a differential no check would run
         names = sorted(alg.differentials)
+    check, _ = _axiom_checks(alg)
     for name in names:
-        if alg.kind == "associative":
-            rep = alg.validate_dg_algebra(name)
-        else:
-            rep = alg.validate_dgla(name)
+        rep = check(name)
         report.put(name, rep.to_json(), asserted=rep.passed)
 
 
@@ -271,7 +276,7 @@ def cmd_deform(args, report: Report):
         report.put("split_equivalence", {"samples": args.samples, "agree": splits},
                    asserted=splits == args.samples)
 
-        ctx = DeformationContext(q.dgla, "total")
+        ctx = DeformationContext(q.algebra, "total")
         x = Series.zero(1, args.order)
         preserved = 0
         element = None
@@ -304,12 +309,10 @@ def cmd_deform(args, report: Report):
     else:
         # an algebra that fails its DG or DGLA axioms is refused, not probed
         alg = parsed.algebra
-        if alg.kind == "lie":
-            failed = [f for name in alg.differentials for f in alg.validate_dgla(name).failures()]
-            if failed:
-                raise ModelError(f"model is not a DGLA: {failed[0].name}")
-        else:
-            alg = alg.commutator_dgla()
+        check, what = _axiom_checks(alg)
+        failed = [f for name in alg.differentials for f in check(name).failures()]
+        if failed:
+            raise ModelError(f"model is not {what}: {failed[0].name}")
         name = _first_differential(alg)
         tan = tangent_and_obstruction(alg, name)
         report.put("tangent_obstruction", tan.to_json(),

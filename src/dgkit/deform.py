@@ -162,18 +162,19 @@ def exp_sum(term: Series, step: Callable[[Series], Series], first: int) -> Serie
 
 
 class DeformationContext:
-    """A DGLA and a named differential; the series it is given fix B."""
+    """An algebra read as a DGLA and a named differential; the series it is
+    given fix B.  The algebra is of either kind and is bracketed through
+    `StructuredAlgebra.bracket`: a lie algebra by its structure, an
+    associative one by its graded commutator, the DGLA of its deformations."""
 
-    def __init__(self, dgla: StructuredAlgebra, d_name: str):
-        if dgla.kind != "lie":
-            raise PreconditionError("deformation theory runs over a DGLA")
-        self.dgla = dgla
-        self.d = dgla.differential(d_name)
+    def __init__(self, algebra: StructuredAlgebra, d_name: str):
+        self.algebra = algebra
+        self.d = algebra.differential(d_name)
 
     def bracket_at(self, u: Series, v: Series) -> Callable[[int], Vector]:
         """p -> the t^p coefficient of [u, v], built when asked for."""
         k1, k2 = u.degree, v.degree
-        return u.product_at(v, lambda a, b: self.dgla.mul(k1, a, k2, b), {})
+        return u.product_at(v, lambda a, b: self.algebra.bracket(k1, a, k2, b), {})
 
     def bracket_series(self, u: Series, v: Series) -> Series:
         return Series.from_orders(u.degree + v.degree, len(u.coeffs), self.bracket_at(u, v))
@@ -215,7 +216,7 @@ class DeformationContext:
         if strong_ok and not classical_ok:
             raise InternalCheckError("strong solution fails the classical equation")
         passed = classical_ok if mode == "classical" else strong_ok
-        return MCReport(mode, passed, classical_ok, strong_ok, self.dgla.space,
+        return MCReport(mode, passed, classical_ok, strong_ok, self.algebra.space,
                         lambda p: walked[p] if p < len(walked) else terms(p)[2],
                         len(coeffs))
 
@@ -272,22 +273,20 @@ class TangentObstruction:
                 "cross_check": self.cross_check.to_json()}
 
 
-def tangent_and_obstruction(dgla: StructuredAlgebra, d_name: str) -> TangentObstruction:
+def tangent_and_obstruction(algebra: StructuredAlgebra, d_name: str) -> TangentObstruction:
     """Tangent = H^1; the obstruction sends a class xi to the class of
     -1/2 [xi, xi] in H^2 (the obstruction to lifting from order 2 to 3).
 
     The class is cross-checked against attempting to solve d x2 =
     -1/2 [x1, x1] directly: solvable exactly when the class vanishes.
     """
-    if dgla.kind != "lie":
-        raise PreconditionError("tangent/obstruction runs over a DGLA")
-    h = cohomology(dgla, d_name)
-    d = dgla.differential(d_name)
-    reps = Matrix.from_columns(dgla.space.dim(1), h.reps.get(1, []))
+    h = cohomology(algebra, d_name)
+    d = algebra.differential(d_name)
+    reps = Matrix.from_columns(algebra.space.dim(1), h.reps.get(1, []))
 
     def half_square(r: Vector) -> Vector:
         """-1/2 [r, r] for a degree-1 vector r."""
-        return _scale(Scalar(Fraction(-1, 2)), dgla.mul(1, r, 1, r))
+        return _scale(Scalar(Fraction(-1, 2)), algebra.bracket(1, r, 1, r))
 
     def obstruction(xi: Vector) -> Vector:
         return h.project(2, [half_square(reps.apply(xi))])[0]
@@ -343,18 +342,18 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     The construction lifts the constant solution on cohomology back through
     the zig-zag: corrections are solved inside im(d1), where the failing
     condition is exactly acyclicity of (im d1, d0), granted by the
-    certificate's strong lemma.
+    certificate's strong lemma.  The certificate may be that of an
+    associative algebra: brackets are read through `bracket`, so its
+    formality probes the deformations of its graded-commutator DGLA.
     """
     if certificate is None:
         raise PreconditionError("quadraticity probe requires a formality certificate")
     b = certificate.bicomplex
-    dgla = b.algebra
-    if dgla.kind != "lie":
-        raise PreconditionError("quadraticity probe runs over a DGLA")
+    algebra = b.algebra
     h = certificate.h_d1
     h_alg = certificate.h_algebra
     d0 = b.d0
-    space = dgla.space
+    space = algebra.space
     n1 = space.dim(1)
     reps = Matrix.from_columns(n1, h.reps.get(1, []))
     im_vectors = b.d1.image(1).vectors()
@@ -366,13 +365,13 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
     results = []
     for xi in samples:
         rep = reps.apply(xi)
-        sq = h_alg.mul(1, xi, 1, xi)
+        sq = h_alg.bracket(1, xi, 1, xi)
         if sq:
-            rhs = _scale(half, dgla.mul(1, rep, 1, rep))
+            rhs = _scale(half, algebra.bracket(1, rep, 1, rep))
             unsolvable = linear_solve(d0.block(1), rhs) is None
             results.append(QuadraticitySample(xi, h.dim(1), True, None, unsolvable, unsolvable))
             continue
-        ctx = DeformationContext(dgla, b.d0_name)
+        ctx = DeformationContext(algebra, b.d0_name)
         x = Series.zero(1, k_max)
         x.coeffs[1] = rep
         ok = True
@@ -402,14 +401,14 @@ def _total_mc_split(q: QuaternionicComplex, element: Series):
     there, and the element's Dolbeault split (xi1, xi2) = (pi_x, pi_y)(element);
     the extended complex has no evaluations and is refused."""
     pi_x, pi_y = q.evaluations
-    full_ctx = DeformationContext(q.dgla, "total")
+    full_ctx = DeformationContext(q.algebra, "total")
     passed = full_ctx.mc_check(element).passed
     return full_ctx, passed, element.apply(pi_x), element.apply(pi_y)
 
 
 def _side_contexts(q: QuaternionicComplex):
     """The contexts of the y-side (D, del_bar) and the x-side (D, del_bar_J)."""
-    dolb = q.model.dolbeault_dgla
+    dolb = q.model.dolbeault
     return DeformationContext(dolb, DEL_BAR), DeformationContext(dolb, DEL_BAR_J)
 
 
@@ -536,7 +535,10 @@ def multiplication_series(algebra: StructuredAlgebra, s: Series) -> Series:
 
 def require_associative(dolbeault: StructuredAlgebra) -> None:
     """Refuse, as bad input, a Dolbeault algebra D that is not associative,
-    naming its first failing basis triple: the gauge exponential needs it."""
+    naming its kind when it is no product, else its first failing basis
+    triple: the gauge exponential needs an associative product."""
+    if dolbeault.kind != "associative":
+        raise ModelError(f"D must be an associative algebra, not of kind {dolbeault.kind!r}")
     bad = dolbeault._associativity_failure
     if bad:
         raise ModelError(f"D is not associative at {bad}")
@@ -732,14 +734,14 @@ def random_series(space, degree: int, order: int, rnd: random.Random,
     return x
 
 
-def strong_mc_samples(dgla: StructuredAlgebra, d_name: str, order: int,
+def strong_mc_samples(algebra: StructuredAlgebra, d_name: str, order: int,
                       count: int, seed: int,
                       support: Optional[Sequence[str]] = None) -> list[Series]:
     """Seeded strong solutions: random closed degree-1 series from a support
     whose pairwise brackets vanish; each sample is verified before returning."""
-    ctx = DeformationContext(dgla, d_name)
+    ctx = DeformationContext(algebra, d_name)
     ker = ctx.d.kernel(1)
-    space = dgla.space
+    space = algebra.space
     if support is not None:
         sup = Subspace.from_vectors(
             space.dim(1), [space.basis_vector(l)[1] for l in support])

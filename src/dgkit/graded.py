@@ -447,7 +447,9 @@ class StructuredAlgebra:
         return {idx: gaussian(a, b, d) for idx, (a, b) in enumerate(zip(re, im)) if a or b}
 
     def bracket(self, k1: int, v1: Vector, k2: int, v2: Vector) -> Vector:
-        """The bracket: structure itself for lie kind, graded commutator else."""
+        """The DGLA bracket: the structure itself for a lie algebra, and for
+        an associative one the graded commutator
+        [x,y] = x*y - (-1)^(deg x deg y) y*x, read from the one product table."""
         if self.kind == "lie":
             return self.mul(k1, v1, k2, v2)
         sign = MINUS_ONE if (k1 * k2) % 2 == 0 else ONE
@@ -604,28 +606,6 @@ class StructuredAlgebra:
         report.add("char-0 consequences", bad is None,
                    bad and {"label": bad[0], "identity": bad[1]})
         return report
-
-    def commutator_dgla(self, validate: bool = True) -> "StructuredAlgebra":
-        """The DGLA with [x,y] = x*y - (-1)^(deg x deg y) y*x."""
-        if self.kind != "associative":
-            raise PreconditionError("commutator_dgla requires an associative algebra")
-        if validate:
-            for name in self.differentials:
-                rep = self.validate_dg_algebra(name)
-                if not rep.passed:
-                    raise PreconditionError(
-                        f"commutator_dgla on unvalidated input: {rep.failures()[0].name}")
-        structure: dict[tuple[str, str], dict[str, Scalar]] = {}
-        pairs = set(self.structure) | {(b, a) for (a, b) in self.structure}
-        for (l1, l2) in pairs:
-            k1 = self.space.degree_of(l1)
-            k2 = self.space.degree_of(l2)
-            sign = MINUS_ONE if (k1 * k2) % 2 == 0 else ONE
-            br = add_multiple(dict(self.mul_labels(l1, l2)), sign, self.mul_labels(l2, l1))
-            if br:
-                structure[(l1, l2)] = br
-        return StructuredAlgebra(self.space, "lie", self.differentials,
-                                 structure, self.maps)
 
 
 def algebra_map_witness(src: StructuredAlgebra, f: GradedMap,

@@ -97,11 +97,6 @@ class ConnectionModel:
     def del_bar_j(self) -> GradedMap:
         return self.dolbeault.differential(DEL_BAR_J)
 
-    @cached_property
-    def dolbeault_dgla(self) -> StructuredAlgebra:
-        """The graded-commutator DGLA of the Dolbeault algebra, built once."""
-        return self.dolbeault.commutator_dgla(validate=False)
-
     @property
     def j_op(self) -> GradedMap:
         if self.full_model is None or "J" not in self.full_model.maps:
@@ -330,11 +325,6 @@ class QuaternionicComplex:
              "total": self.total},
             structure)
 
-    @cached_property
-    def dgla(self) -> StructuredAlgebra:
-        """The graded-commutator DGLA of the total algebra, built once."""
-        return self.algebra.commutator_dgla(validate=False)
-
     def cell_of_label(self, label: str) -> tuple[int, int, str]:
         """(p, q, D-label) of the cell label x^p y^q D-label."""
         return self._cells[label]
@@ -434,8 +424,7 @@ def quaternionic_cohomology_check(q: QuaternionicComplex) -> FactorizationReport
 class SpectralPages:
     e1_dims: dict                   # (p, q) -> dim
     e2_dims: dict
-    degenerate_at_e1: bool
-    e1_equals_e2: bool
+    degenerate_at_e1: bool          # also E1 = E2: E2 = E1 - ranks of the E1 maps
     e1_ne_e2_witness: Optional[tuple]
     degenerate_at_e2: bool
     total_dims: dict
@@ -445,7 +434,7 @@ class SpectralPages:
             "E1": {f"{p},{q}": v for (p, q), v in sorted(self.e1_dims.items()) if v},
             "E2": {f"{p},{q}": v for (p, q), v in sorted(self.e2_dims.items()) if v},
             "degenerate_at_E1": self.degenerate_at_e1,
-            "E1_equals_E2": self.e1_equals_e2,
+            "E1_equals_E2": self.degenerate_at_e1,
             "E1_ne_E2_witness": (list(self.e1_ne_e2_witness)
                                  if self.e1_ne_e2_witness else None),
             "degenerate_at_E2": self.degenerate_at_e2,
@@ -497,8 +486,8 @@ def double_complex_spectral_sequence(q: QuaternionicComplex) -> SpectralPages:
         by_degree[p + qq] = by_degree.get(p + qq, 0) + v
     degenerate_e2 = all(by_degree.get(k, 0) == total_dims.get(k, 0)
                         for k in set(by_degree) | set(total_dims))
-    return SpectralPages(e1_dims, e2_dims, witness is None,
-                         witness is None, witness, degenerate_e2, total_dims)
+    return SpectralPages(e1_dims, e2_dims, witness is None, witness,
+                         degenerate_e2, total_dims)
 
 
 # ---------------------------------------------------------------------------

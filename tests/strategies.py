@@ -85,6 +85,31 @@ def dg_algebras(draw, kind="associative"):
     return StructuredAlgebra(alg.space, kind, {"d": d}, alg.structure)
 
 
+def ref_commutator_structure(alg):
+    """The graded commutator [l1, l2] = l1 l2 - (-1)^(k1 k2) l2 l1 of each
+    label pair with a product either way, as structure constants: the oracle
+    for `StructuredAlgebra.bracket` of an associative algebra."""
+    structure = {}
+    for (l1, l2) in set(alg.structure) | {(b, a) for (a, b) in alg.structure}:
+        k1, k2 = alg.space.degree_of(l1), alg.space.degree_of(l2)
+        sign = -ONE if (k1 * k2) % 2 == 0 else ONE
+        br = dict(alg.mul_labels(l1, l2))
+        for lab, c in alg.mul_labels(l2, l1).items():
+            br[lab] = br.get(lab, ZERO) + sign * c
+        br = {lab: c for lab, c in br.items() if not c.is_zero()}
+        if br:
+            structure[(l1, l2)] = br
+    return structure
+
+
+def commutator_lie(alg):
+    """The lie-kind algebra of alg's graded commutator, with alg's
+    differentials and maps: the tests' one source of a DGLA built from an
+    associative algebra."""
+    return StructuredAlgebra(alg.space, "lie", alg.differentials,
+                             ref_commutator_structure(alg), alg.maps)
+
+
 @st.composite
 def sparse_vectors(draw, n, coeffs=COEFFS):
     """Vectors of F^n, each entry zero with probability about 2/7."""

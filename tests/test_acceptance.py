@@ -42,7 +42,7 @@ from dgkit.qdolbeault import (
     quaternionic_cohomology_check,
 )
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import sparse
+from strategies import commutator_lie, sparse
 from test_deform import cone_plus_square, exp_adjoint
 
 
@@ -124,7 +124,7 @@ def test_criterion_03_formality_certificates():
         assert dims0 == dims1
         count += 1
         # the Lie variant through the graded commutator
-        lie = b.algebra.commutator_dgla(validate=False)
+        lie = commutator_lie(b.algebra)
         zig_lie = formality_zigzag(Bicomplex(lie, b.d0_name, b.d1_name))
         assert zig_lie.certified
         count += 1
@@ -176,7 +176,7 @@ def test_criterion_06_cohomology_factorization():
 def test_criterion_07_page_behavior():
     m = connection_from_bicomplex(dots_squares_model({}, [0], seed=51, unit=False))
     pages = double_complex_spectral_sequence(build_quaternionic_complex(m))
-    assert not pages.e1_equals_e2
+    assert not pages.degenerate_at_e1
     assert pages.e1_ne_e2_witness == (1, 0)
     assert pages.degenerate_at_e2
     degenerate = 0
@@ -229,9 +229,9 @@ def test_criterion_10_evaluation_and_lift():
     # 20 seeded kernel-MC elements across two models
     m_torus = torus_model(2)
     q_torus = build_quaternionic_complex(m_torus)
-    lie = m_torus.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    torus_lifts = strong_mc_samples(lie, DEL_BAR, order, 12, seed=71, support=corner)
+    dolb = m_torus.dolbeault
+    corner = [l for l in dolb.space.labels(1) if l.endswith("|E1_2")]
+    torus_lifts = strong_mc_samples(dolb, DEL_BAR, order, 12, seed=71, support=corner)
 
     b = end_tensor(dots_squares_model({0: 1, 1: 1, 2: 1}, [0], seed=72), 2)
     m_sq = connection_from_bicomplex(b)
@@ -272,15 +272,15 @@ def test_criterion_11_gauge_contract():
     pairs = 0
     # flat model: gauge must equal the exponential adjoint action entrywise
     m = torus_model(2)
-    lie = m.dolbeault.commutator_dgla(validate=False)
+    dolb = m.dolbeault
     order = 4
-    ctx = DeformationContext(lie, DEL_BAR)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    xs = strong_mc_samples(lie, DEL_BAR, order, 10, seed=81, support=corner)
+    ctx = DeformationContext(dolb, DEL_BAR)
+    corner = [l for l in dolb.space.labels(1) if l.endswith("|E1_2")]
+    xs = strong_mc_samples(dolb, DEL_BAR, order, 10, seed=81, support=corner)
     rnd = random.Random(82)
     for x in xs:
         for _ in range(5):
-            a = random_series(lie.space, 0, order, rnd)
+            a = random_series(dolb.space, 0, order, rnd)
             out = ctx.gauge_transform(a, x)
             assert ctx.mc_check(out).passed
             assert out == exp_adjoint(ctx, a, x)
@@ -306,12 +306,10 @@ def test_criterion_12_connection_correspondence():
     order = 3
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    samples = strong_mc_samples(lie, DEL_BAR, order, 40, seed=91, support=corner)
+    corner = [l for l in m.dolbeault.space.labels(1) if l.endswith("|E1_2")]
+    samples = strong_mc_samples(m.dolbeault, DEL_BAR, order, 40, seed=91, support=corner)
     rnd = random.Random(92)
-    qa_lie = q.algebra.commutator_dgla(validate=False)
-    qa_ctx = DeformationContext(qa_lie, "total")
+    qa_ctx = DeformationContext(q.algebra, "total")
     x_section, y_section = q.sections
     done = 0
     for i in range(20):

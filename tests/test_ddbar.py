@@ -27,7 +27,7 @@ from dgkit.graded import (
 from dgkit.linalg import Matrix
 from dgkit.models import dots_squares_model, end_tensor, torus_model, zigzag_model
 from dgkit.scalars import ONE, Scalar
-from strategies import COEFFS, graded_maps, graded_spaces, random_algebras
+from strategies import COEFFS, commutator_lie, graded_maps, graded_spaces, random_algebras
 
 
 
@@ -159,7 +159,7 @@ def test_sum_twist_rejects_non_strong_input():
 
 
 def test_gl2_formal_but_not_homotopy_abelian(gl2):
-    lie = gl2.commutator_dgla()
+    lie = commutator_lie(gl2)
     space = lie.space
     zero = GradedMap.zero(space, space, 1)
     pair = StructuredAlgebra(space, "lie", {"d0": zero, "d1": zero}, lie.structure)
@@ -172,14 +172,14 @@ def test_gl2_formal_but_not_homotopy_abelian(gl2):
 
 def test_dots_only_abelian_model_is_homotopy_abelian():
     b = dots_squares_model({0: 2, 1: 2}, [], seed=0, unit=False)
-    lie = b.algebra.commutator_dgla()
+    lie = commutator_lie(b.algebra)
     cert = formality_zigzag(Bicomplex(lie, "d0", "d1"))
     verdict = homotopy_abelian_verdict(lie, "d0", cert)
     assert verdict.homotopy_abelian is True
 
 
 def test_missing_certificate_gives_unknown(gl2):
-    lie = gl2.commutator_dgla()
+    lie = commutator_lie(gl2)
     verdict = homotopy_abelian_verdict(lie, "d", None)
     assert verdict.homotopy_abelian is None
     assert "unknown" in verdict.note

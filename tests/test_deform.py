@@ -62,6 +62,15 @@ def cone_dgla():
                                  [("u1", "u1", "w", Scalar(2))]))
 
 
+def cone_algebra():
+    """The associative cone u1 u1 = w, zero differentials: its graded
+    commutator is the bracket of cone_dgla, [u1, u1] = 2 u1 u1 = 2w."""
+    space = GradedSpace({1: ["u1", "u2"], 2: ["w"]})
+    zero = GradedMap.zero(space, space, 1)
+    return StructuredAlgebra(space, "associative", {"d0": zero, "d1": zero},
+                             StructuredAlgebra.structure_from_triples([("u1", "u1", "w", ONE)]))
+
+
 def cone_plus_square():
     """The cone bracket living next to a fully exact square: nontrivial
     differentials and a nonzero obstruction at the same time."""
@@ -104,7 +113,7 @@ def ref_scale(u, q):
     return Series(u.degree, [vscale(c, v) for v in u.coeffs])
 
 
-def ref_bracket_series(dgla, u, v):
+def ref_bracket_series(alg, u, v):
     """The former bracket_series loop, over the coefficients at t^1..t^(N-1)."""
     degree = u.degree + v.degree
     n = len(u.coeffs) - 1
@@ -116,7 +125,7 @@ def ref_bracket_series(dgla, u, v):
             if i + j > n or not cj:
                 continue
             out[i + j - 1] = vsum(out[i + j - 1],
-                                     dgla.mul(u.degree, ci, v.degree, cj))
+                                  alg.bracket(u.degree, ci, v.degree, cj))
     return Series(degree, [{}] + out)
 
 
@@ -139,7 +148,7 @@ def ref_compose(a, b):
 def ref_gauge_transform(ctx, a, x):
     """The former gauge_transform loop: x + sum ad_a^n/(n+1)! ([a,x] - da)."""
     da = Series(1, [ctx.d.apply(0, c) for c in a.coeffs])
-    u = ref_add(ref_bracket_series(ctx.dgla, a, x), ref_scale(da, Fraction(-1)))
+    u = ref_add(ref_bracket_series(ctx.algebra, a, x), ref_scale(da, Fraction(-1)))
     result = x
     term = u
     n = 0
@@ -147,7 +156,7 @@ def ref_gauge_transform(ctx, a, x):
     while any(term.coeffs):
         factorial *= (n + 1)
         result = ref_add(result, ref_scale(term, Fraction(1, factorial)))
-        term = ref_bracket_series(ctx.dgla, a, term)
+        term = ref_bracket_series(ctx.algebra, a, term)
         n += 1
         if n > len(x.coeffs) - 1:
             break
@@ -162,7 +171,7 @@ def exp_adjoint(ctx, a, x):
     n = 0
     factorial = 1
     while True:
-        term = ref_bracket_series(ctx.dgla, a, term)
+        term = ref_bracket_series(ctx.algebra, a, term)
         n += 1
         factorial *= n
         if not any(term.coeffs) or n > len(x.coeffs) - 1:
@@ -244,7 +253,7 @@ def ref_mc_check(ctx, x, mode):
     """The former mc_check, which built every order of d x and [x, x] before
     deciding: (passed, classical, strong, residual, first failing order)."""
     dx = Series(2, [ctx.d.apply(1, c) for c in x.coeffs])
-    br = ref_bracket_series(ctx.dgla, x, x)
+    br = ref_bracket_series(ctx.algebra, x, x)
     residual = ref_add(dx, ref_scale(br, Fraction(1, 2)))
     classical = residual.is_zero()
     if mode == "classical":
@@ -258,14 +267,14 @@ def mc_elements(ctx, order):
     from basis vectors to pass, or to fail first at t^1 (d x_1 != 0), t^2 or
     t^3, where the DGLA has them.  The last one, where it exists, solves
     d x_2 = -1/2 [x_1, x_1] != 0: only the strong mode fails at t^2."""
-    dgla, d, space = ctx.dgla, ctx.d, ctx.dgla.space
+    alg, d, space = ctx.algebra, ctx.d, ctx.algebra.space
     labels = space.labels(1)
     basis = [space.basis_vector(lab)[1] for lab in labels]
     closed = [v for v in basis if not d.apply(1, v)]
     sums = closed + [vsum(a, b) for a, b in combinations(closed, 2)]
 
     def sq(v):
-        return dgla.mul(1, v, 1, v)
+        return alg.bracket(1, v, 1, v)
 
     rnd = random.Random(7)
     out = [Series.zero(1, order)]
@@ -275,7 +284,7 @@ def mc_elements(ctx, order):
         [series_from(ctx, order, 1, v) for v in basis if d.apply(1, v)],
         [series_from(ctx, order, 1, v) for v in sums if sq(v)],
         [series_from(ctx, order, 1, a, b) for a in closed for b in closed
-         if not sq(a) and dgla.mul(1, a, 1, b)],
+         if not sq(a) and alg.bracket(1, a, 1, b)],
         [series_from(ctx, order, 1, v, sol[0]) for v in sums if sq(v)
          for sol in [linear_solve(d.block(1), vscale(Scalar(Fraction(-1, 2)), sq(v)))]
          if sol is not None],
@@ -286,8 +295,8 @@ def mc_elements(ctx, order):
 MC_DGLAS = {
     "cone": (cone_dgla, "d0"),
     "cone_plus_square": (cone_plus_square, "d0"),
-    "torus_r2": (lambda: build_quaternionic_complex(torus_model(2)).dgla, "total"),
-    "nilpotent_torus_r2": (lambda: build_quaternionic_complex(nilpotent_torus_model(2)).dgla,
+    "torus_r2": (lambda: build_quaternionic_complex(torus_model(2)).algebra, "total"),
+    "nilpotent_torus_r2": (lambda: build_quaternionic_complex(nilpotent_torus_model(2)).algebra,
                            "total"),
 }
 
@@ -304,7 +313,7 @@ MC_FIRST_FAILURES = {
 def test_mc_verdicts_match_the_all_orders_formula(name):
     build, d_name = MC_DGLAS[name]
     ctx = DeformationContext(build(), d_name)
-    space = ctx.dgla.space
+    space = ctx.algebra.space
     reached = set()
     for x in mc_elements(ctx, 5):
         for mode in ("classical", "strong"):
@@ -363,8 +372,8 @@ def test_probe_draws_fail_where_pinned_and_split_like_the_full_series():
     (full, xi2, xi1, mixed) over those 200 samples, and checks each sample's
     four verdicts against the all-orders formulas."""
     q = build_quaternionic_complex(torus_model(2))
-    full = DeformationContext(q.dgla, "total")
-    dolb = q.model.dolbeault_dgla
+    full = DeformationContext(q.algebra, "total")
+    dolb = q.model.dolbeault
     ctx_y = DeformationContext(dolb, DEL_BAR)
     ctx_x = DeformationContext(dolb, DEL_BAR_J)
     pi_x, pi_y = q.evaluations
@@ -408,9 +417,9 @@ def test_gauge_of_zero_with_zero_differential_is_zero():
 def test_gauge_of_zero_series_expansion():
     # a * 0 = -(d a1) t - 1/2 [a1, d a1] t^2 + O(t^3)
     b = end_tensor(dots_squares_model({0: 1}, [0], seed=8), 2)
-    lie = b.algebra.commutator_dgla(validate=False)
-    ctx = DeformationContext(lie, "d0")
-    space = lie.space
+    alg = b.algebra
+    ctx = DeformationContext(alg, "d0")
+    space = alg.space
     _, one12 = space.basis_vector("one|E1_2")
     _, a021 = space.basis_vector("s0a|E2_1")
     a1 = vsum(one12, a021)
@@ -418,7 +427,7 @@ def test_gauge_of_zero_series_expansion():
     got = ctx.gauge_transform(a, Series.zero(1, 3))
     da1 = ctx.d.apply(0, a1)
     expected1 = vscale(Scalar(-1), da1)
-    expected2 = vscale(Scalar(Fraction(-1, 2)), lie.mul(0, a1, 1, da1))
+    expected2 = vscale(Scalar(Fraction(-1, 2)), alg.bracket(0, a1, 1, da1))
     assert expected2  # the example is non-degenerate
     assert not got.coeffs[0]
     assert got.coeffs[1] == expected1
@@ -426,13 +435,12 @@ def test_gauge_of_zero_series_expansion():
 
 
 def test_gauge_matches_exponential_adjoint_when_flat():
-    m = torus_model(2)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    ctx = DeformationContext(lie, DEL_BAR)
+    dolb = torus_model(2).dolbeault
+    ctx = DeformationContext(dolb, DEL_BAR)
     rnd = random.Random(5)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    for x in strong_mc_samples(lie, DEL_BAR, 4, 3, seed=2, support=corner):
-        a = random_series(lie.space, 0, 4, rnd)
+    corner = [l for l in dolb.space.labels(1) if l.endswith("|E1_2")]
+    for x in strong_mc_samples(dolb, DEL_BAR, 4, 3, seed=2, support=corner):
+        a = random_series(dolb.space, 0, 4, rnd)
         assert ctx.gauge_transform(a, x) == exp_adjoint(ctx, a, x)
 
 
@@ -498,6 +506,22 @@ def test_quadraticity_cone_model():
     flat = {tuple(s.to_json()["class"]): s for s in rep.samples}
     assert flat[("0", "1")].lifted_to == 6
     assert flat[("1", "0")].order3_unsolvable is True
+
+
+# the samples of test_quadraticity_cone_model and of acceptance criterion 13
+@pytest.mark.parametrize("samples", [
+    [vec(0, 1), vec(1, 0), vec(1, 1)],
+    [vec(0, 1), vec(0, 3), vec(1, 0), vec(1, 1), vec(2, -1)],
+], ids=["cone_model", "criterion_13"])
+def test_associative_formality_feeds_quadraticity(samples):
+    """The formality zig-zag of the associative cone certifies the
+    quadraticity of its commutator DGLA: the probe reads brackets through
+    `bracket` and reports what it reports on the lie cone."""
+    reports = [quadraticity_probe(formality_zigzag(Bicomplex(alg, "d0", "d1")), samples,
+                                  k_max=6).to_json()
+               for alg in (cone_algebra(), cone_dgla())]
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"]
 
 
 def test_quadraticity_with_nontrivial_differential():
@@ -703,9 +727,8 @@ def test_splits_and_y_lifts_are_pinned(name, build, seeds):
     splits = []
     for _ in range(4):
         splits += split(q, random_series(q.space, 1, 4, rnd))
-    lie = m.dolbeault_dgla
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    lifts = strong_mc_samples(lie, DEL_BAR, 4, 3, seed=seeds[1], support=corner)
+    corner = [l for l in m.dolbeault.space.labels(1) if l.endswith("|E1_2")]
+    lifts = strong_mc_samples(m.dolbeault, DEL_BAR, 4, 3, seed=seeds[1], support=corner)
     ys = [b.apply(q.sections[1]) for b in lifts]
 
     def digest(series, n):
@@ -732,9 +755,8 @@ def test_evaluation_zero_element_and_tangent_dims():
 def test_y_lift_of_kernel_mc_elements():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    lifts = strong_mc_samples(lie, DEL_BAR, 3, 4, seed=9, support=corner)
+    corner = [l for l in m.dolbeault.space.labels(1) if l.endswith("|E1_2")]
+    lifts = strong_mc_samples(m.dolbeault, DEL_BAR, 3, 4, seed=9, support=corner)
     elt = Series.zero(1, 3)
     rep = evaluation_functors(q, elt, lifts=lifts, certified=True)
     assert all(rep.lift_checks)
@@ -750,21 +772,21 @@ def test_y_lift_of_a_non_strong_kernel_element():
     complex, while x b is not (it would need del_bar b = 0)."""
     m = nilpotent_torus_model(2)
     q = build_quaternionic_complex(m)
-    lie = m.dolbeault_dgla
+    dolb = m.dolbeault
     kernel_j = m.del_bar_j.kernel(1).vectors()
-    system = Matrix.from_columns(lie.space.dim(2), [m.del_bar.apply(1, v) for v in kernel_j])
+    system = Matrix.from_columns(dolb.space.dim(2), [m.del_bar.apply(1, v) for v in kernel_j])
     joint = m.del_bar.kernel(1).intersect(m.del_bar_j.kernel(1)).vectors()
     for u, v in combinations(joint, 2):
         b1 = vsum(u, v)
-        rhs = vscale(Scalar(Fraction(-1, 2)), lie.mul(1, b1, 1, b1))
+        rhs = vscale(Scalar(Fraction(-1, 2)), dolb.bracket(1, b1, 1, b1))
         sol = linear_solve(system, rhs)
         if rhs and sol is not None:
             break
-    b2 = Matrix.from_columns(lie.space.dim(1), kernel_j).apply(sol[0])
+    b2 = Matrix.from_columns(dolb.space.dim(1), kernel_j).apply(sol[0])
     b = Series(1, [{}, b1, b2])
     zero = Series.zero(1, 3)
     assert evaluation_functors(q, zero, lifts=[b]).lift_checks == [True]
-    full = DeformationContext(q.dgla, "total")
+    full = DeformationContext(q.algebra, "total")
     x_section, y_section = q.sections
     assert full.mc_check(b.apply(y_section)).passed
     assert not full.mc_check(b.apply(x_section)).passed
@@ -777,7 +799,7 @@ def test_evaluation_rejects_non_mc():
     rnd = random.Random(13)
     for _ in range(20):
         elt = random_series(q.space, 1, 3, rnd)
-        full = DeformationContext(q.algebra.commutator_dgla(validate=False), "total")
+        full = DeformationContext(q.algebra, "total")
         if not full.mc_check(elt).passed:
             with pytest.raises(PreconditionError):
                 evaluation_functors(q, elt)
@@ -810,9 +832,8 @@ def test_correspondence_zero_element():
 def test_correspondence_y_lift_is_autodual_over_b():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    b_elt = strong_mc_samples(lie, DEL_BAR, 3, 1, seed=21, support=corner)[0]
+    corner = [l for l in m.dolbeault.space.labels(1) if l.endswith("|E1_2")]
+    b_elt = strong_mc_samples(m.dolbeault, DEL_BAR, 3, 1, seed=21, support=corner)[0]
     y_elt = b_elt.apply(q.sections[1])
     rep = connection_correspondence(m, q, y_elt)
     assert rep.relations_over_b.passed
@@ -821,9 +842,8 @@ def test_correspondence_y_lift_is_autodual_over_b():
 def test_correspondence_gauge_conjugation():
     m = torus_model(2)
     q = build_quaternionic_complex(m)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
-    xi1, xi2 = strong_mc_samples(lie, DEL_BAR, 3, 2, seed=22, support=corner)
+    corner = [l for l in m.dolbeault.space.labels(1) if l.endswith("|E1_2")]
+    xi1, xi2 = strong_mc_samples(m.dolbeault, DEL_BAR, 3, 2, seed=22, support=corner)
     elt = join(q, xi1, xi2)
     rnd = random.Random(23)
     gauge = random_series(m.dolbeault.space, 0, 3, rnd)
@@ -877,8 +897,8 @@ def test_constant_terms_are_refused():
     # MC and gauge elements live in L ⊗ m; a gauge element with a t^0 term
     # would make the gauge series infinite
     ctx = DeformationContext(cone_plus_square(), "d0")
-    _, u2 = ctx.dgla.space.basis_vector("u2")
-    _, a0 = ctx.dgla.space.basis_vector("a0")
+    _, u2 = ctx.algebra.space.basis_vector("u2")
+    _, a0 = ctx.algebra.space.basis_vector("a0")
     x0, a = Series.zero(1, 3), Series.zero(0, 3)
     with pytest.raises(ModelError):
         ctx.mc_check(Series(1, [u2] + x0.coeffs[1:]))
@@ -918,17 +938,19 @@ def m_series(draw, space, degree, order):
     return Series(degree, [{}] + [draw(sparse_vectors(n)) for _ in range(order - 1)])
 
 
-# the loops compared here need no Lie axioms, so the brackets are random
+# the loops compared here need no Lie axioms, so the brackets are random:
+# random lie structures, or the graded commutators of random products
+EITHER_KIND = st.sampled_from(("associative", "lie")).flatmap(dg_algebras)
 
 
 @series_oracle
-@given(dg_algebras("lie"), st.integers(2, 5), st.data())
-def test_bracket_series_matches_the_former_loop(lie, order, data):
-    ctx = DeformationContext(lie, "d")
+@given(EITHER_KIND, st.integers(2, 5), st.data())
+def test_bracket_series_matches_the_former_loop(alg, order, data):
+    ctx = DeformationContext(alg, "d")
     k1, k2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-    u = m_series(data.draw, lie.space, k1, order)
-    v = m_series(data.draw, lie.space, k2, order)
-    assert ctx.bracket_series(u, v) == ref_bracket_series(lie, u, v)
+    u = m_series(data.draw, alg.space, k1, order)
+    v = m_series(data.draw, alg.space, k2, order)
+    assert ctx.bracket_series(u, v) == ref_bracket_series(alg, u, v)
 
 
 @series_oracle
@@ -943,11 +965,11 @@ def test_composition_matches_the_former_loop(alg, order, data):
 
 
 @series_oracle
-@given(dg_algebras("lie"), st.integers(2, 5), st.data())
-def test_exponentials_match_the_former_loops(lie, order, data):
-    ctx = DeformationContext(lie, "d")
-    a = m_series(data.draw, lie.space, 0, order)
-    x = m_series(data.draw, lie.space, 1, order)
+@given(EITHER_KIND, st.integers(2, 5), st.data())
+def test_exponentials_match_the_former_loops(alg, order, data):
+    ctx = DeformationContext(alg, "d")
+    a = m_series(data.draw, alg.space, 0, order)
+    x = m_series(data.draw, alg.space, 1, order)
     assert ctx.gauge_transform(a, x) == ref_gauge_transform(ctx, a, x)
     assert exp_sum(x, lambda term: ctx.bracket_series(a, term), 0) == exp_adjoint(ctx, a, x)
 
@@ -1100,10 +1122,10 @@ BAD_LIE_BRACKET = "a c -> a : 1\nc a -> a : -1\n"
 AXIOM_FAILURES = {
     "leibniz": ("ds_plain.model", "w0_0 s0a -> s0a : 1\n",
                 {"Leibniz(d0)", "Leibniz(d1)", "associativity"},
-                "commutator_dgla on unvalidated input: Leibniz(d0)"),
+                "model is not a DG algebra: Leibniz(d0)"),
     "associativity": ("ds_plain.model", "w0_0 w0_0 -> w0_0 : 1\nw0_0 s0a -> w0_0 : 1\n",
                       {"associativity"},
-                      "commutator_dgla on unvalidated input: associativity"),
+                      "model is not a DG algebra: associativity"),
     "jacobi": ("lie.model", BAD_LIE_BRACKET, {"Jacobi"}, "model is not a DGLA: Jacobi"),
 }
 
@@ -1131,6 +1153,44 @@ def test_deform_refuses_an_algebra_that_fails_its_axioms(deform_models, name):
     code, out = deform_models("--format", "json", "deform", bad)
     assert code == 1
     assert json.loads(out)["report"] == {"error": error}
+
+
+# a connection file whose Dolbeault part D is a Lie algebra: [x, y] = y
+LIE_CONNECTION_MODEL = """kind lie
+
+degrees
+0 : x y
+1 : a
+
+map del_bar shift 1
+
+map del_bar_J shift 1
+
+structure
+x y -> y : 1
+y x -> y : -1
+"""
+# sha256 of its `--format json` spectral and qdolbeault reports, which read
+# no product, recorded before deform refused the kind
+LIE_CONNECTION_SHA256 = {
+    "spectral": "f293609aff6ef4578485e7f44f57cf2d2dd587c8855a1bf7137c918566471f59",
+    "qdolbeault": "a025330f4f8a1f021a75bd4d3988b7592e9443b0327d098bf6c7c23c3664c2a2",
+}
+
+
+def test_deform_refuses_a_lie_kind_dolbeault_algebra(deform_models):
+    """The gauge exponential needs D to be a product: a lie-kind D is refused
+    by its kind, where it used to be read as a product and blamed for a
+    failed associativity triple ('x', 'x', 'y')."""
+    (deform_models.workdir / "lie_conn.model").write_text(LIE_CONNECTION_MODEL)
+    code, out = deform_models("--format", "json", "deform", "lie_conn.model")
+    assert code == 1
+    assert json.loads(out)["report"] == {
+        "error": "D must be an associative algebra, not of kind 'lie'"}
+    for command, digest in LIE_CONNECTION_SHA256.items():
+        code, out = deform_models("--format", "json", command, "lie_conn.model")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_first_order_dictionary_failure_on_a_certified_pair_is_internal(
@@ -1165,17 +1225,17 @@ SEEDED_SAMPLES_SHA256 = "f0546c9ca236ca95bd23422716ac4a8127f95e2d4f8d17b63153817
 
 def test_seeded_samples_are_pinned():
     m = torus_model(2)
-    lie = m.dolbeault.commutator_dgla(validate=False)
-    corner = [l for l in lie.space.labels(1) if l.endswith("|E1_2")]
+    dolb = m.dolbeault
+    corner = [l for l in dolb.space.labels(1) if l.endswith("|E1_2")]
     cone = cone_plus_square()
-    xs = strong_mc_samples(lie, DEL_BAR, 4, 5, seed=3, support=corner)
+    xs = strong_mc_samples(dolb, DEL_BAR, 4, 5, seed=3, support=corner)
     xs += strong_mc_samples(cone, "d0", 4, 4, seed=4)
     rnd = random.Random(7)
     q = build_quaternionic_complex(m)
     xs += [random_series(q.space, 1, 4, rnd) for _ in range(3)]
     xs += [random_series(m.dolbeault.space, 0, 4, rnd)]
     assert not any(x.coeffs[0] for x in xs)
-    dims = [lie.space.dim(1)] * 5 + [cone.space.dim(1)] * 4 + [q.space.dim(1)] * 3 \
+    dims = [dolb.space.dim(1)] * 5 + [cone.space.dim(1)] * 4 + [q.space.dim(1)] * 3 \
         + [m.dolbeault.space.dim(0)]
     text = repr([[tuple(str(c) for c in dense(v, n)) for v in x.coeffs[1:]]
                  for x, n in zip(xs, dims)])

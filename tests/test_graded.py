@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dgkit import qdolbeault
 from dgkit.ddbar import Bicomplex
+from dgkit.deform import DeformationContext, Series
 from dgkit.errors import ModelError, PreconditionError
 from dgkit.graded import (
     GradedMap,
@@ -25,8 +26,8 @@ from dgkit.modelfile import serialize_connection_model
 from dgkit.models import (connection_from_bicomplex, dots_squares_model, end_tensor,
                           nilpotent_torus_model, torus_model)
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import (COEFFS, FRACTIONS, dense_vectors, dg_algebras, graded_maps, random_algebras,
-                        sparse, sparse_vectors, vec, vscale, vsum)
+from strategies import (COEFFS, FRACTIONS, commutator_lie, dense_vectors, dg_algebras, graded_maps,
+                        random_algebras, sparse, sparse_vectors, vec, vectors, vscale, vsum)
 
 
 
@@ -95,15 +96,14 @@ def test_abelian_bracket_validates():
 
 
 def test_gl2_commutator_is_valid_dgla(gl2):
-    lie = gl2.commutator_dgla()
-    assert lie.validate_dgla("d").passed
+    assert commutator_lie(gl2).validate_dgla("d").passed
     # commutator bracket: [E12, E21] = E11 - E22
-    br = lie.mul_labels("E12", "E21")
-    assert br == {"E11": ONE, "E22": Scalar(-1)}
+    (_, e12), (_, e21) = gl2.space.basis_vector("E12"), gl2.space.basis_vector("E21")
+    assert gl2.bracket(0, e12, 0, e21) == vec(1, 0, 0, -1)
 
 
 def test_jacobi_violation_detected(gl2):
-    lie = gl2.commutator_dgla()
+    lie = commutator_lie(gl2)
     triples = lie.structure_triples() + [("E11", "E11", "E11", ONE)]
     bad = StructuredAlgebra(lie.space, "lie", lie.differentials,
                             StructuredAlgebra.structure_from_triples(triples))
@@ -112,17 +112,7 @@ def test_jacobi_violation_detected(gl2):
 
 
 def test_commutator_of_square_satisfies_jacobi(square):
-    lie = square.commutator_dgla()
-    assert lie.validate_dgla("d0").passed
-
-
-def test_commutator_requires_validated_input(square):
-    bad_triples = square.structure_triples() + [("b", "b", "e", ONE)]
-    bad = StructuredAlgebra(
-        square.space, "associative", square.differentials,
-        StructuredAlgebra.structure_from_triples(bad_triples))
-    with pytest.raises(PreconditionError):
-        bad.commutator_dgla()
+    assert commutator_lie(square).validate_dgla("d0").passed
 
 
 # -- cohomology ---------------------------------------------------------------
@@ -647,19 +637,6 @@ def ref_char0(lie):
     return None
 
 
-def ref_commutator_structure(alg):
-    structure = {}
-    for (l1, l2) in set(alg.structure) | {(b, a) for (a, b) in alg.structure}:
-        k1, k2 = alg.space.degree_of(l1), alg.space.degree_of(l2)
-        sign = -ONE if (k1 * k2) % 2 == 0 else ONE
-        br = _ref_sparse_add(alg.mul_labels(l1, l2),
-                             _ref_sparse_scale(sign, alg.mul_labels(l2, l1)))
-        br = {l: c for l, c in br.items() if not c.is_zero()}
-        if br:
-            structure[(l1, l2)] = br
-    return structure
-
-
 def checks_of(report):
     return [(c.name, c.passed, c.witness) for c in report.checks]
 
@@ -696,22 +673,35 @@ def test_dgla_checks_match_the_former_loops(lie):
 
 
 @axiom_oracle
-@given(dg_algebras())
-def test_commutator_dgla_matches_the_former_loop(alg):
-    lie = alg.commutator_dgla(validate=False)
-    want = ref_commutator_structure(alg)
-    assert [(pair, list(br.items())) for pair, br in lie.structure.items()] == \
-        [(pair, list(br.items())) for pair, br in want.items()]
+@given(dg_algebras(), st.data())
+def test_bracket_matches_the_commutator_oracle(alg, data):
+    """`bracket` of an associative algebra is the product of the lie algebra
+    of its graded commutator, on basis pairs and on vectors of every shape,
+    and deformation contexts over the two agree."""
+    lie = commutator_lie(alg)
+    space = alg.space
     # the commutator of any product is skew; the Jacobi identity needs an
     # associative product
     assert ref_skew_symmetry(lie) is None
-    passed = alg.validate_dg_algebra("d").passed
-    if passed:
-        assert alg.commutator_dgla().structure == want
+    if alg.validate_dg_algebra("d").passed:
         assert lie.validate_dgla("d").passed
-    else:
-        with pytest.raises(PreconditionError):
-            alg.commutator_dgla()
+    basis = [space.basis_vector(lab) for lab in space.all_labels()]
+    for k1, v1 in basis:
+        for k2, v2 in basis:
+            assert alg.bracket(k1, v1, k2, v2) == lie.mul(k1, v1, k2, v2)
+    for k1 in space.degrees():
+        for k2 in space.degrees():
+            v1, v2 = data.draw(vectors(space.dim(k1))), data.draw(vectors(space.dim(k2)))
+            assert alg.bracket(k1, v1, k2, v2) == lie.mul(k1, v1, k2, v2)
+    order = data.draw(st.integers(2, 4))
+    x, a = (Series(k, [{}] + [data.draw(vectors(space.dim(k))) for _ in range(order - 1)])
+            for k in (1, 0))
+    over_alg, over_lie = DeformationContext(alg, "d"), DeformationContext(lie, "d")
+    for mode in ("classical", "strong"):
+        got, want = over_alg.mc_check(x, mode), over_lie.mc_check(x, mode)
+        assert (got.passed, got.classical, got.strong, got.residual) == \
+            (want.passed, want.classical, want.strong, want.residual)
+    assert over_alg.gauge_transform(a, x) == over_lie.gauge_transform(a, x)
 
 
 @axiom_oracle
@@ -738,8 +728,9 @@ def test_associativity_is_walked_once_per_algebra(broken_models, square, monkeyp
     # the text report, which no other test asks for, on two differentials
     assert broken_models("validate", "nonassoc.model")[0] == 1
     assert len(walked) == 1
-    # commutator_dgla validates both differentials of the square
-    square.commutator_dgla()
+    # both differentials of the square share one walk
+    for name in ("d0", "d1"):
+        square.validate_dg_algebra(name)
     assert len(walked) == 2 and walked[1] is square
 
 
@@ -778,7 +769,7 @@ def test_associativity_finds_a_late_failure_like_the_full_walk(pair, c, triple):
     (("dzb1|E2_1", "dzb2|E1_1"), ZERO, ["1|E1_2", "dzb1|E2_1", "dzb2|E1_1"]),
 ], ids=["doubled", "dropped"])
 def test_jacobi_finds_a_late_failure_like_the_full_walk(pair, c, triple):
-    lie = torus_model(2).full_model.commutator_dgla(validate=False)
+    lie = commutator_lie(torus_model(2).full_model)
     structure = scaled(scaled(lie.structure, pair, c), pair[::-1], c)
     broken = StructuredAlgebra(lie.space, "lie", lie.differentials, structure)
     checks = {check.name: check.witness for check in broken.validate_dgla("del").checks}

@@ -926,6 +926,27 @@ def test_every_public_function_is_read_somewhere():
     assert unread == TEST_ONLY
 
 
+def test_no_module_builds_a_second_dgla():
+    """An associative algebra is its own DGLA through StructuredAlgebra.bracket:
+    no dgkit module builds a StructuredAlgebra of the literal kind "lie",
+    names commutator_dgla or dolbeault_dgla, or reads a .dgla attribute."""
+    gone = {"commutator_dgla", "dolbeault_dgla"}
+    offenders = []
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "StructuredAlgebra" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                kinds = node.args[1:2] + [k.value for k in node.keywords if k.arg == "kind"]
+                if any(isinstance(k, ast.Constant) and k.value == "lie" for k in kinds):
+                    offenders.append(f"{name}:{node.lineno}: kind 'lie'")
+            word = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.FunctionDef) else None)
+            if word in gone or (isinstance(node, ast.Attribute) and word == "dgla"):
+                offenders.append(f"{name}:{node.lineno}: {word}")
+    assert offenders == []
+
+
 def test_every_module_constant_is_read_somewhere():
     """Every module-level UPPER_CASE name a dgkit module assigns is read,
     as a name or an attribute, somewhere in src/, tests/ or perfbench/."""

@@ -134,14 +134,14 @@ def test_zigzag_factorization_unconditional():
 
 def test_zero_differentials_degenerate_at_e1():
     pages = double_complex_spectral_sequence(build_quaternionic_complex(torus_model(1)))
-    assert pages.degenerate_at_e1 and pages.e1_equals_e2 and pages.degenerate_at_e2
+    assert pages.degenerate_at_e1 and pages.degenerate_at_e2
 
 
 def test_square_page_drop_at_first_column():
     m = connection_from_bicomplex(dots_squares_model({}, [0], seed=3, unit=False))
     pages = double_complex_spectral_sequence(build_quaternionic_complex(m))
     assert pages.e1_dims[(1, 0)] == 1 and pages.e2_dims[(1, 0)] == 0
-    assert not pages.e1_equals_e2
+    assert not pages.degenerate_at_e1
     assert pages.e1_ne_e2_witness == (1, 0)
     assert pages.degenerate_at_e2
 
@@ -530,8 +530,10 @@ def ref_spectral_pages(q):
     by_degree = {}
     for (p, qq), v in e2_dims.items():
         by_degree[p + qq] = by_degree.get(p + qq, 0) + v
-    return SpectralPages(e1_dims, e2_dims, all(m.is_zero() for m in induced.values()),
-                         witness is None, witness,
+    degenerate = all(m.is_zero() for m in induced.values())
+    # the pages keep one flag for degeneration at E1 and for E1 = E2
+    assert degenerate == (witness is None)
+    return SpectralPages(e1_dims, e2_dims, degenerate, witness,
                          all(by_degree.get(k, 0) == total_dims.get(k, 0)
                              for k in set(by_degree) | set(total_dims)),
                          total_dims)
