@@ -226,6 +226,9 @@ def cmd_sl2(args, report: Report):
 
 
 def cmd_qdolbeault(args, report: Report):
+    if args.extended and args.phi:
+        raise ModelError("--phi needs the standard complex and cannot be combined "
+                         "with --extended")
     parsed = parse_model_file(args.model)
     model = parsed.to_connection_model()
     auto = model.autoduality
@@ -322,7 +325,7 @@ def cmd_deform(args, report: Report):
 def cmd_generate(args, report: Report):
     if args.recipe == "torus":
         if args.nilpotent_twist:
-            model = nilpotent_torus_model(max(args.rank, 2))
+            model = nilpotent_torus_model(args.rank)
         else:
             model = torus_model(args.rank)
         text = serialize_connection_model(model)

@@ -670,9 +670,11 @@ class Subquotient:
     and maps descend through the representatives: products go through
     `StructuredAlgebra.mul` and every class through `project`, which gives
     a vector's class as its coordinates in the representatives.  Projecting
-    a vector outside inner + span(outer) raises escape(k).  Cohomology is
-    the case (im d, ker d), a sub-algebra the case (0, basis), and the
-    quotient by an ideal I the case (I, a spanning set).
+    a vector outside inner + span(outer) raises escape(k).  `structure` and
+    the cohomology check (boundary × representative classes on both
+    factors) share one product-and-project helper.  Cohomology is the case
+    (im d, ker d), a sub-algebra (0, basis), a quotient by an ideal I (I, a
+    spanning set).
     """
 
     def __init__(self, algebra: StructuredAlgebra, inner: dict[int, Subspace],
@@ -713,27 +715,31 @@ class Subquotient:
             raise (escape or self.escape)(k)
         return coords
 
+    def _open_pairs(self) -> list[tuple[int, int]]:
+        """The degree pairs with representatives whose products land in
+        `_open`; a degree wholly in inner has no class and nothing escapes to it."""
+        degrees = [k for k, reps in self.reps.items() if reps]
+        return [(k1, k2) for k1 in degrees for k2 in degrees if k1 + k2 in self._open]
+
+    def _product_classes(self, k1: int, vectors1: Sequence[Vector], k2: int,
+                         vectors2: Sequence[Vector],
+                         escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
+        """The classes of v1 * v2 for v1 in vectors1 (degree k1) and v2 in
+        vectors2 (degree k2), v1-major, projected in one batch."""
+        mul = self.algebra.mul
+        return self.project(k1 + k2, [mul(k1, v1, k2, v2) for v1 in vectors1
+                                      for v2 in vectors2], escape)
+
     def structure(self, escape: Optional[Callable[[int], Exception]] = None) -> dict:
         """Structure constants on the representatives: each product of two
-        representatives, projected, as its non-zero class coordinates.  A
-        degree that lies wholly in inner has no coordinates and nothing
-        escapes to it, so its products are not formed."""
+        representatives, projected, as its non-zero class coordinates."""
         if self._structure is None:
-            product, labels = self.algebra.mul, self.space.labels
-            reps = [(k, v) for k, v in self.reps.items() if v]
+            labels = self.space.labels
             triples = []
-            for k1, reps1 in reps:
-                for k2, reps2 in reps:
-                    k = k1 + k2
-                    if k not in self._open:
-                        continue
-                    classes = iter(self.project(k, [product(k1, r1, k2, r2)
-                                                    for r1 in reps1 for r2 in reps2], escape))
-                    for i in range(len(reps1)):
-                        for j in range(len(reps2)):
-                            for t, c in next(classes).items():
-                                triples.append((labels(k1)[i], labels(k2)[j],
-                                                labels(k)[t], c))
+            for k1, k2 in self._open_pairs():
+                classes = self._product_classes(k1, self.reps[k1], k2, self.reps[k2], escape)
+                for (l1, l2), cls in zip(product(labels(k1), labels(k2)), classes):
+                    triples.extend((l1, l2, labels(k1 + k2)[t], c) for t, c in cls.items())
             self._structure = StructuredAlgebra.structure_from_triples(triples)
         return self._structure
 
@@ -763,8 +769,8 @@ class CohomologyPresentation(Subquotient):
     Representatives span a complement of im(d) inside ker(d); the complement
     is the deterministic echelon extension, no metric enters.  Projecting a
     vector that is not closed raises PreconditionError.  The induced
-    product/bracket is computed on representatives and verified well-defined
-    by `check_well_defined`.
+    product/bracket is computed on representatives, and `check_well_defined`
+    verifies it on boundary × representative classes on both factors.
     """
 
     def __init__(self, algebra: StructuredAlgebra, d_name: str):
@@ -773,7 +779,6 @@ class CohomologyPresentation(Subquotient):
         if bad is not None:
             raise PreconditionError(f"{d_name}^2 != 0 at degree {bad}")
         self.d_name = d_name
-        self.d = d
         degrees = algebra.space.degrees()
         super().__init__(algebra, {k: d.image(k) for k in degrees},
                          {k: d.kernel(k).vectors() for k in degrees}, "h", _not_closed)
@@ -791,7 +796,10 @@ class CohomologyPresentation(Subquotient):
             self.induced_structure())
 
     def check_well_defined(self) -> ValidationReport:
-        """Induced structure is independent of the representative choice."""
+        """The induced structure is independent of the representatives, by
+        boundary × representative classes on both factors; the structure is
+        formed first, so an unclosed product of representatives raises."""
+        self.structure()
         report = ValidationReport()
         pair = self._dependent_degree_pair()
         witness = None if pair is None else {"degree_pair": list(pair)}
@@ -799,28 +807,16 @@ class CohomologyPresentation(Subquotient):
         return report
 
     def _dependent_degree_pair(self) -> Optional[tuple[int, int]]:
-        """The first (k1, k2) where some class [(r1 + b) * r2] differs from
-        [r1 * r2] for a boundary b, or None.  A degree k1 + k2 that lies
-        wholly in im d is skipped: every class there is 0 and every vector
-        closed, so the skip changes no verdict and no witness."""
-        product = self.algebra.mul
-        for k1, reps1 in self.reps.items():
-            boundaries = self.inner[k1].vectors()
-            for r1 in reps1:
-                # [r1 * r2] per (k2, index of r2), projected at first use
-                classes: dict[tuple[int, int], dict] = {}
-                for b in boundaries:
-                    shifted = add_multiple(dict(r1), ONE, b)
-                    for k2, reps2 in self.reps.items():
-                        k = k1 + k2
-                        if k not in self._open:
-                            continue
-                        for j, r2 in enumerate(reps2):
-                            if (k2, j) not in classes:
-                                classes[(k2, j)] = self.project(k, [product(k1, r1, k2, r2)])[0]
-                            shifted_class = self.project(k, [product(k1, shifted, k2, r2)])[0]
-                            if shifted_class != classes[(k2, j)]:
-                                return k1, k2
+        """The first (k1, k2) of `_open_pairs` with a boundary b of degree
+        k1 and a representative r of degree k2 where [b * r] != 0, or with
+        r of degree k1 and b of degree k2 where [r * b] != 0; None when there
+        is none.  By bilinearity these are exactly the changes of a class
+        [r1 * r2] when r1 or r2 moves by a boundary."""
+        for k1, k2 in self._open_pairs():
+            boundaries1, boundaries2 = self.inner[k1].vectors(), self.inner[k2].vectors()
+            if (any(self._product_classes(k1, boundaries1, k2, self.reps[k2]))
+                    or any(self._product_classes(k1, self.reps[k1], k2, boundaries2))):
+                return k1, k2
         return None
 
 
@@ -866,7 +862,8 @@ def induced_map_on_cohomology(f: GradedMap, source: CohomologyPresentation,
                               target: CohomologyPresentation) -> dict[int, Matrix]:
     """Matrix of the map induced on cohomology by a chain map f (shift 0).
 
-    f must send kernels to kernels and images to images; the projection
-    raises otherwise.
+    The projection raises only when f sends a representative to a vector
+    that is not closed; that f sends images to images is the caller's
+    chain-map check, `chain_map_failure`, as in `formality_zigzag`.
     """
     return target.blocks(f, source)

@@ -302,15 +302,9 @@ def tensor_gl(algebra: StructuredAlgebra, r: int) -> StructuredAlgebra:
         {name: lift(g, 0) for name, g in algebra.maps.items()})
 
 
-def end_tensor(obj, r: int):
-    """gl(r)-coefficient extension of a bicomplex or connection model."""
-    if isinstance(obj, Bicomplex):
-        return Bicomplex(tensor_gl(obj.algebra, r), obj.d0_name, obj.d1_name)
-    if isinstance(obj, ConnectionModel):
-        dolbeault = tensor_gl(obj.dolbeault, r)
-        full = tensor_gl(obj.full_model, r) if obj.full_model is not None else None
-        return ConnectionModel(dolbeault, full)
-    raise ModelError(f"cannot tensor object of type {type(obj).__name__}")
+def end_tensor(b: Bicomplex, r: int) -> Bicomplex:
+    """gl(r)-coefficient extension of a bicomplex."""
+    return Bicomplex(tensor_gl(b.algebra, r), b.d0_name, b.d1_name)
 
 
 # ---------------------------------------------------------------------------

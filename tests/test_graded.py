@@ -194,6 +194,19 @@ def test_well_definedness_failure_names_the_degree_pair():
     assert check.witness == {"degree_pair": [1, 0]}
 
 
+def test_well_definedness_checks_the_right_factor():
+    # d c = b, and x * b = w: [x * w'] for w' = w + b moves from 0 to [w]
+    space = GradedSpace({0: ["x", "c"], 1: ["b", "w"]})
+    d = GradedMap.from_entries(space, space, 1, [("c", "b", ONE)])
+    alg = StructuredAlgebra(space, "associative", {"d": d},
+                            StructuredAlgebra.structure_from_triples([("x", "b", "w", ONE)]))
+    h = cohomology(alg, "d")
+    assert h.induced_structure() == {}
+    check = h.check_well_defined().checks[0]
+    assert not check.passed
+    assert check.witness == {"degree_pair": [0, 1]}
+
+
 # -- index-keyed products against the former label-keyed loop ------------------
 
 
@@ -939,7 +952,7 @@ def unital_end_model(seed):
     Dolbeault algebra has non-commuting products."""
     dots = {k: (seed + k) % 3 for k in range(3)}
     b = dots_squares_model(dots, [seed % 2], [1] * (seed % 2), seed=seed, unit=True)
-    return end_tensor(connection_from_bicomplex(b), 2)
+    return connection_from_bicomplex(end_tensor(b, 2))
 
 
 @pytest.mark.parametrize("model", [

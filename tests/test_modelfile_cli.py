@@ -461,6 +461,54 @@ def test_cli_torus_rank_below_one_usage_error(capsys, rank, nilpotent):
     assert "--rank" in err and "rank must" in err
 
 
+def test_cli_nilpotent_twist_at_rank_one_is_refused(tmp_path, capsys):
+    """The twist needs rank 2; rank 1, the default, is not raised silently."""
+    path = tmp_path / "twisted.model"
+    assert run_cli(["--format", "json", "generate", "torus", "--nilpotent-twist",
+                    "-o", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"]["rank"] == 1
+    assert report["report"] == {"error": "the nilpotent twist needs coefficient rank >= 2"}
+    assert not path.exists()
+
+
+def test_cli_qdolbeault_refuses_phi_with_extended(tmp_path, capsys):
+    torus = tmp_path / "torus.model"
+    torus.write_text(serialize_connection_model(torus_model(1)))
+    assert run_cli(["--format", "json", "qdolbeault", str(torus), "--extended", "--phi"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["report"] == {
+        "error": "--phi needs the standard complex and cannot be combined with --extended"}
+
+
+# d c = b, and x * b = w: the class of x times a representative of [w]
+# depends on the representative, and only on the right factor
+RIGHT_DEPENDENT = """
+kind associative
+
+degrees
+0 : x c
+1 : b w
+
+map d shift 1
+c -> b : 1
+
+structure
+x b -> w : 1
+"""
+
+
+def test_cli_cohomology_refuses_a_right_factor_dependence(tmp_path, capsys):
+    path = tmp_path / "right.model"
+    path.write_text(RIGHT_DEPENDENT)
+    assert run_cli(["--format", "json", "cohomology", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["report"] == {"differential": "d", "dims": {"0": 1, "1": 1},
+                                "induced_structure": [], "well_defined": False}
+
+
 @pytest.mark.parametrize("dots", ["0:-1", "1:2,0:-3", "0", "a:1"])
 def test_cli_bad_dot_count_usage_error(capsys, dots):
     with pytest.raises(SystemExit) as exc:
