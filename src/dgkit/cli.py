@@ -196,14 +196,18 @@ def cmd_cohomology(args, report: Report):
     alg = parsed.algebra
     name = args.differential or _first_differential(alg)
     h = cohomology(alg, name)
-    wd = h.check_well_defined()
+    wd = h.check_well_defined().checks[0]
     report.put("differential", name)
     report.put("dims", {str(k): v for k, v in h.dims().items()})
-    report.put("induced_structure",
-               [[l1, l2, lt, str(c)] for (l1, l2, lt, c) in sorted(
-                   (l1, l2, lt, c) for (l1, l2), ts in h.induced_structure().items()
-                   for lt, c in ts.items())])
+    # without Leibniz the structure on representatives need not descend
+    if wd.passed:
+        report.put("induced_structure",
+                   [[l1, l2, lt, str(c)] for (l1, l2, lt, c) in sorted(
+                       (l1, l2, lt, c) for (l1, l2), ts in h.induced_structure().items()
+                       for lt, c in ts.items())])
     report.put("well_defined", wd.passed, asserted=wd.passed)
+    if not wd.passed:
+        report.put("well_defined_witness", wd.witness)
 
 
 def cmd_formality(args, report: Report):

@@ -670,11 +670,9 @@ class Subquotient:
     and maps descend through the representatives: products go through
     `StructuredAlgebra.mul` and every class through `project`, which gives
     a vector's class as its coordinates in the representatives.  Projecting
-    a vector outside inner + span(outer) raises escape(k).  `structure` and
-    the cohomology check (boundary × representative classes on both
-    factors) share one product-and-project helper.  Cohomology is the case
-    (im d, ker d), a sub-algebra (0, basis), a quotient by an ideal I (I, a
-    spanning set).
+    a vector outside inner + span(outer) raises escape(k).  Cohomology is
+    the case (im d, ker d), a sub-algebra (0, basis), a quotient by an ideal
+    I (I, a spanning set).
     """
 
     def __init__(self, algebra: StructuredAlgebra, inner: dict[int, Subspace],
@@ -715,29 +713,21 @@ class Subquotient:
             raise (escape or self.escape)(k)
         return coords
 
-    def _open_pairs(self) -> list[tuple[int, int]]:
-        """The degree pairs with representatives whose products land in
-        `_open`; a degree wholly in inner has no class and nothing escapes to it."""
-        degrees = [k for k, reps in self.reps.items() if reps]
-        return [(k1, k2) for k1 in degrees for k2 in degrees if k1 + k2 in self._open]
-
-    def _product_classes(self, k1: int, vectors1: Sequence[Vector], k2: int,
-                         vectors2: Sequence[Vector],
-                         escape: Optional[Callable[[int], Exception]] = None) -> list[Vector]:
-        """The classes of v1 * v2 for v1 in vectors1 (degree k1) and v2 in
-        vectors2 (degree k2), v1-major, projected in one batch."""
-        mul = self.algebra.mul
-        return self.project(k1 + k2, [mul(k1, v1, k2, v2) for v1 in vectors1
-                                      for v2 in vectors2], escape)
-
     def structure(self, escape: Optional[Callable[[int], Exception]] = None) -> dict:
         """Structure constants on the representatives: each product of two
-        representatives, projected, as its non-zero class coordinates."""
+        representatives, projected, as its non-zero class coordinates.  The
+        products of one degree pair are projected in one batch, and only
+        into `_open`: a degree wholly in inner has no class and nothing
+        escapes to it."""
         if self._structure is None:
-            labels = self.space.labels
+            labels, mul = self.space.labels, self.algebra.mul
+            degrees = [k for k, reps in self.reps.items() if reps]
             triples = []
-            for k1, k2 in self._open_pairs():
-                classes = self._product_classes(k1, self.reps[k1], k2, self.reps[k2], escape)
+            for k1, k2 in product(degrees, repeat=2):
+                if k1 + k2 not in self._open:
+                    continue
+                classes = self.project(k1 + k2, [mul(k1, r1, k2, r2) for r1 in self.reps[k1]
+                                                 for r2 in self.reps[k2]], escape)
                 for (l1, l2), cls in zip(product(labels(k1), labels(k2)), classes):
                     triples.extend((l1, l2, labels(k1 + k2)[t], c) for t, c in cls.items())
             self._structure = StructuredAlgebra.structure_from_triples(triples)
@@ -769,8 +759,8 @@ class CohomologyPresentation(Subquotient):
     Representatives span a complement of im(d) inside ker(d); the complement
     is the deterministic echelon extension, no metric enters.  Projecting a
     vector that is not closed raises PreconditionError.  The induced
-    product/bracket is computed on representatives, and `check_well_defined`
-    verifies it on boundary × representative classes on both factors.
+    product/bracket is computed on representatives; it descends to
+    cohomology when d satisfies Leibniz, which `check_well_defined` checks.
     """
 
     def __init__(self, algebra: StructuredAlgebra, d_name: str):
@@ -796,28 +786,16 @@ class CohomologyPresentation(Subquotient):
             self.induced_structure())
 
     def check_well_defined(self) -> ValidationReport:
-        """The induced structure is independent of the representatives, by
-        boundary × representative classes on both factors; the structure is
-        formed first, so an unclosed product of representatives raises."""
-        self.structure()
+        """The `Leibniz(d)` check of `validate`, with its first failing label
+        pair as the witness.  Leibniz makes the induced structure
+        independent of the representatives: for b = dc and dz = 0 it gives
+        b*z = d(c*z) and z*b = (-1)^deg(z) d(z*c), so a boundary times a
+        cycle is a boundary; and it closes every product of cycles, so the
+        structure forms.  A model that fails it is not certified, since its
+        induced structure need not descend."""
         report = ValidationReport()
-        pair = self._dependent_degree_pair()
-        witness = None if pair is None else {"degree_pair": list(pair)}
-        report.add("induced structure representative-independent", pair is None, witness)
+        self.algebra._leibniz_check(report, self.algebra.differential(self.d_name), self.d_name)
         return report
-
-    def _dependent_degree_pair(self) -> Optional[tuple[int, int]]:
-        """The first (k1, k2) of `_open_pairs` with a boundary b of degree
-        k1 and a representative r of degree k2 where [b * r] != 0, or with
-        r of degree k1 and b of degree k2 where [r * b] != 0; None when there
-        is none.  By bilinearity these are exactly the changes of a class
-        [r1 * r2] when r1 or r2 moves by a boundary."""
-        for k1, k2 in self._open_pairs():
-            boundaries1, boundaries2 = self.inner[k1].vectors(), self.inner[k2].vectors()
-            if (any(self._product_classes(k1, boundaries1, k2, self.reps[k2]))
-                    or any(self._product_classes(k1, self.reps[k1], k2, boundaries2))):
-                return k1, k2
-        return None
 
 
 def cohomology(algebra: StructuredAlgebra, d_name: str) -> CohomologyPresentation:

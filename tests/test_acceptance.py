@@ -43,6 +43,7 @@ from dgkit.qdolbeault import (
 )
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import commutator_lie, sparse
+from test_ddbar import ref_induced_algebra_map_ok
 from test_deform import cone_plus_square, exp_adjoint
 
 
@@ -118,7 +119,9 @@ def test_criterion_03_formality_certificates():
         zig = formality_zigzag(b)
         assert zig.certified
         assert zig.iota_certificate.invertible and zig.rho_certificate.invertible
-        assert zig.product_preserved
+        h_h = cohomology(zig.h_algebra, b.d0_name)
+        assert ref_induced_algebra_map_ok(zig.iota_certificate.matrices, zig.h_d0_a1, zig.h_d0)
+        assert ref_induced_algebra_map_ok(zig.rho_certificate.matrices, zig.h_d0_a1, h_h)
         dims0 = cohomology(b.algebra, b.d0_name).dims()
         dims1 = cohomology(b.algebra, b.d1_name).dims()
         assert dims0 == dims1

@@ -183,19 +183,23 @@ def test_unknown_differential_name_rejected(exterior2):
         cohomology(exterior2, "nonexistent")
 
 
-def test_well_definedness_failure_names_the_degree_pair():
-    # d a = b, and b * x = y makes the boundary b shift [y * x] = 0 to [y]
+def test_well_definedness_failure_names_the_leibniz_pair():
+    # d a = b, and b * x = y makes the boundary b shift [y * x] = 0 to [y];
+    # Leibniz fails at (a, x): d(a x) = 0 but d(a) x = y
     space = GradedSpace({0: ["x", "a"], 1: ["b", "y"]})
     d = GradedMap.from_entries(space, space, 1, [("a", "b", ONE)])
     alg = StructuredAlgebra(space, "associative", {"d": d},
                             StructuredAlgebra.structure_from_triples([("b", "x", "y", ONE)]))
     check = cohomology(alg, "d").check_well_defined().checks[0]
     assert not check.passed
-    assert check.witness == {"degree_pair": [1, 0]}
+    assert check.to_json() == {"name": "Leibniz(d)", "passed": False,
+                               "witness": {"pair": ["a", "x"], "difference": [["y", "-1"]]}}
+    assert check == alg.validate_dg_algebra("d").checks[1]
 
 
 def test_well_definedness_checks_the_right_factor():
-    # d c = b, and x * b = w: [x * w'] for w' = w + b moves from 0 to [w]
+    # d c = b, and x * b = w: [x * w'] for w' = w + b moves from 0 to [w];
+    # Leibniz fails at (x, c): d(x c) = 0 but x d(c) = w
     space = GradedSpace({0: ["x", "c"], 1: ["b", "w"]})
     d = GradedMap.from_entries(space, space, 1, [("c", "b", ONE)])
     alg = StructuredAlgebra(space, "associative", {"d": d},
@@ -204,7 +208,8 @@ def test_well_definedness_checks_the_right_factor():
     assert h.induced_structure() == {}
     check = h.check_well_defined().checks[0]
     assert not check.passed
-    assert check.witness == {"degree_pair": [0, 1]}
+    assert check.witness == {"pair": ["x", "c"], "difference": [["w", "-1"]]}
+    assert check == alg.validate_dg_algebra("d").checks[1]
 
 
 # -- index-keyed products against the former label-keyed loop ------------------

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import random
 import re
@@ -945,6 +946,29 @@ def test_no_module_builds_a_second_dgla():
             if word in gone or (isinstance(node, ast.Attribute) and word == "dgla"):
                 offenders.append(f"{name}:{node.lineno}: {word}")
     assert offenders == []
+
+
+def test_every_tracer_target_resolves():
+    """perfbench/tracer.py wraps each "module:function" and
+    "module:Class.method" of its LAYERS, a method through the class's own
+    __dict__, so a renamed or moved target stops every traced benchmark run.
+    LAYERS is read off the file's syntax tree, without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    targets = [t for group in ast.literal_eval(layers).values() for t in group]
+    assert "dgkit.graded:CohomologyPresentation.check_well_defined" in targets
+    missing = []
+    for target in targets:
+        module, attr = target.split(":")
+        owner, _, name = attr.rpartition(".")
+        scope = vars(importlib.import_module(module))
+        if owner:
+            scope = vars(scope[owner]) if owner in scope else {}
+        if not callable(getattr(scope.get(name), "__func__", scope.get(name))):
+            missing.append(target)
+    assert missing == []
 
 
 def test_every_module_constant_is_read_somewhere():

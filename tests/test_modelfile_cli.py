@@ -499,14 +499,79 @@ x b -> w : 1
 """
 
 
-def test_cli_cohomology_refuses_a_right_factor_dependence(tmp_path, capsys):
-    path = tmp_path / "right.model"
-    path.write_text(RIGHT_DEPENDENT)
+def cohomology_refusal(tmp_path, capsys, text):
+    """The whole JSON report of `cohomology` on the model text, which must
+    exit 1 with the witness of `validate`'s Leibniz(d) check."""
+    path = tmp_path / "m.model"
+    path.write_text(text)
+    assert run_cli(["--format", "json", "validate", str(path)]) == 1
+    leibniz = {c["name"]: c for c in json.loads(capsys.readouterr().out)["report"]["d"]["checks"]}
     assert run_cli(["--format", "json", "cohomology", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is False
-    assert report["report"] == {"differential": "d", "dims": {"0": 1, "1": 1},
-                                "induced_structure": [], "well_defined": False}
+    assert report["report"]["well_defined_witness"] == leibniz["Leibniz(d)"]["witness"]
+    assert report["options"] == {"model": str(path)}
+    del report["options"]
+    return report
+
+
+def test_cli_cohomology_refuses_a_right_factor_dependence(tmp_path, capsys):
+    assert cohomology_refusal(tmp_path, capsys, RIGHT_DEPENDENT) == {
+        "command": "cohomology", "passed": False,
+        "report": {"differential": "d", "dims": {"0": 1, "1": 1}, "well_defined": False,
+                   "well_defined_witness": {"pair": ["x", "c"],
+                                            "difference": [["w", "-1"]]}}}
+
+
+# Leibniz fails on each model, and no induced structure is reported: the
+# first two have an induced product that depends on representatives (on
+# both factors at once, and through a boundary of a degree without
+# classes), and in the third x is closed and x * x = y is not
+NON_LEIBNIZ = {
+    "both_factors": ("""
+degrees
+0 : x c
+1 : b w
+2 : z
+
+map d shift 1
+c -> b : 1
+
+structure
+b b -> z : 1
+""", {"0": 1, "1": 1, "2": 1}, {"pair": ["c", "b"], "difference": [["z", "-1"]]}),
+    "zero_class": ("""
+degrees
+-1 : c
+0 : b
+1 : w
+
+map d shift 1
+c -> b : 1
+
+structure
+b w -> w : 1
+""", {"1": 1}, {"pair": ["c", "w"], "difference": [["w", "-1"]]}),
+    "not_closed": ("""
+degrees
+0 : x y
+1 : z
+
+map d shift 1
+y -> z : 1
+
+structure
+x x -> y : 1
+""", {"0": 1}, {"pair": ["x", "x"], "difference": [["z", "1"]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_LEIBNIZ))
+def test_cli_cohomology_refuses_a_model_that_fails_leibniz(tmp_path, capsys, case):
+    text, dims, witness = NON_LEIBNIZ[case]
+    assert cohomology_refusal(tmp_path, capsys, "kind associative\n" + text) == {
+        "command": "cohomology", "passed": False,
+        "report": {"differential": "d", "dims": dims, "well_defined": False,
+                   "well_defined_witness": witness}}
 
 
 @pytest.mark.parametrize("dots", ["0:-1", "1:2,0:-3", "0", "a:1"])

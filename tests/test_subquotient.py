@@ -5,11 +5,15 @@ loops that cohomology, the ker(d1) sub-algebra of the formality zig-zag, the
 image subcomplexes of the strong-lemma check and the sl(2) quotient each ran
 before they became cases of `graded.Subquotient`, and the dense product loops
 `Subquotient` ran before its representatives and classes went sparse.
-`ref_dependent_degree_pair` is the representative-independence check with
-no appeal to bilinearity: each factor moved by each boundary in turn.
+`ref_dependent_degree_pair` finds a dependence of the induced product on
+representatives with no appeal to bilinearity: each factor, or both, moved
+by each boundary.  It is the oracle of the theorem behind
+`CohomologyPresentation.check_well_defined`: when d satisfies Leibniz, no
+move changes a class.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,7 @@ from dgkit.linalg import (
     image_of,
     kernel_of,
 )
-from dgkit.models import dots_squares_model
+from dgkit.models import dots_squares_model, end_tensor
 from dgkit.scalars import ONE, ZERO, Scalar
 from strategies import (COEFFS, FRACTIONS, dense_vectors, graded_maps, random_algebras,
                         sparse_vectors, vec, vsum)
@@ -188,36 +192,25 @@ def ref_structure(sub, escape=None):
 
 
 def ref_dependent_degree_pair(h):
-    """CohomologyPresentation._dependent_degree_pair without bilinearity:
-    dense sums r1 + b and r2 + b, dense products and one class per vector,
-    each shifted class compared with the class of r1 * r2.  Per degree
-    pair, every class of the moved left factor is formed before any is
-    compared, and then those of the moved right factor, since the check
-    projects each batch whole and so raises on any vector that is not
-    closed."""
-    def cls(k1, v1, k2, v2):
-        return ref_classes(h, k1 + k2, [reference_mul(h.algebra, k1, v1, k2, v2)])[0]
-
-    reps = [(k, v) for k, v in h.reps.items() if v]
-    for k1, reps1 in reps:
-        for k2, reps2 in reps:
-            if h.algebra.space.dim(k1 + k2) == 0:
-                continue
-            left = [cls(k1, vsum(r1, b), k2, r2) != cls(k1, r1, k2, r2)
-                    for b in h.inner[k1].vectors() for r1 in reps1 for r2 in reps2]
-            if any(left):
-                return k1, k2
-            right = [cls(k1, r1, k2, vsum(r2, b)) != cls(k1, r1, k2, r2)
-                     for b in h.inner[k2].vectors() for r1 in reps1 for r2 in reps2]
-            if any(right):
-                return k1, k2
+    """The first degree pair (k1, k2) where moving representatives by
+    boundaries changes the class of their product, or None.  Each
+    representative r of a class of degree k1 or k2, the zero class {}
+    included, moves to r + b for each boundary basis vector b and for b = 0,
+    on both factors at once; dense sums and products, one class per vector,
+    no appeal to bilinearity.  Per degree pair every class is formed before
+    any is compared, so a product that is not closed raises."""
+    space = h.algebra.space
+    for k1, k2 in product(space.degrees(), repeat=2):
+        if space.dim(k1 + k2) == 0:
+            continue
+        moves = [[(r, vsum(r, b)) for r in [{}] + h.reps[k] for b in [{}] + h.inner[k].vectors()]
+                 for k in (k1, k2)]
+        classes = ref_classes(h, k1 + k2, [
+            reference_mul(h.algebra, k1, v1, k2, v2)
+            for (r1, s1), (r2, s2) in product(*moves) for v1, v2 in ((r1, r2), (s1, s2))])
+        if classes[0::2] != classes[1::2]:
+            return k1, k2
     return None
-
-
-def checked_pair(h):
-    """The degree pair check_well_defined names, or None when it passes."""
-    check = h.check_well_defined().checks[0]
-    return None if check.passed else tuple(check.witness["degree_pair"])
 
 
 def outcome(fn, *args):
@@ -319,13 +312,6 @@ def test_cohomology_structure_and_maps_match_the_former_loops(alg, data):
     h = cohomology(alg, "d")
     assert outcome(h.induced_structure) == outcome(ref_cohomology_structure, h)
     assert outcome(h.induced_structure) == outcome(ref_structure, h)
-    # the check forms the structure first: a product of representatives that
-    # is not closed is refused before the walk
-    expected = outcome(ref_structure, h)
-    if isinstance(expected, dict):
-        expected = outcome(ref_dependent_degree_pair, h)
-        assert outcome(h._dependent_degree_pair) == expected
-    assert outcome(checked_pair, h) == expected
     # x -> c^deg(x) x is a chain map; a random shift-0 map in general is not
     c = data.draw(sparse_vectors(1)).get(0, ZERO)
     powers = [ONE, c, c * c]
@@ -335,6 +321,76 @@ def test_cohomology_structure_and_maps_match_the_former_loops(alg, data):
         f = data.draw(graded_maps(alg.space, alg.space))
     assert (outcome(induced_map_on_cohomology, f, h, h)
             == outcome(ref_induced_map_on_cohomology, f, h, h))
+
+
+def leibniz_verdict(h):
+    """Where check_well_defined passes, the structure forms and no move of a
+    representative by a boundary changes a class; where the oracle finds
+    such a move, the check fails.  Returns the check's verdict."""
+    passed = h.check_well_defined().passed
+    dependent = outcome(ref_dependent_degree_pair, h)
+    if passed:
+        assert dependent is None
+        assert h.induced_structure() == ref_structure(h)
+    if dependent is not None and dependent[0] is not PreconditionError:
+        assert not passed
+    return passed
+
+
+@oracle
+@given(square_zero_algebras())
+def test_leibniz_certifies_representative_independence(alg):
+    leibniz_verdict(cohomology(alg, "d"))
+
+
+# bicomplexes whose differentials are derivations: the dots and squares
+# have products with the unit only, and their gl(2) extensions compose
+LEIBNIZ_MODELS = {
+    "ds_2_3": dots_squares_model({0: 2, 1: 3}, [0, 1], seed=2),
+    "ds_zigzag": dots_squares_model({0: 1, 1: 1}, [0], [1], seed=4),
+    "end_tensor": end_tensor(dots_squares_model({0: 1, 1: 1}, [0], seed=5), 2),
+    "end_tensor_zigzag": end_tensor(dots_squares_model({0: 1}, [], [0], seed=6), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_MODELS))
+@pytest.mark.parametrize("d_name", ["d0", "d1"])
+def test_leibniz_models_are_representative_independent(name, d_name):
+    assert leibniz_verdict(cohomology(LEIBNIZ_MODELS[name].algebra, d_name))
+
+
+def model(components, d_entries, triples):
+    """An associative algebra whose differential "d" and structure constants
+    are all 1 on the given label pairs and triples."""
+    space = GradedSpace(components)
+    d = GradedMap.from_entries(space, space, 1, [(a, b, ONE) for a, b in d_entries])
+    return StructuredAlgebra(space, "associative", {"d": d}, StructuredAlgebra.structure_from_triples(
+        [(a, b, t, ONE) for a, b, t in triples]))
+
+
+# models whose induced product depends on representatives, or whose
+# products of cycles are not closed: each fails Leibniz at the named pair
+@pytest.mark.parametrize("alg, dependent, pair", [
+    # [w]·[w] on w + b gives [b·b] = [z]: both factors move
+    (model({0: ["x", "c"], 1: ["b", "w"], 2: ["z"]}, [("c", "b")], [("b", "b", "z")]),
+     (1, 1), ["c", "b"]),
+    # b represents the zero class and [b·w] = [w]: degree 0 has no class
+    (model({-1: ["c"], 0: ["b"], 1: ["w"]}, [("c", "b")], [("b", "w", "w")]),
+     (0, 1), ["c", "w"]),
+    # [x·w] = 0 and [x·(w + b)] = [w]: only the right factor moves
+    (model({0: ["x", "c"], 1: ["b", "w"]}, [("c", "b")], [("x", "b", "w")]),
+     (0, 1), ["x", "c"]),
+    # x is closed and x·x = y is not
+    (model({0: ["x", "y"], 1: ["z"]}, [("y", "z")], [("x", "x", "y")]),
+     (PreconditionError, "vector at degree 0 is not closed"), ["x", "x"]),
+], ids=["both_factors", "zero_class", "right_factor", "not_closed"])
+def test_leibniz_refuses_what_the_oracle_finds(alg, dependent, pair):
+    h = cohomology(alg, "d")
+    assert outcome(ref_dependent_degree_pair, h) == dependent
+    assert not leibniz_verdict(h)
+    check = h.check_well_defined().checks[0]
+    assert check.name == "Leibniz(d)" and check.witness["pair"] == pair
+    assert check == alg.validate_dg_algebra("d").checks[1]
 
 
 def test_non_derivation_differential_leaves_products_unclosed():
