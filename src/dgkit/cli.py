@@ -117,10 +117,7 @@ class Report:
 
 
 def _emit(report: Report, fmt: str) -> int:
-    if fmt == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    print(report.to_json() if fmt == "json" else report.to_text(), flush=True)
     return 0 if report.passed else 1
 
 
@@ -522,7 +519,13 @@ def main(argv=None) -> int:
         report.put("error", str(exc), asserted=False)
     except InternalCheckError as exc:
         report.put("internal_error", str(exc), asserted=False)
-    return _emit(report, args.format)
+    try:
+        return _emit(report, args.format)
+    except BrokenPipeError:
+        # the reader closed stdout (`dgkit ... | head`): point it at devnull
+        # so the flush at interpreter exit raises nothing, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -407,7 +407,7 @@ def formality_zigzag(b: Bicomplex) -> FormalityZigzag:
     a1_space = ker_d1.space
     d0_blocks = ker_d1.blocks(
         d0, escape=lambda k: InternalCheckError("d0 does not preserve ker(d1)"))
-    a1 = StructuredAlgebra(
+    a1 = StructuredAlgebra._derived(
         a1_space, alg.kind,
         {b.d0_name: GradedMap(a1_space, a1_space, 1, d0_blocks)},
         ker_d1.structure(

@@ -332,25 +332,45 @@ class StructuredAlgebra:
         self.maps = dict(maps or {})  # auxiliary maps (sl2 action, J, ...)
         self.structure: dict[tuple[str, str], dict[str, Scalar]] = {}
         for (l1, l2), targets in (structure or {}).items():
-            self._check_triple(l1, l2, targets)
-            cleaned = {lt: c for lt, c in targets.items() if not c.is_zero()}
+            cleaned = self._check_triple(l1, l2, targets)
             if cleaned:
                 self.structure[(l1, l2)] = cleaned
 
-    def _check_triple(self, l1, l2, targets):
-        for lab in (l1, l2):
-            if lab not in self.space.label_loc:
-                raise ModelError(f"structure references unknown label {lab!r}")
-        k1 = self.space.label_loc[l1][0]
-        k2 = self.space.label_loc[l2][0]
-        for lt in targets:
-            if lt not in self.space.label_loc:
+    @classmethod
+    def _derived(cls, space: GradedSpace, kind: str,
+                 differentials: dict[str, GradedMap], structure: dict,
+                 maps: Optional[dict[str, GradedMap]] = None) -> "StructuredAlgebra":
+        """An algebra on a structure that dgkit derived from a checked
+        algebra: every label is in space, every constant respects the
+        grading and none is zero, so the structure is taken as it is, not
+        re-checked by `_check_triple`."""
+        algebra = cls(space, kind, differentials, None, maps)
+        algebra.structure = structure
+        return algebra
+
+    def _check_triple(self, l1: str, l2: str, targets: dict) -> dict[str, Scalar]:
+        """The non-zero constants of l1 * l2, after checking that every label
+        is in the space and every target has degree deg l1 + deg l2; one
+        `label_loc` lookup per label."""
+        loc = self.space.label_loc
+        p1, p2 = loc.get(l1), loc.get(l2)
+        if p1 is None or p2 is None:
+            unknown = l1 if p1 is None else l2
+            raise ModelError(f"structure references unknown label {unknown!r}")
+        k = p1[0] + p2[0]
+        cleaned = {}
+        for lt, c in targets.items():
+            pt = loc.get(lt)
+            if pt is None:
                 raise ModelError(f"structure references unknown label {lt!r}")
-            if self.space.label_loc[lt][0] != k1 + k2:
+            if pt[0] != k:
                 raise ModelError(
                     f"structure triple ({l1}, {l2}, {lt}) violates grading: "
-                    f"{k1} + {k2} != {self.space.label_loc[lt][0]}"
+                    f"{p1[0]} + {p2[0]} != {pt[0]}"
                 )
+            if not c.is_zero():
+                cleaned[lt] = c
+        return cleaned
 
     @staticmethod
     def structure_from_triples(triples: Iterable[tuple[str, str, str, Scalar]]) -> dict:
@@ -461,8 +481,8 @@ class StructuredAlgebra:
         return self.differentials[name]
 
     def with_differentials(self, differentials: dict[str, GradedMap]) -> "StructuredAlgebra":
-        return StructuredAlgebra(self.space, self.kind, differentials,
-                                 self.structure, self.maps)
+        return StructuredAlgebra._derived(self.space, self.kind, differentials,
+                                          self.structure, self.maps)
 
     # -- axiom validation -------------------------------------------------
 
@@ -472,14 +492,18 @@ class StructuredAlgebra:
 
     def _leibniz_check(self, report: ValidationReport, d: GradedMap, name: str):
         """d(l1 l2) = d(l1) l2 + (-1)^deg(l1) l1 d(l2) on the label pairs
-        where a side can be non-zero, in label order: the structure pairs,
-        and the pairs (l1, l2) with a product t*l2 for some t in d(l1) or
-        l1*t for some t in d(l2)."""
+        where a side can be non-zero, in label order: the structure pairs
+        with a target that d does not kill, and the pairs (l1, l2) with a
+        product t*l2 for some t in d(l1) or l1*t for some t in d(l2).  On
+        every other structure pair d(l1 l2) = 0 and the right side is zero,
+        so a zero d walks no pair."""
         table = d.label_table()
         right, left = self._neighbours
         labels = self.space.all_labels()
         pos = {lab: i for i, lab in enumerate(labels)}
-        pairs = {(pos[a], pos[b]) for a, b in self.structure}
+        live = {lab for lab, image in table.items() if image}
+        pairs = {(pos[a], pos[b]) for (a, b), ab in self.structure.items()
+                 if not live.isdisjoint(ab)}
         for lab, image in table.items():
             for t in image:
                 pairs.update((pos[lab], pos[l2]) for l2 in right.get(t, ()))
@@ -722,15 +746,17 @@ class Subquotient:
         if self._structure is None:
             labels, mul = self.space.labels, self.algebra.mul
             degrees = [k for k, reps in self.reps.items() if reps]
-            triples = []
+            structure = {}
             for k1, k2 in product(degrees, repeat=2):
                 if k1 + k2 not in self._open:
                     continue
                 classes = self.project(k1 + k2, [mul(k1, r1, k2, r2) for r1 in self.reps[k1]
                                                  for r2 in self.reps[k2]], escape)
-                for (l1, l2), cls in zip(product(labels(k1), labels(k2)), classes):
-                    triples.extend((l1, l2, labels(k1 + k2)[t], c) for t, c in cls.items())
-            self._structure = StructuredAlgebra.structure_from_triples(triples)
+                targets = labels(k1 + k2)
+                for pair, cls in zip(product(labels(k1), labels(k2)), classes):
+                    if cls:
+                        structure[pair] = {targets[t]: c for t, c in cls.items()}
+            self._structure = structure
         return self._structure
 
     def blocks(self, op: GradedMap, source: Optional["Subquotient"] = None,
@@ -780,7 +806,7 @@ class CohomologyPresentation(Subquotient):
     def as_algebra(self, d_name: Optional[str] = None) -> StructuredAlgebra:
         """Cohomology as a structured algebra whose one differential, named
         d_name (by default this presentation's), is zero."""
-        return StructuredAlgebra(
+        return StructuredAlgebra._derived(
             self.space, self.algebra.kind,
             {d_name or self.d_name: GradedMap.zero(self.space, self.space, 1)},
             self.induced_structure())

@@ -20,8 +20,16 @@ One file holds one graded space with its maps and structure constants::
     J J
 
 Sections start with a keyword line (kind, degrees, map, structure, sl2, J);
-blank lines and '#' comments are skipped.  Scalars use the exact grammar of
-dgkit.scalars.  Reserved map names: del_bar, del_bar_J, del, e, f, h, J.
+blank lines and '#' comments are skipped.  A degrees line is DEGREE : LABEL
+..., split at its first ':'.  Entries are whitespace-separated tokens: a map
+entry is exactly FROM -> TO : SCALAR and a structure entry exactly
+L1 L2 -> L3 : SCALAR, the form the serializer writes, so '->' and ':' stand
+apart from their neighbours.  A label is any token without '#' other than
+'->' and ':' themselves (a label such as a:b reads back); a degrees line
+that declares either of those two is refused.  Each line is split once, and
+the structure entries are summed into their (L1, L2) targets as they are
+read.  Scalars use the exact grammar of dgkit.scalars.  Reserved map names:
+del_bar, del_bar_J, del, e, f, h, J.
 Each map name is declared once; the sl2 and J lines name declared shift-0
 maps, which then also serve as e, f, h and J.
 Serialization is canonical: parsing a serialized model and serializing it
@@ -83,20 +91,25 @@ class ParsedModel:
 
 
 def _scalar(tok: str, line_no: int, line: str, parsed: dict) -> Scalar:
-    """The scalar of a token, parsed once per distinct token into `parsed`."""
+    """The scalar of an entry's last token, parsed once per distinct token
+    into `parsed`."""
     if tok not in parsed:
         try:
             parsed[tok] = Scalar.parse(tok)
         except ScalarParseError as exc:
-            raise ParseError(str(exc), line_no, line.find(tok) + 1) from exc
+            raise ParseError(str(exc), line_no, line.rfind(tok) + 1) from exc
     return parsed[tok]
+
+
+# the labels an entry's tokens cannot tell apart from its separators
+_SEPARATORS = ("->", ":")
 
 
 def parse_model(text: str) -> ParsedModel:
     kind = "associative"
     degrees: dict[int, list[str]] = {}
     maps_raw: list[tuple] = []          # (name, shift, [(frm, to, Scalar)])
-    structure_raw: list[tuple] = []     # (l1, l2, lt, Scalar)
+    structure: dict[tuple[str, str], dict[str, Scalar]] = {}
     declared: dict[str, int] = {}       # map name -> line that declares it
     aliases: list[tuple] = []           # (line, keyword, [(alias, map name)])
     scalars: dict[str, Scalar] = {}
@@ -104,10 +117,10 @@ def parse_model(text: str) -> ParsedModel:
     section = None
     current_map = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+        line = raw.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         head = tokens[0]
         if head == "kind":
             if len(tokens) != 2 or tokens[1] not in ("associative", "lie"):
@@ -129,8 +142,8 @@ def parse_model(text: str) -> ParsedModel:
                 raise ParseError(f"map {tokens[1]!r} is already declared at line "
                                  f"{declared[tokens[1]]}", line_no)
             declared[tokens[1]] = line_no
-            current_map = (tokens[1], shift, [])
-            maps_raw.append(current_map)
+            current_map = []
+            maps_raw.append((tokens[1], shift, current_map))
             section = "map"
             continue
         if head == "structure":
@@ -149,40 +162,33 @@ def parse_model(text: str) -> ParsedModel:
             section = None
             continue
 
-        if section == "degrees":
-            if ":" not in line:
+        if section == "map":
+            if len(tokens) != 5 or tokens[1] != "->" or tokens[3] != ":":
+                raise ParseError("map entry is: FROM -> TO : SCALAR", line_no)
+            current_map.append((head, tokens[2], _scalar(tokens[4], line_no, line, scalars)))
+        elif section == "structure":
+            if len(tokens) != 6 or tokens[2] != "->" or tokens[4] != ":":
+                raise ParseError("structure entry is: L1 L2 -> L3 : SCALAR", line_no)
+            c = _scalar(tokens[5], line_no, line, scalars)
+            targets = structure.setdefault((head, tokens[1]), {})
+            lt = tokens[3]
+            targets[lt] = targets[lt] + c if lt in targets else c
+        elif section == "degrees":
+            left, colon, right = line.partition(":")
+            if not colon:
                 raise ParseError("degree line is: DEGREE : label ...", line_no)
-            left, right = line.split(":", 1)
             try:
                 deg = int(left.strip())
             except ValueError:
                 raise ParseError(f"bad degree {left.strip()!r}", line_no)
             labs = right.split()
+            for lab in labs:
+                if lab in _SEPARATORS:
+                    raise ParseError(f"label {lab!r} is reserved as an entry separator",
+                                     line_no)
             degrees.setdefault(deg, []).extend(labs)
-        elif section == "map":
-            if "->" not in line or ":" not in line:
-                raise ParseError("map entry is: FROM -> TO : SCALAR", line_no)
-            left, rest = line.split("->", 1)
-            mid, stok = rest.split(":", 1)
-            frm = left.strip()
-            to = mid.strip()
-            stok = stok.strip()
-            if not frm or not to or not stok or " " in frm or " " in to:
-                raise ParseError("map entry is: FROM -> TO : SCALAR", line_no)
-            current_map[2].append((frm, to, _scalar(stok, line_no, line, scalars)))
-        elif section == "structure":
-            if "->" not in line or ":" not in line:
-                raise ParseError("structure entry is: L1 L2 -> L3 : SCALAR", line_no)
-            left, rest = line.split("->", 1)
-            mid, stok = rest.split(":", 1)
-            pair = left.split()
-            if len(pair) != 2:
-                raise ParseError("structure entry needs two source labels", line_no)
-            lt = mid.strip()
-            structure_raw.append((pair[0], pair[1], lt,
-                                  _scalar(stok.strip(), line_no, line, scalars)))
         else:
-            raise ParseError(f"unexpected line outside any section: {line!r}",
+            raise ParseError(f"unexpected line outside any section: {line.rstrip()!r}",
                              line_no)
 
     if not any(degrees.values()):
@@ -209,10 +215,7 @@ def parse_model(text: str) -> ParsedModel:
                                  f"{alias!r} is declared at line {declared[alias]}", line_no)
             declared[alias] = line_no
             maps[alias] = maps[name]
-    algebra = StructuredAlgebra(
-        space, kind, differentials,
-        StructuredAlgebra.structure_from_triples(structure_raw), maps)
-    return ParsedModel(algebra)
+    return ParsedModel(StructuredAlgebra(space, kind, differentials, structure, maps))
 
 
 def parse_model_file(path: str) -> ParsedModel:

@@ -186,18 +186,18 @@ def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
     j = full.maps["J"]
     del_bar_j = restrict_map(inverse_map(j).compose(full.differential(DEL).compose(j)))
 
-    triples = []
+    # the products of (0,*) labels, each checked to stay there: the rest
+    # of the full structure was checked when the full model was built
+    structure = {}
     for (l1, l2), targets in full.structure.items():
         if l1 in d_space.label_loc and l2 in d_space.label_loc:
-            for lt, c in targets.items():
+            for lt in targets:
                 if lt not in d_space.label_loc:
                     raise ModelError(
                         f"product leaves the (0,*) part at {l1!r} * {l2!r} -> {lt!r}")
-                triples.append((l1, l2, lt, c))
-    dolbeault = StructuredAlgebra(
-        d_space, full.kind,
-        {DEL_BAR: del_bar, DEL_BAR_J: del_bar_j},
-        StructuredAlgebra.structure_from_triples(triples))
+            structure[(l1, l2)] = targets
+    dolbeault = StructuredAlgebra._derived(
+        d_space, full.kind, {DEL_BAR: del_bar, DEL_BAR_J: del_bar_j}, structure)
     return ConnectionModel(dolbeault, full)
 
 
@@ -303,23 +303,21 @@ class QuaternionicComplex:
         self.vertical = lifted(model.del_bar, 0, 1)       # y * del_bar
         self.total = self.horizontal.add(self.vertical)
 
+        # x^p1 y^q1 a * x^p2 y^q2 b = x^(p1+p2) y^(q1+q2) ab wherever the
+        # target cell exists; D's structure is checked, so this one is too
         structure = {}
-        if not self.extended and model.dolbeault.structure:
-            triples = []
+        if not self.extended:
             for (l1, l2), targets in model.dolbeault.structure.items():
                 k1 = d_space.degree_of(l1)
                 k2 = d_space.degree_of(l2)
                 for (p1, q1) in cells_by_degree.get(k1, []):
                     for (p2, q2) in cells_by_degree.get(k2, []):
-                        if (p1 + p2, q1 + q2) not in cells_by_degree.get(k1 + k2, []):
-                            continue
-                        for lt, c in targets.items():
-                            triples.append((
-                                _cell_label(p1, q1, l1), _cell_label(p2, q2, l2),
-                                _cell_label(p1 + p2, q1 + q2, lt), c))
-            structure = StructuredAlgebra.structure_from_triples(triples)
+                        p, q = p1 + p2, q1 + q2
+                        if (p, q) in cells_by_degree.get(k1 + k2, []):
+                            structure[(_cell_label(p1, q1, l1), _cell_label(p2, q2, l2))] = {
+                                _cell_label(p, q, lt): c for lt, c in targets.items()}
 
-        self.algebra = StructuredAlgebra(
+        self.algebra = StructuredAlgebra._derived(
             self.space, model.dolbeault.kind,
             {"x_del_bar_J": self.horizontal, "y_del_bar": self.vertical,
              "total": self.total},

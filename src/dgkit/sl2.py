@@ -374,7 +374,8 @@ def plus_quotient(algebra: StructuredAlgebra, ideal: dict[int, Subspace],
             checks.add(f"ideal stable under {name}", True)
             q_maps[name] = GradedMap(q_space, q_space, 0, quotient.blocks(op))
 
-    q_algebra = StructuredAlgebra(q_space, algebra.kind, q_diffs, quotient.structure(), q_maps)
+    q_algebra = StructuredAlgebra._derived(q_space, algebra.kind, q_diffs,
+                                           quotient.structure(), q_maps)
 
     # certificates: projection is a surjective algebra chain map
     witness = algebra_map_witness(algebra, qmap, q_algebra)

@@ -14,6 +14,7 @@ from dgkit.graded import (
     GradedMap,
     GradedSpace,
     StructuredAlgebra,
+    ValidationReport,
     adjoint_operator,
     cohomology,
     format_vector,
@@ -818,6 +819,37 @@ def test_leibniz_finds_a_late_failure_like_the_full_walk(model, entries, pair):
     witness = alg.validate_dg_algebra("del_bar").checks[1].witness
     assert witness == ref_leibniz(alg, d)
     assert witness["pair"] == pair
+
+
+@st.composite
+def sparse_differentials(draw):
+    """A random algebra of either kind with a differential "d" that is zero
+    or non-zero on at most two labels, so that d kills every target of most
+    structure pairs."""
+    alg = draw(random_algebras())
+    space = alg.space
+    labels = space.all_labels()
+    support = draw(st.lists(st.sampled_from(labels), max_size=2, unique=True)) if labels else []
+    entries = [(frm, to, draw(st.sampled_from(COEFFS))) for frm in support
+               for to in space.labels(space.degree_of(frm) + 1) if draw(st.booleans())]
+    d = GradedMap.from_entries(space, space, 1, entries)
+    kind = draw(st.sampled_from(["associative", "lie"]))
+    return StructuredAlgebra(space, kind, {"d": d}, alg.structure)
+
+
+@axiom_oracle
+@given(sparse_differentials())
+def test_leibniz_from_the_pairs_d_reaches_matches_the_full_walk(alg):
+    """The walk starts only from the structure pairs with a target that d
+    does not kill, and still gives the verdict and first witness of the
+    full-pair walk, a zero d included."""
+    d = alg.differential("d")
+    report = ValidationReport()
+    alg._leibniz_check(report, d, "d")
+    witness = ref_leibniz(alg, d)
+    assert checks_of(report) == [check("Leibniz(d)", witness)]
+    if d.is_zero():
+        assert witness is None
 
 
 def test_associativity_walks_only_the_live_triples(monkeypatch):

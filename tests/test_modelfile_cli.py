@@ -644,3 +644,21 @@ def test_cli_validate_checks_a_model_with_an_empty_differential(tmp_path, capsys
     checks = json.loads(capsys.readouterr().out)["report"]["d"]["checks"]
     assert checks[-1] == {"name": "associativity", "passed": False,
                           "witness": {"triple": ["x", "x", "x"]}}
+
+
+def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path):
+    """`dgkit ... | head -c 400` closes the pipe early; the report is then
+    lost, and the run ends with exit code 1 and nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "torus.model"
+    path.write_text(serialize_connection_model(torus_model(1)))
+    proc = subprocess.Popen([sys.executable, "-m", "dgkit.cli", "--format", "json", "validate",
+                             str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            cwd=tmp_path, env=env)
+    proc.stdout.close()  # before the report is written: the reader is gone
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == ""
