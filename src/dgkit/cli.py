@@ -59,6 +59,8 @@ from dgkit.models import (
 )
 from dgkit.qdolbeault import (
     build_quaternionic_complex,
+    carries_connection,
+    connection_model,
     double_complex_spectral_sequence,
     extended_strong_lemma_interior,
     phi_isomorphism,
@@ -127,17 +129,17 @@ def _bicomplex_from_file(path: str, d0: str, d1: str) -> Bicomplex:
     the Dolbeault part, for a full model) only when the pair is the default
     ("d0", "d1"), whether typed or not; for any other pair the missing
     differential is bad input, named with its flag."""
-    parsed = parse_model_file(path)
-    diffs = parsed.algebra.differentials
+    alg = parse_model_file(path)
+    diffs = alg.differentials
     if d0 in diffs and d1 in diffs:
-        return Bicomplex(parsed.algebra, d0, d1)
+        return Bicomplex(alg, d0, d1)
     if (d0, d1) != ("d0", "d1"):
         flag, name = ("--d0", d0) if d0 not in diffs else ("--d1", d1)
         raise ModelError(f"model has no differential {name!r} ({flag})")
-    if not (parsed.is_connection() or parsed.is_full()):
+    if not carries_connection(alg):
         raise ModelError(f"model has no differential pair ({d0}, {d1}) and no "
                          f"(del_bar_J, del_bar)")
-    return parsed.to_connection_model().bicomplex
+    return connection_model(alg).bicomplex
 
 
 def _first_differential(alg) -> str:
@@ -158,8 +160,7 @@ def _axiom_checks(alg):
 
 
 def cmd_validate(args, report: Report):
-    parsed = parse_model_file(args.model)
-    alg = parsed.algebra
+    alg = parse_model_file(args.model)
     if args.differential:
         names = [args.differential]
     else:
@@ -189,8 +190,7 @@ def cmd_dgms(args, report: Report):
 
 
 def cmd_cohomology(args, report: Report):
-    parsed = parse_model_file(args.model)
-    alg = parsed.algebra
+    alg = parse_model_file(args.model)
     name = args.differential or _first_differential(alg)
     h = cohomology(alg, name)
     wd = h.check_well_defined().checks[0]
@@ -214,8 +214,7 @@ def cmd_formality(args, report: Report):
 
 
 def cmd_sl2(args, report: Report):
-    parsed = parse_model_file(args.model)
-    alg = parsed.algebra
+    alg = parse_model_file(args.model)
     module = Sl2Module.from_algebra(alg)
     decomp = weight_decomposition(module)
     report.put("decomposition", decomp.to_json())
@@ -230,8 +229,7 @@ def cmd_qdolbeault(args, report: Report):
     if args.extended and args.phi:
         raise ModelError("--phi needs the standard complex and cannot be combined "
                          "with --extended")
-    parsed = parse_model_file(args.model)
-    model = parsed.to_connection_model()
+    model = connection_model(parse_model_file(args.model))
     auto = model.autoduality
     report.put("autoduality", auto.to_json(), asserted=auto.autodual)
     if not auto.autodual:
@@ -254,8 +252,7 @@ def cmd_qdolbeault(args, report: Report):
 
 
 def cmd_spectral(args, report: Report):
-    parsed = parse_model_file(args.model)
-    model = parsed.to_connection_model()
+    model = connection_model(parse_model_file(args.model))
     q = build_quaternionic_complex(model)
     pages = double_complex_spectral_sequence(q)
     certified = model.strong_lemma_certified()
@@ -266,10 +263,10 @@ def cmd_spectral(args, report: Report):
 
 
 def cmd_deform(args, report: Report):
-    parsed = parse_model_file(args.model)
+    alg = parse_model_file(args.model)
     rnd = random.Random(args.seed)
-    if parsed.is_connection() or parsed.is_full():
-        model = parsed.to_connection_model()
+    if carries_connection(alg):
+        model = connection_model(alg)
         require_associative(model.dolbeault)
         q = build_quaternionic_complex(model)
         splits = 0
@@ -312,7 +309,6 @@ def cmd_deform(args, report: Report):
         report.put("first_order_dictionary", fo.to_json(), asserted=fo.bijection or None)
     else:
         # an algebra that fails its DG or DGLA axioms is refused, not probed
-        alg = parsed.algebra
         check, what = _axiom_checks(alg)
         failed = [f for name in alg.differentials for f in check(name).failures()]
         if failed:

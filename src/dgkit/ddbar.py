@@ -374,7 +374,7 @@ def _quasi_iso_certificate(mats: dict, src: CohomologyPresentation,
         dims_s[k] == dims_t[k] for k in dims_s)
     if invertible:
         for k, n in dims_s.items():
-            m = mats.get(k, Matrix(dims_t.get(k, 0), n))
+            m = mats.get(k, Matrix.zero(dims_t.get(k, 0), n))
             if m.rows != m.cols or m.rank() != m.rows:
                 invertible = False
                 break

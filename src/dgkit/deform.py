@@ -382,7 +382,7 @@ def quadraticity_probe(certificate: FormalityZigzag, samples: Sequence[Vector],
             if sol is None:
                 ok = False
                 break
-            x.coeffs[k] = im_basis.apply(sol[0])
+            x.coeffs[k] = im_basis.apply(sol)
         lifted = None
         if ok:
             if not ctx.mc_check(x).passed:
@@ -510,7 +510,7 @@ def evaluation_functors(q: QuaternionicComplex, element: Series,
         mx = induced_map_on_cohomology(pi_x, h_total, h_x).get(1)
         my = induced_map_on_cohomology(pi_y, h_total, h_y).get(1)
         # both maps have a block at degree 1 exactly when dim_q > 0
-        stacked = my.vstack(mx) if my is not None else Matrix(0, 0)
+        stacked = my.vstack(mx) if my is not None else Matrix.zero(0, 0)
         bijection = stacked.rows == stacked.cols and stacked.rank() == stacked.rows
     return EvaluationReport(pi_x_ok, pi_y_ok, lift_results,
                             dim_q, dim_base, doubles, bijection)

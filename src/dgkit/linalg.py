@@ -12,12 +12,14 @@ Matrix and a Subspace hand out theirs), so every kernel accumulates only
 into a dict it built itself and never changes an operand.  Matrices act on
 column vectors.
 
-A Matrix stores one {column: Scalar} dict per row in the same form.  A
-Matrix is never changed once built, so matrices may share row dicts.  That
-layout is private to this module.  Other modules build matrices through
-`Matrix.from_columns` and `Matrix.from_entries` and read them through
-`apply`, `column`, `select` and `entries`; `data` is a read-only
-view, a fresh dense row-major copy of the entries.
+A Matrix stores one {column: Scalar} dict per row in the same form, and
+`Matrix(rows, cols, nz)`, the one constructor, takes those sparse rows as
+they are.  A Matrix is never changed once built, so matrices may share row
+dicts.  That layout is private to this module.  Other modules build
+matrices through `Matrix.from_columns`, `Matrix.from_entries`,
+`Matrix.identity` and `Matrix.zero` and read them through `apply`,
+`column`, `select` and `entries`; `data`, a fresh dense row-major copy of
+the entries, stays for the benchmark's tracer and the dense test oracles.
 
 `add_multiple` (out += c * s on {key: Scalar} dicts) is the one sparse
 accumulator; its key order, where a cancelled key that comes back moves to
@@ -44,11 +46,6 @@ def check_vector(v: Vector, n: int) -> Vector:
     if v and (min(v) < 0 or max(v) >= n):
         raise DimensionMismatch(f"vector index outside range({n})")
     return v
-
-
-def _nonzero(row: Sequence[Scalar]) -> dict:
-    """The non-zero {column: Scalar} entries of a dense row."""
-    return {j: a for j, a in enumerate(row) if not a.is_zero()}
 
 
 def _dense(row: dict, n: int) -> list:
@@ -93,19 +90,11 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "_nz")
 
-    def __init__(self, rows: int, cols: int, data: Optional[list] = None):
-        if data is not None and (len(data) != rows or any(len(r) != cols for r in data)):
-            raise DimensionMismatch("entry count does not match rows x cols")
+    def __init__(self, rows: int, cols: int, nz: list):
+        """The matrix with the given sparse rows, which hold no zero."""
         self.rows = rows
         self.cols = cols
-        self._nz = [{} for _ in range(rows)] if data is None else [_nonzero(r) for r in data]
-
-    @staticmethod
-    def _of(rows: int, cols: int, nz: list) -> "Matrix":
-        """The matrix with the given sparse rows, which hold no zero."""
-        m = object.__new__(Matrix)
-        m.rows, m.cols, m._nz = rows, cols, nz
-        return m
+        self._nz = nz
 
     @property
     def data(self) -> list:
@@ -113,19 +102,10 @@ class Matrix:
         return [_dense(row, self.cols) for row in self._nz]
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "Matrix":
-        rows = list(rows)
-        if rows:
-            cols = len(rows[0])
-        elif cols is None:
-            cols = 0
-        return Matrix(len(rows), cols, rows)
-
-    @staticmethod
     def from_columns(rows: int, columns: Iterable[Vector]) -> "Matrix":
         """The rows x len(columns) matrix with the given columns of F^rows."""
         columns = [check_vector(c, rows) for c in columns]
-        return Matrix._of(rows, len(columns), _transpose(columns, rows))
+        return Matrix(rows, len(columns), _transpose(columns, rows))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Iterable[tuple[int, int, Scalar]]) -> "Matrix":
@@ -136,16 +116,16 @@ class Matrix:
                 raise DimensionMismatch(f"entry ({i}, {j}) outside {rows}x{cols}")
             row = nz[i]
             row[j] = row[j] + c if j in row else c
-        return Matrix._of(rows, cols, [{j: c for j, c in row.items() if not c.is_zero()}
-                                       for row in nz])
+        return Matrix(rows, cols, [{j: c for j, c in row.items() if not c.is_zero()}
+                                   for row in nz])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix._of(n, n, [{i: ONE} for i in range(n)])
+        return Matrix(n, n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix._of(rows, cols, [{} for _ in range(rows)])
+        return Matrix(rows, cols, [{} for _ in range(rows)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -162,8 +142,8 @@ class Matrix:
         """self + f * other."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix sum shape mismatch")
-        return Matrix._of(self.rows, self.cols,
-                          [add_multiple(dict(r1), f, r2) for r1, r2 in zip(self._nz, other._nz)])
+        return Matrix(self.rows, self.cols,
+                      [add_multiple(dict(r1), f, r2) for r1, r2 in zip(self._nz, other._nz)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, ONE)
@@ -174,8 +154,8 @@ class Matrix:
     def scale(self, c: Scalar) -> "Matrix":
         if c.is_zero():
             return Matrix.zero(self.rows, self.cols)
-        return Matrix._of(self.rows, self.cols,
-                          [{j: c * a for j, a in row.items()} for row in self._nz])
+        return Matrix(self.rows, self.cols,
+                      [{j: c * a for j, a in row.items()} for row in self._nz])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -186,7 +166,7 @@ class Matrix:
             for k, a in row.items():
                 add_multiple(acc, a, other._nz[k])
             out.append(acc)
-        return Matrix._of(self.rows, other.cols, out)
+        return Matrix(self.rows, other.cols, out)
 
     def apply(self, v: Vector) -> Vector:
         """self * v, a new vector of F^rows, for v in F^cols."""
@@ -218,7 +198,7 @@ class Matrix:
                 for p in where.get(j, ()):
                     new[p] = a
             out.append(new)
-        return Matrix._of(len(rows), len(cols), out)
+        return Matrix(len(rows), len(cols), out)
 
     def entries(self) -> list[tuple[int, int, Scalar]]:
         """The non-zero entries (i, j, c), column by column."""
@@ -229,13 +209,13 @@ class Matrix:
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
         k = self.cols
-        return Matrix._of(self.rows, k + other.cols, [
+        return Matrix(self.rows, k + other.cols, [
             {**r1, **{j + k: a for j, a in r2.items()}} for r1, r2 in zip(self._nz, other._nz)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix._of(self.rows + other.rows, self.cols, self._nz + other._nz)
+        return Matrix(self.rows + other.rows, self.cols, self._nz + other._nz)
 
     def rref(self) -> tuple["Matrix", list]:
         """Reduced row echelon form and the list of pivot columns.
@@ -263,7 +243,7 @@ class Matrix:
             kept[c] = v
         pivots = sorted(kept)
         rows = [kept[p] for p in pivots] + [{} for _ in range(self.rows - len(pivots))]
-        return Matrix._of(self.rows, self.cols, rows), pivots
+        return Matrix(self.rows, self.cols, rows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -298,8 +278,8 @@ class Subspace:
         """The span of the given sparse rows of length n."""
         if not rows:
             return Subspace.zero(n)
-        red, pivots = Matrix._of(len(rows), n, rows).rref()
-        return Subspace(n, Matrix._of(len(pivots), n, red._nz[:len(pivots)]), pivots)
+        red, pivots = Matrix(len(rows), n, rows).rref()
+        return Subspace(n, Matrix(len(pivots), n, red._nz[:len(pivots)]), pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -357,10 +337,10 @@ class Subspace:
         rows += other.basis._nz
         if not rows:
             return Subspace.zero(n)
-        red, pivots = Matrix._of(len(rows), 2 * n, rows).rref()
+        red, pivots = Matrix(len(rows), 2 * n, rows).rref()
         first = bisect_left(pivots, n)
         right = [{j - n: a for j, a in row.items()} for row in red._nz[first:len(pivots)]]
-        return Subspace(n, Matrix._of(len(right), n, right), [p - n for p in pivots[first:]])
+        return Subspace(n, Matrix(len(right), n, right), [p - n for p in pivots[first:]])
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
@@ -370,23 +350,18 @@ class Subspace:
 # kernels, images, solving
 
 
-def _kernel_from_rref(red: Matrix, pivots: list, cols: int) -> Subspace:
-    """Kernel of the matrix whose first `cols` columns reduce to `red`: one
-    vector per free column f, with 1 at f and -red[r][f] at each pivot."""
+def kernel_of(m: Matrix) -> Subspace:
+    """Kernel of m, a subspace of F^cols: one vector per free column f of
+    rref(m), with 1 at f and -red[r][f] at each pivot."""
+    red, pivots = m.rref()
     pivot_set = set(pivots)
-    kernel = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
+    kernel = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
     for p, row in zip(pivots, red._nz):
         for j, a in row.items():
             v = kernel.get(j)
             if v is not None:
                 v[p] = -a
-    return Subspace._span(cols, list(kernel.values()))
-
-
-def kernel_of(m: Matrix) -> Subspace:
-    """Kernel of m, a subspace of F^cols."""
-    red, pivots = m.rref()
-    return _kernel_from_rref(red, pivots, m.cols)
+    return Subspace._span(m.cols, list(kernel.values()))
 
 
 def image_of(m: Matrix) -> Subspace:
@@ -399,20 +374,16 @@ def nullspace_and_image(m: Matrix) -> tuple[Subspace, Subspace]:
     return kernel_of(m), image_of(m)
 
 
-def linear_solve(m: Matrix, target: Vector) -> Optional[tuple[Vector, Subspace]]:
-    """Particular solution of m x = target plus the solution kernel.
-
-    Returns None when the target is not in the image (no solution).
-    """
+def linear_solve(m: Matrix, target: Vector) -> Optional[Vector]:
+    """A particular solution x of m x = target, or None when the target is
+    not in the image."""
     check_vector(target, m.rows)
     k = m.cols
-    red, pivots = Matrix._of(m.rows, k + 1, [
+    red, pivots = Matrix(m.rows, k + 1, [
         {**row, k: target[i]} if i in target else row for i, row in enumerate(m._nz)]).rref()
     if k in pivots:
         return None
-    x = {p: row[k] for p, row in zip(pivots, red._nz) if k in row}
-    # The left m.cols columns of red are rref(m), with the same pivots.
-    return x, _kernel_from_rref(red, pivots, k)
+    return {p: row[k] for p, row in zip(pivots, red._nz) if k in row}
 
 
 def solve_batch(m: Matrix, targets: Matrix) -> Optional[Matrix]:
@@ -426,7 +397,7 @@ def solve_batch(m: Matrix, targets: Matrix) -> Optional[Matrix]:
     out: list = [{} for _ in range(k)]
     for p, row in zip(pivots, red._nz):
         out[p] = {j - k: a for j, a in row.items() if j >= k}
-    return Matrix._of(k, targets.cols, out)
+    return Matrix(k, targets.cols, out)
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
@@ -473,13 +444,13 @@ class Complement:
         rows = _transpose(left, n)
         for i, row in enumerate(rows):
             row[width + i] = ONE
-        red, pivots = Matrix._of(n, width + n, rows).rref()
+        red, pivots = Matrix(n, width + n, rows).rref()
         a = inner.dim
         self.taken = [p - a for p in pivots if a <= p < width]  # indices into outer
         self.vectors = [outer[i] for i in self.taken]
         # rows a.. of E: complement coordinates, then rows vanishing on B
         kept = [{j - width: x for j, x in row.items() if j >= width} for row in red._nz[a:]]
-        self._rows = Matrix._of(n - a, n, kept)
+        self._rows = Matrix(n - a, n, kept)
         self._columns = _transpose(kept, n)
 
     def projection(self) -> Optional[Matrix]:

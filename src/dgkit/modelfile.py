@@ -25,33 +25,27 @@ blank lines and '#' comments are skipped.  A degrees line is DEGREE : LABEL
 entry is exactly FROM -> TO : SCALAR and a structure entry exactly
 L1 L2 -> L3 : SCALAR, the form the serializer writes, so '->' and ':' stand
 apart from their neighbours.  A label is any token without '#' other than
-'->' and ':' themselves (a label such as a:b reads back); a degrees line
-that declares either of those two is refused.  Each line is split once, and
-the structure entries are summed into their (L1, L2) targets as they are
-read.  Scalars use the exact grammar of dgkit.scalars.  Reserved map names:
-del_bar, del_bar_J, del, e, f, h, J.
-Each map name is declared once; the sl2 and J lines name declared shift-0
-maps, which then also serve as e, f, h and J.
-Serialization is canonical: parsing a serialized model and serializing it
-again reproduces the same bytes.
+'->', ':' and the six section keywords, which would start an entry as a
+keyword line (a label such as a:b reads back); a degrees line that declares
+one of those is refused.  Each line is split once, and the structure
+entries are summed into their (L1, L2) targets as they are read.  Scalars
+use the exact grammar of dgkit.scalars.  Each map name is declared once;
+the sl2 and J lines name declared shift-0 maps, which then also serve as e,
+f, h and J.
+
+Parsing returns the StructuredAlgebra.  `dgkit.qdolbeault.connection_model`
+reads it as a connection model, and the map names that carry meaning there
+(del_bar, del_bar_J, del, e, f, h, J) are qdolbeault's.  Serialization is
+canonical: parsing a serialized model and serializing it again reproduces
+the same bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from dgkit.ddbar import Bicomplex
 from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
-from dgkit.qdolbeault import (
-    DEL_BAR,
-    DEL_BAR_J,
-    ConnectionModel,
-    connection_from_bicomplex,
-    connection_model_from_full,
-    full_model_gap,
-)
 from dgkit.scalars import Scalar, ScalarParseError
 
 
@@ -66,30 +60,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class ParsedModel:
-    algebra: StructuredAlgebra
-
-    def is_connection(self) -> bool:
-        d = self.algebra.differentials
-        return DEL_BAR in d and DEL_BAR_J in d
-
-    def is_full(self) -> bool:
-        return full_model_gap(self.algebra) is None
-
-    def to_connection_model(self) -> ConnectionModel:
-        if self.is_full():
-            return connection_model_from_full(self.algebra)
-        if self.is_connection():
-            return ConnectionModel(self.algebra)
-        # a generic bicomplex file is read as the connection of its (d0, d1)
-        diffs = self.algebra.differentials
-        if "d0" in diffs and "d1" in diffs:
-            return connection_from_bicomplex(Bicomplex(self.algebra))
-        raise ModelError("model carries neither (del_bar, del_bar_J) nor "
-                         "(d0, d1) nor full data")
-
-
 def _scalar(tok: str, line_no: int, line: str, parsed: dict) -> Scalar:
     """The scalar of an entry's last token, parsed once per distinct token
     into `parsed`."""
@@ -101,11 +71,14 @@ def _scalar(tok: str, line_no: int, line: str, parsed: dict) -> Scalar:
     return parsed[tok]
 
 
-# the labels an entry's tokens cannot tell apart from its separators
-_SEPARATORS = ("->", ":")
+# the labels an entry's tokens cannot tell apart from its separators, and
+# those its first token cannot tell apart from a section's keyword line
+_RESERVED = {"->": "an entry separator", ":": "an entry separator",
+             **dict.fromkeys(("kind", "degrees", "map", "structure", "sl2", "J"),
+                             "a section keyword")}
 
 
-def parse_model(text: str) -> ParsedModel:
+def parse_model(text: str) -> StructuredAlgebra:
     kind = "associative"
     degrees: dict[int, list[str]] = {}
     maps_raw: list[tuple] = []          # (name, shift, [(frm, to, Scalar)])
@@ -183,8 +156,8 @@ def parse_model(text: str) -> ParsedModel:
                 raise ParseError(f"bad degree {left.strip()!r}", line_no)
             labs = right.split()
             for lab in labs:
-                if lab in _SEPARATORS:
-                    raise ParseError(f"label {lab!r} is reserved as an entry separator",
+                if lab in _RESERVED:
+                    raise ParseError(f"label {lab!r} is reserved as {_RESERVED[lab]}",
                                      line_no)
             degrees.setdefault(deg, []).extend(labs)
         else:
@@ -215,10 +188,10 @@ def parse_model(text: str) -> ParsedModel:
                                  f"{alias!r} is declared at line {declared[alias]}", line_no)
             declared[alias] = line_no
             maps[alias] = maps[name]
-    return ParsedModel(StructuredAlgebra(space, kind, differentials, structure, maps))
+    return StructuredAlgebra(space, kind, differentials, structure, maps)
 
 
-def parse_model_file(path: str) -> ParsedModel:
+def parse_model_file(path: str) -> StructuredAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -267,7 +240,9 @@ def serialize_model(algebra: StructuredAlgebra) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-def serialize_connection_model(m: ConnectionModel) -> str:
+def serialize_connection_model(m) -> str:
+    """The file of a dgkit.qdolbeault.ConnectionModel: its full model if it
+    has one, else its Dolbeault algebra."""
     if m.full_model is not None:
         return serialize_model(m.full_model)
     return serialize_model(m.dolbeault)

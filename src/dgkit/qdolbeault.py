@@ -15,6 +15,9 @@ reads a cell label.  Its spectral pages are read off two subquotients of D,
 H(D, del_bar) and ker del_bar, and are defined for the standard complex
 only.  `connection_from_bicomplex` is the one place a bicomplex (d0, d1)
 becomes a connection model, with d0 as del_bar_J and d1 as del_bar.
+`connection_model` is the one place a parsed model file becomes one, and
+`carries_connection` tells whether the file is one without a bicomplex; the
+map names they read (del_bar, del_bar_J, del, e, f, h, J) are reserved here.
 
 When the model also carries the ambient algebra F (all form types) with an
 sl(2)-action e/f/h, a multiplicative J, and the two components del/del_bar
@@ -58,22 +61,6 @@ from dgkit.sl2 import (
 DEL_BAR = "del_bar"
 DEL_BAR_J = "del_bar_J"
 DEL = "del"
-
-
-def inverse_map(g: GradedMap) -> GradedMap:
-    """Blockwise inverse of a degree-preserving invertible map."""
-    if g.shift != 0:
-        raise ModelError("only shift-0 maps can be inverted")
-    blocks = {}
-    for k in g.source.degrees():
-        n = g.source.dim(k)
-        if n == 0:
-            continue
-        inv = invert(g.block(k))
-        if inv is None:
-            raise ModelError(f"map is singular at degree {k}")
-        blocks[k] = inv
-    return GradedMap(g.target, g.source, 0, blocks)
 
 
 class ConnectionModel:
@@ -183,8 +170,19 @@ def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
         return GradedMap.from_entries(d_space, d_space, g.shift, entries)
 
     del_bar = restrict_map(full.differential(DEL_BAR))
+    # J is inverted blockwise, and must be invertible in every degree
     j = full.maps["J"]
-    del_bar_j = restrict_map(inverse_map(j).compose(full.differential(DEL).compose(j)))
+    if j.shift != 0:
+        raise ModelError(f"J must preserve degree, but has shift {j.shift}")
+    blocks = {}
+    for k in space.degrees():
+        if space.dim(k):
+            inv = invert(j.block(k))
+            if inv is None:
+                raise ModelError(f"J is singular at degree {k}")
+            blocks[k] = inv
+    j_inverse = GradedMap(space, space, 0, blocks)
+    del_bar_j = restrict_map(j_inverse.compose(full.differential(DEL).compose(j)))
 
     # the products of (0,*) labels, each checked to stay there: the rest
     # of the full structure was checked when the full model was built
@@ -199,6 +197,28 @@ def connection_model_from_full(full: StructuredAlgebra) -> ConnectionModel:
     dolbeault = StructuredAlgebra._derived(
         d_space, full.kind, {DEL_BAR: del_bar, DEL_BAR_J: del_bar_j}, structure)
     return ConnectionModel(dolbeault, full)
+
+
+def carries_connection(algebra: StructuredAlgebra) -> bool:
+    """Whether the algebra is a connection model as it stands: it has
+    (del_bar, del_bar_J) or the full data, with no bicomplex to read."""
+    d = algebra.differentials
+    return (DEL_BAR in d and DEL_BAR_J in d) or full_model_gap(algebra) is None
+
+
+def connection_model(algebra: StructuredAlgebra) -> ConnectionModel:
+    """The connection model of a model file's algebra: the Dolbeault part of
+    a full model, the algebra itself when it has (del_bar, del_bar_J), and
+    otherwise the connection of its bicomplex (d0, d1)."""
+    if full_model_gap(algebra) is None:
+        return connection_model_from_full(algebra)
+    d = algebra.differentials
+    if DEL_BAR in d and DEL_BAR_J in d:
+        return ConnectionModel(algebra)
+    if "d0" in d and "d1" in d:
+        return connection_from_bicomplex(Bicomplex(algebra))
+    raise ModelError("model carries neither (del_bar, del_bar_J) nor "
+                     "(d0, d1) nor full data")
 
 
 # ---------------------------------------------------------------------------

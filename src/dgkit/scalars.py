@@ -242,11 +242,3 @@ def lift(items: Iterable[tuple[Hashable, Scalar]]) -> tuple[int, dict]:
         return 1, {key: (x.a, x.b) for key, x in nonzero.items()}
     return d, {key: (x.a * (m := d // x.d), x.b * m) for key, x in nonzero.items()}
 
-
-def of(value) -> Scalar:
-    """Coerce an int, Fraction, string or Scalar into a Scalar."""
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, str):
-        return Scalar.parse(value)
-    return Scalar(value)

@@ -91,15 +91,12 @@ def integer_spectrum(m: Matrix) -> dict[int, Subspace]:
 
 @dataclass
 class IsotypicDecomposition:
-    """Per degree and weight: highest-weight subspaces and multiplicities."""
+    """Per degree and weight: the highest-weight subspaces, whose dimensions
+    are the multiplicities."""
 
     module: Sl2Module
     highest_weight: dict = field(default_factory=dict)   # (degree, w) -> Subspace
     eigenspaces: dict = field(default_factory=dict)      # (degree, lam) -> Subspace
-
-    def multiplicity(self, degree: int, w: int) -> int:
-        sub = self.highest_weight.get((degree, w))
-        return sub.dim if sub else 0
 
     def weights(self, degree: int) -> list[int]:
         return sorted(w for (k, w), sub in self.highest_weight.items()
@@ -119,10 +116,6 @@ class IsotypicDecomposition:
                 cur = f.apply(degree, cur)
                 out.append(cur)
         return out
-
-    def isotypic_subspace(self, degree: int, w: int) -> Subspace:
-        n = self.module.space.dim(degree)
-        return Subspace.from_vectors(n, self.isotypic_vectors(degree, w))
 
     def to_json(self):
         table = {}

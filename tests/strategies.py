@@ -1,13 +1,14 @@
 """Hypothesis strategies shared by the graded-algebra, sl(2) and deformation
 tests, and the conversions between a vector (the {index: Scalar} dict of its
 non-zero entries) and its dense entries, which the dense reference oracles
-of the tests work on."""
+of the tests work on; `dense_matrix` builds a Matrix from dense rows."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
+from dgkit.linalg import Matrix
 from dgkit.scalars import ONE, ZERO, Scalar
 
 COEFFS = (ONE, -ONE, Scalar(0, 1), Scalar(2), Scalar(1, -1))
@@ -43,6 +44,14 @@ def dense(v, n):
     """The n dense entries of the vector v."""
     assert all(0 <= i < n for i in v)
     return tuple(v.get(i, ZERO) for i in range(n))
+
+
+def dense_matrix(rows, cols=None):
+    """The Matrix with the given dense rows of Scalars; cols is read off the
+    first row, and must be given for a matrix without rows."""
+    cols = len(rows[0]) if rows else cols
+    assert cols is not None and all(len(r) == cols for r in rows)
+    return Matrix(len(rows), cols, [sparse(r) for r in rows])
 
 
 @st.composite

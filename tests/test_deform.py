@@ -285,7 +285,7 @@ def mc_elements(ctx, order):
         [series_from(ctx, order, 1, v) for v in sums if sq(v)],
         [series_from(ctx, order, 1, a, b) for a in closed for b in closed
          if not sq(a) and alg.bracket(1, a, 1, b)],
-        [series_from(ctx, order, 1, v, sol[0]) for v in sums if sq(v)
+        [series_from(ctx, order, 1, v, sol) for v in sums if sq(v)
          for sol in [linear_solve(d.block(1), vscale(Scalar(Fraction(-1, 2)), sq(v)))]
          if sol is not None],
     ]
@@ -782,7 +782,7 @@ def test_y_lift_of_a_non_strong_kernel_element():
         sol = linear_solve(system, rhs)
         if rhs and sol is not None:
             break
-    b2 = Matrix.from_columns(dolb.space.dim(1), kernel_j).apply(sol[0])
+    b2 = Matrix.from_columns(dolb.space.dim(1), kernel_j).apply(sol)
     b = Series(1, [{}, b1, b2])
     zero = Series.zero(1, 3)
     assert evaluation_functors(q, zero, lifts=[b]).lift_checks == [True]

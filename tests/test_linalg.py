@@ -27,11 +27,11 @@ from dgkit.linalg import (
     solve_batch,
 )
 from dgkit.scalars import ONE, ZERO, Scalar
-from strategies import dense, sparse, vec
+from strategies import dense, dense_matrix, sparse, vec
 
 
 def M(rows):
-    return Matrix.from_rows([[Scalar(x) for x in r] for r in rows], cols=len(rows[0]) if rows else 0)
+    return dense_matrix([[Scalar(x) for x in r] for r in rows], cols=0)
 
 
 V = vec
@@ -119,11 +119,7 @@ def test_ambient_mismatch_rejected():
 
 
 def test_solve_identity():
-    got = linear_solve(Matrix.identity(3), V(5, -1, 2))
-    assert got is not None
-    x, k = got
-    assert x == V(5, -1, 2)
-    assert k.dim == 0
+    assert linear_solve(Matrix.identity(3), V(5, -1, 2)) == V(5, -1, 2)
 
 
 def test_solve_zero_matrix_no_solution():
@@ -131,12 +127,9 @@ def test_solve_zero_matrix_no_solution():
 
 
 def test_solve_one_parameter_family():
-    # [[2,0],[0,0]] x = (1,0): particular (1/2, 0), kernel spanned by e2
-    got = linear_solve(M([[2, 0], [0, 0]]), V(1, 0))
-    assert got is not None
-    x, k = got
-    assert x == V(Fraction(1, 2), 0)
-    assert k == Subspace.from_vectors(2, [V(0, 1)])
+    # [[2,0],[0,0]] x = (1,0): the particular solution (1/2, 0) of the
+    # family (1/2, t)
+    assert linear_solve(M([[2, 0], [0, 0]]), V(1, 0)) == V(Fraction(1, 2), 0)
 
 
 def test_solve_batch_and_coordinates():
@@ -188,7 +181,7 @@ def test_rref_idempotent_and_rank_nullity(rows, cols, data):
     entries = [
         [Scalar(data.draw(small_entries)) for _ in range(cols)] for _ in range(rows)
     ]
-    m = Matrix.from_rows(entries, cols)
+    m = dense_matrix(entries, cols)
     red, pivots = m.rref()
     again, pivots2 = red.rref()
     assert red == again and pivots == pivots2
@@ -261,7 +254,7 @@ def ref_span(n, vectors):
     """Canonical basis rows of the span: the non-zero rows of the RREF."""
     if not vectors:
         return []
-    rows, pivots = ref_rref(Matrix.from_rows(vectors, n))
+    rows, pivots = ref_rref(dense_matrix(vectors, n))
     return rows[:len(pivots)]
 
 
@@ -294,14 +287,14 @@ def ref_image(m):
 
 
 def ref_linear_solve(m, target):
-    aug = m.hstack(Matrix(m.rows, 1, [[t] for t in target]))
+    aug = m.hstack(dense_matrix([[t] for t in target], 1))
     rows, pivots = ref_rref(aug)
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols
     for r, p in enumerate(pivots):
         x[p] = rows[r][m.cols]
-    return tuple(x), ref_kernel(m)
+    return tuple(x)
 
 
 def ref_extend_basis(inner, outer):
@@ -362,7 +355,7 @@ def sparse_matrices(draw, rows=None, cols=None):
     for j in draw(st.sets(st.integers(0, cols - 1))) if cols else ():
         for row in data:
             row[j] = ZERO
-    return Matrix(rows, cols, data)
+    return dense_matrix(data, cols)
 
 
 @st.composite
@@ -398,7 +391,7 @@ def test_apply_and_product_match_dense_reference(m, data):
 def assert_matrix(got, rows):
     """got holds exactly the dense rows, and equals and hashes as the matrix
     built from them."""
-    want = Matrix(got.rows, got.cols, rows)
+    want = dense_matrix(rows, got.cols)
     assert got.data == rows
     assert got == want and hash(got) == hash(want)
 
@@ -494,9 +487,8 @@ def test_linear_solve_matches_dense_reference(m, data):
     if want is None:
         assert got is None
         return
-    x, kernel = got
-    assert (x, kernel.basis.data) == (sparse(want[0]), want[1])
-    assert m.apply(x) == sparse(target)
+    assert got == sparse(want)
+    assert m.apply(got) == sparse(target)
 
 
 @oracle
@@ -583,7 +575,7 @@ def test_rref_rank_and_solvability_match_sympy(qq_i, m, data):
     assert m.rank() == len(sym_pivots)
     assert kernel_of(m).dim == m.cols - len(sym_pivots)
     target = data.draw(sparse_vectors(m.rows))
-    aug = m.hstack(Matrix(m.rows, 1, [[t] for t in target]))
+    aug = m.hstack(dense_matrix([[t] for t in target], 1))
     solvable = len(sympy_rref(aug, qq_i)[1]) == len(sym_pivots)
     assert (linear_solve(m, sparse(target)) is not None) == solvable
 
@@ -624,15 +616,14 @@ def test_select_matches_sympy_extract(qq_i, m, data):
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
 def test_kernel_operations_on_empty_shapes(rows, cols):
-    m = Matrix(rows, cols, [[] for _ in range(rows)] if cols == 0 else None)
+    m = Matrix.zero(rows, cols)
     red, pivots = m.rref()
     assert (red, pivots) == (m, [])
     assert kernel_of(m) == Subspace.full(cols)
     assert image_of(m) == Subspace.zero(rows)
-    x, kernel = linear_solve(m, {})
-    assert x == {} and kernel == Subspace.full(cols)
+    assert linear_solve(m, {}) == {}
     assert m.apply({}) == {}
-    assert (m * Matrix(cols, 2)) == Matrix(rows, 2)
+    assert (m * Matrix.zero(cols, 2)) == Matrix.zero(rows, 2)
     assert Subspace.zero(cols).contains({})
     if rows:
         assert linear_solve(m, {0: ONE}) is None
@@ -651,14 +642,14 @@ def ref_from_columns(rows, columns):
     for j, col in enumerate(columns):
         for i, c in enumerate(col):
             data[i][j] = c
-    return Matrix(rows, len(columns), data)
+    return dense_matrix(data, len(columns))
 
 
 def ref_from_entries(rows, cols, entries):
     data = [[ZERO] * cols for _ in range(rows)]
     for i, j, c in entries:
         data[i][j] = data[i][j] + c
-    return Matrix(rows, cols, data)
+    return dense_matrix(data, cols)
 
 
 def ref_entries(m):
@@ -892,9 +883,7 @@ def test_no_module_imports_a_name_it_never_uses():
 # public functions and methods that only the tests call
 TEST_ONLY = {
     "ddbar.homotopy_abelian_verdict", "deform.quadraticity_probe", "deform.evaluation_functors",
-    "deform.strong_mc_samples", "models.random_connection_model", "Matrix.from_rows",
-    "Scalar.conjugate", "scalars.of", "IsotypicDecomposition.multiplicity",
-    "IsotypicDecomposition.isotypic_subspace",
+    "deform.strong_mc_samples", "models.random_connection_model", "Scalar.conjugate",
 }
 
 
@@ -946,6 +935,30 @@ def test_no_module_builds_a_second_dgla():
             if word in gone or (isinstance(node, ast.Attribute) and word == "dgla"):
                 offenders.append(f"{name}:{node.lineno}: {word}")
     assert offenders == []
+
+
+def test_only_linalg_builds_a_matrix_from_its_sparse_rows():
+    """The sparse row layout is private to linalg: no other dgkit module
+    calls the constructor Matrix(rows, cols, nz) or reads a ._nz."""
+    offenders = []
+    for name, tree in _module_trees("linalg.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "Matrix" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                offenders.append(f"{name}:{node.lineno}: Matrix(")
+            elif isinstance(node, ast.Attribute) and node.attr == "_nz":
+                offenders.append(f"{name}:{node.lineno}: ._nz")
+    assert offenders == []
+
+
+def test_modelfile_imports_no_connection_module():
+    """A model file parses to its algebra; qdolbeault reads it as a
+    connection, so modelfile imports neither qdolbeault nor ddbar."""
+    tree = dict(_module_trees())["modelfile.py"]
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported & {"dgkit.ddbar", "dgkit.qdolbeault"} == set()
 
 
 def test_every_tracer_target_resolves():
@@ -1105,7 +1118,7 @@ def ref_intersect(u, w):
     rows = [row + row for row in u.basis.data] + [row + [ZERO] * n for row in w.basis.data]
     if not rows:
         return Subspace.zero(n)
-    red, _ = Matrix.from_rows(rows, cols=2 * n).rref()
+    red, _ = dense_matrix(rows, 2 * n).rref()
     return Subspace.from_vectors(n, [sparse(row[n:]) for row in red.data
                                      if all(x.is_zero() for x in row[:n])
                                      and not all(x.is_zero() for x in row[n:])])

@@ -15,7 +15,7 @@ from dgkit.modelfile import (
     serialize_model,
 )
 from dgkit.models import dots_squares_model, torus_model
-from dgkit.qdolbeault import autoduality_check
+from dgkit.qdolbeault import autoduality_check, connection_model, full_model_gap
 from dgkit.scalars import Scalar
 
 GOOD = """
@@ -35,24 +35,21 @@ one a -> a : 1
 
 
 def test_parse_and_canonical_round_trip():
-    parsed = parse_model(GOOD)
-    text = serialize_model(parsed.algebra)
-    again = parse_model(text)
-    assert serialize_model(again.algebra) == text
+    text = serialize_model(parse_model(GOOD))
+    assert serialize_model(parse_model(text)) == text
 
 
 def test_generated_models_round_trip():
     b = dots_squares_model({0: 1, 1: 2}, [0], [1], seed=13)
     text = serialize_model(b.algebra)
-    parsed = parse_model(text)
-    assert serialize_model(parsed.algebra) == text
+    assert serialize_model(parse_model(text)) == text
 
     torus_text = serialize_connection_model(torus_model(1))
-    parsed = parse_model(torus_text)
-    assert parsed.is_full()
-    model = parsed.to_connection_model()
+    alg = parse_model(torus_text)
+    assert full_model_gap(alg) is None
+    model = connection_model(alg)
     assert autoduality_check(model).autodual
-    assert serialize_model(parsed.algebra) == torus_text
+    assert serialize_model(alg) == torus_text
 
 
 def test_zero_denominator_scalar_is_parse_error():
@@ -67,8 +64,7 @@ def test_repeated_scalar_tokens_each_report_their_own_position():
     # "1" parses once and is shared; a bad token is never stored, so each
     # occurrence raises at its own line and column
     text = GOOD + "one one -> one : 1\none b -> b :  1/0\n"
-    parsed = parse_model(text.replace("1/0", "1"))
-    assert parsed.algebra.mul_labels("one", "one") == {"one": Scalar(1)}
+    assert parse_model(text.replace("1/0", "1")).mul_labels("one", "one") == {"one": Scalar(1)}
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert (err.value.line, err.value.column) == (15, 15)
@@ -224,12 +220,12 @@ def test_sl2_and_j_lines_alias_declared_maps(tmp_path, capsys):
     for old, new in renames.items():
         assert aliased.count(old) == 1
         aliased = aliased.replace(old, new)
-    maps = parse_model(aliased).algebra.maps
+    maps = parse_model(aliased).maps
     for alias, name in (("e", "up"), ("f", "down"), ("h", "cartan"), ("J", "jay")):
         assert maps[alias] is maps[name]
-        assert maps[alias] == parse_model(plain).algebra.maps[alias]
-    text = serialize_model(parse_model(aliased).algebra)
-    assert serialize_model(parse_model(text).algebra) == text
+        assert maps[alias] == parse_model(plain).maps[alias]
+    text = serialize_model(parse_model(aliased))
+    assert serialize_model(parse_model(text)) == text
 
     reports = []
     for name, body in (("plain", plain), ("aliased", aliased)):
@@ -261,6 +257,22 @@ def test_cli_unreadable_model_file_reported(tmp_path, capsys):
     assert "cannot read model file" in capsys.readouterr().out
 
 
+def qdolbeault_error(tmp_path, text):
+    """The error of `dgkit qdolbeault` run in a subprocess on the model text,
+    after checking that it exits 1 with a failed report and no traceback."""
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "dgkit.cli", "--format", "json",
+                          "qdolbeault", str(path)], capture_output=True, cwd=tmp_path, env=env)
+    assert run.returncode == 1 and run.stderr == b"", run.stderr.decode()
+    report = json.loads(run.stdout)
+    assert report["passed"] is False and list(report["report"]) == ["error"]
+    return report["report"]["error"]
+
+
 # a full torus file whose del_bar, or whose product, sends (0,*) labels
 # outside the (0,*) part; the error names the first offending pair or triple
 LEAVES_D = {
@@ -280,17 +292,33 @@ def test_cli_reports_a_full_model_that_leaves_the_dolbeault_part(tmp_path, part)
     (old, new), message = LEAVES_D[part]
     text = serialize_connection_model(torus_model(1))
     assert text.count(old) == 1
-    path = tmp_path / "bad.model"
-    path.write_text(text.replace(old, new))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-m", "dgkit.cli", "--format", "json",
-                          "qdolbeault", str(path)], capture_output=True, cwd=tmp_path, env=env)
-    assert run.returncode == 1 and run.stderr == b"", run.stderr.decode()
-    report = json.loads(run.stdout)
-    assert report["passed"] is False
-    assert report["report"] == {"error": message}
+    assert qdolbeault_error(tmp_path, text.replace(old, new)) == message
+
+
+def _j_without(text, header, dropped):
+    """The torus file with J's header replaced and the J entries for which
+    dropped(entry) holds removed."""
+    start = text.index("map J shift 0\n")
+    end = text.index("\n\n", start)
+    entries = text[start:end].split("\n")[1:]
+    kept = [e for e in entries if not dropped(e)]
+    return text[:start] + "\n".join([header] + kept) + text[end:]
+
+
+# a full torus file whose J cannot be inverted: the error names J
+J_NOT_INVERTIBLE = {
+    "shift 2": (("map J shift 2", lambda e: True), "J must preserve degree, but has shift 2"),
+    "zero": (("map J shift 0", lambda e: True), "J is singular at degree 0"),
+    "singular at degree 2": (("map J shift 0", lambda e: e.startswith("dz1^dzb2|")),
+                             "J is singular at degree 2"),
+}
+
+
+@pytest.mark.parametrize("case", J_NOT_INVERTIBLE)
+def test_cli_names_j_when_a_full_model_cannot_invert_it(tmp_path, case):
+    (header, dropped), message = J_NOT_INVERTIBLE[case]
+    text = _j_without(serialize_connection_model(torus_model(1)), header, dropped)
+    assert qdolbeault_error(tmp_path, text) == message
 
 
 @pytest.mark.parametrize("where, reason", [("missing/t.model", "No such file"),

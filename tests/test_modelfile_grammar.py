@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from dgkit.errors import ModelError
 from dgkit.graded import GradedMap, GradedSpace, StructuredAlgebra
 from dgkit.modelfile import (
-    ParsedModel,
     ParseError,
     parse_model,
     serialize_connection_model,
@@ -166,7 +165,7 @@ def ref_parse_model(text):
     algebra = StructuredAlgebra(
         space, kind, differentials,
         StructuredAlgebra.structure_from_triples(structure_raw), maps)
-    return ParsedModel(algebra)
+    return algebra
 
 
 def same_algebra(a, b):
@@ -188,14 +187,14 @@ GENERATED = {
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_the_token_parser_reads_every_generated_file_as_the_former_parser(name):
     text = GENERATED[name]
-    new, ref = parse_model(text).algebra, ref_parse_model(text).algebra
+    new, ref = parse_model(text), ref_parse_model(text)
     assert same_algebra(new, ref)
     assert serialize_model(new) == text
 
 
 def _outcome(parse, text):
     try:
-        return parse(text).algebra, None
+        return parse(text), None
     except (ParseError, ModelError) as exc:
         return None, exc
 
@@ -270,7 +269,7 @@ def test_mutants_parse_as_before_or_differ_as_documented(text):
         taken = {t for line in text.splitlines() for t in line.split()}
         renames = {lab: f"renamed{i}" for i, lab in enumerate(odd)}
         assert taken.isdisjoint(renames.values())
-        again = ref_parse_model(_renamed(text, renames)).algebra
+        again = ref_parse_model(_renamed(text, renames))
         assert serialize_model(again) == _renamed(serialize_model(new), renames)
 
 
@@ -291,7 +290,7 @@ def test_a_structure_entry_with_two_targets_is_refused_at_its_line():
 ])
 def test_an_entry_without_spaces_around_its_separators_is_refused(entry, message):
     text = f"degrees\n0 : x\n\nstructure\n{entry}\n"
-    assert ref_parse_model(text).algebra.mul_labels("x", "x") == {"x": Scalar(1)}
+    assert ref_parse_model(text).mul_labels("x", "x") == {"x": Scalar(1)}
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert str(err.value) == f"line 5: {message}"
@@ -317,13 +316,12 @@ x c->d -> c->d : 1
 
 
 def test_labels_with_colons_and_arrows_read_back():
-    parsed = parse_model(COLON_LABELS)
-    alg = parsed.algebra
+    alg = parse_model(COLON_LABELS)
     assert alg.space.labels(0) == ["x", "a:b"]
     assert alg.mul_labels("x", "x") == {"a:b": Scalar(1)}
     assert alg.differential("d").label_table()["a:b"] == {"c->d": Scalar.parse("1/2")}
     text = serialize_model(alg)
-    again = parse_model(text).algebra
+    again = parse_model(text)
     assert same_algebra(again, alg)
     assert serialize_model(again) == text
     # the former parser read the target 'a:b' as 'a' with the scalar 'b : 1'
@@ -338,3 +336,19 @@ def test_a_separator_is_refused_as_a_label_at_the_degrees_line(label):
         parse_model(text)
     assert err.value.line == 3
     assert f"label {label!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("keyword", ["degrees", "structure", "map", "kind", "sl2", "J"])
+def test_a_section_keyword_is_refused_as_a_label_at_the_degrees_line(keyword):
+    text = f"degrees\n0 : {keyword}\n\nstructure\n{keyword} {keyword} -> {keyword} : 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == f"line 2: label {keyword!r} is reserved as a section keyword"
+    # the former parser read the entry as the keyword line: it dropped the
+    # product, or refused the entry as a malformed keyword line
+    try:
+        alg = ref_parse_model(text)
+    except ParseError:
+        assert keyword in ("map", "kind", "sl2", "J")
+    else:
+        assert keyword in ("degrees", "structure") and alg.structure == {}

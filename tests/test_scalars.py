@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dgkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, gaussian, lift, of
+from dgkit.scalars import I, ONE, ZERO, Scalar, ScalarParseError, gaussian, lift
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -254,8 +254,6 @@ def test_floats_are_refused(value):
         Scalar(value)
     with pytest.raises(TypeError):
         Scalar(1, value)
-    with pytest.raises(TypeError):
-        of(value)
     with pytest.raises(TypeError):
         ONE.scale(value)
 

@@ -137,12 +137,8 @@ def test_linear_solve(m, data):
     want = ref_linear_solve(m, dense(target, m.rows))
     assert (got is None) == (want is None)
     if got is not None:
-        x, kernel = got
-        assert_vector(x, m.cols)
-        assert x == sparse(want[0])
-        assert kernel.basis.data == want[1]
-        for v in kernel.vectors():
-            assert_vector(v, m.cols)
+        assert_vector(got, m.cols)
+        assert got == sparse(want)
 
 
 def m_series(draw, n, degree, order):
